@@ -18,6 +18,7 @@ Brieskorn-Pham exponents:
 
 Everything combinatorial runs in exact integer/rational arithmetic;
 floats appear only in the toric optimizer and potential evaluations.
+The toric names (and numpy, which only they need) load on first use.
 """
 
 from ._version import __version__
@@ -81,28 +82,6 @@ from .links import (
     fractional_weights,
     parse_presentation,
 )
-from .toric import (
-    GorensteinResult,
-    MomentCone,
-    ReebVector,
-    VolumeMinimum,
-    WeightMatrix,
-    cokernel_invariants,
-    cone_from_weights,
-    cy_condition,
-    gorenstein_gamma,
-    guillemin_potential,
-    minimize_volume,
-    potential_hessian,
-    read_cone_file,
-    read_weight_matrix_file,
-    reeb_is_interior,
-    reeb_slice_project,
-    volume,
-    volume_gradient,
-    volume_hessian,
-)
-
 __all__ = [
     "__version__",
     # links
@@ -180,3 +159,12 @@ __all__ = [
     "TorsionDivisionError",
     "UnboundedPolytopeError",
 ]
+
+
+def __getattr__(name):
+    # Every exported name not bound above is one of the toric names.
+    if name in __all__:
+        from . import toric
+
+        return getattr(toric, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

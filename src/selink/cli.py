@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 from fractions import Fraction
 
 from ._version import __version__
 from .catalog import (
+    CatalogRecord,
     dedup_records,
     enumerate_bp,
     export_table,
@@ -27,6 +28,7 @@ from .catalog import (
     write_catalog,
 )
 from .dimension import (
+    SmaleManifold,
     casson_invariant,
     moduli_dimension,
     moduli_reference,
@@ -43,15 +45,6 @@ from .links import (
     as_link,
     classify_type,
     parse_presentation,
-)
-from .toric import (
-    ReebVector,
-    cone_from_weights,
-    gorenstein_gamma,
-    minimize_volume,
-    read_cone_file,
-    read_weight_matrix_file,
-    volume,
 )
 
 __all__ = ["main"]
@@ -100,17 +93,18 @@ def _torsion_string(torsion: tuple[int, ...]) -> str:
 
 
 def _load_cone(args):
+    from .toric import cone_from_weights, read_cone_file, read_weight_matrix_file
+
     if args.weights:
         return cone_from_weights(read_weight_matrix_file(args.file))
     return read_cone_file(args.file)
 
 
-def _parse_xi(text: str) -> ReebVector:
+def _parse_xi(text: str) -> tuple[Fraction, ...]:
     try:
-        parts = [Fraction(tok) for tok in text.split(",")]
+        return tuple(Fraction(tok) for tok in text.split(","))
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"bad Reeb vector {text!r}: {exc}")
-    return ReebVector(tuple(parts))
 
 
 def _fmt_float(x: float) -> str:
@@ -197,8 +191,6 @@ def _cmd_se_table(args) -> int:
                 torsion = tuple(int(tok) for tok in args.m.split(","))
             except ValueError:
                 raise DomainError(f"bad torsion list {args.m!r}")
-        from .dimension import SmaleManifold
-
         manifold = SmaleManifold(args.betti, torsion)
     lookup = table_lookup(manifold)
     _emit(
@@ -243,6 +235,8 @@ def _cmd_moduli(args) -> int:
 
 
 def _cmd_toric_gamma(args) -> int:
+    from .toric import gorenstein_gamma
+
     result = gorenstein_gamma(_load_cone(args))
     if result.gamma is None:
         _emit(args.format, {"gamma": None, "reason": result.reason})
@@ -252,6 +246,8 @@ def _cmd_toric_gamma(args) -> int:
 
 
 def _cmd_toric_volume(args) -> int:
+    from .toric import volume
+
     cone = _load_cone(args)
     value = volume(cone, _parse_xi(args.xi))
     text = str(value) if isinstance(value, Fraction) else _fmt_float(value)
@@ -263,6 +259,8 @@ def _cmd_toric_volume(args) -> int:
 
 
 def _cmd_toric_minimize(args) -> int:
+    from .toric import minimize_volume
+
     cone = _load_cone(args)
     start = _parse_xi(args.start) if args.start else None
     result = minimize_volume(cone, start=start, grad_tol=args.grad_tol)
@@ -278,14 +276,19 @@ def _cmd_toric_minimize(args) -> int:
     return 0
 
 
+def _worker_count(jobs: int) -> int:
+    """--jobs clamped to the CPU count; more processes cannot run at once."""
+    if jobs < 1:
+        raise DomainError(f"--jobs must be >= 1, got {jobs}")
+    return min(jobs, os.cpu_count() or 1)
+
+
 def _pipeline_worker(job: tuple[str, str]) -> dict:
     presentation, timestamp = job
     return run_pipeline(presentation, timestamp=timestamp).to_dict()
 
 
 def _cmd_batch(args) -> int:
-    from .catalog import CatalogRecord
-
     timestamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     coprime = None
     if args.coprime:
@@ -304,6 +307,8 @@ def _cmd_batch(args) -> int:
     ]
     jobs = [(p, timestamp) for p in presentations]
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         # Workers compute, the parent is the single writer; map() preserves
         # input order so the catalog is deterministic regardless of --jobs.
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -364,7 +369,7 @@ def build_parser() -> _Parser:
         "--jobs",
         type=int,
         default=argparse.SUPPRESS,
-        help="worker processes for batch runs (default 1)",
+        help="worker processes for batch runs (default 1, at most the CPU count)",
     )
     shared.add_argument(
         "--config",
@@ -491,8 +496,7 @@ def main(argv=None) -> int:
             args.format = config.get("format", "text")
         if args.jobs is None:
             args.jobs = config.get("jobs", 1)
-        if args.jobs < 1:
-            raise DomainError(f"--jobs must be >= 1, got {args.jobs}")
+        args.jobs = _worker_count(args.jobs)
         return args.func(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,9 +18,9 @@ by the table; a manifold absent from the table cannot admit such a metric.
 
 For n = 2, Brieskorn links with pairwise coprime exponents are integral
 homology 3-spheres and carry a Casson invariant lambda = tau/8, where tau
-is the signature count over the open exponent box.  Tight contact
-structures on lens spaces are counted from the negative continued
-fraction expansion of -p/q.
+is the signature count over the open exponent box, in closed form
+through Dedekind sums.  Tight contact structures on lens spaces are
+counted from the negative continued fraction expansion of -p/q.
 
 Monomial counting in the weighted graded ring gives a naive moduli
 dimension for the singularity; see moduli_dimension for the convention
@@ -32,13 +32,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations, groupby
 
-import numpy as np
-from sympy import factorint
-
 from .errors import DomainError, InternalConsistencyError, NotSmaleFormError
-from .homology import HomologyGroup
+from .homology import HomologyGroup, factorint
 from .links import WeightedLink
 
 __all__ = [
@@ -200,14 +198,21 @@ def table_lookup(manifold: SmaleManifold) -> TableLookup:
     return TableLookup("no")
 
 
+def _dedekind_sum(h: int, k: int) -> Fraction:
+    """s(h, k) for coprime h, k >= 1 by s(h, k) + s(k, h) = (h^2+k^2+1)/(12hk) - 1/4."""
+    h %= k
+    if h == 0:
+        return Fraction(0)
+    return Fraction(h * h + k * k + 1 - 3 * h * k, 12 * h * k) - _dedekind_sum(k, h)
+
+
 def casson_invariant(exponents) -> int:
     """Casson invariant of the Brieskorn homology sphere with these exponents.
 
-    Counts lattice points (k_0, k_1, k_2), 0 < k_i < a_i, by whether
-    k_0/a_0 + k_1/a_1 + k_2/a_2 lies in (0,1) or (2,3) (+1) versus (1,2)
-    (-1) and returns the count divided by 8.  Deliberately a direct count
-    over the whole box rather than a Dedekind-sum evaluation: it is the
-    definition, and the box is small for every input we care about.
+    The signature count over the open exponent box divided by 8, in the
+    Fintushel-Stern / Neumann-Wahl closed form with a = a_0 a_1 a_2:
+    8 lambda = (a/3)(sum 1/a_i^2 - 1) + 1/(3a) - 1 - 4 sum s(a/a_i, a_i).
+    Exact, so lambda(Sigma(2, 3, 5)) = -1.
     """
     a = tuple(int(x) for x in exponents)
     if len(a) != 3:
@@ -217,25 +222,14 @@ def casson_invariant(exponents) -> int:
     for x, y in combinations(a, 2):
         if math.gcd(x, y) != 1:
             raise DomainError(f"exponents {a} are not pairwise coprime")
-    a0, a1, a2 = a
-    d = a0 * a1 * a2
-    tau = 0
-    # Scaled comparison: n = k0*a1*a2 + k1*a0*a2 + k2*a0*a1 against d, 2d.
-    t1 = np.arange(1, a1, dtype=np.int64) * (a0 * a2)
-    t2 = np.arange(1, a2, dtype=np.int64) * (a0 * a1)
-    grid12 = t1[:, None] + t2[None, :]
-    for k0 in range(1, a0):
-        n = grid12 + k0 * a1 * a2
-        if ((n == d) | (n == 2 * d)).any():
-            raise InternalConsistencyError(
-                f"lattice point on a signature wall for exponents {a}"
-            )
-        tau += int(((n < d) | (n > 2 * d)).sum()) - int(((d < n) & (n < 2 * d)).sum())
-    if tau % 8 != 0:
+    prod = math.prod(a)
+    tau = Fraction(prod, 3) * (sum(Fraction(1, x * x) for x in a) - 1) - 1
+    tau += Fraction(1, 3 * prod) - 4 * sum(_dedekind_sum(prod // x, x) for x in a)
+    if tau.denominator != 1 or tau.numerator % 8 != 0:
         raise InternalConsistencyError(
-            f"signature count {tau} for exponents {a} is not divisible by 8"
+            f"signature count {tau} for exponents {a} is not an integer divisible by 8"
         )
-    return tau // 8
+    return tau.numerator // 8
 
 
 def negative_continued_fraction(p: int, q: int) -> tuple[int, ...]:
@@ -249,7 +243,8 @@ def negative_continued_fraction(p: int, q: int) -> tuple[int, ...]:
         a = -((-p) // q)  # ceil(p/q)
         rs.append(-a)
         p, q = q, a * q - p
-    assert all(r <= -2 for r in rs)
+    if any(r > -2 for r in rs):
+        raise InternalConsistencyError(f"continued fraction {rs} has entries > -2")
     return tuple(rs)
 
 

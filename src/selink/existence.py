@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+from .errors import DomainError, InternalConsistencyError
 from .links import BPExponents, WeightedLink, bp_to_link, classify_type
 
 __all__ = [
@@ -55,11 +56,11 @@ class ExistenceVerdict:
     margin: Fraction | None = None
 
     def __post_init__(self):
-        assert self.status in STATUSES
-        assert self.rule is None or self.rule in RULES
+        if self.status not in STATUSES or self.rule not in (None, *RULES):
+            raise InternalConsistencyError(f"bad verdict {self.status}/{self.rule}")
         # A Sasaki-Einstein claim either way needs a positive link.
-        if self.status in ("se_exists", "obstructed"):
-            assert self.link_type == "positive"
+        if self.status in ("se_exists", "obstructed") and self.link_type != "positive":
+            raise InternalConsistencyError(f"{self.status} on a {self.link_type} link")
 
 
 def lichnerowicz_obstruction(link: WeightedLink) -> bool:
@@ -131,7 +132,7 @@ def decide_existence(
     statement.  When ``bp`` is given it must present ``link``.
     """
     if bp is not None and bp_to_link(bp) != link:
-        raise AssertionError("exponents do not present this link")
+        raise DomainError(f"{bp.presentation()} does not present {link.presentation()}")
     link_type = classify_type(link)
     if link_type != "positive":
         return ExistenceVerdict(link_type=link_type, status="eta_einstein_exists")

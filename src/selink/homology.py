@@ -47,8 +47,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from sympy import factorint
-
 from .errors import DomainError, InternalConsistencyError, TorsionDivisionError
 from .links import (
     BPExponents,
@@ -89,6 +87,20 @@ def _subset_data(u: tuple[int, ...], v: tuple[int, ...]):
         prod_v[mask] = prod_v[rest] * v[i]
         lcm_u[mask] = math.lcm(lcm_u[rest], u[i])
     return prod_u, prod_v, lcm_u
+
+
+def factorint(n: int) -> dict[int, int]:
+    """Prime factorization {p: e} of n >= 1 by trial division (orders are small)."""
+    factors: dict[int, int] = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        factors[n] = 1
+    return factors
 
 
 def betti_number(link: WeightedLink | BPExponents) -> int:
@@ -208,7 +220,8 @@ def torsion_orders(table: OrlikTable) -> tuple[int, ...]:
     for mask in range(full + 1):
         if table.k[mask] < 1:
             continue
-        assert mask != full, "full index set cannot carry multiplicity"
+        if mask == full:
+            raise InternalConsistencyError("full index set cannot carry multiplicity")
         if table.c[mask] > 1:
             factors.append((int(table.k[mask]), table.c[mask]))
     r = max((count for count, _ in factors), default=0)

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, InternalConsistencyError
 
 __all__ = [
     "WeightedLink",
@@ -120,9 +120,9 @@ def bp_to_link(bp: BPExponents) -> WeightedLink:
         bp = BPExponents(tuple(bp))
     d = math.lcm(*bp.exponents)
     weights = tuple(d // a for a in bp.exponents)
-    link = WeightedLink(weights, d)
-    assert all(a * w == d for a, w in zip(bp.exponents, weights))
-    return link
+    if any(a * w != d for a, w in zip(bp.exponents, weights)):
+        raise InternalConsistencyError(f"a * w != {d} for {bp.presentation()}")
+    return WeightedLink(weights, d)
 
 
 @dataclass(frozen=True)
@@ -158,9 +158,9 @@ def fractional_weights(link: WeightedLink) -> FractionalWeights:
         g = math.gcd(d, w)
         nums.append(d // g)
         dens.append(w // g)
-    fw = FractionalWeights(tuple(nums), tuple(dens))
-    assert all(u * w == d * v for u, v, w in zip(nums, dens, link.weights))
-    return fw
+    if any(u * w != d * v for u, v, w in zip(nums, dens, link.weights)):
+        raise InternalConsistencyError(f"u * w != d * v for {link.presentation()}")
+    return FractionalWeights(tuple(nums), tuple(dens))
 
 
 def classify_type(link: WeightedLink) -> str:

@@ -38,9 +38,13 @@ from functools import cached_property
 from itertools import combinations
 
 import numpy as np
-from scipy.optimize import linprog
 
-from .errors import ConvergenceError, DomainError, UnboundedPolytopeError
+from .errors import (
+    ConvergenceError,
+    DomainError,
+    InternalConsistencyError,
+    UnboundedPolytopeError,
+)
 from .intlinalg import (
     det_int,
     kernel_vector,
@@ -79,8 +83,8 @@ class MomentCone:
 
     Normals are normalized to primitive integer vectors and deduplicated
     on construction; validity is checked immediately (rank for strong
-    convexity, linear programming feasibility for a strict interior
-    point).
+    convexity, then the exact extreme rays, whose sum must pair strictly
+    positively with every normal).
     """
 
     normals: tuple[tuple[int, ...], ...]
@@ -101,15 +105,10 @@ class MomentCone:
         object.__setattr__(self, "normals", tuple(cleaned))
         if rank_rational(self.normals) < dim:
             raise DomainError("cone is not strongly convex (contains a line)")
-        a = np.array(self.normals, dtype=float)
-        res = linprog(
-            c=np.zeros(dim),
-            A_ub=-a,
-            b_ub=-np.ones(len(self.normals)),
-            bounds=[(None, None)] * dim,
-            method="highs",
-        )
-        if not res.success:
+        # The rays' sum lies in the relative interior of this pointed cone; a
+        # normal vanishing there vanishes on every ray, so the interior is empty.
+        centre = [sum(column) for column in zip(*self.rays)]
+        if any(sum(a * b for a, b in zip(n, centre)) <= 0 for n in self.normals):
             raise DomainError("cone is not full-dimensional (empty interior)")
 
     @property
@@ -120,9 +119,9 @@ class MomentCone:
     def rays(self) -> tuple[tuple[int, ...], ...]:
         """Primitive generators of the extreme rays, lexicographically sorted.
 
-        A ray of a pointed full-dimensional cone is extreme iff its active
-        facet normals have rank dim-1, so candidates come from kernels of
-        (dim-1)-subsets of normals, oriented into the cone.
+        A ray of a pointed cone is extreme iff its active facet normals
+        have rank dim-1, so candidates come from kernels of (dim-1)-subsets
+        of normals, oriented into the cone.  Computed on construction.
         """
         dim = self.dim
         found = set()
@@ -135,8 +134,6 @@ class MomentCone:
                 found.add(vec)
             elif all(d <= 0 for d in dots):
                 found.add(tuple(-x for x in vec))
-        if len(found) < dim:
-            raise DomainError("cone has too few extreme rays to be full-dimensional")
         return tuple(sorted(found))
 
     @cached_property
@@ -296,7 +293,8 @@ def gorenstein_gamma(cone: MomentCone) -> GorensteinResult:
     if any(f.denominator != 1 for f in sol):
         return GorensteinResult(None, "non-integral")
     gamma = tuple(int(f) for f in sol)
-    assert math.gcd(*gamma) == 1, "integral solution must already be primitive"
+    if math.gcd(*gamma) != 1:
+        raise InternalConsistencyError(f"Gorenstein vector {gamma} is not primitive")
     return GorensteinResult(gamma)
 
 

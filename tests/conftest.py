@@ -10,11 +10,18 @@ the fractional weights unchanged.
 """
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import strategies as st
 
+import selink
 from selink import BPExponents, WeightedLink, bp_to_link
+
+SRC = str(Path(selink.__file__).resolve().parent.parent)
 
 
 @st.composite
@@ -75,3 +82,16 @@ def random_coprime_triple(rng: random.Random, max_exponent=30) -> tuple[int, int
             and math.gcd(a[1], a[2]) == 1
         ):
             return a
+
+
+def run_python(code: str, *flags: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter (with extra flags) that imports this selink."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *flags, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )

@@ -6,11 +6,13 @@ internal invariant.
 """
 
 import json
+import os
 
 import pytest
 
+from selink import DomainError
 from selink.catalog import catalogs_equal
-from selink.cli import main
+from selink.cli import _worker_count, main
 
 CONIFOLD_FILE = "# conifold\n1 0 0\n1 1 0\n1 1 1\n1 0 1\n"
 ORTHANT3_FILE = "1 0 0\n0 1 0\n0 0 1\n"
@@ -312,6 +314,19 @@ class TestBatch:
         )[0] == 0
         assert catalogs_equal(serial.read_text(), parallel.read_text())
 
+    def test_absurd_jobs_clamped(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        serial, clamped = tmp_path / "serial.jsonl", tmp_path / "clamped.jsonl"
+        assert run(
+            capsys, "batch", "--length", "3", "--max-exponent", "4", "-o", str(serial)
+        )[0] == 0
+        assert run(
+            capsys,
+            "batch", "--jobs", "1000000", "--length", "3", "--max-exponent", "4",
+            "-o", str(clamped),
+        )[0] == 0
+        assert catalogs_equal(serial.read_text(), clamped.read_text())
+
     def test_filters(self, capsys, tmp_path):
         out_path = tmp_path / "cat.jsonl"
         rc, _, err = run(
@@ -441,6 +456,14 @@ class TestExitCodes:
         rc, _, err = run(capsys, "batch", "--jobs", "0", "--length", "3", "--max-exponent", "3")
         assert rc == 1
         assert "--jobs" in err
+
+    def test_worker_count_clamped_to_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert [_worker_count(j) for j in (1, 3, 4, 5, 10**9)] == [1, 3, 4, 4, 4]
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _worker_count(8) == 1
+        with pytest.raises(DomainError, match="--jobs"):
+            _worker_count(0)
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -5,6 +5,7 @@ import math
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -142,10 +143,52 @@ def casson_brute_force(a0, a1, a2) -> int:
     return tau // 8
 
 
+def casson_lattice_count(a0, a1, a2) -> int:
+    """Direct count over the open box 0 < k_i < a_i, divided by 8.
+
+    The same count as casson_brute_force, vectorized for larger boxes:
+    k_0/a_0 + k_1/a_1 + k_2/a_2 is compared with 1 and 2 scaled by
+    d = a_0 a_1 a_2, in exact int64.
+    """
+    d = a0 * a1 * a2
+    t1 = np.arange(1, a1, dtype=np.int64) * (a0 * a2)
+    t2 = np.arange(1, a2, dtype=np.int64) * (a0 * a1)
+    grid12 = t1[:, None] + t2[None, :]
+    tau = 0
+    for k0 in range(1, a0):
+        n = grid12 + k0 * a1 * a2
+        assert not ((n == d) | (n == 2 * d)).any(), "lattice point on a wall"
+        tau += int(((n < d) | (n > 2 * d)).sum()) - int(((d < n) & (n < 2 * d)).sum())
+    assert tau % 8 == 0
+    return tau // 8
+
+
+def coprime_box(b0, b1, b2):
+    """Pairwise coprime a0 < a1 < a2 with a0 < b0, a1 < b1, a2 < b2."""
+    for a0 in range(2, b0):
+        for a1 in range(a0 + 1, b1):
+            if math.gcd(a0, a1) != 1:
+                continue
+            for a2 in range(a1 + 1, b2):
+                if math.gcd(a0, a2) == 1 and math.gcd(a1, a2) == 1:
+                    yield (a0, a1, a2)
+
+
 class TestCasson:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_poincare_series(self, k):
         assert casson_invariant((6 * k - 1, 3, 2)) == -k
+
+    @pytest.mark.parametrize("k", [10, 10**3, 10**5, 10**8])
+    def test_poincare_family_large_k(self, k):
+        # The (a1-1) x (a2-1) grid of a direct count would need gigabytes
+        # of memory here.
+        assert casson_invariant((2, 3, 6 * k - 1)) == -k
+        assert casson_invariant((2, 3, 6 * k + 1)) == -k
+
+    def test_large_triple_pinned(self):
+        assert casson_invariant((7, 1999, 2003)) == -1143999
+        assert casson_invariant((2003, 7, 1999)) == -1143999
 
     def test_exponent_order_immaterial(self):
         assert casson_invariant((2, 3, 5)) == casson_invariant((5, 3, 2))
@@ -156,10 +199,21 @@ class TestCasson:
     def test_against_brute_force(self, triple):
         assert casson_invariant(triple) == casson_brute_force(*triple)
 
+    def test_against_lattice_count_on_box(self):
+        triples = list(coprime_box(16, 32, 48))
+        assert len(triples) == 2511
+        for triple in triples:
+            assert casson_invariant(triple) == casson_lattice_count(*triple), triple
+
     @given(coprime_triples(max_exponent=14))
     @settings(max_examples=40, deadline=None)
     def test_against_brute_force_random(self, triple):
         assert casson_invariant(triple) == casson_brute_force(*triple)
+
+    @given(coprime_triples(max_exponent=120))
+    @settings(max_examples=40, deadline=None)
+    def test_against_lattice_count_random(self, triple):
+        assert casson_invariant(triple) == casson_lattice_count(*triple)
 
     def test_rejects_non_coprime(self):
         with pytest.raises(DomainError):

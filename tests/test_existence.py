@@ -9,6 +9,7 @@ from hypothesis import given, settings
 
 from selink import (
     BPExponents,
+    DomainError,
     WeightedLink,
     bp_klt_window,
     bp_to_link,
@@ -17,7 +18,7 @@ from selink import (
     ghigi_kollar,
     lichnerowicz_obstruction,
 )
-from conftest import bp_exponents, coprime_triples
+from conftest import bp_exponents, coprime_triples, run_python
 
 
 class TestLichnerowicz:
@@ -170,8 +171,24 @@ class TestDecideExistence:
         assert (verdict.status, verdict.rule) == ("unknown", None)
 
     def test_mismatched_bp_rejected(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(DomainError):
             decide_existence(WeightedLink((1, 1, 1), 2), BPExponents((2, 3, 5)))
+
+    def test_checks_survive_optimize_flag(self):
+        code = """
+from selink import *
+try:
+    decide_existence(WeightedLink((1, 1, 1), 2), BPExponents((2, 3, 5)))
+except DomainError:
+    print("domain")
+try:
+    ExistenceVerdict("negative", "se_exists", "ghigi_kollar")
+except InternalConsistencyError:
+    print("internal")
+"""
+        result = run_python(code, "-O")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["domain", "internal"]
 
 
 class TestInvariants:

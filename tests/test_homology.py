@@ -12,6 +12,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+import sympy
 from hypothesis import given, settings
 
 from selink import (
@@ -26,6 +27,7 @@ from selink import (
     orlik_table,
     torsion_orders,
 )
+from selink.homology import factorint
 from conftest import bp_exponents, coprime_triples, fermat_type_links
 
 # (weights, degree, betti, torsion as primary prime-power multiset)
@@ -222,6 +224,19 @@ class TestProperties:
     def test_chain_source_is_proven(self):
         group = link_homology(WeightedLink((1, 1, 1, 1, 3), 6), source="chain")
         assert group.applicability == "proven"
+
+
+class TestFactorint:
+    def test_matches_sympy_up_to_ten_thousand(self):
+        for n in range(1, 10**4 + 1):
+            assert factorint(n) == sympy.factorint(n), n
+
+    @pytest.mark.parametrize(
+        "n",
+        [10007 * 10009, 99991 * 100003, 999983 * 1000003, 2**31 - 1, 3**20 * 7919**2],
+    )
+    def test_large_semiprimes_and_powers(self, n):
+        assert factorint(n) == sympy.factorint(n)
 
 
 class TestErrorPaths:

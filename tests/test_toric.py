@@ -80,6 +80,14 @@ class TestMomentCone:
         with pytest.raises(DomainError):
             MomentCone(((0, 1), (0, -1), (1, 0)))
 
+    def test_rejects_pointed_cone_inside_a_hyperplane(self):
+        # Rank 4 and four extreme rays, yet every point has y_0 = 0.
+        normals = (
+            (1, 0, 0, 0), (-1, 0, 0, 0), (0, 1, 0, 0), (0, 1, 1, 0), (0, 1, 1, 1), (0, 1, 0, 1)
+        )
+        with pytest.raises(DomainError):
+            MomentCone(normals)
+
     def test_rejects_dimension_one(self):
         with pytest.raises(DomainError):
             MomentCone(((1,),))
@@ -271,6 +279,20 @@ class TestMinimize:
     def test_explicit_gamma_accepted(self):
         result = minimize_volume(CONIFOLD, gamma=(-1, 0, 0))
         assert abs(result.value - 16 / 27) < 1e-10
+
+    @pytest.mark.parametrize("p,q", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 3), (5, 2), (7, 4)])
+    def test_ypq_minimum_matches_martelli_sparks_yau(self, p, q):
+        # Vol(Y^{p,q}) / Vol(S^5) in closed form (hep-th/0503183).
+        root = math.sqrt(4 * p * p - 3 * q * q)
+        expected = q * q * (2 * p + root) / (3 * p * p * (3 * q * q - 2 * p * p + p * root))
+        cone = cone_from_weights(WeightMatrix(((p - q, p + q, -p, -p),), 4))
+        assert abs(minimize_volume(cone).value - expected) <= 1e-9 * expected
+
+    def test_dp3_minimum(self):
+        hexagon = ((1, 1, 0), (1, 1, 1), (1, 0, 1), (1, -1, 0), (1, -1, -1), (1, 0, -1))
+        result = minimize_volume(MomentCone(hexagon))
+        assert abs(result.value - 2 / 9) < 1e-10
+        assert max(abs(a - b) for a, b in zip(result.reeb.as_floats(), (3, 0, 0))) < 1e-7
 
     def test_cone_without_gamma_needs_explicit_slice(self):
         cone = MomentCone(((1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 2)))
