@@ -48,6 +48,17 @@ __all__ = [
 CATALOG_FORMAT = "selink-catalog"
 CATALOG_VERSION = 1
 
+# What one stage of one record may raise without stopping a batch: the
+# package's own errors, and arithmetic or resource failures (overflow,
+# division by zero, memory, recursion depth) that belong to that input.
+_STAGE_ERRORS = (
+    DomainError,
+    InternalConsistencyError,
+    ArithmeticError,
+    MemoryError,
+    RecursionError,
+)
+
 # Records skip the naive moduli count above this degree; the bound is part
 # of the record contract so catalogs stay machine-independent.
 _MODULI_DEGREE_LIMIT = 100_000
@@ -101,6 +112,13 @@ class CatalogRecord:
         return cls(**d)
 
 
+def _stage_error(stage: str, exc: BaseException) -> str:
+    """The record's error text; foreign exceptions carry their type name."""
+    if isinstance(exc, (DomainError, InternalConsistencyError)):
+        return f"{stage}: {exc}"
+    return f"{stage}: {type(exc).__name__}: {exc}"
+
+
 def run_pipeline(
     presentation: str | BPExponents | WeightedLink,
     timestamp: str | None = None,
@@ -109,7 +127,9 @@ def run_pipeline(
 
     Stages are guarded independently: a failure is recorded in the error
     field (joined with earlier failures) and later stages that do not
-    depend on it still run.
+    depend on it still run.  The package's own errors read
+    "<stage>: <message>"; arithmetic and resource failures (see
+    _STAGE_ERRORS) read "<stage>: <Type>: <message>".
     """
     if isinstance(presentation, str):
         text = " ".join(presentation.split())
@@ -122,8 +142,8 @@ def run_pipeline(
         def run(fn, *args, **kwargs):
             try:
                 return fn(*args, **kwargs)
-            except (DomainError, InternalConsistencyError) as exc:
-                errors.append(f"{stage}: {exc}")
+            except _STAGE_ERRORS as exc:
+                errors.append(_stage_error(stage, exc))
                 return None
 
         return run
@@ -135,8 +155,8 @@ def run_pipeline(
         if isinstance(obj, BPExponents):
             bp = obj
         link = as_link(obj)
-    except (DomainError, InternalConsistencyError) as exc:
-        record.error = f"parse: {exc}"
+    except _STAGE_ERRORS as exc:
+        record.error = _stage_error("parse", exc)
         return record
 
     record.weights = link.weights

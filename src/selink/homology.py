@@ -6,16 +6,20 @@ sits in degree n-1:
 
     H_{n-1}(L; Z) = Z^b  (+)  Z/d_1 (+) ... (+) Z/d_r,   d_{j+1} | d_j.
 
-Both pieces are computed from the reduced fractions u_i/v_i = d/w_i alone.
+Both pieces are computed from the reduced fractions u_i/v_i = d/w_i alone,
+as tables indexed by bitmasks over the m = n+1 indices (bit i selects
+index i).  Each subset J contributes the term
 
-The free rank b is an alternating sum over the 2^{n+1} subsets of the index
-set: the subset {i_1, ..., i_s} contributes
+    f(J) = (prod u_j) / ((prod v_j) * lcm(u_j : j in J)),    j in J,
 
-    (-1)^{n+1-s} * (u_{i_1} ... u_{i_s}) / (v_{i_1} ... v_{i_s} * lcm(u_{i_1}, ..., u_{i_s})),
+with empty product 1 and lcm() = 1.  Over the common denominator
+D = (prod of all v_i) * lcm(all u_i) every term is an integer D * f(J), so
+each sum below is an integer sum with a single division by D at the end.
 
-with empty product 1 and lcm() = 1, so the empty subset contributes
-(-1)^{n+1}.  The sum is an integer >= 0 for every genuine link; anything
-else aborts as an internal inconsistency.
+The free rank b is the alternating sum of (-1)^{m-|J|} f(J) over all 2^m
+subsets, so the empty subset contributes (-1)^{n+1}.  The sum is an
+integer >= 0 for every genuine link; anything else aborts as an internal
+inconsistency.
 
 Torsion comes from Orlik's inductive gcd table.  For each proper subset S
 of indices (the full set is never needed) define
@@ -25,7 +29,7 @@ of indices (the full set is never needed) define
 where every division must be exact, and a rational multiplicity
 
     k_S = eps(n - s + 1) * sum over ALL subsets J of S, |J| = t, of
-          (-1)^{s-t} * (prod u_j) / ((prod v_j) * lcm(u_j : j in J)),
+          (-1)^{s-t} * f(J),
 
 with eps(m) = 1 for odd m and 0 for even m, so k_() = eps(n+1).  Note the
 multiplicity sum runs over the full power set of S, including J = S itself;
@@ -34,16 +38,29 @@ machine-checked examples (see tests).  Then with r = floor(max k),
 
     d_j = prod(c_S : k_S >= j),    j = 1, ..., r,
 
-after which trivial factors are pruned.  This torsion formula is a theorem
-for n = 2 and n = 3, for Brieskorn-Pham polynomials, and for iterated chain
-polynomials z_0^{a_0} + z_0 z_1^{a_1} + ... + z_{n-1} z_n^{a_n}; in general
-it is Orlik's conjecture, and results carry an applicability flag saying
-which situation we are in.
+after which trivial factors are pruned.
+
+Read literally, both tables pair every S with every subset of S: 3^m
+pairs.  Neither is computed that way.  The definition of c says that the
+product of c_J over all J in S is gcd(u_j : j not in S), so c is the
+multiplicative Moebius inverse of the complement gcds; the k_S are, up to
+eps and the factor 1/D, the additive Moebius inverse of the integer terms.
+Each inverse is m in-place passes over the 2^m masks, O(m * 2^m) steps in
+all, and the Betti sum is one O(2^m) pass.  The torsion chain then costs
+O(F log F + r) for the F masks with c_S > 1.  The definitional 3^m loops
+live on in the tests as oracles.
+
+This torsion formula is a theorem for n = 2 and n = 3, for Brieskorn-Pham
+polynomials, and for iterated chain polynomials
+z_0^{a_0} + z_0 z_1^{a_1} + ... + z_{n-1} z_n^{a_n}; in general it is
+Orlik's conjecture, and results carry an applicability flag saying which
+situation we are in.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -68,25 +85,71 @@ __all__ = [
 # Polynomial classes for which the torsion algorithm is an actual theorem.
 PROVEN_SOURCES = ("bp", "chain")
 
-_MAX_N_BETTI = 20  # 2^(n+1) subset terms
-_MAX_N_TORSION = 12  # 3^(n+1) (subset, subset-of-subset) pairs
+_MAX_N_BETTI = 20  # one pass over 2^(n+1) subset terms
+_MAX_N_TORSION = 12  # two transforms of (n+1) * 2^n steps each
 
 
-def _subset_data(u: tuple[int, ...], v: tuple[int, ...]):
-    """Per-bitmask products of u, of v, and lcm of u, built incrementally."""
+def _subset_terms(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[list[int], int]:
+    """Integer numerators D * f(J) per bitmask J, and the common denominator D.
+
+    Adding index i to J multiplies f(J) by gcd(lcm(u_J), u_i) / v_i, so the
+    tables double as the indices are taken in: the new half is the old one
+    with bit i set.
+    """
+    denominator = math.prod(v) * math.lcm(*u)
+    terms, lcm_u = [denominator], [1]
+    for x, y in zip(u, v):
+        gcds = [math.gcd(ell, x) for ell in lcm_u]
+        terms += [term * g // y for term, g in zip(terms, gcds)]
+        lcm_u += [ell * x // g for ell, g in zip(lcm_u, gcds)]
+    return terms, denominator
+
+
+def _moebius_slices(m: int):
+    """Slice pairs (masks containing bit i, the same masks without it).
+
+    Element by element, the first slice lists masks S and the second the
+    masks S ^ (1 << i).  Applying an invertible step from each source to
+    its target, bit after bit, turns a table of sums over subsets into the
+    table of summands: the subset Moebius inversion.  Each bit is cut into
+    as few slices as possible, strided for low bits and contiguous for high
+    ones, so the arithmetic runs in ``map`` rather than a Python loop.
+    """
+    size = 1 << m
+    for i in range(m):
+        bit = 1 << i
+        step = bit << 1
+        if bit * bit <= size:
+            for offset in range(bit):
+                yield slice(bit + offset, size, step), slice(offset, size, step)
+        else:
+            for base in range(bit, size, step):
+                yield slice(base, base + bit), slice(base - bit, base)
+
+
+def _gcd_moebius(u: tuple[int, ...]) -> list:
+    """The c table: multiplicative Moebius inverse of the complement gcds.
+
+    Entry S holds gcd(u_j : j not in S) before the passes; each pass divides
+    it by its neighbour without one bit, c[S] //= c[S ^ bit].  The full mask
+    starts at gcd() = 0, is never a divisor, and ends as None.
+    """
     m = len(u)
     size = 1 << m
-    prod_u = [1] * size
-    prod_v = [1] * size
-    lcm_u = [1] * size
-    for mask in range(1, size):
-        low = mask & -mask
-        i = low.bit_length() - 1
-        rest = mask ^ low
-        prod_u[mask] = prod_u[rest] * u[i]
-        prod_v[mask] = prod_v[rest] * v[i]
-        lcm_u[mask] = math.lcm(lcm_u[rest], u[i])
-    return prod_u, prod_v, lcm_u
+    gcd_of = [0]  # gcd(u_j : j in mask), doubling as in _subset_terms
+    for x in u:
+        gcd_of += [math.gcd(g, x) for g in gcd_of]
+    c: list = gcd_of[::-1]  # the complement of mask is size - 1 - mask
+    for into, source in _moebius_slices(m):
+        dividends, divisors = c[into], c[source]
+        if any(map(operator.mod, dividends, divisors)):
+            for mask, a, b in zip(range(size)[into], dividends, divisors):
+                if a % b:
+                    subset = tuple(i for i in range(m) if mask >> i & 1)
+                    raise TorsionDivisionError(subset, a, b)
+        c[into] = map(operator.floordiv, dividends, divisors)
+    c[-1] = None
+    return c
 
 
 def factorint(n: int) -> dict[int, int]:
@@ -109,20 +172,17 @@ def betti_number(link: WeightedLink | BPExponents) -> int:
     if link.n > _MAX_N_BETTI:
         raise DomainError(f"n={link.n} too large for subset enumeration")
     fw = fractional_weights(link)
-    u, v = fw.numerators, fw.denominators
-    m = len(u)
-    prod_u, prod_v, lcm_u = _subset_data(u, v)
-    total = Fraction(0)
-    for mask in range(1 << m):
-        s = mask.bit_count()
-        sign = -1 if (m - s) % 2 else 1
-        total += Fraction(sign * prod_u[mask], prod_v[mask] * lcm_u[mask])
-    if total.denominator != 1 or total < 0:
+    m = len(fw.numerators)
+    terms, denominator = _subset_terms(fw.numerators, fw.denominators)
+    total = sum(
+        -term if (m - mask.bit_count()) % 2 else term for mask, term in enumerate(terms)
+    )
+    if total < 0 or total % denominator != 0:
         raise InternalConsistencyError(
-            f"Betti sum for {link.presentation()} is {total}, "
+            f"Betti sum for {link.presentation()} is {Fraction(total, denominator)}, "
             "expected a nonnegative integer"
         )
-    return int(total)
+    return total // denominator
 
 
 @dataclass(frozen=True)
@@ -154,61 +214,37 @@ class OrlikTable:
 
 
 def orlik_table(link: WeightedLink | BPExponents) -> OrlikTable:
-    """Build the full c/k table over proper index subsets."""
+    """Build the full c/k table over proper index subsets, in O(m * 2^m).
+
+    c is computed by dividing in place (see ``_gcd_moebius``), and every
+    division is exact for positive u.  At a prime p the complement gcd has
+    exponent g(S) = min(v_p(u_j) : j not in S), which is the number of
+    thresholds t >= 1 whose set {j : v_p(u_j) < t} lies inside S.  So the
+    Moebius inverse of g counts thresholds and is >= 0.  After the passes
+    over a set B of bits, entry S holds the inverse over the subsets T of
+    S & B of T -> g((S - B) | T), a function of the same form (the indices
+    outside S act as one more index, never in T), so its exponent is >= 0
+    as well.  Every intermediate entry is therefore an integer.  The remainder check stays
+    as a safety net: ``TorsionDivisionError`` names the index subset of the
+    mask being divided, with the dividend and the divisor of that step.
+    """
     link = as_link(link)
     if link.n > _MAX_N_TORSION:
         raise DomainError(f"n={link.n} too large for the torsion table")
     fw = fractional_weights(link)
     u, v = fw.numerators, fw.denominators
     m = len(u)
-    size = 1 << m
-    full = size - 1
-    prod_u, prod_v, lcm_u = _subset_data(u, v)
-
-    # gcd of the u_j over the complement of each mask, built top-down.
-    gcd_comp = [0] * size
-    for mask in range(size):
-        g = 0
-        rest = full ^ mask
-        while rest:
-            low = rest & -rest
-            g = math.gcd(g, u[low.bit_length() - 1])
-            rest ^= low
-        gcd_comp[mask] = g
-
-    c: list = [None] * size
-    k: list = [Fraction(0)] * size
-    # Increasing-popcount order so every proper submask is ready when needed.
-    for mask in sorted(range(size), key=lambda x: x.bit_count()):
-        s = mask.bit_count()
-        if mask != full:
-            denom = 1
-            if mask:
-                sub = (mask - 1) & mask
-                while True:  # all proper submasks, the empty one included
-                    denom *= c[sub]
-                    if sub == 0:
-                        break
-                    sub = (sub - 1) & mask
-            numer = gcd_comp[mask]
-            quotient, remainder = divmod(numer, denom)
-            if remainder != 0:
-                subset = tuple(i for i in range(m) if mask >> i & 1)
-                raise TorsionDivisionError(subset, numer, denom)
-            c[mask] = quotient
-        # eps(n - s + 1) with n = m - 1: nonzero only when m - s is odd.
-        if (m - s) % 2 == 1:
-            acc = Fraction(0)
-            sub = mask
-            while True:
-                t = sub.bit_count()
-                sign = -1 if (s - t) % 2 else 1
-                acc += Fraction(sign * prod_u[sub], prod_v[sub] * lcm_u[sub])
-                if sub == 0:
-                    break
-                sub = (sub - 1) & mask
-            k[mask] = acc
-    return OrlikTable(size=m, c=tuple(c), k=tuple(k))
+    c = _gcd_moebius(u)
+    terms, denominator = _subset_terms(u, v)
+    for into, source in _moebius_slices(m):
+        terms[into] = map(operator.sub, terms[into], terms[source])
+    # eps(n - s + 1) with n = m - 1: nonzero only when m - s is odd.
+    zero = Fraction(0)
+    k = tuple(
+        Fraction(term, denominator) if term and (m - mask.bit_count()) % 2 else zero
+        for mask, term in enumerate(terms)
+    )
+    return OrlikTable(size=m, c=tuple(c), k=k)
 
 
 def torsion_orders(table: OrlikTable) -> tuple[int, ...]:
@@ -217,25 +253,28 @@ def torsion_orders(table: OrlikTable) -> tuple[int, ...]:
     # c[mask] divides d_j exactly for the integers j = 1..floor(k[mask]), so
     # only masks with c > 1 matter and the chain stops at their largest count.
     factors = []
-    for mask in range(full + 1):
-        if table.k[mask] < 1:
+    for mask, k in enumerate(table.k):
+        if k.numerator < k.denominator:  # k < 1, without Fraction's slow compare
             continue
         if mask == full:
             raise InternalConsistencyError("full index set cannot carry multiplicity")
         if table.c[mask] > 1:
-            factors.append((int(table.k[mask]), table.c[mask]))
-    r = max((count for count, _ in factors), default=0)
-    orders = []
-    for j in range(1, r + 1):
-        d = 1
-        for count, c in factors:
-            if count >= j:
-                d *= c
-        if d > 1:
-            orders.append(d)
-    for a, b in zip(orders, orders[1:]):
-        if a % b != 0:
-            raise InternalConsistencyError(f"torsion chain {orders} not divisible")
+            factors.append((int(k), table.c[mask]))
+    # Sweep j from the largest count down with a running product: d_j is
+    # d_{j+1} times the factors whose count is exactly j, so d stays the same
+    # between consecutive counts, and it is > 1 from the top count on.
+    factors.sort(reverse=True)
+    orders = []  # d_r, d_{r-1}, ..., reversed below
+    d = 1
+    j = factors[0][0] if factors else 0
+    for count, c in factors:
+        orders += [d] * (j - count)
+        d *= c
+        j = count
+    orders += [d] * j
+    orders.reverse()
+    if any(map(operator.mod, orders, orders[1:])):
+        raise InternalConsistencyError(f"torsion chain {orders} not divisible")
     return tuple(orders)
 
 

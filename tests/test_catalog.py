@@ -14,6 +14,7 @@ import warnings
 
 import pytest
 
+import selink.catalog as catalog
 from selink import (
     BPExponents,
     CatalogRecord,
@@ -154,6 +155,19 @@ class TestRunPipeline:
         assert records[1].error is not None
         assert records[2].error is None
         assert records[2].smale == "M_inf"
+
+    @pytest.mark.parametrize(
+        "exc_type", [OverflowError, ZeroDivisionError, MemoryError, RecursionError]
+    )
+    def test_foreign_stage_error_recorded_with_type(self, monkeypatch, exc_type):
+        def moduli(link):
+            raise exc_type("boom")
+
+        monkeypatch.setattr(catalog, "moduli_dimension", moduli)
+        record = run_pipeline("bp=2,3,5")
+        assert record.error == f"moduli: {exc_type.__name__}: boom"
+        assert record.moduli is None
+        assert (record.betti, record.status, record.casson) == (0, "se_exists", -1)
 
     def test_timestamp_passthrough(self):
         assert run_pipeline("bp=2,3,5").timestamp is None

@@ -7,11 +7,13 @@ internal invariant.
 
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
-from selink import DomainError
-from selink.catalog import catalogs_equal
+import selink.catalog as catalog
+from selink import BPExponents, DomainError
+from selink.catalog import catalogs_equal, read_catalog
 from selink.cli import _worker_count, main
 
 CONIFOLD_FILE = "# conifold\n1 0 0\n1 1 0\n1 1 1\n1 0 1\n"
@@ -313,6 +315,37 @@ class TestBatch:
             "-o", str(parallel),
         )[0] == 0
         assert catalogs_equal(serial.read_text(), parallel.read_text())
+
+    def test_overflow_in_one_record_spares_the_batch(self, capsys, tmp_path, monkeypatch):
+        clean, poisoned = tmp_path / "clean.jsonl", tmp_path / "poisoned.jsonl"
+        args = ("batch", "--length", "3", "--max-exponent", "4")
+        assert run(capsys, *args, "-o", str(clean))[0] == 0
+        real_link_homology = catalog.link_homology
+
+        def link_homology(presentation, *rest):
+            if presentation == BPExponents((2, 3, 4)):
+                raise OverflowError("integer too large")
+            return real_link_homology(presentation, *rest)
+
+        monkeypatch.setattr(catalog, "link_homology", link_homology)
+        rc, _, err = run(capsys, *args, "-o", str(poisoned))
+        assert rc == 0 and "wrote 10 records" in err
+
+        def records(path):
+            with open(path) as fh:
+                return [replace(r, timestamp=None) for r in read_catalog(fh)[1]]
+
+        before, after = records(clean), records(poisoned)
+        assert len(before) == len(after) == 10
+        for old, new in zip(before, after):
+            if old.presentation != "bp=2,3,4":
+                assert new == old
+                continue
+            assert new.error == "homology: OverflowError: integer too large"
+            assert (new.betti, new.torsion, new.applicability) == (None, None, None)
+            assert new == replace(
+                old, betti=None, torsion=None, applicability=None, error=new.error
+            )
 
     def test_absurd_jobs_clamped(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)

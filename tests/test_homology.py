@@ -4,7 +4,9 @@ The golden rows below were machine-checked published values; they pin
 the subset-sum conventions (empty product = 1, lcm of nothing = 1, and
 the multiplicity sum running over ALL subsets of the index set, not just
 proper ones).  test_proper_subset_variant_breaks_golden_data documents
-why the last convention is forced.
+why the last convention is forced.  The definitional O(3^m) tables live
+here as oracles, and TestMoebiusAgainstOracle holds the shipped O(m 2^m)
+transforms to them exactly.
 """
 
 import math
@@ -14,6 +16,7 @@ from itertools import product
 import pytest
 import sympy
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selink import (
     BPExponents,
@@ -27,7 +30,7 @@ from selink import (
     orlik_table,
     torsion_orders,
 )
-from selink.homology import factorint
+from selink.homology import _gcd_moebius, factorint
 from conftest import bp_exponents, coprime_triples, fermat_type_links
 
 # (weights, degree, betti, torsion as primary prime-power multiset)
@@ -253,73 +256,164 @@ class TestErrorPaths:
         assert "7" in str(err) and "3" in str(err)
 
 
+def _subset_data(u, v):
+    """Per-bitmask products of u, of v, and lcm of u, built incrementally."""
+    m = len(u)
+    size = 1 << m
+    prod_u = [1] * size
+    prod_v = [1] * size
+    lcm_u = [1] * size
+    for mask in range(1, size):
+        low = mask & -mask
+        i = low.bit_length() - 1
+        rest = mask ^ low
+        prod_u[mask] = prod_u[rest] * u[i]
+        prod_v[mask] = prod_v[rest] * v[i]
+        lcm_u[mask] = math.lcm(lcm_u[rest], u[i])
+    return prod_u, prod_v, lcm_u
+
+
+def betti_oracle(u, v) -> Fraction:
+    """The Betti sum term by term, as a Fraction (not checked for integrality)."""
+    m = len(u)
+    prod_u, prod_v, lcm_u = _subset_data(u, v)
+    total = Fraction(0)
+    for mask in range(1 << m):
+        sign = -1 if (m - bin(mask).count("1")) % 2 else 1
+        total += Fraction(sign * prod_u[mask], prod_v[mask] * lcm_u[mask])
+    return total
+
+
+def orlik_oracle(u, v, *, k_over_proper_subsets=False):
+    """Definitional c and k tables: nested submask loops, 3^m pairs.
+
+    c_S divides the complement gcd by the product of c over every proper
+    subset of S, in increasing popcount order; k_S sums the signed terms
+    over the subsets of S.  ``k_over_proper_subsets`` leaves J = S out of
+    that sum, the misreading that TestSumConvention rules out.
+    """
+    m = len(u)
+    size = 1 << m
+    full = size - 1
+    prod_u, prod_v, lcm_u = _subset_data(u, v)
+    gcd_comp = [0] * size
+    for mask in range(size):
+        g = 0
+        for i in range(m):
+            if not mask >> i & 1:
+                g = math.gcd(g, u[i])
+        gcd_comp[mask] = g
+
+    c: list = [None] * size
+    k: list = [Fraction(0)] * size
+    for mask in sorted(range(size), key=lambda x: bin(x).count("1")):
+        s = bin(mask).count("1")
+        if mask != full:
+            denom = 1
+            if mask:
+                sub = (mask - 1) & mask
+                while True:  # all proper submasks, the empty one included
+                    denom *= c[sub]
+                    if sub == 0:
+                        break
+                    sub = (sub - 1) & mask
+            quotient, remainder = divmod(gcd_comp[mask], denom)
+            if remainder != 0:
+                subset = tuple(i for i in range(m) if mask >> i & 1)
+                raise TorsionDivisionError(subset, gcd_comp[mask], denom)
+            c[mask] = quotient
+        if (m - s) % 2 == 1:
+            acc = Fraction(0)
+            sub = (mask - 1) & mask if k_over_proper_subsets else mask
+            while True:
+                t = bin(sub).count("1")
+                sign = -1 if (s - t) % 2 else 1
+                acc += Fraction(sign * prod_u[sub], prod_v[sub] * lcm_u[sub])
+                if sub == 0:
+                    break
+                sub = (sub - 1) & mask
+            k[mask] = acc
+    return c, k
+
+
+def torsion_chain_oracle(c, k) -> tuple[int, ...]:
+    """d_j = prod(c_S : k_S >= j) for j = 1..floor(max k), trivial ones pruned.
+
+    Each d_j is a fresh product over the masks, O(r * F) for F masks.
+    """
+    factors = [(math.floor(kk), cc) for cc, kk in zip(c[:-1], k[:-1]) if kk >= 1 and cc > 1]
+    r = max((count for count, _ in factors), default=0)
+    out = []
+    for j in range(1, r + 1):
+        d = 1
+        for count, cc in factors:
+            if count >= j:
+                d *= cc
+        if d > 1:
+            out.append(d)
+    return tuple(out)
+
+
 def _torsion_proper_subset_variant(link) -> tuple[int, ...]:
     """Deliberately mis-specified multiplicity sum, for contrast.
 
-    Identical to the shipped algorithm except the k sum omits the subset
+    Identical to the definitional tables except the k sum omits the subset
     itself (runs over proper subsets only).  A plausible literal reading,
     kept here to show it contradicts the machine-checked golden family.
     """
     fw = fractional_weights(link)
+    c, k = orlik_oracle(fw.numerators, fw.denominators, k_over_proper_subsets=True)
+    return torsion_chain_oracle(c, k)
+
+
+def assert_matches_oracle(link):
+    """c, k, Betti and torsion bit-identical to the definitional versions."""
+    fw = fractional_weights(link)
     u, v = fw.numerators, fw.denominators
-    m = len(u)
-    full = (1 << m) - 1
+    c, k = orlik_oracle(u, v)
+    table = orlik_table(link)
+    assert table.size == len(u)
+    assert list(table.c) == c
+    assert list(table.k) == k
+    assert all(type(x) is Fraction for x in table.k)
+    assert torsion_orders(table) == torsion_chain_oracle(c, k)
+    betti = betti_oracle(u, v)
+    assert betti.denominator == 1 and betti >= 0
+    assert betti_number(link) == betti
 
-    def term(mask):
-        pu = pv = 1
-        ell = 1
-        for i in range(m):
-            if mask >> i & 1:
-                pu *= u[i]
-                pv *= v[i]
-                ell = ell * u[i] // math.gcd(ell, u[i])
-        return Fraction(pu, pv * ell)
 
-    gcd_comp = [0] * (full + 1)
-    for mask in range(full + 1):
-        g = 0
-        for i in range(m):
-            if not (mask >> i & 1):
-                g = math.gcd(g, u[i])
-        gcd_comp[mask] = g if g else 1
-    c: list = [None] * (full + 1)
-    k: list = [Fraction(0)] * (full + 1)
-    for mask in sorted(range(full + 1), key=lambda x: (bin(x).count("1"), x)):
-        if mask == full:
-            continue
-        denom = 1
-        if mask:
-            sub = (mask - 1) & mask
-            while True:
-                denom *= c[sub]
-                if sub == 0:
-                    break
-                sub = (sub - 1) & mask
-        if gcd_comp[mask] % denom != 0:
-            raise AssertionError("variant divisions should still be exact here")
-        c[mask] = gcd_comp[mask] // denom
-        s = bin(mask).count("1")
-        if (m - s) % 2 == 1:
-            total = Fraction(0)
-            sub = (mask - 1) & mask  # proper subsets only: skip sub == mask
-            while True:
-                t = bin(sub).count("1")
-                total += (-1) ** (s - t) * term(sub)
-                if sub == 0:
-                    break
-                sub = (sub - 1) & mask
-            k[mask] = total
-    kmax = max(k)
-    r = math.floor(kmax) if kmax > 0 else 0
-    out = []
-    for j in range(1, r + 1):
-        d = 1
-        for mask in range(full + 1):
-            if mask != full and k[mask] >= j:
-                d *= c[mask]
-        if d > 1:
-            out.append(d)
-    return tuple(out)
+class TestMoebiusAgainstOracle:
+    """The O(m 2^m) transforms against the definitional O(3^m) loops."""
+
+    @given(bp_exponents(max_len=8, max_exponent=12))
+    @settings(max_examples=60, deadline=None)
+    def test_bp_tuples(self, bp):
+        assert_matches_oracle(bp_to_link(bp))
+
+    @given(fermat_type_links(max_n=6))
+    @settings(max_examples=80, deadline=None)
+    def test_weighted_fermat_links(self, link):
+        assert_matches_oracle(link)
+
+    @pytest.mark.parametrize(
+        "exponents", [(3, 3, 4, 5, 5, 6, 6, 7, 8, 8), (2, 2, 2, 3, 5, 5, 6, 7, 7, 7, 8)]
+    )
+    def test_long_tuples(self, exponents):
+        assert_matches_oracle(bp_to_link(BPExponents(exponents)))
+
+    @given(
+        st.lists(
+            st.one_of(st.integers(1, 720), st.integers(1, 2**64)), min_size=3, max_size=8
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_c_transform_is_integral_on_any_positive_u(self, u):
+        # The p-adic Moebius argument in orlik_table's docstring: no
+        # division in the in-place passes leaves a remainder.
+        c = _gcd_moebius(tuple(u))
+        assert c[-1] is None
+        assert all(type(x) is int and x >= 1 for x in c[:-1])
+        assert c == orlik_oracle(u, [1] * len(u))[0]
 
 
 class TestSumConvention:
