@@ -89,6 +89,11 @@ _MAX_N_BETTI = 20  # one pass over 2^(n+1) subset terms
 _MAX_N_TORSION = 12  # two transforms of (n+1) * 2^n steps each
 
 
+def _check_torsion_size(n: int) -> None:
+    if n > _MAX_N_TORSION:
+        raise DomainError(f"n={n} too large for the torsion table")
+
+
 def _subset_terms(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[list[int], int]:
     """Integer numerators D * f(J) per bitmask J, and the common denominator D.
 
@@ -229,8 +234,7 @@ def orlik_table(link: WeightedLink | BPExponents) -> OrlikTable:
     mask being divided, with the dividend and the divisor of that step.
     """
     link = as_link(link)
-    if link.n > _MAX_N_TORSION:
-        raise DomainError(f"n={link.n} too large for the torsion table")
+    _check_torsion_size(link.n)
     fw = fractional_weights(link)
     u, v = fw.numerators, fw.denominators
     m = len(u)
@@ -337,6 +341,10 @@ def link_homology(
         link = presentation
     if source is not None and source not in PROVEN_SOURCES:
         raise DomainError(f"unknown source class {source!r}")
+    # Refuse a table that is too large before the O(2^(n+1)) Betti sum;
+    # beyond the Betti cap, betti_number's own error comes first.
+    if link.n <= _MAX_N_BETTI:
+        _check_torsion_size(link.n)
     betti = betti_number(link)
     torsion = torsion_orders(orlik_table(link))
     proven = link.n in (2, 3) or source in PROVEN_SOURCES

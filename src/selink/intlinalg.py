@@ -1,16 +1,26 @@
-"""Exact integer and rational linear algebra for small matrices.
+"""Exact integer linear algebra for small matrices.
 
 Cone construction and lattice bookkeeping need Smith normal form with its
 unimodular transforms, exact ranks, determinants, kernels and linear
-solves.  Everything here works on plain Python ints and Fractions so no
-precision is ever lost; the matrices involved are tiny (dimensions in the
-single digits, at most a few dozen rows), so asymptotics are irrelevant
-and clarity wins.
+solves.  All but the Smith form come from one routine, ``_echelon``: a
+fraction-free (Bareiss) row echelon form in plain Python ints, whose
+entries are minors of the input and never need a Fraction.
+
+- ``rank_rational`` counts its pivots;
+- ``det_int`` reads the last pivot of a square matrix;
+- ``kernel_vector`` back-substitutes in integers over the pivot rows;
+- ``solve_exact`` back-substitutes in integers scaled by the determinant
+  of the pivot rows and makes one Fraction per unknown at the end.
+
+The elimination takes integer entries only (whatever ``operator.index``
+accepts) and rejects anything else as a ``DomainError``, so nothing is
+ever rounded or truncated.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from .errors import DomainError
@@ -19,7 +29,6 @@ __all__ = [
     "smith_normal_form",
     "det_int",
     "rank_rational",
-    "rref",
     "solve_exact",
     "kernel_vector",
     "primitive_vector",
@@ -114,103 +123,117 @@ def smith_normal_form(matrix):
     return U, A, V
 
 
+def _echelon(matrix) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free row echelon form of an integer matrix (Bareiss).
+
+    Returns (rows, pivot_cols).  Elimination steps keep every entry an
+    integer: after the step at pivot position k, entry (i, j) below it is
+    the (k+1) x (k+1) minor on the pivot rows and columns plus row i and
+    column j, so the division by the previous pivot is exact and the
+    entries grow only as minors do.  Row swaps negate the row moved down,
+    which keeps every leading minor's sign; the last pivot of a square
+    nonsingular matrix is therefore its determinant, and the pivot of
+    echelon row r is the leading (r+1) x (r+1) minor of the pivot columns.
+    """
+    try:
+        rows = [[operator.index(x) for x in row] for row in matrix]
+    except TypeError:
+        raise DomainError("exact elimination needs integer entries") from None
+    ncols = len(rows[0]) if rows else 0
+    if any(len(row) != ncols for row in rows):
+        raise DomainError("ragged matrix")
+    pivots = []
+    prev = 1
+    r = 0
+    for col in range(ncols):
+        if r == len(rows):
+            break
+        found = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if found is None:
+            continue
+        if found != r:
+            rows[r], rows[found] = rows[found], [-x for x in rows[r]]
+        top = rows[r]
+        pv = top[col]
+        for i in range(r + 1, len(rows)):
+            row = rows[i]
+            f = row[col]
+            rows[i] = [(pv * a - f * b) // prev for a, b in zip(row, top)]
+        prev = pv
+        pivots.append(col)
+        r += 1
+    return rows, pivots
+
+
 def det_int(matrix) -> int:
-    """Exact determinant of an integer matrix (Bareiss, fraction-free)."""
-    A = [[int(x) for x in row] for row in matrix]
-    n = len(A)
-    if any(len(row) != n for row in A):
+    """Exact determinant of an integer matrix: the last Bareiss pivot."""
+    matrix = list(matrix)
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
         raise DomainError("determinant needs a square matrix")
     if n == 0:
         return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            for i in range(k + 1, n):
-                if A[i][k]:
-                    A[k], A[i] = A[i], A[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-            A[i][k] = 0
-        prev = A[k][k]
-    return sign * A[-1][-1]
-
-
-def rref(matrix):
-    """Reduced row echelon form over Fractions; returns (rows, pivot_cols)."""
-    M = [[Fraction(x) for x in row] for row in matrix]
-    pivots = []
-    r = 0
-    ncols = len(M[0]) if M else 0
-    for col in range(ncols):
-        pivot_row = next((i for i in range(r, len(M)) if M[i][col] != 0), None)
-        if pivot_row is None:
-            continue
-        M[r], M[pivot_row] = M[pivot_row], M[r]
-        pv = M[r][col]
-        M[r] = [x / pv for x in M[r]]
-        for i in range(len(M)):
-            if i != r and M[i][col] != 0:
-                f = M[i][col]
-                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(M):
-            break
-    return M, pivots
+    rows, pivots = _echelon(matrix)
+    return rows[-1][-1] if len(pivots) == n else 0
 
 
 def rank_rational(matrix) -> int:
-    return len(rref(matrix)[1])
+    """Rank over the rationals of an integer matrix."""
+    return len(_echelon(matrix)[1])
 
 
 def solve_exact(matrix, rhs):
-    """Solve A x = b exactly over the rationals.
+    """Solve A x = b exactly over the rationals, for integer A and b.
 
     Returns ("unique", x) with x a tuple of Fractions, or
-    ("inconsistent", None), or ("underdetermined", None).
+    ("inconsistent", None), or ("underdetermined", None).  A unique
+    solution is back-substituted in integers scaled by the determinant D
+    of the pivot rows (Cramer's numerators), then divided by D.
     """
     mat = [list(row) for row in matrix]
     b = list(rhs)
     if len(mat) != len(b):
         raise DomainError("matrix and right-hand side differ in length")
-    rows = [row + [bv] for row, bv in zip(mat, b)]
-    ncols = len(rows[0]) - 1
-    reduced, pivots = rref(rows)
-    aug = ncols  # column index of the right-hand side
-    if aug in pivots:
+    ncols = len(mat[0]) if mat else 0
+    rows, pivots = _echelon([row + [bv] for row, bv in zip(mat, b)])
+    if ncols in pivots:
         return "inconsistent", None
     if len(pivots) < ncols:
         return "underdetermined", None
-    x = [Fraction(0)] * ncols
-    for r, col in enumerate(pivots):
-        x[col] = reduced[r][aug]
-    return "unique", tuple(x)
+    det = rows[ncols - 1][ncols - 1] if ncols else 1
+    y = [0] * ncols
+    for r in reversed(range(ncols)):
+        row = rows[r]
+        s = det * row[ncols] - sum(row[c] * y[c] for c in range(r + 1, ncols))
+        y[r] = s // row[r]
+    return "unique", tuple(Fraction(v, det) for v in y)
 
 
 def kernel_vector(matrix, ncols: int):
     """A primitive integer spanning vector of a one-dimensional kernel.
 
     Returns None unless the kernel of the (rows x ncols) matrix has
-    dimension exactly one.
+    dimension exactly one.  The kernel is supported on the columns up to
+    the single free column j0, and the vector is oriented so that its
+    entry at j0 (its last nonzero entry) is positive.
     """
-    reduced, pivots = rref(matrix)
-    free = [j for j in range(ncols) if j not in pivots]
-    if len(free) != 1:
+    rows, pivots = _echelon(matrix)
+    if ncols - len(pivots) != 1:
         return None
-    j0 = free[0]
-    x = [Fraction(0)] * ncols
-    x[j0] = Fraction(1)
-    for r, col in enumerate(pivots):
-        x[col] = -reduced[r][j0]
-    scale = math.lcm(*(f.denominator for f in x))
-    ints = [int(f * scale) for f in x]
-    return primitive_vector(ints)
+    j0 = next((j for j, col in enumerate(pivots) if j != col), len(pivots))
+    # Columns 0..j0-1 are pivots of rows 0..j0-1: back-substitute with
+    # x[j0] = 1, scaling x up whenever a pivot does not divide exactly.
+    x = [0] * ncols
+    x[j0] = 1
+    for r in reversed(range(j0)):
+        row = rows[r]
+        s = sum(row[c] * x[c] for c in range(r + 1, j0 + 1))
+        scale = abs(row[r]) // math.gcd(s, row[r])
+        if scale != 1:
+            x = [v * scale for v in x]
+            s *= scale
+        x[r] = -s // row[r]
+    return primitive_vector(x)
 
 
 def primitive_vector(vec) -> tuple[int, ...]:

@@ -95,13 +95,11 @@ class MomentCone:
         dim = len(self.normals[0])
         if dim < 2:
             raise DomainError("ambient dimension must be at least 2")
-        cleaned = []
+        cleaned = {}  # first-seen order
         for row in self.normals:
             if len(row) != dim:
                 raise DomainError("facet normals of mixed dimension")
-            vec = primitive_vector(row)
-            if vec not in cleaned:
-                cleaned.append(vec)
+            cleaned[primitive_vector(row)] = None
         object.__setattr__(self, "normals", tuple(cleaned))
         if rank_rational(self.normals) < dim:
             raise DomainError("cone is not strongly convex (contains a line)")
@@ -121,7 +119,9 @@ class MomentCone:
 
         A ray of a pointed cone is extreme iff its active facet normals
         have rank dim-1, so candidates come from kernels of (dim-1)-subsets
-        of normals, oriented into the cone.  Computed on construction.
+        of normals, oriented into the cone.  Each kernel is found by
+        fraction-free integer elimination (``kernel_vector``), one per
+        subset.  Computed on construction.
         """
         dim = self.dim
         found = set()
@@ -540,13 +540,9 @@ def cone_from_weights(omega: WeightMatrix) -> MomentCone:
             "(orbifold lattice)",
             stacklevel=2,
         )
-    candidates = []
-    for alpha in range(n):
-        vec = tuple(u[r][alpha] for r in range(k, n))
-        vec = primitive_vector(vec)
-        if vec not in candidates:
-            candidates.append(vec)
-    return MomentCone(tuple(candidates))
+    # MomentCone makes the images primitive and drops repeats.
+    images = (tuple(u[r][alpha] for r in range(k, n)) for alpha in range(n))
+    return MomentCone(tuple(images))
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,18 @@ class TestHomology:
         assert lines[0].split("\t") == ["b", "torsion", "degree", "applicability"]
         assert lines[1].split("\t") == ["10", "3", "3", "proven"]
 
+    @pytest.mark.parametrize(
+        "n, message",
+        [
+            (17, "n=17 too large for the torsion table"),
+            (21, "n=21 too large for subset enumeration"),
+        ],
+    )
+    def test_oversized_link_is_domain_error(self, capsys, n, message):
+        presentation = "bp=2," + ",".join(["3"] * n)
+        rc, out, err = run(capsys, "homology", presentation)
+        assert (rc, out, err) == (1, "", f"error: {message}\n")
+
 
 class TestVerdict:
     def test_existence(self, capsys):

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from selink import (
     BPExponents,
+    DomainError,
     InternalConsistencyError,
     TorsionDivisionError,
     WeightedLink,
@@ -30,6 +31,8 @@ from selink import (
     orlik_table,
     torsion_orders,
 )
+from selink import homology
+from selink.catalog import run_pipeline
 from selink.homology import _gcd_moebius, factorint
 from conftest import bp_exponents, coprime_triples, fermat_type_links
 
@@ -254,6 +257,38 @@ class TestErrorPaths:
         err = TorsionDivisionError((0, 2), 7, 3)
         assert err.subset == (0, 2)
         assert "7" in str(err) and "3" in str(err)
+
+
+class TestSizeCaps:
+    """Oversized links fail before any subset work, with fixed messages.
+
+    For 13 <= n <= 20 the torsion-table cap must fire before the
+    O(2^(n+1)) Betti sum, which the patched ``betti_number`` would reject;
+    beyond n = 20 the Betti cap's message still comes first.
+    """
+
+    @pytest.mark.parametrize(
+        "n, message",
+        [
+            (13, "n=13 too large for the torsion table"),
+            (17, "n=17 too large for the torsion table"),
+            (20, "n=20 too large for the torsion table"),
+            (21, "n=21 too large for subset enumeration"),
+        ],
+    )
+    def test_link_homology_message(self, n, message, monkeypatch):
+        if n <= homology._MAX_N_BETTI:
+
+            def no_betti_sum(link):
+                raise AssertionError("Betti sum run for an oversized table")
+
+            monkeypatch.setattr(homology, "betti_number", no_betti_sum)
+        bp = BPExponents((2,) + (3,) * n)
+        with pytest.raises(DomainError) as info:
+            link_homology(bp)
+        assert str(info.value) == message
+        record = run_pipeline(bp)
+        assert f"homology: {message}" in record.error.split("; ")
 
 
 def _subset_data(u, v):

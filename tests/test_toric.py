@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from scipy.spatial import ConvexHull
 
 from selink import (
@@ -136,6 +137,24 @@ class TestVolume:
                 mine = float(volume(cone, xi))
                 oracle = hull_volume_oracle(cone, xi)
                 assert abs(mine - oracle) <= 1e-9 * max(1.0, abs(oracle))
+
+    def test_large_cyclic_cone_against_qhull(self):
+        # Cyclic cone with 12 normals (1, t, ..., t^5): 72 extreme rays.
+        ts = (-7, -6, -5, -3, -2, 1, 2, 3, 4, 5, 6, 7)
+        cone = MomentCone(tuple(tuple(t**k for k in range(6)) for t in ts))
+        xi = [sum(column) for column in zip(*cone.normals)]
+        exact = volume(cone, xi)
+        oracle = hull_volume_oracle(cone, xi)
+        assert abs(float(exact) - oracle) <= 1e-9 * oracle
+        # The simplices are full-dimensional and their volumes, with
+        # determinants taken by sympy, add up to the same exact value.
+        supports = [sum(a * b for a, b in zip(xi, ray)) for ray in cone.rays]
+        total = Fraction(0)
+        for simplex in cone._triangulation:
+            det = sympy.Matrix([cone.rays[j] for j in simplex]).det()
+            assert det != 0
+            total += Fraction(abs(int(det)), math.prod(supports[j] for j in simplex))
+        assert total == exact
 
     def test_scale_covariance_numeric(self):
         rng = random.Random(7)
