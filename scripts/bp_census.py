@@ -9,7 +9,7 @@ import argparse
 import sys
 from collections import Counter
 
-from selink import dedup_records, enumerate_bp, export_table, run_pipeline, write_catalog
+from selink import enumerate_bp, export_table, run_pipeline, write_catalog
 
 
 def main(argv=None) -> int:
@@ -21,7 +21,7 @@ def main(argv=None) -> int:
     ap.add_argument("-o", "--output", help="catalog file (default: print a TSV summary)")
     args = ap.parse_args(argv)
 
-    records = dedup_records(
+    records = [
         run_pipeline(bp)
         for bp in enumerate_bp(
             args.length,
@@ -29,7 +29,7 @@ def main(argv=None) -> int:
             link_type=args.type,
             coprime=args.coprime or None,
         )
-    )
+    ]
     by_status = Counter(r.status for r in records)
     print(f"{len(records)} links: {dict(by_status)}", file=sys.stderr)
 

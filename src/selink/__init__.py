@@ -25,7 +25,6 @@ from ._version import __version__
 from .catalog import (
     CatalogRecord,
     catalogs_equal,
-    dedup_records,
     enumerate_bp,
     export_table,
     read_catalog,
@@ -145,7 +144,6 @@ __all__ = [
     # catalog
     "CatalogRecord",
     "catalogs_equal",
-    "dedup_records",
     "enumerate_bp",
     "export_table",
     "read_catalog",

@@ -1,10 +1,13 @@
 """Catalog records, the analysis pipeline, and batch enumeration.
 
 A catalog is a line-delimited text file: a versioned JSON header line
-followed by one JSON record per line.  Records are plain data (strings,
-ints, lists) so rewriting a catalog from the same inputs is byte-identical
-except for the timestamp field, and a tab-separated export mirrors the
-layout of the summary tables this feeds.
+followed by one JSON record per line.  The header carries the provenance
+(tool version and the time of writing); records hold computed data only
+(strings, ints, lists), so rewriting a catalog from the same inputs gives
+the same record lines byte for byte, and only the header timestamp
+differs.  write_catalog consumes its records lazily, writing each line as
+the record arrives, so a streamed batch holds no records in memory.  A
+tab-separated export mirrors the layout of the summary tables this feeds.
 
 run_pipeline chains presentation parsing, classification, homology,
 existence rules and the dimension-specific extras, capturing per-stage
@@ -18,6 +21,7 @@ import json
 import math
 import warnings
 from dataclasses import asdict, dataclass, fields
+from datetime import datetime, timezone
 from itertools import combinations_with_replacement
 from typing import Iterable, Iterator
 
@@ -38,7 +42,6 @@ __all__ = [
     "CatalogRecord",
     "run_pipeline",
     "enumerate_bp",
-    "dedup_records",
     "write_catalog",
     "read_catalog",
     "catalogs_equal",
@@ -46,7 +49,7 @@ __all__ = [
 ]
 
 CATALOG_FORMAT = "selink-catalog"
-CATALOG_VERSION = 1
+CATALOG_VERSION = 2
 
 # What one stage of one record may raise without stopping a batch: the
 # package's own errors, and arithmetic or resource failures (overflow,
@@ -84,13 +87,6 @@ class CatalogRecord:
     casson: int | None = None
     moduli: int | None = None
     error: str | None = None
-    version: str = __version__
-    timestamp: str | None = None
-
-    def canonical_key(self):
-        if self.weights is None or self.degree is None:
-            return ("unparsed", self.presentation)
-        return (tuple(sorted(self.weights)), self.degree)
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -119,10 +115,7 @@ def _stage_error(stage: str, exc: BaseException) -> str:
     return f"{stage}: {type(exc).__name__}: {exc}"
 
 
-def run_pipeline(
-    presentation: str | BPExponents | WeightedLink,
-    timestamp: str | None = None,
-) -> CatalogRecord:
+def run_pipeline(presentation: str | BPExponents | WeightedLink) -> CatalogRecord:
     """Derive everything we know about one presentation, capturing errors.
 
     Stages are guarded independently: a failure is recorded in the error
@@ -135,7 +128,7 @@ def run_pipeline(
         text = " ".join(presentation.split())
     else:
         text = presentation.presentation()
-    record = CatalogRecord(presentation=text, timestamp=timestamp)
+    record = CatalogRecord(presentation=text)
     errors: list[str] = []
 
     def guard(stage: str):
@@ -210,7 +203,9 @@ def enumerate_bp(
 ) -> Iterator[BPExponents]:
     """Nondecreasing exponent tuples in lexicographic order, filtered.
 
-    Guards against absurd enumerations up front: the unfiltered count is
+    The arguments are checked when this is called, not when the returned
+    iterator first advances, so an absurd enumeration fails before any
+    caller opens an output.  The unfiltered count is
     C(max_exponent - 2 + length, length).
     """
     if length < 3:
@@ -222,40 +217,28 @@ def enumerate_bp(
         raise DomainError(
             f"enumeration of {total} exponent tuples exceeds the safety bound"
         )
-    for tup in combinations_with_replacement(range(2, max_exponent + 1), length):
-        bp = BPExponents(tup)
+
+    def keep(bp: BPExponents) -> bool:
         if coprime is not None and bp.pairwise_coprime() != coprime:
-            continue
-        link = None
-        if link_type is not None:
-            link = as_link(bp)
-            if classify_type(link) != link_type:
-                continue
-        if status is not None:
-            link = link if link is not None else as_link(bp)
-            if decide_existence(link, bp).status != status:
-                continue
-        yield bp
+            return False
+        if link_type is None and status is None:
+            return True
+        link = as_link(bp)
+        if link_type is not None and classify_type(link) != link_type:
+            return False
+        return status is None or decide_existence(link, bp).status == status
 
-
-def dedup_records(records: Iterable[CatalogRecord]) -> list[CatalogRecord]:
-    """Drop records presenting the same link (same weight multiset and degree)."""
-    seen = set()
-    out = []
-    for record in records:
-        key = record.canonical_key()
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(record)
-    return out
+    tuples = combinations_with_replacement(range(2, max_exponent + 1), length)
+    return filter(keep, map(BPExponents, tuples))
 
 
 def write_catalog(records: Iterable[CatalogRecord], stream) -> int:
+    """Write the header, then each record as it arrives; return the count."""
     header = {
         "format": CATALOG_FORMAT,
         "version": CATALOG_VERSION,
         "tool_version": __version__,
+        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
     stream.write(json.dumps(header, sort_keys=True) + "\n")
     count = 0
@@ -277,22 +260,16 @@ def read_catalog(stream) -> tuple[dict, list[CatalogRecord]]:
     return header, [CatalogRecord.from_dict(json.loads(line)) for line in lines[1:]]
 
 
-def catalogs_equal(text_a: str, text_b: str, *, ignore_timestamp: bool = True) -> bool:
-    """Line-by-line comparison, by default ignoring the timestamp fields."""
+def catalogs_equal(text_a: str, text_b: str) -> bool:
+    """Same header apart from its timestamp, and identical record lines."""
 
-    def normalize(text: str) -> list[str]:
-        out = []
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            if ignore_timestamp:
-                d = json.loads(line)
-                d.pop("timestamp", None)
-                line = json.dumps(d, sort_keys=True)
-            out.append(line)
-        return out
+    def split(text: str) -> tuple[dict, str]:
+        header, _, records = text.partition("\n")
+        header = json.loads(header or "{}")
+        header.pop("timestamp", None)
+        return header, records
 
-    return normalize(text_a) == normalize(text_b)
+    return split(text_a) == split(text_b)
 
 
 _TABLE_COLUMNS = (

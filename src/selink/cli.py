@@ -14,13 +14,11 @@ import argparse
 import json
 import os
 import sys
-from datetime import datetime, timezone
+from contextlib import ExitStack
 from fractions import Fraction
 
 from ._version import __version__
 from .catalog import (
-    CatalogRecord,
-    dedup_records,
     enumerate_bp,
     export_table,
     read_catalog,
@@ -283,44 +281,33 @@ def _worker_count(jobs: int) -> int:
     return min(jobs, os.cpu_count() or 1)
 
 
-def _pipeline_worker(job: tuple[str, str]) -> dict:
-    presentation, timestamp = job
-    return run_pipeline(presentation, timestamp=timestamp).to_dict()
-
-
 def _cmd_batch(args) -> int:
-    timestamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     coprime = None
     if args.coprime:
         coprime = True
     elif args.no_coprime:
         coprime = False
-    presentations = [
-        bp.presentation()
-        for bp in enumerate_bp(
-            args.length,
-            args.max_exponent,
-            link_type=args.type,
-            coprime=coprime,
-            status=args.status,
-        )
-    ]
-    jobs = [(p, timestamp) for p in presentations]
-    if args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    tuples = enumerate_bp(
+        args.length,
+        args.max_exponent,
+        link_type=args.type,
+        coprime=coprime,
+        status=args.status,
+    )
+    with ExitStack() as stack:
+        stream = stack.enter_context(open(args.output, "w")) if args.output else sys.stdout
+        if args.jobs > 1:
+            from concurrent.futures import ProcessPoolExecutor
 
-        # Workers compute, the parent is the single writer; map() preserves
-        # input order so the catalog is deterministic regardless of --jobs.
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            dicts = list(pool.map(_pipeline_worker, jobs, chunksize=16))
-    else:
-        dicts = [_pipeline_worker(job) for job in jobs]
-    records = dedup_records(CatalogRecord.from_dict(d) for d in dicts)
-    if args.output:
-        with open(args.output, "w") as fh:
-            count = write_catalog(records, fh)
-    else:
-        count = write_catalog(records, sys.stdout)
+            # Workers compute, the parent is the single writer; map() yields
+            # in input order so the catalog is deterministic regardless of
+            # --jobs.  It submits every input up front (Executor.map has no
+            # buffersize before Python 3.14); only --jobs 1 holds no records.
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs))
+            records = pool.map(run_pipeline, tuples, chunksize=16)
+        else:
+            records = map(run_pipeline, tuples)
+        count = write_catalog(records, stream)
     print(f"wrote {count} records", file=sys.stderr)
     return 0
 

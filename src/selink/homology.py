@@ -203,20 +203,6 @@ class OrlikTable:
     c: tuple  # int per mask, None at the full mask
     k: tuple  # Fraction per mask
 
-    def _mask(self, subset) -> int:
-        mask = 0
-        for i in subset:
-            if not 0 <= i < self.size:
-                raise DomainError(f"index {i} out of range for size {self.size}")
-            mask |= 1 << i
-        return mask
-
-    def c_of(self, subset) -> int:
-        return self.c[self._mask(subset)]
-
-    def k_of(self, subset) -> Fraction:
-        return self.k[self._mask(subset)]
-
 
 def orlik_table(link: WeightedLink | BPExponents) -> OrlikTable:
     """Build the full c/k table over proper index subsets, in O(m * 2^m).

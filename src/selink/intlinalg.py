@@ -12,9 +12,9 @@ entries are minors of the input and never need a Fraction.
 - ``solve_exact`` back-substitutes in integers scaled by the determinant
   of the pivot rows and makes one Fraction per unknown at the end.
 
-The elimination takes integer entries only (whatever ``operator.index``
-accepts) and rejects anything else as a ``DomainError``, so nothing is
-ever rounded or truncated.
+The Smith form and the elimination take integer entries only (whatever
+``operator.index`` accepts) and reject anything else as a
+``DomainError``, so nothing is ever rounded or truncated.
 """
 
 from __future__ import annotations
@@ -35,6 +35,14 @@ __all__ = [
 ]
 
 
+def _int_rows(matrix) -> list[list[int]]:
+    """The matrix as lists of ints; non-integer entries are a DomainError."""
+    try:
+        return [[operator.index(x) for x in row] for row in matrix]
+    except TypeError:
+        raise DomainError("exact elimination needs integer entries") from None
+
+
 def _identity(n: int) -> list[list[int]]:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
@@ -47,7 +55,7 @@ def smith_normal_form(matrix):
     the transforms are carried along so callers can read off coordinates
     on the cokernel.
     """
-    A = [[int(x) for x in row] for row in matrix]
+    A = _int_rows(matrix)
     m = len(A)
     n = len(A[0]) if m else 0
     if any(len(row) != n for row in A):
@@ -135,10 +143,7 @@ def _echelon(matrix) -> tuple[list[list[int]], list[int]]:
     nonsingular matrix is therefore its determinant, and the pivot of
     echelon row r is the leading (r+1) x (r+1) minor of the pivot columns.
     """
-    try:
-        rows = [[operator.index(x) for x in row] for row in matrix]
-    except TypeError:
-        raise DomainError("exact elimination needs integer entries") from None
+    rows = _int_rows(matrix)
     ncols = len(rows[0]) if rows else 0
     if any(len(row) != ncols for row in rows):
         raise DomainError("ragged matrix")

@@ -74,7 +74,7 @@ class WeightedLink:
         return sum(self.weights) - self.degree
 
     def canonical_key(self) -> tuple[tuple[int, ...], int]:
-        """Dedup key: the weight multiset and the degree."""
+        """The weight multiset and the degree; keys MODULI_REFERENCE."""
         return (tuple(sorted(self.weights)), self.degree)
 
     def presentation(self) -> str:

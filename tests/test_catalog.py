@@ -4,8 +4,8 @@ The mathematics behind every field is unit-tested elsewhere; here the
 expected values are either cross-checked against the stage functions
 directly or are small pinned examples whose arithmetic is verified in
 the per-module suites.  What these tests own is the wiring: field
-population, per-stage error isolation, filtering, dedup, and the file
-format round trip.
+population, per-stage error isolation, filtering, and the file format
+round trip.
 """
 
 import io
@@ -23,7 +23,6 @@ from selink import (
     casson_invariant,
     catalogs_equal,
     decide_existence,
-    dedup_records,
     enumerate_bp,
     export_table,
     link_homology,
@@ -38,7 +37,7 @@ from selink import (
 
 class TestCatalogRecord:
     def test_round_trip(self):
-        record = run_pipeline("bp=2,3,5", timestamp="2026-01-01T00:00:00+00:00")
+        record = run_pipeline("bp=2,3,5")
         d = record.to_dict()
         assert isinstance(d["weights"], list)
         assert isinstance(d["torsion"], list)
@@ -52,15 +51,6 @@ class TestCatalogRecord:
     def test_unknown_field_rejected(self):
         with pytest.raises(DomainError, match="bogus"):
             CatalogRecord.from_dict({"presentation": "x", "bogus": 1})
-
-    def test_canonical_key_sorts_weights(self):
-        a = CatalogRecord("p1", weights=(15, 10, 6), degree=30)
-        b = CatalogRecord("p2", weights=(6, 10, 15), degree=30)
-        assert a.canonical_key() == b.canonical_key() == ((6, 10, 15), 30)
-
-    def test_canonical_key_unparsed(self):
-        record = CatalogRecord("w=nonsense")
-        assert record.canonical_key() == ("unparsed", "w=nonsense")
 
 
 class TestRunPipeline:
@@ -135,7 +125,6 @@ class TestRunPipeline:
         assert record.weights is None
         assert record.betti is None
         assert record.status is None
-        assert record.canonical_key() == ("unparsed", "w=1,2 d=oops")
 
     def test_stage_failure_is_isolated(self):
         # This input parses but its Betti sum is fractional, so the homology
@@ -168,10 +157,6 @@ class TestRunPipeline:
         assert record.error == f"moduli: {exc_type.__name__}: boom"
         assert record.moduli is None
         assert (record.betti, record.status, record.casson) == (0, "se_exists", -1)
-
-    def test_timestamp_passthrough(self):
-        assert run_pipeline("bp=2,3,5").timestamp is None
-        assert run_pipeline("bp=2,3,5", timestamp="t0").timestamp == "t0"
 
     def test_whitespace_normalized(self):
         record = run_pipeline("  w=1,1,2   d=4 ")
@@ -215,39 +200,23 @@ class TestEnumerateBP:
         ]
         assert got == [(2, 3, 5)]
 
+    # The guards raise at the call, before any iteration, so that a bad
+    # enumeration fails before a caller opens its output.
     def test_overflow_guard(self):
         with pytest.raises(DomainError, match="safety bound"):
-            next(enumerate_bp(8, 2000))
+            enumerate_bp(8, 2000)
 
     def test_bad_arguments(self):
         with pytest.raises(DomainError):
-            next(enumerate_bp(2, 5))
+            enumerate_bp(2, 5)
         with pytest.raises(DomainError):
-            next(enumerate_bp(3, 1))
-
-
-class TestDedup:
-    def test_same_link_different_presentations(self):
-        records = [
-            run_pipeline("bp=2,3,5"),
-            run_pipeline("w=15,10,6 d=30"),
-            run_pipeline("w=6,10,15 d=30"),
-            run_pipeline("bp=2,2,2,2"),
-        ]
-        kept = dedup_records(records)
-        assert [r.presentation for r in kept] == ["bp=2,3,5", "bp=2,2,2,2"]
-
-    def test_unparsed_dedup_by_text(self):
-        bad = run_pipeline("w=1,2 d=oops")
-        other = run_pipeline("w=9 d=oops")
-        assert dedup_records([bad, bad, other]) == [bad, other]
+            enumerate_bp(3, 1)
 
 
 class TestCatalogIO:
     def _records(self):
         return [
-            run_pipeline(p, timestamp="2026-01-01T00:00:00+00:00")
-            for p in ("bp=2,3,5", "w=1,1,2,2,5 d=10", "w=1,2 d=oops")
+            run_pipeline(p) for p in ("bp=2,3,5", "w=1,1,2,2,5 d=10", "w=1,2 d=oops")
         ]
 
     def test_write_read_round_trip(self):
@@ -257,8 +226,8 @@ class TestCatalogIO:
         buf.seek(0)
         header, back = read_catalog(buf)
         assert header["format"] == "selink-catalog"
-        assert header["version"] == 1
-        assert "tool_version" in header
+        assert header["version"] == 2
+        assert "tool_version" in header and "timestamp" in header
         assert back == records
 
     def test_header_is_first_line_json(self):
@@ -287,12 +256,32 @@ class TestCatalogIO:
         with pytest.raises(DomainError, match="zzz"):
             read_catalog(io.StringIO(text))
 
+    def test_records_carry_no_provenance(self):
+        buf = io.StringIO()
+        write_catalog(self._records(), buf)
+        for line in buf.getvalue().splitlines()[1:]:
+            assert not {"timestamp", "version", "tool_version"} & set(json.loads(line))
+
+    @staticmethod
+    def _with_header(text: str, **changes) -> str:
+        header, _, records = text.partition("\n")
+        header = json.loads(header)
+        header.update(changes)
+        return json.dumps(header, sort_keys=True) + "\n" + records
+
     def test_catalogs_equal_ignores_timestamp(self):
-        a, b = io.StringIO(), io.StringIO()
-        write_catalog([run_pipeline("bp=2,3,5", timestamp="t1")], a)
-        write_catalog([run_pipeline("bp=2,3,5", timestamp="t2")], b)
-        assert catalogs_equal(a.getvalue(), b.getvalue())
-        assert not catalogs_equal(a.getvalue(), b.getvalue(), ignore_timestamp=False)
+        buf = io.StringIO()
+        write_catalog(self._records(), buf)
+        a = self._with_header(buf.getvalue(), timestamp="2026-01-01T00:00:00+00:00")
+        b = self._with_header(buf.getvalue(), timestamp="2026-12-31T23:59:59+00:00")
+        assert a != b
+        assert catalogs_equal(a, b)
+
+    def test_catalogs_equal_detects_tool_version(self):
+        buf = io.StringIO()
+        write_catalog(self._records(), buf)
+        other = self._with_header(buf.getvalue(), tool_version="0.0.0")
+        assert not catalogs_equal(buf.getvalue(), other)
 
     def test_catalogs_equal_detects_difference(self):
         a, b = io.StringIO(), io.StringIO()

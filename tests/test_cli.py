@@ -12,6 +12,7 @@ from dataclasses import replace
 import pytest
 
 import selink.catalog as catalog
+import selink.cli as cli
 from selink import BPExponents, DomainError
 from selink.catalog import catalogs_equal, read_catalog
 from selink.cli import _worker_count, main
@@ -345,7 +346,7 @@ class TestBatch:
 
         def records(path):
             with open(path) as fh:
-                return [replace(r, timestamp=None) for r in read_catalog(fh)[1]]
+                return read_catalog(fh)[1]
 
         before, after = records(clean), records(poisoned)
         assert len(before) == len(after) == 10
@@ -403,6 +404,35 @@ class TestBatch:
         assert rc == 1
         assert "safety bound" in err
 
+    def test_bad_enumeration_leaves_no_file(self, capsys, tmp_path):
+        out_path = tmp_path / "cat.jsonl"
+        rc, _, err = run(
+            capsys, "batch", "--length", "2", "--max-exponent", "5", "-o", str(out_path)
+        )
+        assert rc == 1
+        assert "need length >= 3" in err
+        assert not out_path.exists()
+
+    def test_records_streamed_one_at_a_time(self, capsys, monkeypatch):
+        # With --jobs 1 each record is written before the next one is
+        # computed, so the batch never holds more than one record.
+        events = []
+        real_run_pipeline = cli.run_pipeline
+
+        def run_pipeline(*args, **kwargs):
+            events.append("run")
+            return real_run_pipeline(*args, **kwargs)
+
+        class Stream:
+            def write(self, text):
+                events.append("write")
+
+        monkeypatch.setattr(cli, "run_pipeline", run_pipeline)
+        monkeypatch.setattr(cli.sys, "stdout", Stream())
+        rc, _, err = run(capsys, "batch", "--length", "3", "--max-exponent", "4")
+        assert rc == 0 and "wrote 10 records" in err
+        assert events == ["write"] + ["run", "write"] * 10
+
 
 class TestExportTable:
     def test_pipeline(self, capsys, tmp_path):
@@ -430,6 +460,18 @@ class TestExportTable:
         rc, _, err = run(capsys, "export-table", str(path))
         assert rc == 1
         assert "not a catalog" in err
+
+    def test_rejects_version_1_catalog(self, capsys, tmp_path):
+        # Version 1 stamped the timestamp and tool version into every record.
+        path = tmp_path / "v1.jsonl"
+        path.write_text(
+            '{"format": "selink-catalog", "tool_version": "0.1.0", "version": 1}\n'
+            '{"presentation": "bp=2,3,5", "timestamp": "2026-01-01T00:00:00+00:00",'
+            ' "version": "0.1.0"}\n'
+        )
+        rc, out, err = run(capsys, "export-table", str(path))
+        assert rc == 1 and out == ""
+        assert err == "error: unsupported catalog version 1\n"
 
 
 class TestConfig:

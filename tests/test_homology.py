@@ -159,14 +159,14 @@ class TestOrlikTable:
     def test_fermat_cubic_c_values(self):
         # u = (3,3,3,3,3): c_empty = 3 and every larger gcd ratio collapses to 1.
         table = orlik_table(WeightedLink((1, 1, 1, 1, 1), 3))
-        assert table.c_of(()) == 3
+        assert table.c[0] == 3
         for i in range(5):
-            assert table.c_of((i,)) == 1
+            assert table.c[1 << i] == 1
 
     def test_trivial_when_weights_equal_degree(self):
         # u = (1,...,1): every c is 1, no torsion.
         table = orlik_table(WeightedLink((2, 2, 2), 2))
-        assert table.c_of(()) == 1
+        assert table.c[0] == 1
         assert torsion_orders(table) == ()
 
     def test_full_mask_not_computed(self):

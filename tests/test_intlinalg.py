@@ -193,6 +193,11 @@ class TestSmithNormalForm:
         _, d, _ = smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
         assert [d[0][0], d[1][1], d[2][2]] == [2, 2, 156]
 
+    def test_rejects_non_integer_entries(self):
+        # int() would truncate these to D = [[1, 0], [0, 2]].
+        with pytest.raises(DomainError):
+            smith_normal_form([[Fraction(3, 2), 0], [0, 2.7]])
+
 
 class TestDeterminant:
     @given(square_matrices)
