@@ -24,12 +24,18 @@ counted from the negative continued fraction expansion of -p/q.
 
 Monomial counting in the weighted graded ring gives a naive moduli
 dimension for the singularity; see moduli_dimension for the convention
-and its known discrepancy on the standard degree-12 example.
+and its known discrepancy on the standard degree-12 example.  A count
+enumerates the exponents of the weights with the fewest terms, reduced by
+gcds, down to Popoviciu's (1953) closed form for two variables
+(Beck-Robins, Computing the Continuous Discretely, ch. 1), at a cost of
+about the product of the link's exponents rather than the degree; a
+degree-long table is used instead when its exact cost bound is lower.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -260,19 +266,113 @@ def tight_contact_count(p: int, q: int) -> int:
     return count
 
 
+# Cost of visiting one enumeration node, in table cells.  Timing both
+# methods on links of the Brieskorn-Pham enumerations (3, 30), (4, 12) and
+# (5, 7) put the break-even ratio at 8.2, 9.7 and 6.6 (medians).
+_NODE_COST = 8
+
+# The most work, in table cells (a few seconds), that one count may take;
+# when the cheaper method needs more, the count is refused before any
+# allocation.  A catalog record (degree <= 10^5) with fewer than 199
+# weights stays under it.
+_MAX_COUNT_COST = 2 * 10**7
+
+
 def count_monomials(weights, degree: int) -> int:
-    """Number of monomials of weighted degree exactly ``degree``."""
-    if degree < 0:
-        raise DomainError(f"degree must be >= 0, got {degree}")
-    ws = tuple(int(w) for w in weights)
+    """Number of monomials of weighted degree exactly ``degree``.
+
+    That is the number of x >= 0 with sum w_i x_i = m, m = ``degree``,
+    counted exactly by whichever of two methods costs less.  Weights above
+    m only take x_i = 0 and are dropped first.
+
+    - Enumeration over the largest weight, the one with the fewest terms,
+      down to two variables, which have Popoviciu's (1953) closed form
+      (Beck-Robins, *Computing the Continuous Discretely*, ch. 1).  Only
+      terms congruent to m modulo the gcd of the other weights can be
+      completed, so just those are visited and the rest of the problem is
+      divided by that gcd.  It visits at most prod(m // w + 1) nodes over
+      every weight but the two smallest.  For a Brieskorn-Pham link at its
+      own degree that is prod(a_i + 1) over every exponent but the two
+      largest, whatever the degree.
+    - The table of counts for every degree up to m, built one weight at a
+      time: (n + 1) * (m + 1) cells, as each of the m + 1 entries is set
+      once and then updated once per weight.  This wins for many small
+      weights, such as (1, 1, 1, 1, 1) at degree 1000.
+
+    The two bounds are compared as integers, a node counted as
+    ``_NODE_COST`` cells.  When even the cheaper one exceeds
+    ``_MAX_COUNT_COST`` cells the count is a DomainError.
+    """
+    try:
+        m = operator.index(degree)
+        ws = tuple(map(operator.index, weights))
+    except TypeError:
+        raise DomainError("monomial counts need integer weights and degree") from None
+    if m < 0:
+        raise DomainError(f"degree must be >= 0, got {m}")
     if any(w < 1 for w in ws):
         raise DomainError(f"weights must be positive: {ws}")
-    counts = [0] * (degree + 1)
+    ws = sorted(w for w in ws if w <= m)
+    cells = (len(ws) + 1) * (m + 1)
+    nodes = _NODE_COST
+    for w in ws[2:]:  # once past cells, the comparison below is decided
+        nodes *= m // w + 1
+        if nodes > cells:
+            break
+    if min(nodes, cells) > _MAX_COUNT_COST:
+        raise DomainError(
+            f"counting monomials of degree {m} needs {min(nodes, cells)} steps, "
+            f"over the limit of {_MAX_COUNT_COST}"
+        )
+    if nodes <= cells:
+        return _enumerate(ws, m)
+    counts = [0] * (m + 1)
     counts[0] = 1
     for w in ws:
-        for k in range(w, degree + 1):
+        for k in range(w, m + 1):
             counts[k] += counts[k - w]
-    return counts[degree]
+    return counts[m]
+
+
+def _enumerate(ws: list[int], m: int) -> int:
+    """Solutions of sum w_i x_i = m, x >= 0, for ascending positive ws."""
+    if len(ws) < 2:
+        return int(m % ws[0] == 0) if ws else int(m == 0)
+    if len(ws) == 2:
+        a, b = ws
+        g = math.gcd(a, b)
+        return 0 if m % g else _pair_counts(a // g, b // g, (m // g,))
+    *rest, w = ws
+    # w x = m - (the rest) needs w x = m (mod g): one residue class of x
+    # modulo g / h, or none.  Each term leaves the rest to reach
+    # (m - w x) / g in the weights divided by g.
+    g = math.gcd(*rest)
+    h = math.gcd(w, g)
+    if m % h:
+        return 0
+    step = g // h
+    x0 = m // h * pow(w // h, -1, step) % step
+    degrees = range((m - w * x0) // g, -1, -(w // h))
+    rest = [v // g for v in rest]
+    if len(rest) == 2:
+        return _pair_counts(*rest, degrees)
+    return sum(_enumerate(rest, t) for t in degrees)
+
+
+def _pair_counts(a: int, b: int, degrees) -> int:
+    """Sum over t in degrees of #{x, y >= 0 : a x + b y = t}, a and b coprime.
+
+    Popoviciu's closed form: with x0 = t a^-1 mod b, the count is
+    (t - a x0) // (ab) + 1 when t >= a x0, and 0 otherwise.
+    """
+    inv = pow(a, -1, b)
+    ab = a * b
+    total = 0
+    for t in degrees:
+        r = t - a * (t * inv % b)
+        if r >= 0:
+            total += r // ab + 1
+    return total
 
 
 # Reference value quoted elsewhere for the naive moduli count on the

@@ -63,6 +63,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 
 from .errors import DomainError, InternalConsistencyError, TorsionDivisionError
 from .links import (
@@ -280,11 +281,14 @@ class HomologyGroup:
     def __post_init__(self):
         if self.betti < 0:
             raise InternalConsistencyError(f"negative Betti number {self.betti}")
-        for a, b in zip(self.torsion, self.torsion[1:]):
-            if b < 2 or a % b != 0:
-                raise InternalConsistencyError(
-                    f"torsion {self.torsion} is not a pruned divisibility chain"
-                )
+        # Equal neighbours divide each other once they are >= 2, so the
+        # pairs are checked on runs: a long chain has few distinct values.
+        runs = self.torsion[:1] + tuple(k for k, _ in groupby(self.torsion[1:]))
+        tail = runs[1:]
+        if tail and (min(tail) < 2 or any(map(operator.mod, runs, tail))):
+            raise InternalConsistencyError(
+                f"torsion {self.torsion} is not a pruned divisibility chain"
+            )
         if self.torsion and self.torsion[-1] < 2:
             raise InternalConsistencyError(f"trivial torsion factor in {self.torsion}")
 

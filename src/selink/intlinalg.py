@@ -243,7 +243,7 @@ def kernel_vector(matrix, ncols: int):
 
 def primitive_vector(vec) -> tuple[int, ...]:
     """Divide an integer vector by the gcd of its entries."""
-    ints = [int(x) for x in vec]
+    (ints,) = _int_rows([vec])
     g = math.gcd(*ints) if ints else 0
     if g == 0:
         raise DomainError("zero vector has no primitive form")

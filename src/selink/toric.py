@@ -46,6 +46,7 @@ from .errors import (
     UnboundedPolytopeError,
 )
 from .intlinalg import (
+    _int_rows,
     det_int,
     kernel_vector,
     primitive_vector,
@@ -471,9 +472,10 @@ class WeightMatrix:
     n: int
 
     def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in row) for row in self.rows)
+        rows = tuple(map(tuple, _int_rows(self.rows)))
+        [[n]] = _int_rows([[self.n]])
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", n)
         if self.n < 1:
             raise DomainError("weight matrix needs n >= 1 columns")
         for row in rows:

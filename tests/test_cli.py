@@ -209,6 +209,19 @@ class TestModuli:
         d = json.loads(out)
         assert d == {"moduli": 254, "reference": 266, "delta": -12}
 
+    def test_huge_degree_refused(self, capsys):
+        # A degree-long count table would need 3 * 10^9 entries.
+        rc, out, err = run(capsys, "moduli", "w=1,1,1", "d=3000000000")
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error: counting monomials of degree 3000000000")
+
+    def test_huge_degree_with_large_weights_answered(self, capsys):
+        # Degree 4752524700, but the largest weights have few terms.
+        rc, out, _ = run(capsys, "moduli", "bp=97,98,99,100,101")
+        assert rc == 0
+        assert out == "moduli=2\n"
+
 
 class TestToric:
     @pytest.fixture

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from selink import dimension
 from selink import (
     BPExponents,
     DomainError,
@@ -17,8 +18,10 @@ from selink import (
     NotSmaleFormError,
     SmaleManifold,
     WeightedLink,
+    as_link,
     casson_invariant,
     count_monomials,
+    enumerate_bp,
     link_homology,
     moduli_dimension,
     moduli_reference,
@@ -289,6 +292,34 @@ def monomial_brute_force(weights, degree) -> int:
     )
 
 
+def monomial_dp(weights, degree) -> int:
+    """Counts for every degree up to ``degree``, one weight at a time."""
+    counts = [0] * (degree + 1)
+    counts[0] = 1
+    for w in weights:
+        for k in range(w, degree + 1):
+            counts[k] += counts[k - w]
+    return counts[degree]
+
+
+def moduli_oracle(link) -> int:
+    total = monomial_dp(link.weights, link.degree)
+    return 2 * (total - sum(monomial_dp(link.weights, w) for w in link.weights))
+
+
+# At most 7 terms per weight, so count_monomials enumerates ...
+_ENUMERATED = st.integers(1000, 20000).flatmap(
+    lambda degree: st.tuples(
+        st.lists(st.integers(degree // 6, degree), min_size=3, max_size=5),
+        st.just(degree),
+    )
+)
+# ... and hundreds of terms per weight, so it fills the degree-long table.
+_TABULATED = st.tuples(
+    st.lists(st.integers(1, 3), min_size=4, max_size=6), st.integers(200, 3000)
+)
+
+
 class TestMonomialCounting:
     def test_reference_example_values(self):
         assert count_monomials((1, 1, 1, 4, 6), 12) == monomial_brute_force(
@@ -316,6 +347,84 @@ class TestMonomialCounting:
     def test_degree_zero(self):
         assert count_monomials((1, 2, 3), 0) == 1
 
+    def test_two_variables_against_brute_force(self):
+        for a in range(1, 9):
+            for b in range(1, 13):
+                for degree in range(49):
+                    assert count_monomials((a, b), degree) == monomial_brute_force(
+                        (a, b), degree
+                    ), (a, b, degree)
+
+    @pytest.mark.parametrize(
+        "weights, degree, expected",
+        [
+            ((4, 6), 10, 1),  # gcd 2 divides 10: 4 + 6
+            ((4, 6), 11, 0),  # gcd 2 does not divide 11
+            ((6, 10), 30, 2),  # 5 * 6 and 3 * 10
+            ((6, 10), 32, 1),  # 2 * 6 + 2 * 10
+            ((6, 10), 33, 0),
+            ((7, 7), 21, 4),
+            ((5,), 15, 1),
+            ((5,), 16, 0),
+            ((), 0, 1),
+            ((), 3, 0),
+        ],
+    )
+    def test_closed_form_cases(self, weights, degree, expected):
+        assert count_monomials(weights, degree) == expected
+        assert monomial_brute_force(weights, degree) == expected
+
+    @given(st.one_of(_ENUMERATED, _TABULATED))
+    @settings(max_examples=150, deadline=None)
+    def test_against_dp_oracle(self, case):
+        weights, degree = case
+        assert count_monomials(weights, degree) == monomial_dp(weights, degree)
+
+    @pytest.mark.parametrize(
+        "weights, degree, enumerated",
+        [
+            ((1667, 2001, 5000, 9999), 10000, True),  # from _ENUMERATED
+            ((1, 1, 2, 3, 3), 2999, False),  # from _TABULATED
+            ((6, 4, 1, 1, 1), 12, False),
+            ((1, 1, 1, 1, 1), 1000, False),
+        ],
+    )
+    def test_each_method_is_reached(self, monkeypatch, weights, degree, enumerated):
+        calls = []
+        enumerate_ = dimension._enumerate
+
+        def spy(ws, m):
+            calls.append((ws, m))
+            return enumerate_(ws, m)
+
+        monkeypatch.setattr(dimension, "_enumerate", spy)
+        assert count_monomials(weights, degree) == monomial_dp(weights, degree)
+        assert bool(calls) == enumerated
+
+    @pytest.mark.parametrize(
+        "weights, degree",
+        [((1.7, 1), 3), ((Fraction(3, 2), 1), 3), ((1, 2), 3.0), ((1, 2), "3")],
+    )
+    def test_rejects_non_integer_input(self, weights, degree):
+        # int() would truncate (1.7, 1) to (1, 1) and count 4.
+        with pytest.raises(DomainError):
+            count_monomials(weights, degree)
+
+    def test_rejects_nonpositive_weight_and_negative_degree(self):
+        with pytest.raises(DomainError):
+            count_monomials((1, 0), 3)
+        with pytest.raises(DomainError):
+            count_monomials((1, 2), -1)
+
+    def test_many_weights_stars_and_bars(self):
+        # 10^5 unit weights: C(n + d - 1, d) monomials of degree d.
+        assert count_monomials((1,) * 100_000, 3) == math.comb(100_002, 3)
+
+    def test_refuses_work_over_the_limit(self):
+        # The table needs 1.5 * 10^10 cells here, and enumeration far more.
+        with pytest.raises(DomainError):
+            count_monomials((1, 1, 1, 1), 3 * 10**9)
+
 
 class TestModuli:
     def test_reference_link_value_and_delta(self):
@@ -340,3 +449,10 @@ class TestModuli:
     def test_negative_count_warns(self):
         with pytest.warns(UserWarning):
             moduli_dimension(WeightedLink((1, 1, 1), 2))
+
+    @pytest.mark.filterwarnings("ignore:naive moduli count is negative")
+    @pytest.mark.parametrize("length, max_exponent", [(3, 20), (4, 12), (5, 7)])
+    def test_enumerations_against_dp_oracle(self, length, max_exponent):
+        for bp in enumerate_bp(length, max_exponent):
+            link = as_link(bp)
+            assert moduli_dimension(link) == moduli_oracle(link), bp

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from selink import (
     BPExponents,
     DomainError,
+    HomologyGroup,
     InternalConsistencyError,
     TorsionDivisionError,
     WeightedLink,
@@ -252,6 +253,32 @@ class TestErrorPaths:
         # rather than round.
         with pytest.raises(InternalConsistencyError):
             betti_number(WeightedLink((3, 3, 4), 6))
+
+    @pytest.mark.parametrize(
+        "torsion", [(0,), (1,), (4, 0), (6, 2, 1), (12, 4, 6), (9, 6)]
+    )
+    def test_torsion_chain_checked(self, torsion):
+        # A 0 entry, a 1 entry, and pairs where the later does not divide.
+        with pytest.raises(InternalConsistencyError):
+            HomologyGroup(0, torsion, 2, "proven")
+
+    @pytest.mark.parametrize("torsion", [(), (2,), (12, 6, 2), (0, 2), (2**40, 2**20)])
+    def test_torsion_chain_accepted(self, torsion):
+        # (0, 2) passes: 2 divides 0, and only the first entry may be < 2.
+        assert HomologyGroup(0, torsion, 2, "proven").torsion == torsion
+
+    @given(st.lists(st.sampled_from([-2, 0, 1, 2, 3, 4, 6, 12]), max_size=7))
+    @settings(max_examples=300, deadline=None)
+    def test_torsion_chain_check_matches_pairwise_loop(self, torsion):
+        torsion = tuple(torsion)
+        pruned_chain = all(
+            b >= 2 and a % b == 0 for a, b in zip(torsion, torsion[1:])
+        ) and (not torsion or torsion[-1] >= 2)
+        if pruned_chain:
+            HomologyGroup(0, torsion, 2, "proven")
+        else:
+            with pytest.raises(InternalConsistencyError):
+                HomologyGroup(0, torsion, 2, "proven")
 
     def test_torsion_division_error_carries_subset(self):
         err = TorsionDivisionError((0, 2), 7, 3)

@@ -272,6 +272,11 @@ class TestKernelAndPrimitive:
         with pytest.raises(DomainError):
             primitive_vector((0, 0))
 
+    def test_primitive_rejects_non_integer_entries(self):
+        # int() would truncate this to (1, 3).
+        with pytest.raises(DomainError):
+            primitive_vector([Fraction(3, 2), 3])
+
     @given(st.lists(st.integers(-20, 20), min_size=1, max_size=5))
     @settings(max_examples=100, deadline=None)
     def test_primitive_gcd_is_one(self, vec):

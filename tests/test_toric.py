@@ -93,6 +93,11 @@ class TestMomentCone:
         with pytest.raises(DomainError):
             MomentCone(((1,),))
 
+    def test_rejects_non_integer_normals(self):
+        # int() would truncate this to the orthant.
+        with pytest.raises(DomainError):
+            MomentCone(((1.9, 0, 0), (0, 1, 0), (0, 0, 1)))
+
     def test_interiority_test(self):
         assert reeb_is_interior(CONIFOLD, (3, 1.5, 1.5))
         assert not reeb_is_interior(CONIFOLD, (1, 1, -5))
@@ -362,6 +367,11 @@ class TestWeightMatrices:
     def test_zero_weight_matrix_gives_orthant(self):
         cone = cone_from_weights(WeightMatrix(rows=(), n=3))
         assert cone.normals == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+    def test_non_integer_entries_rejected(self):
+        # int() would truncate this to the conifold row (1, 1, -1, -1).
+        with pytest.raises(DomainError):
+            WeightMatrix(((1.7, 1, -1, -1),), 4)
 
     def test_zero_minor_rejected(self):
         with pytest.raises(DomainError):
