@@ -17,8 +17,9 @@ Brieskorn-Pham exponents:
   minimization of the volume over the Reeb slice.
 
 Everything combinatorial runs in exact integer/rational arithmetic;
-floats appear only in the toric optimizer and potential evaluations.
-The toric names (and numpy, which only they need) load on first use.
+floats appear only in the toric optimizer.  The package needs nothing
+beyond the standard library.  The toric names load on first use, so the
+link commands do not pay for importing them.
 """
 
 from ._version import __version__
@@ -131,9 +132,7 @@ __all__ = [
     "cone_from_weights",
     "cy_condition",
     "gorenstein_gamma",
-    "guillemin_potential",
     "minimize_volume",
-    "potential_hessian",
     "read_cone_file",
     "read_weight_matrix_file",
     "reeb_is_interior",
@@ -160,7 +159,8 @@ __all__ = [
 
 
 def __getattr__(name):
-    # Every exported name not bound above is one of the toric names.
+    # Every exported name not bound above is one of the toric names, which
+    # load here on first use to keep the link commands' cold start short.
     if name in __all__:
         from . import toric
 

@@ -193,6 +193,10 @@ def run_pipeline(presentation: str | BPExponents | WeightedLink) -> CatalogRecor
     return record
 
 
+# Most exponent tuples, and longest tuple, that one enumeration may produce.
+_MAX_ENUMERATION = 2_000_000
+
+
 def enumerate_bp(
     length: int,
     max_exponent: int,
@@ -206,14 +210,17 @@ def enumerate_bp(
     The arguments are checked when this is called, not when the returned
     iterator first advances, so an absurd enumeration fails before any
     caller opens an output.  The unfiltered count is
-    C(max_exponent - 2 + length, length).
+    C(max_exponent - 2 + length, length), and each tuple holds length
+    entries, so both are bounded.
     """
     if length < 3:
         raise DomainError(f"need length >= 3, got {length}")
     if max_exponent < 2:
         raise DomainError(f"need max exponent >= 2, got {max_exponent}")
+    if length > _MAX_ENUMERATION:
+        raise DomainError(f"length {length} exceeds the safety bound of {_MAX_ENUMERATION}")
     total = math.comb(max_exponent - 2 + length, length)
-    if total > 2_000_000:
+    if total > _MAX_ENUMERATION:
         raise DomainError(
             f"enumeration of {total} exponent tuples exceeds the safety bound"
         )

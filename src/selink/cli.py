@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from contextlib import ExitStack
 from fractions import Fraction
 
@@ -217,7 +218,13 @@ def _cmd_tight_count(args) -> int:
 
 def _cmd_moduli(args) -> int:
     link = as_link(_parse_args_presentation(args.presentation))
-    value = moduli_dimension(link)
+    # A negative count warns; print it as one line, not in Python's
+    # format, which names the source file and line.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = moduli_dimension(link)
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
     reference = moduli_reference(link)
     mapping: dict = {"moduli": value}
     if reference is not None:

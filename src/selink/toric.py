@@ -25,7 +25,9 @@ volume is then a finite sum
     V(xi) = sum over simplices |det(r_1 ... r_m)| / prod <xi, r_j>,
 
 evaluated in exact rationals for rational xi and in floats inside the
-optimizer, with closed-form gradient and Hessian.
+optimizer, with closed-form gradient and Hessian.  The float path is plain
+Python: a Newton step needs one linear solve of size m+1, done by
+Gaussian elimination.
 """
 
 from __future__ import annotations
@@ -36,8 +38,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-
-import numpy as np
 
 from .errors import (
     ConvergenceError,
@@ -71,8 +71,6 @@ __all__ = [
     "volume_hessian",
     "reeb_is_interior",
     "minimize_volume",
-    "guillemin_potential",
-    "potential_hessian",
     "read_cone_file",
     "read_weight_matrix_file",
 ]
@@ -181,14 +179,6 @@ class MomentCone:
             abs(det_int([rays[j] for j in simplex])) for simplex in self._triangulation
         )
 
-    @cached_property
-    def _ray_matrix(self) -> np.ndarray:
-        return np.array(self.rays, dtype=float)
-
-    @cached_property
-    def _normal_matrix(self) -> np.ndarray:
-        return np.array(self.normals, dtype=float)
-
 
 @dataclass(frozen=True)
 class ReebVector:
@@ -223,6 +213,20 @@ def reeb_is_interior(cone: MomentCone, xi) -> bool:
     return all(sum(a * b for a, b in zip(xi, ray)) > 0 for ray in cone.rays)
 
 
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _supports(cone: MomentCone, xi) -> list:
+    """<xi, r> for every extreme ray r; all must be positive."""
+    supports = [_dot(xi, ray) for ray in cone.rays]
+    if any(s <= 0 for s in supports):
+        raise UnboundedPolytopeError(
+            "Reeb covector does not cut the cone to a bounded polytope"
+        )
+    return supports
+
+
 def volume(cone: MomentCone, xi):
     """Normalized volume m! * vol(C intersect {<y, xi> <= 1}).
 
@@ -231,11 +235,7 @@ def volume(cone: MomentCone, xi):
     """
     xi = _coerce_xi(cone, xi)
     exact = all(isinstance(x, (int, Fraction)) for x in xi)
-    supports = [sum(a * b for a, b in zip(xi, ray)) for ray in cone.rays]
-    if any(s <= 0 for s in supports):
-        raise UnboundedPolytopeError(
-            "Reeb covector does not cut the cone to a bounded polytope"
-        )
+    supports = _supports(cone, xi)
     total = Fraction(0) if exact else 0.0
     for det, simplex in zip(cone._simplex_dets, cone._triangulation):
         denom = 1
@@ -245,35 +245,46 @@ def volume(cone: MomentCone, xi):
     return total
 
 
-def volume_gradient(cone: MomentCone, xi) -> np.ndarray:
+def _simplex_terms(cone: MomentCone, xi):
+    """Per simplex, its float volume term and the vectors r_j / <xi, r_j>.
+
+    The term det / prod_j <xi, r_j> has gradient -term * sum_j q_j with
+    q_j = r_j / <xi, r_j>, and Hessian term * (qs qs^T + sum_j q_j q_j^T)
+    with qs = sum_j q_j.
+    """
+    xi = [float(x) for x in _coerce_xi(cone, xi)]
+    supports = _supports(cone, xi)
+    quotients = [[a / s for a in ray] for ray, s in zip(cone.rays, supports)]
+    for det, simplex in zip(cone._simplex_dets, cone._triangulation):
+        yield (
+            det / math.prod(supports[j] for j in simplex),
+            [quotients[j] for j in simplex],
+        )
+
+
+def volume_gradient(cone: MomentCone, xi) -> tuple[float, ...]:
     """Closed-form gradient of the normalized volume (float)."""
-    xi = np.asarray(_coerce_xi(cone, xi), dtype=float)
-    r = cone._ray_matrix
-    s = r @ xi
-    if s.min() <= 0:
-        raise UnboundedPolytopeError("Reeb covector outside the dual cone interior")
-    grad = np.zeros(cone.dim)
-    for det, simplex in zip(cone._simplex_dets, cone._triangulation):
-        idx = list(simplex)
-        coeff = det / np.prod(s[idx])
-        grad -= coeff * (r[idx] / s[idx, None]).sum(axis=0)
-    return grad
+    grad = [0.0] * cone.dim
+    for term, q in _simplex_terms(cone, xi):
+        for a, column in enumerate(zip(*q)):
+            grad[a] -= term * sum(column)
+    return tuple(grad)
 
 
-def volume_hessian(cone: MomentCone, xi) -> np.ndarray:
-    xi = np.asarray(_coerce_xi(cone, xi), dtype=float)
-    r = cone._ray_matrix
-    s = r @ xi
-    if s.min() <= 0:
-        raise UnboundedPolytopeError("Reeb covector outside the dual cone interior")
-    hess = np.zeros((cone.dim, cone.dim))
-    for det, simplex in zip(cone._simplex_dets, cone._triangulation):
-        idx = list(simplex)
-        coeff = det / np.prod(s[idx])
-        q = r[idx] / s[idx, None]
-        qs = q.sum(axis=0)
-        hess += coeff * (np.outer(qs, qs) + q.T @ q)
-    return hess
+def volume_hessian(cone: MomentCone, xi) -> tuple[tuple[float, ...], ...]:
+    """Closed-form Hessian of the normalized volume (float, symmetric)."""
+    dim = cone.dim
+    hess = [[0.0] * dim for _ in range(dim)]
+    for term, q in _simplex_terms(cone, xi):
+        qs = [sum(column) for column in zip(*q)]
+        for a in range(dim):
+            row = hess[a]
+            for b in range(a, dim):
+                row[b] += term * (qs[a] * qs[b] + sum(v[a] * v[b] for v in q))
+    for a in range(dim):
+        for b in range(a):
+            hess[a][b] = hess[b][a]
+    return tuple(map(tuple, hess))
 
 
 @dataclass(frozen=True)
@@ -325,11 +336,27 @@ class VolumeMinimum:
     grad_norm: float
 
 
-def _tangent_basis(gamma: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (columns) of the hyperplane orthogonal to gamma."""
-    m = gamma.size
-    _, _, vt = np.linalg.svd(gamma.reshape(1, m))
-    return vt[1:].T
+def _solve(matrix, rhs) -> list[float] | None:
+    """Solve matrix @ x = rhs by Gaussian elimination with partial pivoting.
+
+    Returns None when a pivot is exactly zero (a singular matrix).
+    """
+    n = len(rhs)
+    rows = [[*row, b] for row, b in zip(matrix, rhs)]
+    for col in range(n):
+        pivot = max(range(col, n), key=lambda i: abs(rows[i][col]))
+        if rows[pivot][col] == 0.0:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        head = rows[col]
+        for row in rows[col + 1 :]:
+            factor = row[col] / head[col]
+            for k in range(col, n + 1):
+                row[k] -= factor * head[k]
+    x = [0.0] * n
+    for i in reversed(range(n)):
+        x[i] = (rows[i][n] - _dot(rows[i][i + 1 : n], x[i + 1 :])) / rows[i][i]
+    return x
 
 
 def minimize_volume(
@@ -345,60 +372,55 @@ def minimize_volume(
     Newton steps on the slice (the volume is strictly convex there) with
     steepest-descent fallback, Armijo backtracking and a hard interior
     guard; converged when the projected gradient norm drops below
-    grad_tol.  Exhausting the iteration budget raises ConvergenceError
-    with diagnostics.
+    grad_tol.  The Newton step solves the bordered system
+
+        [[H, gamma], [gamma^T, 0]] @ (step, lambda) = (-grad, 0),
+
+    which keeps the step on the slice; a zero pivot falls back to
+    steepest descent.  Exhausting the iteration budget raises
+    ConvergenceError with diagnostics.
     """
     if gamma is None:
         result = gorenstein_gamma(cone)
         if result.gamma is None:
             raise DomainError(f"cone has no Gorenstein vector ({result.reason})")
         gamma = result.gamma
-    g = np.asarray([float(x) for x in gamma])
-    r = cone._ray_matrix
+    g = [float(x) for x in gamma]
     if start is None:
-        start = cone._normal_matrix.sum(axis=0)
-    xi = np.asarray([float(x) for x in _coerce_xi(cone, start)])
-    if not reeb_is_interior(cone, tuple(xi)):
+        start = [sum(column) for column in zip(*cone.normals)]
+    xi = tuple(float(x) for x in _coerce_xi(cone, start))
+    if not reeb_is_interior(cone, xi):
         raise DomainError("start point is not interior to the dual cone")
-    xi = np.asarray(reeb_slice_project(cone, tuple(g), tuple(xi)))
-    basis = _tangent_basis(g)
-
-    def value_at(point: np.ndarray) -> float:
-        s = r @ point
-        if s.min() <= 0:
-            return math.inf
-        total = 0.0
-        for det, simplex in zip(cone._simplex_dets, cone._triangulation):
-            total += det / np.prod(s[list(simplex)])
-        return total
-
-    current = value_at(xi)
+    xi = reeb_slice_project(cone, g, xi)
+    g_norm2 = _dot(g, g)
+    current = volume(cone, xi)
     grad_norm = math.inf
     for iteration in range(1, max_iter + 1):
-        grad = volume_gradient(cone, tuple(xi))
-        tangent_grad = grad - (grad @ g) / (g @ g) * g
-        grad_norm = float(np.linalg.norm(tangent_grad))
+        grad = volume_gradient(cone, xi)
+        along = _dot(grad, g) / g_norm2
+        tangent_grad = [a - along * b for a, b in zip(grad, g)]
+        grad_norm = math.hypot(*tangent_grad)
         if grad_norm < grad_tol:
             return VolumeMinimum(
-                reeb=ReebVector(tuple(float(x) for x in xi)),
+                reeb=ReebVector(xi),
                 value=current,
                 iterations=iteration - 1,
                 grad_norm=grad_norm,
             )
-        step = None
-        hess = volume_hessian(cone, tuple(xi))
-        reduced = basis.T @ hess @ basis
-        try:
-            step = -basis @ np.linalg.solve(reduced, basis.T @ grad)
-        except np.linalg.LinAlgError:
-            step = None
-        if step is None or grad @ step > -1e-14 * grad_norm:
-            step = -tangent_grad
-        slope = float(grad @ step)
+        hess = volume_hessian(cone, xi)
+        bordered = [[*row, b] for row, b in zip(hess, g)] + [[*g, 0.0]]
+        solution = _solve(bordered, [-a for a in grad] + [0.0])
+        step = None if solution is None else solution[:-1]
+        if step is None or _dot(grad, step) > -1e-14 * grad_norm:
+            step = [-a for a in tangent_grad]
+        slope = _dot(grad, step)
         alpha = 1.0
         while alpha > 1e-18:
-            candidate = xi + alpha * step
-            candidate_value = value_at(candidate)
+            candidate = tuple(x + alpha * s for x, s in zip(xi, step))
+            try:
+                candidate_value = volume(cone, candidate)
+            except UnboundedPolytopeError:
+                candidate_value = math.inf
             if candidate_value <= current + 1e-4 * alpha * slope:
                 break
             alpha *= 0.5
@@ -419,45 +441,6 @@ def minimize_volume(
         last_value=current,
         grad_norm=grad_norm,
     )
-
-
-def guillemin_potential(cone: MomentCone, xi, y) -> float:
-    """Canonical symplectic potential of the cone at the point y.
-
-    G(y) = 1/2 [ sum_i l_i log l_i + l_xi log l_xi - l_inf log l_inf ]
-    with l_i = <y, normal_i>, l_xi = <y, xi>, l_inf = sum_i l_i.  Needs y
-    strictly inside the cone and <y, xi> > 0.
-    """
-    xi = _coerce_xi(cone, xi)
-    y = tuple(y)
-    if len(y) != cone.dim:
-        raise DomainError(f"point has length {len(y)}, cone needs {cone.dim}")
-    supports = [float(sum(a * b for a, b in zip(normal, y))) for normal in cone.normals]
-    l_xi = float(sum(a * b for a, b in zip(xi, y)))
-    if any(s <= 0 for s in supports) or l_xi <= 0:
-        raise DomainError("potential needs a point strictly inside the cone")
-    l_inf = sum(supports)
-    total = sum(s * math.log(s) for s in supports)
-    return 0.5 * (total + l_xi * math.log(l_xi) - l_inf * math.log(l_inf))
-
-
-def potential_hessian(cone: MomentCone, xi, y) -> np.ndarray:
-    """Hessian of the potential: sum normal x normal / (2 l_i) + xi x xi /
-    (2 l_xi) - lambda_sum x lambda_sum / (2 l_inf)."""
-    xi_t = _coerce_xi(cone, xi)
-    y = tuple(y)
-    a = cone._normal_matrix
-    xi_v = np.asarray([float(x) for x in xi_t])
-    y_v = np.asarray([float(v) for v in y])
-    supports = a @ y_v
-    l_xi = float(xi_v @ y_v)
-    if supports.min() <= 0 or l_xi <= 0:
-        raise DomainError("Hessian needs a point strictly inside the cone")
-    lam_sum = a.sum(axis=0)
-    hess = (a.T / (2.0 * supports)) @ a
-    hess += np.outer(xi_v, xi_v) / (2.0 * l_xi)
-    hess -= np.outer(lam_sum, lam_sum) / (2.0 * supports.sum())
-    return hess
 
 
 # ---------------------------------------------------------------------------

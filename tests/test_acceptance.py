@@ -29,13 +29,13 @@ from selink import (
 from selink.toric import (
     MomentCone,
     minimize_volume,
-    potential_hessian,
     reeb_is_interior,
     volume,
     volume_gradient,
 )
 
 from conftest import random_coprime_triple, random_fermat_link
+from toric_potentials import potential_hessian
 
 CONIFOLD = MomentCone(((1, 0, 0), (1, 1, 0), (1, 1, 1), (1, 0, 1)))
 

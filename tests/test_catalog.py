@@ -206,6 +206,15 @@ class TestEnumerateBP:
         with pytest.raises(DomainError, match="safety bound"):
             enumerate_bp(8, 2000)
 
+    def test_length_guard(self):
+        # At max exponent 2 there is one tuple of any length, but the
+        # tuple itself would hold a billion entries.
+        with pytest.raises(DomainError, match="length 1000000000 exceeds the safety bound"):
+            enumerate_bp(10**9, 2)
+        with pytest.raises(DomainError, match="safety bound"):
+            enumerate_bp(2_000_001, 2)
+        assert [len(bp.exponents) for bp in enumerate_bp(1000, 2)] == [1000]
+
     def test_bad_arguments(self):
         with pytest.raises(DomainError):
             enumerate_bp(2, 5)

@@ -209,6 +209,12 @@ class TestModuli:
         d = json.loads(out)
         assert d == {"moduli": 254, "reference": 266, "delta": -12}
 
+    def test_negative_count_warns_in_one_line(self, capsys):
+        rc, out, err = run(capsys, "moduli", "w=1,1,1", "d=2")
+        assert rc == 0
+        assert out == "moduli=-6\n"
+        assert err == "warning: naive moduli count is negative (-6) for w=1,1,1 d=2\n"
+
     def test_huge_degree_refused(self, capsys):
         # A degree-long count table would need 3 * 10^9 entries.
         rc, out, err = run(capsys, "moduli", "w=1,1,1", "d=3000000000")
@@ -416,6 +422,17 @@ class TestBatch:
         rc, _, err = run(capsys, "batch", "--length", "8", "--max-exponent", "2000")
         assert rc == 1
         assert "safety bound" in err
+
+    def test_length_guard_leaves_no_file(self, capsys, tmp_path):
+        out_path = tmp_path / "P"
+        rc, out, err = run(
+            capsys, "batch", "--length", "1000000000", "--max-exponent", "2",
+            "-o", str(out_path),
+        )
+        assert rc == 1
+        assert out == ""
+        assert err == "error: length 1000000000 exceeds the safety bound of 2000000\n"
+        assert not out_path.exists()
 
     def test_bad_enumeration_leaves_no_file(self, capsys, tmp_path):
         out_path = tmp_path / "cat.jsonl"

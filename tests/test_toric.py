@@ -23,9 +23,7 @@ from selink import (
     cone_from_weights,
     cy_condition,
     gorenstein_gamma,
-    guillemin_potential,
     minimize_volume,
-    potential_hessian,
     read_cone_file,
     read_weight_matrix_file,
     reeb_is_interior,
@@ -34,6 +32,9 @@ from selink import (
     volume_gradient,
     volume_hessian,
 )
+
+from selink.toric import _solve
+from toric_potentials import guillemin_potential, potential_hessian
 
 ORTHANT3 = MomentCone(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 CONIFOLD = MomentCone(((1, 0, 0), (1, 1, 0), (1, 1, 1), (1, 0, 1)))
@@ -193,14 +194,14 @@ class TestDerivatives:
         rng = random.Random(5)
         h = 1e-5
         xi = np.array(random_interior_xi(cone, rng), dtype=float)
-        hess = volume_hessian(cone, tuple(xi))
+        hess = np.asarray(volume_hessian(cone, tuple(xi)))
         assert np.allclose(hess, hess.T)
         for a in range(cone.dim):
             e = np.zeros(cone.dim)
             e[a] = h
             fd = (
-                volume_gradient(cone, tuple(xi + e))
-                - volume_gradient(cone, tuple(xi - e))
+                np.asarray(volume_gradient(cone, tuple(xi + e)))
+                - np.asarray(volume_gradient(cone, tuple(xi - e)))
             ) / (2 * h)
             assert np.allclose(hess[a], fd, rtol=1e-4, atol=1e-6)
 
@@ -210,6 +211,49 @@ class TestDerivatives:
             xi = random_interior_xi(CONIFOLD, rng)
             eigs = np.linalg.eigvalsh(volume_hessian(CONIFOLD, xi))
             assert eigs.min() > 0
+
+
+class TestNewtonStep:
+    def test_solve_matches_numpy(self):
+        rng = random.Random(17)
+        for n in range(1, 8):
+            for _ in range(10):
+                a = [[rng.uniform(-2, 2) for _ in range(n)] for _ in range(n)]
+                b = [rng.uniform(-2, 2) for _ in range(n)]
+                if abs(np.linalg.det(a)) < 1e-3:
+                    continue
+                assert np.allclose(_solve(a, b), np.linalg.solve(a, b), rtol=1e-9, atol=1e-12)
+
+    def test_solve_pivots_past_zero_diagonal(self):
+        assert _solve([[0.0, 1.0], [1.0, 0.0]], [2.0, 3.0]) == [3.0, 2.0]
+
+    def test_solve_reports_singular_matrix(self):
+        assert _solve([[1.0, 2.0], [2.0, 4.0]], [1.0, 2.0]) is None
+        assert _solve([[0.0, 1.0], [0.0, 1.0]], [1.0, 1.0]) is None
+
+    @pytest.mark.parametrize(
+        "cone",
+        [
+            CONIFOLD,
+            orthant(4),
+            MomentCone(((1, 1, 0), (1, 1, 1), (1, 0, 1), (1, -1, 0), (1, -1, -1), (1, 0, -1))),
+            cone_from_weights(WeightMatrix(((2, 8, -5, -5),), 4)),
+        ],
+    )
+    def test_bordered_step_matches_tangent_basis_step(self, cone):
+        # The Newton step on the slice <xi, gamma> = const, taken in an
+        # orthonormal basis of gamma's complement (from an SVD).
+        gamma = np.array(gorenstein_gamma(cone).gamma, dtype=float)
+        basis = np.linalg.svd(gamma.reshape(1, -1))[2][1:].T
+        rng = random.Random(31)
+        for _ in range(10):
+            xi = random_interior_xi(cone, rng)
+            grad = np.asarray(volume_gradient(cone, xi))
+            hess = np.asarray(volume_hessian(cone, xi))
+            expected = -basis @ np.linalg.solve(basis.T @ hess @ basis, basis.T @ grad)
+            bordered = np.block([[hess, gamma[:, None]], [gamma[None, :], np.zeros((1, 1))]])
+            step = _solve(bordered.tolist(), [*(-grad), 0.0])[:-1]
+            assert np.allclose(step, expected, rtol=1e-9, atol=1e-12 * np.abs(expected).max())
 
 
 class TestGorenstein:
