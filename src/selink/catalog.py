@@ -18,7 +18,6 @@ spoils a batch.
 from __future__ import annotations
 
 import json
-import math
 import warnings
 from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
@@ -219,11 +218,18 @@ def enumerate_bp(
         raise DomainError(f"need max exponent >= 2, got {max_exponent}")
     if length > _MAX_ENUMERATION:
         raise DomainError(f"length {length} exceeds the safety bound of {_MAX_ENUMERATION}")
-    total = math.comb(max_exponent - 2 + length, length)
-    if total > _MAX_ENUMERATION:
-        raise DomainError(
-            f"enumeration of {total} exponent tuples exceeds the safety bound"
-        )
+    # C(n, length) = C(n, k) as a running product, which is C(n - k + i, i)
+    # after step i; it stops at the bound, before the number gets large.
+    n = max_exponent - 2 + length
+    k = min(length, max_exponent - 2)
+    total = 1
+    for i in range(1, k + 1):
+        total = total * (n - k + i) // i
+        if total > _MAX_ENUMERATION:
+            raise DomainError(
+                f"enumeration of C({n}, {length}) > {_MAX_ENUMERATION} exponent tuples "
+                "exceeds the safety bound"
+            )
 
     def keep(bp: BPExponents) -> bool:
         if coprime is not None and bp.pairwise_coprime() != coprime:

@@ -17,9 +17,10 @@ is convex on the Reeb interior; on a Gorenstein cone its restriction to
 the affine slice <xi, gamma> = -m has a unique minimum, the volume
 minimizing Reeb vector field.
 
-Combinatorics is exact: extreme rays are computed from (m-1)-fold facet
-intersections in integer arithmetic, and the cone is decomposed once into
-simplicial subcones whose index structure does not depend on xi.  The
+Combinatorics is exact: extreme rays are computed in integer arithmetic by
+the double-description method, adding one facet normal at a time, and the
+cone is decomposed once into simplicial subcones, read off the ray-facet
+incidences, whose index structure does not depend on xi.  The
 volume is then a finite sum
 
     V(xi) = sum over simplices |det(r_1 ... r_m)| / prod <xi, r_j>,
@@ -112,65 +113,105 @@ class MomentCone:
     def dim(self) -> int:
         return len(self.normals[0])
 
-    @cached_property
+    @property
     def rays(self) -> tuple[tuple[int, ...], ...]:
-        """Primitive generators of the extreme rays, lexicographically sorted.
+        """Primitive generators of the extreme rays, lexicographically sorted."""
+        return self._incidences[0]
 
-        A ray of a pointed cone is extreme iff its active facet normals
-        have rank dim-1, so candidates come from kernels of (dim-1)-subsets
-        of normals, oriented into the cone.  Each kernel is found by
-        fraction-free integer elimination (``kernel_vector``), one per
-        subset.  Computed on construction.
+    @cached_property
+    def _incidences(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """The sorted extreme rays, and per normal the bitmask of rays on it.
+
+        Double description (Motzkin et al. 1953; Fukuda-Prodon 1996).  The
+        first dim independent normals cut out a simplicial cone, whose rays
+        are the kernels of dim-1 of them, oriented into the cone.  The
+        other normals h are added one at a time in input order: rays with
+        <h, r> >= 0 stay, and every adjacent pair with <h, p> > 0 > <h, q>
+        adds the primitive vector <h, p> q - <h, q> p.  Each ray carries its
+        zero set over the normals added so far as a bitmask; two rays are
+        adjacent when their common zero set has at least dim-2 members and
+        lies in no third ray's zero set.  Computed on construction.
         """
         dim = self.dim
-        found = set()
-        for subset in combinations(self.normals, dim - 1):
-            vec = kernel_vector(subset, dim)
-            if vec is None:
+        normals = self.normals
+        basis = []
+        for i, normal in enumerate(normals):
+            if len(basis) == dim:
+                break
+            if rank_rational([normals[j] for j in basis] + [normal]) > len(basis):
+                basis.append(i)
+        added = sum(1 << i for i in basis)
+        rays = []  # (primitive vector, zero set)
+        for i in basis:
+            vec = kernel_vector([normals[j] for j in basis if j != i], dim)
+            if _dot(normals[i], vec) < 0:
+                vec = tuple(-x for x in vec)
+            rays.append((vec, added & ~(1 << i)))
+        for i, h in enumerate(normals):
+            if added >> i & 1:
                 continue
-            dots = [sum(a * b for a, b in zip(normal, vec)) for normal in self.normals]
-            if all(d >= 0 for d in dots):
-                found.add(vec)
-            elif all(d <= 0 for d in dots):
-                found.add(tuple(-x for x in vec))
-        return tuple(sorted(found))
+            kept, pos, neg = [], [], []
+            for vec, zeros in rays:
+                s = _dot(h, vec)
+                if s > 0:
+                    pos.append((vec, zeros, s))
+                    kept.append((vec, zeros))
+                elif s < 0:
+                    neg.append((vec, zeros, s))
+                else:
+                    kept.append((vec, zeros | 1 << i))
+            all_zeros = [zeros for _, zeros in rays]
+            for p, zp, sp in pos:
+                for q, zq, sq in neg:
+                    common = zp & zq
+                    if common.bit_count() < dim - 2:
+                        continue
+                    if sum(common & z == common for z in all_zeros) > 2:
+                        continue
+                    vec = [sp * b - sq * a for a, b in zip(p, q)]
+                    g = math.gcd(*vec)
+                    kept.append((tuple(x // g for x in vec), common | 1 << i))
+            rays = kept
+        rays.sort()
+        masks = [0] * len(normals)
+        for j, (_, zeros) in enumerate(rays):
+            for i in range(len(normals)):
+                if zeros >> i & 1:
+                    masks[i] |= 1 << j
+        return tuple(vec for vec, _ in rays), tuple(masks)
 
     @cached_property
     def _triangulation(self) -> tuple[tuple[int, ...], ...]:
         """Decomposition into simplicial subcones, as tuples of ray indices.
 
-        Recursive pulling triangulation on the face lattice.  Faces are
-        identified by their ray index sets; the facets of a face are its
-        intersections with the cone's facet hyperplanes that cut it down
-        by exactly one dimension.  All decisions are exact integer/rational
-        arithmetic, so near-parallel facets cannot flip the combinatorics.
+        Recursive pulling triangulation on the face lattice.  A face is the
+        bitmask of its ray indices, and each normal has the bitmask of the
+        rays it vanishes on.  The facets of a face are its inclusion-maximal
+        proper intersections with those masks, so the face lattice is read
+        off the exact incidences and needs no further arithmetic.  Each face
+        is coned from its lowest ray (the anchor) over the facets that miss
+        it, taken in the order of the normals.
         """
-        rays = self.rays
-        dots = [
-            [sum(a * b for a, b in zip(normal, ray)) for ray in rays]
-            for normal in self.normals
-        ]
+        rays, masks = self._incidences
 
-        def triangulate(face: tuple[int, ...], d: int):
-            if len(face) == d:
-                return [face]
-            anchor = face[0]
-            seen = set()
+        def triangulate(face: int, d: int):
+            if face.bit_count() == d:
+                return [tuple(j for j in range(face.bit_length()) if face >> j & 1)]
+            anchor = face & -face
+            subs = dict.fromkeys(face & mask for mask in masks)  # in normal order
+            subs.pop(face, None)
+            facets = []  # by decreasing size: a facet is in no larger one
+            for sub in sorted(subs, key=int.bit_count, reverse=True):
+                if all(sub & f != sub for f in facets):
+                    facets.append(sub)
             simplices = []
-            for row in dots:
-                sub = tuple(j for j in face if row[j] == 0)
-                if anchor in sub or len(sub) < d - 1 or sub == face:
-                    continue
-                if sub in seen:
-                    continue
-                seen.add(sub)
-                if rank_rational([rays[j] for j in sub]) != d - 1:
-                    continue
-                for tau in triangulate(sub, d - 1):
-                    simplices.append(tau + (anchor,))
+            for sub in subs:
+                if sub in facets and not sub & anchor:
+                    for tau in triangulate(sub, d - 1):
+                        simplices.append(tau + (anchor.bit_length() - 1,))
             return simplices
 
-        return tuple(triangulate(tuple(range(len(rays))), self.dim))
+        return tuple(triangulate((1 << len(rays)) - 1, self.dim))
 
     @cached_property
     def _simplex_dets(self) -> tuple[int, ...]:

@@ -10,6 +10,8 @@ round trip.
 
 import io
 import json
+import math
+import time
 import warnings
 
 import pytest
@@ -205,6 +207,26 @@ class TestEnumerateBP:
     def test_overflow_guard(self):
         with pytest.raises(DomainError, match="safety bound"):
             enumerate_bp(8, 2000)
+
+    def test_count_guard_is_immediate(self):
+        # C(2*10^6, 10^6) has about 600000 digits; the bound is checked on
+        # a running product that stops as soon as it passes 2*10^6.
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match=r"C\(2000000, 1000000\) > 2000000 .* safety bound"):
+            enumerate_bp(10**6, 10**6 + 2)
+        assert time.perf_counter() - start < 5.0
+
+    def test_count_guard_matches_exact_count(self):
+        # The running product refuses exactly the enumerations whose exact
+        # count C(max_exponent - 2 + length, length) passes the bound.
+        for length in range(3, 9):
+            for max_exponent in (*range(2, 40), 228, 229, 230):
+                total = math.comb(max_exponent - 2 + length, length)
+                if total > catalog._MAX_ENUMERATION:
+                    with pytest.raises(DomainError, match="safety bound"):
+                        enumerate_bp(length, max_exponent)
+                else:
+                    enumerate_bp(length, max_exponent)
 
     def test_length_guard(self):
         # At max exponent 2 there is one tuple of any length, but the

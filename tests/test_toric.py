@@ -6,11 +6,14 @@ on the slice polytope, a fully independent computation path.
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
 from selink import (
@@ -34,10 +37,12 @@ from selink import (
 )
 
 from selink.toric import _solve
+from toric_oracles import oracle_cone, oracle_volume
 from toric_potentials import guillemin_potential, potential_hessian
 
 ORTHANT3 = MomentCone(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 CONIFOLD = MomentCone(((1, 0, 0), (1, 1, 0), (1, 1, 1), (1, 0, 1)))
+DP3_NORMALS = ((1, 1, 0), (1, 1, 1), (1, 0, 1), (1, -1, 0), (1, -1, -1), (1, 0, -1))
 
 
 def orthant(m: int) -> MomentCone:
@@ -77,18 +82,29 @@ class TestMomentCone:
         with pytest.raises(DomainError):
             MomentCone(((1, 0), (-1, 0)))
 
-    def test_rejects_halfspace(self):
-        # Not strongly convex: contains the x-axis and its negative.
-        with pytest.raises(DomainError):
+    def test_rejects_single_ray(self):
+        # y_1 = 0 and y_0 >= 0: rank 2, so pointed, but the cone is the
+        # single ray (1, 0) and has empty interior.
+        with pytest.raises(DomainError, match="empty interior"):
             MomentCone(((0, 1), (0, -1), (1, 0)))
+
+    def test_rejects_halfspace(self):
+        # y_1 >= 0 contains the whole y_0-axis.
+        with pytest.raises(DomainError, match="not strongly convex"):
+            MomentCone(((0, 1),))
 
     def test_rejects_pointed_cone_inside_a_hyperplane(self):
         # Rank 4 and four extreme rays, yet every point has y_0 = 0.
         normals = (
             (1, 0, 0, 0), (-1, 0, 0, 0), (0, 1, 0, 0), (0, 1, 1, 0), (0, 1, 1, 1), (0, 1, 0, 1)
         )
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="empty interior"):
             MomentCone(normals)
+
+    def test_rejects_zero_cone(self):
+        # +-e1 and +-e2 leave only the origin: no extreme ray at all.
+        with pytest.raises(DomainError, match="empty interior"):
+            MomentCone(((1, 0), (-1, 0), (0, 1), (0, -1)))
 
     def test_rejects_dimension_one(self):
         with pytest.raises(DomainError):
@@ -103,6 +119,102 @@ class TestMomentCone:
         assert reeb_is_interior(CONIFOLD, (3, 1.5, 1.5))
         assert not reeb_is_interior(CONIFOLD, (1, 1, -5))
         assert not reeb_is_interior(CONIFOLD, (0, 1, 1))  # boundary ray pairing
+
+
+def cyclic_normals(m: int, count: int):
+    """Normals (1, t, ..., t^{m-1}) at count nonzero t, symmetric about 0."""
+    ts = [t for t in range(-(count // 2), count - count // 2 + 1) if t]
+    return tuple(tuple(t**k for k in range(m)) for t in ts)
+
+
+def ypq_normals(p: int, q: int):
+    return cone_from_weights(WeightMatrix(((p - q, p + q, -p, -p),), 4)).normals
+
+
+def assert_matches_oracle(raw_normals):
+    """rays, triangulation, dets and exact volume, or the error, as the oracle."""
+    try:
+        expected = oracle_cone(raw_normals)
+    except DomainError as exc:
+        with pytest.raises(DomainError, match=f"^{re.escape(str(exc))}$"):
+            MomentCone(raw_normals)
+        return
+    normals, rays, triangulation, dets = expected
+    cone = MomentCone(raw_normals)
+    assert cone.normals == normals
+    assert cone.rays == rays
+    assert cone._triangulation == triangulation
+    assert cone._simplex_dets == dets
+    # Every ray pairs positively with some normal, so xi is interior.
+    xi = tuple(sum(column) for column in zip(*normals))
+    assert volume(cone, xi) == oracle_volume(rays, triangulation, dets, xi)
+
+
+@st.composite
+def small_normal_sets(draw):
+    """Small integer normals, with redundant and repeated (after scaling) ones.
+
+    With a positive first coordinate, e_0 pairs positively with every
+    normal, so the cone has interior; otherwise many draws are rejected.
+    A product with an orthant, whose normals' sum vanishes on the whole
+    first factor, gives non-simple cones up to dimension 6: faces that
+    lie on more normals than their codimension.
+    """
+    dim = draw(st.integers(2, 4))
+    positive = draw(st.booleans())
+    first = st.integers(1, 3) if positive else st.integers(-3, 3)
+    normal = st.tuples(first, *[st.integers(-3, 3)] * (dim - 1)).filter(any)
+    normals = draw(st.lists(normal, min_size=dim, max_size=dim + 3))
+    extra = draw(st.integers(0, 2))
+    if extra:
+        units = [tuple(int(i == j) for i in range(dim + extra)) for j in range(dim, dim + extra)]
+        normals = [n + (0,) * extra for n in normals] + units
+        normals.append(tuple(map(sum, zip(*units))))
+    for _ in range(draw(st.integers(0, 2))):
+        a, b = draw(st.sampled_from(normals)), draw(st.sampled_from(normals))
+        total = tuple(x + y for x, y in zip(a, b))
+        if any(total):
+            normals.append(total)  # redundant unless a facet lies on it
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(2, 3))
+        normals.append(tuple(k * x for x in draw(st.sampled_from(normals))))
+    return tuple(draw(st.permutations(normals)))
+
+
+class TestCombinatoricsAgainstOracles:
+    """Double-description rays and incidence triangulation, checked against
+    the subset-kernel enumeration and the rank-based triangulation."""
+
+    @pytest.mark.parametrize("m", [4, 5, 6])
+    @pytest.mark.parametrize("count", range(8, 13))
+    def test_cyclic_cones(self, m, count):
+        assert_matches_oracle(cyclic_normals(m, count))
+
+    @pytest.mark.parametrize(
+        "p,q", [(p, q) for p in range(2, 9) for q in range(1, p) if math.gcd(p, q) == 1]
+    )
+    def test_ypq_cones(self, p, q):
+        assert_matches_oracle(ypq_normals(p, q))
+
+    @pytest.mark.parametrize("normals", [CONIFOLD.normals, DP3_NORMALS])
+    def test_conifold_and_dp3(self, normals):
+        assert_matches_oracle(normals)
+
+    @pytest.mark.parametrize("base", [CONIFOLD.normals, DP3_NORMALS])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_non_simple_products(self, base, k):
+        # base x (k-orthant): the orthant normals' sum vanishes on the
+        # whole base face, and two opposite base rays share k+1 >= dim-2
+        # zero normals without being adjacent.
+        dim = len(base[0]) + k
+        units = [tuple(int(i == j) for i in range(dim)) for j in range(len(base[0]), dim)]
+        redundant = tuple(map(sum, zip(*units)))
+        assert_matches_oracle((*units, redundant, *(n + (0,) * k for n in base)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_normal_sets())
+    def test_random_small_cones(self, normals):
+        assert_matches_oracle(normals)
 
 
 class TestVolume:
