@@ -22,146 +22,51 @@ beyond the standard library.  The toric names load on first use, so the
 link commands do not pay for importing them.
 """
 
+from . import catalog, dimension, errors, existence, homology, links
 from ._version import __version__
-from .catalog import (
-    CatalogRecord,
-    catalogs_equal,
-    enumerate_bp,
-    export_table,
-    read_catalog,
-    run_pipeline,
-    write_catalog,
-)
-from .dimension import (
-    MODULI_REFERENCE,
-    SmaleManifold,
-    TableLookup,
-    casson_invariant,
-    count_monomials,
-    moduli_dimension,
-    moduli_reference,
-    negative_continued_fraction,
-    smale_name,
-    table_lookup,
-    tight_contact_count,
-)
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    InternalConsistencyError,
-    NotSmaleFormError,
-    TorsionDivisionError,
-    UnboundedPolytopeError,
-)
-from .existence import (
-    RULES,
-    STATUSES,
-    ExistenceVerdict,
-    bp_klt_window,
-    crude_klt,
-    decide_existence,
-    ghigi_kollar,
-    lichnerowicz_obstruction,
-)
-from .homology import (
-    HomologyGroup,
-    OrlikTable,
-    betti_number,
-    link_homology,
-    orlik_table,
-    torsion_orders,
-)
-from .links import (
-    LINK_TYPES,
-    BPExponents,
-    FractionalWeights,
-    WeightedLink,
-    as_link,
-    bp_to_link,
-    classify_type,
-    fractional_weights,
-    parse_presentation,
-)
-__all__ = [
-    "__version__",
-    # links
-    "LINK_TYPES",
-    "WeightedLink",
-    "BPExponents",
-    "FractionalWeights",
-    "as_link",
-    "bp_to_link",
-    "classify_type",
-    "fractional_weights",
-    "parse_presentation",
-    # homology
-    "HomologyGroup",
-    "OrlikTable",
-    "betti_number",
-    "link_homology",
-    "orlik_table",
-    "torsion_orders",
-    # existence
-    "RULES",
-    "STATUSES",
-    "ExistenceVerdict",
-    "bp_klt_window",
-    "crude_klt",
-    "decide_existence",
-    "ghigi_kollar",
-    "lichnerowicz_obstruction",
-    # dimension tools
-    "MODULI_REFERENCE",
-    "SmaleManifold",
-    "TableLookup",
-    "casson_invariant",
-    "count_monomials",
-    "moduli_dimension",
-    "moduli_reference",
-    "negative_continued_fraction",
-    "smale_name",
-    "table_lookup",
-    "tight_contact_count",
-    # toric
-    "GorensteinResult",
+from .catalog import *
+from .dimension import *
+from .errors import *
+from .existence import *
+from .homology import *
+from .links import *
+
+# The names of the toric module, which loads on first use through
+# __getattr__ below; a test pins this list to toric.__all__.
+_TORIC_NAMES = (
     "MomentCone",
     "ReebVector",
-    "VolumeMinimum",
     "WeightMatrix",
-    "cokernel_invariants",
-    "cone_from_weights",
+    "GorensteinResult",
+    "VolumeMinimum",
     "cy_condition",
+    "cone_from_weights",
+    "cokernel_invariants",
     "gorenstein_gamma",
-    "minimize_volume",
-    "read_cone_file",
-    "read_weight_matrix_file",
-    "reeb_is_interior",
     "reeb_slice_project",
     "volume",
     "volume_gradient",
     "volume_hessian",
-    # catalog
-    "CatalogRecord",
-    "catalogs_equal",
-    "enumerate_bp",
-    "export_table",
-    "read_catalog",
-    "run_pipeline",
-    "write_catalog",
-    # errors
-    "ConvergenceError",
-    "DomainError",
-    "InternalConsistencyError",
-    "NotSmaleFormError",
-    "TorsionDivisionError",
-    "UnboundedPolytopeError",
+    "reeb_is_interior",
+    "minimize_volume",
+    "read_cone_file",
+    "read_weight_matrix_file",
+)
+
+__all__ = [
+    "__version__",
+    *links.__all__,
+    *homology.__all__,
+    *existence.__all__,
+    *dimension.__all__,
+    *_TORIC_NAMES,
+    *catalog.__all__,
+    *errors.__all__,
 ]
 
 
 def __getattr__(name):
-    # Every exported name not bound above is one of the toric names, which
-    # load here on first use to keep the link commands' cold start short.
-    if name in __all__:
+    if name in _TORIC_NAMES:
         from . import toric
 
         return getattr(toric, name)

@@ -1,11 +1,14 @@
 """Command-line interface.
 
-One executable, ``selink``, with a subcommand per query.  Output goes to
-stdout in one of three formats: ``text`` (a single human-readable line),
+One executable, ``selink``, with a subcommand per query.  Each query
+prints its result to stdout in the format its ``--format`` option
+selects: ``text`` (a single human-readable line, the default),
 ``records`` (one JSON object, sorted keys) or ``table`` (TSV with a
-header row).  Exit codes: 0 success, 1 domain error (bad input, bad
-usage), 2 internal consistency failure (a violated mathematical
-invariant, which is a bug worth reporting).
+header row).  ``batch`` writes a catalog and takes ``--jobs``;
+``export-table`` turns a catalog into TSV.  An option given to a
+command that does not read it is a usage error.  Exit codes: 0 success,
+1 domain error (bad input, bad usage), 2 internal consistency failure (a
+violated mathematical invariant, which is a bug worth reporting).
 """
 
 from __future__ import annotations
@@ -289,6 +292,7 @@ def _worker_count(jobs: int) -> int:
 
 
 def _cmd_batch(args) -> int:
+    jobs = _worker_count(args.jobs)
     coprime = None
     if args.coprime:
         coprime = True
@@ -303,14 +307,14 @@ def _cmd_batch(args) -> int:
     )
     with ExitStack() as stack:
         stream = stack.enter_context(open(args.output, "w")) if args.output else sys.stdout
-        if args.jobs > 1:
+        if jobs > 1:
             from concurrent.futures import ProcessPoolExecutor
 
             # Workers compute, the parent is the single writer; map() yields
             # in input order so the catalog is deterministic regardless of
             # --jobs.  It submits every input up front (Executor.map has no
             # buffersize before Python 3.14); only --jobs 1 holds no records.
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs))
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
             records = pool.map(run_pipeline, tuples, chunksize=16)
         else:
             records = map(run_pipeline, tuples)
@@ -351,129 +355,97 @@ def _add_cone_arguments(parser):
     )
 
 
-def build_parser() -> _Parser:
-    shared = _Parser(add_help=False)
-    shared.add_argument(
+def _add_query(sub, name, func, help):
+    """A subcommand that prints one result in the format --format selects."""
+    parser = sub.add_parser(name, help=help)
+    parser.add_argument(
         "--format",
         choices=("text", "records", "table"),
-        default=argparse.SUPPRESS,
+        default="text",
         help="output format (default text)",
     )
-    shared.add_argument(
-        "--jobs",
-        type=int,
-        default=argparse.SUPPRESS,
-        help="worker processes for batch runs (default 1, at most the CPU count)",
-    )
-    shared.add_argument(
-        "--config",
-        default=argparse.SUPPRESS,
-        help="JSON config file with default format/jobs",
-    )
+    parser.set_defaults(func=func)
+    return parser
 
-    parser = _Parser(prog="selink", description=__doc__, parents=[shared])
-    parser.set_defaults(format=None, jobs=None, config=None)
+
+def build_parser() -> _Parser:
+    parser = _Parser(prog="selink", description=__doc__)
     parser.add_argument("--version", action="version", version=f"selink {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    p = sub.add_parser("classify", parents=[shared], help="trichotomy type and index")
+    p = _add_query(sub, "classify", _cmd_classify, "trichotomy type and index")
     _add_presentation_argument(p)
-    p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("homology", parents=[shared], help="Betti number and torsion")
+    p = _add_query(sub, "homology", _cmd_homology, "Betti number and torsion")
     _add_presentation_argument(p)
     p.add_argument(
         "--source",
         choices=("bp", "chain"),
         help="declare the defining polynomial class (affects the proven flag)",
     )
-    p.set_defaults(func=_cmd_homology)
 
-    p = sub.add_parser("verdict", parents=[shared], help="existence/obstruction verdict")
+    p = _add_query(sub, "verdict", _cmd_verdict, "existence/obstruction verdict")
     _add_presentation_argument(p)
-    p.set_defaults(func=_cmd_verdict)
 
-    p = sub.add_parser("dim5-name", parents=[shared], help="Smale name of a 5-dim link")
+    p = _add_query(sub, "dim5-name", _cmd_dim5_name, "Smale name of a 5-dim link")
     _add_presentation_argument(p)
-    p.set_defaults(func=_cmd_dim5_name)
 
-    p = sub.add_parser(
-        "se-table", parents=[shared], help="classification table lookup for 5-manifolds"
+    p = _add_query(
+        sub, "se-table", _cmd_se_table, "classification table lookup for 5-manifolds"
     )
     p.add_argument("presentation", nargs="*", help="link presentation (optional)")
     p.add_argument("--betti", type=int, help="rank of H_2")
     p.add_argument("--m", help="comma-separated torsion chain m_1|m_2|...")
-    p.set_defaults(func=_cmd_se_table)
 
-    p = sub.add_parser("casson", parents=[shared], help="Casson invariant of a Brieskorn sphere")
+    p = _add_query(sub, "casson", _cmd_casson, "Casson invariant of a Brieskorn sphere")
     p.add_argument("a0", type=int)
     p.add_argument("a1", type=int)
     p.add_argument("a2", type=int)
-    p.set_defaults(func=_cmd_casson)
 
-    p = sub.add_parser("tight-count", parents=[shared], help="tight contact structures on L(p,q)")
+    p = _add_query(sub, "tight-count", _cmd_tight_count, "tight contact structures on L(p,q)")
     p.add_argument("p", type=int)
     p.add_argument("q", type=int)
-    p.set_defaults(func=_cmd_tight_count)
 
-    p = sub.add_parser("moduli", parents=[shared], help="naive moduli dimension")
+    p = _add_query(sub, "moduli", _cmd_moduli, "naive moduli dimension")
     _add_presentation_argument(p)
-    p.set_defaults(func=_cmd_moduli)
 
-    p = sub.add_parser("toric", parents=[shared], help="moment-cone computations")
+    p = sub.add_parser("toric", help="moment-cone computations")
     toric_sub = p.add_subparsers(dest="toric_command", metavar="QUERY")
 
-    q = toric_sub.add_parser("gamma", parents=[shared], help="Gorenstein vector of the cone")
+    q = _add_query(toric_sub, "gamma", _cmd_toric_gamma, "Gorenstein vector of the cone")
     _add_cone_arguments(q)
-    q.set_defaults(func=_cmd_toric_gamma)
 
-    q = toric_sub.add_parser("volume", parents=[shared], help="normalized volume at --xi")
+    q = _add_query(toric_sub, "volume", _cmd_toric_volume, "normalized volume at --xi")
     _add_cone_arguments(q)
     q.add_argument("--xi", required=True, help="comma-separated rationals, e.g. 3,3/2,3/2")
-    q.set_defaults(func=_cmd_toric_volume)
 
-    q = toric_sub.add_parser("minimize", parents=[shared], help="volume-minimizing Reeb vector")
+    q = _add_query(toric_sub, "minimize", _cmd_toric_minimize, "volume-minimizing Reeb vector")
     _add_cone_arguments(q)
     q.add_argument("--start", help="starting Reeb vector (comma-separated rationals)")
     q.add_argument("--grad-tol", type=float, default=1e-8)
-    q.set_defaults(func=_cmd_toric_minimize)
 
-    p = sub.add_parser("batch", parents=[shared], help="enumerate BP links into a catalog")
+    p = sub.add_parser("batch", help="enumerate BP links into a catalog")
     p.add_argument("--length", type=int, required=True, help="number of exponents")
     p.add_argument("--max-exponent", type=int, required=True)
     p.add_argument("--type", choices=LINK_TYPES, help="keep only this trichotomy type")
     p.add_argument("--coprime", action="store_true", help="keep only pairwise-coprime tuples")
     p.add_argument("--no-coprime", action="store_true", help="keep only non-coprime tuples")
     p.add_argument("--status", choices=STATUSES, help="keep only this verdict status")
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="worker processes (default 1, at most the CPU count)",
+    )
     p.add_argument("-o", "--output", help="catalog file (default stdout)")
     p.set_defaults(func=_cmd_batch)
 
-    p = sub.add_parser("export-table", parents=[shared], help="catalog file to TSV")
+    p = sub.add_parser("export-table", help="catalog file to TSV")
     p.add_argument("catalog", help="catalog file written by batch")
     p.add_argument("-o", "--output", help="TSV file (default stdout)")
     p.set_defaults(func=_cmd_export_table)
 
     return parser
-
-
-def _load_config(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            config = json.load(fh)
-    except OSError as exc:
-        raise DomainError(f"cannot read config {path!r}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"config {path!r} is not valid JSON: {exc}")
-    if not isinstance(config, dict):
-        raise DomainError(f"config {path!r} must be a JSON object")
-    unknown = set(config) - {"format", "jobs"}
-    if unknown:
-        raise DomainError(f"unknown config keys: {sorted(unknown)}")
-    if "format" in config and config["format"] not in ("text", "records", "table"):
-        raise DomainError(f"bad config format {config['format']!r}")
-    if "jobs" in config and (not isinstance(config["jobs"], int) or config["jobs"] < 1):
-        raise DomainError(f"bad config jobs {config['jobs']!r}")
-    return config
 
 
 def main(argv=None) -> int:
@@ -485,12 +457,6 @@ def main(argv=None) -> int:
             return 0
         if getattr(args, "command", None) == "toric" and args.toric_command is None:
             raise DomainError("toric needs a query: gamma, volume or minimize")
-        config = _load_config(args.config) if args.config else {}
-        if args.format is None:
-            args.format = config.get("format", "text")
-        if args.jobs is None:
-            args.jobs = config.get("jobs", 1)
-        args.jobs = _worker_count(args.jobs)
         return args.func(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

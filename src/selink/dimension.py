@@ -43,7 +43,7 @@ from itertools import combinations, groupby
 
 from .errors import DomainError, InternalConsistencyError, NotSmaleFormError
 from .homology import HomologyGroup, factorint
-from .links import WeightedLink
+from .links import WeightedLink, _index
 
 __all__ = [
     "SmaleManifold",
@@ -56,6 +56,7 @@ __all__ = [
     "count_monomials",
     "moduli_dimension",
     "moduli_reference",
+    "MODULI_REFERENCE",
 ]
 
 
@@ -220,7 +221,7 @@ def casson_invariant(exponents) -> int:
     8 lambda = (a/3)(sum 1/a_i^2 - 1) + 1/(3a) - 1 - 4 sum s(a/a_i, a_i).
     Exact, so lambda(Sigma(2, 3, 5)) = -1.
     """
-    a = tuple(int(x) for x in exponents)
+    a = tuple(_index(x, "exponent") for x in exponents)
     if len(a) != 3:
         raise DomainError(f"need exactly 3 exponents, got {len(a)}")
     if any(x < 2 for x in a):

@@ -9,6 +9,15 @@ number, a torsion division with remainder); the result cannot be trusted
 and the CLI exits with code 2.
 """
 
+__all__ = [
+    "DomainError",
+    "InternalConsistencyError",
+    "TorsionDivisionError",
+    "NotSmaleFormError",
+    "UnboundedPolytopeError",
+    "ConvergenceError",
+]
+
 
 class DomainError(ValueError):
     """Input rejected before or during a computation."""

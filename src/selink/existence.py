@@ -36,6 +36,8 @@ from .errors import DomainError, InternalConsistencyError
 from .links import BPExponents, WeightedLink, bp_to_link, classify_type
 
 __all__ = [
+    "STATUSES",
+    "RULES",
     "ExistenceVerdict",
     "lichnerowicz_obstruction",
     "crude_klt",
@@ -63,13 +65,53 @@ class ExistenceVerdict:
             raise InternalConsistencyError(f"{self.status} on a {self.link_type} link")
 
 
+# Each rule has one exact slack, positive iff the rule fires; the public
+# predicates test its sign and decide_existence takes each margin from it.
+
+
+def _lichnerowicz_slack(link: WeightedLink) -> Fraction:
+    """I - n * min w_i."""
+    return Fraction(link.index - link.n * min(link.weights))
+
+
+def _crude_klt_slack(link: WeightedLink) -> Fraction:
+    """(n/(n-1)) * min_{i<j} w_i w_j - I * d."""
+    n = link.n
+    pair_min = min(a * b for a, b in combinations(link.weights, 2))
+    return Fraction(n, n - 1) * pair_min - link.index * link.degree
+
+
+def _window_slack(bp: BPExponents, upper: Fraction) -> Fraction:
+    """min(sum 1/a_i - 1, upper - sum 1/a_i), the slack of 1 < sum 1/a_i < upper."""
+    total = bp.reciprocal_sum()
+    return min(total - 1, upper - total)
+
+
+def _bp_klt_slack(bp: BPExponents) -> Fraction:
+    """The window with upper end 1 + (n/(n-1)) * min over 1/a_i and 1/(b_j b_k)."""
+    a = bp.exponents
+    n = bp.n
+    b = []
+    for j in range(len(a)):
+        c_j = math.lcm(*(a[i] for i in range(len(a)) if i != j))
+        b.append(math.gcd(a[j], c_j))
+    candidates = [Fraction(1, ai) for ai in a]
+    candidates += [Fraction(1, bj * bk) for bj, bk in combinations(b, 2)]
+    return _window_slack(bp, 1 + Fraction(n, n - 1) * min(candidates))
+
+
+def _ghigi_kollar_slack(bp: BPExponents) -> Fraction:
+    """The window with upper end 1 + n / max a_i."""
+    return _window_slack(bp, 1 + Fraction(bp.n, max(bp.exponents)))
+
+
 def lichnerowicz_obstruction(link: WeightedLink) -> bool:
     """True iff I > n * min w_i, which forbids a Sasaki-Einstein metric.
 
     Only meaningful for positive links; for I <= 0 the inequality is
     vacuously false.
     """
-    return link.index > link.n * min(link.weights)
+    return _lichnerowicz_slack(link) > 0
 
 
 def crude_klt(link: WeightedLink) -> bool:
@@ -79,22 +121,7 @@ def crude_klt(link: WeightedLink) -> bool:
     on any link (vacuously true for I <= 0) but the aggregate verdict only
     consults it in the positive case.
     """
-    n = link.n
-    pair_min = min(a * b for a, b in combinations(link.weights, 2))
-    return link.index * link.degree < Fraction(n, n - 1) * pair_min
-
-
-def _bp_window_upper(bp: BPExponents) -> Fraction:
-    """1 + (n/(n-1)) * min over 1/a_i and 1/(b_j b_k) for pairs j < k."""
-    a = bp.exponents
-    n = bp.n
-    b = []
-    for j in range(len(a)):
-        c_j = math.lcm(*(a[i] for i in range(len(a)) if i != j))
-        b.append(math.gcd(a[j], c_j))
-    candidates = [Fraction(1, ai) for ai in a]
-    candidates += [Fraction(1, bj * bk) for bj, bk in combinations(b, 2)]
-    return 1 + Fraction(n, n - 1) * min(candidates)
+    return _crude_klt_slack(link) > 0
 
 
 def bp_klt_window(bp: BPExponents) -> bool:
@@ -103,8 +130,7 @@ def bp_klt_window(bp: BPExponents) -> bool:
     Returns the bare truth of 1 < sum 1/a_i < upper bound; in particular
     it is false (not an error) on the positivity boundary sum 1/a_i = 1.
     """
-    total = bp.reciprocal_sum()
-    return 1 < total < _bp_window_upper(bp)
+    return _bp_klt_slack(bp) > 0
 
 
 def ghigi_kollar(bp: BPExponents) -> str:
@@ -115,9 +141,7 @@ def ghigi_kollar(bp: BPExponents) -> str:
     """
     if not bp.pairwise_coprime():
         return "not_applicable"
-    total = bp.reciprocal_sum()
-    upper = 1 + Fraction(bp.n, max(bp.exponents))
-    return "exists" if 1 < total < upper else "not_exists"
+    return "exists" if _ghigi_kollar_slack(bp) > 0 else "not_exists"
 
 
 def decide_existence(
@@ -137,32 +161,27 @@ def decide_existence(
     if link_type != "positive":
         return ExistenceVerdict(link_type=link_type, status="eta_einstein_exists")
 
-    n = link.n
-    wmin = min(link.weights)
-
     if bp is not None and bp.pairwise_coprime():
-        total = bp.reciprocal_sum()
-        upper = 1 + Fraction(n, max(bp.exponents))
-        if ghigi_kollar(bp) == "exists":
-            margin = min(total - 1, upper - total)
-            return ExistenceVerdict(link_type, "se_exists", "ghigi_kollar", margin)
-        # Positive link, so failure can only be at the upper end.  That
-        # end coincides with the Lichnerowicz bound, and sharpness turns
-        # the non-strict boundary case into an obstruction as well.
-        return ExistenceVerdict(link_type, "obstructed", "ghigi_kollar", total - upper)
+        slack = _ghigi_kollar_slack(bp)
+        if slack > 0:
+            return ExistenceVerdict(link_type, "se_exists", "ghigi_kollar", slack)
+        # Positive link, so sum 1/a_i > 1 and the slack is the upper end's:
+        # the margin is sum 1/a_i - upper.  That end coincides with the
+        # Lichnerowicz bound, and sharpness turns the non-strict boundary
+        # case into an obstruction as well.
+        return ExistenceVerdict(link_type, "obstructed", "ghigi_kollar", -slack)
 
-    if lichnerowicz_obstruction(link):
-        margin = Fraction(link.index - n * wmin)
-        return ExistenceVerdict(link_type, "obstructed", "lichnerowicz", margin)
+    slack = _lichnerowicz_slack(link)
+    if slack > 0:
+        return ExistenceVerdict(link_type, "obstructed", "lichnerowicz", slack)
 
-    if bp is not None and bp_klt_window(bp):
-        total = bp.reciprocal_sum()
-        margin = min(total - 1, _bp_window_upper(bp) - total)
-        return ExistenceVerdict(link_type, "se_exists", "bp_klt_window", margin)
+    if bp is not None:
+        slack = _bp_klt_slack(bp)
+        if slack > 0:
+            return ExistenceVerdict(link_type, "se_exists", "bp_klt_window", slack)
 
-    if crude_klt(link):
-        pair_min = min(a * b for a, b in combinations(link.weights, 2))
-        margin = Fraction(n, n - 1) * pair_min - link.index * link.degree
-        return ExistenceVerdict(link_type, "se_exists", "crude_klt", margin)
+    slack = _crude_klt_slack(link)
+    if slack > 0:
+        return ExistenceVerdict(link_type, "se_exists", "crude_klt", slack)
 
     return ExistenceVerdict(link_type, "unknown")

@@ -18,12 +18,14 @@ z_0^{a_0} + ... + z_n^{a_n}, from which weights and degree are derived.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, InternalConsistencyError
 
 __all__ = [
+    "LINK_TYPES",
     "WeightedLink",
     "BPExponents",
     "FractionalWeights",
@@ -31,9 +33,18 @@ __all__ = [
     "fractional_weights",
     "classify_type",
     "parse_presentation",
+    "as_link",
 ]
 
 LINK_TYPES = ("positive", "negative", "null")
+
+
+def _index(value, what: str) -> int:
+    """The value as an int; a float, Fraction or string is a DomainError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -49,9 +60,9 @@ class WeightedLink:
     degree: int
 
     def __post_init__(self):
-        weights = tuple(int(w) for w in self.weights)
+        weights = tuple(_index(w, "weight") for w in self.weights)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "degree", int(self.degree))
+        object.__setattr__(self, "degree", _index(self.degree, "degree"))
         if len(weights) < 3:
             raise DomainError(f"need at least 3 weights, got {len(weights)}")
         if any(w < 1 for w in weights):
@@ -88,7 +99,7 @@ class BPExponents:
     exponents: tuple[int, ...]
 
     def __post_init__(self):
-        exps = tuple(int(a) for a in self.exponents)
+        exps = tuple(_index(a, "exponent") for a in self.exponents)
         object.__setattr__(self, "exponents", exps)
         if len(exps) < 3:
             raise DomainError(f"need at least 3 exponents, got {len(exps)}")

@@ -1,8 +1,9 @@
 """End-to-end CLI tests, run in-process through main(argv).
 
-Covers each subcommand, the three output formats, config handling and
-the exit-code contract: 0 success, 1 domain/usage error, 2 violated
-internal invariant.
+Covers each subcommand, the three output formats, the placement of
+``--format`` and ``--jobs`` on the commands that read them, and the
+exit-code contract: 0 success, 1 domain/usage error, 2 violated internal
+invariant.
 """
 
 import json
@@ -504,47 +505,89 @@ class TestExportTable:
         assert err == "error: unsupported catalog version 1\n"
 
 
-class TestConfig:
-    def test_config_sets_format(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"format": "records"}')
-        rc, out, _ = run(capsys, "homology", "--config", str(cfg), "bp=2,3,5")
-        assert rc == 0
-        assert json.loads(out)["b"] == 0
+# Each rendering command with --format records and table, and the bytes
+# it prints; "{cone}" stands for the conifold cone file.
+FORMATTED_OUTPUT = [
+    (
+        "classify w=1,1,1,4,6 d=12",
+        '{"d": 12, "dim": 7, "index": 1, "n": 4, "type": "positive", "w": [1, 1, 1, 4, 6]}\n',
+        "type\tindex\tn\tdim\tw\td\npositive\t1\t4\t7\t1,1,1,4,6\t12\n",
+    ),
+    (
+        "homology bp=3,3,3,3,3",
+        '{"applicability": "proven", "b": 10, "degree": 3, "torsion": [3]}\n',
+        "b\ttorsion\tdegree\tapplicability\n10\t3\t3\tproven\n",
+    ),
+    (
+        "verdict bp=2,3,5",
+        '{"margin": "1/30", "rule": "ghigi_kollar", "status": "se_exists", "type": "positive"}\n',
+        "type\tstatus\trule\tmargin\npositive\tse_exists\tghigi_kollar\t1/30\n",
+    ),
+    ("dim5-name bp=2,2,2,2", '{"name": "M_inf"}\n', "name\nM_inf\n"),
+    (
+        "se-table --betti 0 --m 5,5",
+        '{"condition": null, "manifold": "2M_5", "row": "2M_5", "status": "yes"}\n',
+        "manifold\tstatus\trow\tcondition\n2M_5\tyes\t2M_5\t-\n",
+    ),
+    ("casson 2 3 5", '{"casson": -1}\n', "casson\n-1\n"),
+    ("tight-count 5 1", '{"count": 4}\n', "count\n4\n"),
+    (
+        "moduli w=1,1,1,4,6 d=12",
+        '{"delta": -12, "moduli": 254, "reference": 266}\n',
+        "moduli\treference\tdelta\n254\t266\t-12\n",
+    ),
+    ("toric gamma {cone}", '{"gamma": [-1, 0, 0]}\n', "gamma\n-1,0,0\n"),
+    (
+        "toric volume {cone} --xi 3,3/2,3/2",
+        '{"float": 0.5925925925925926, "volume": "16/27"}\n',
+        "volume\n16/27\n",
+    ),
+    (
+        "toric minimize {cone}",
+        '{"grad_norm": "0", "iterations": 0, "volume": "0.592592592593", "xi": "3,1.5,1.5"}\n',
+        "xi\tvolume\titerations\tgrad_norm\n3,1.5,1.5\t0.592592592593\t0\t0\n",
+    ),
+]
 
-    def test_flag_overrides_config(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"format": "records"}')
-        rc, out, _ = run(
-            capsys, "homology", "--config", str(cfg), "--format", "text", "bp=2,3,5"
-        )
-        assert out == "b=0 torsion=0 proven\n"
 
-    def test_unknown_key_rejected(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"formt": "records"}')
-        rc, _, err = run(capsys, "homology", "--config", str(cfg), "bp=2,3,5")
-        assert rc == 1
-        assert "unknown config keys" in err
+class TestOptionPlacement:
+    @pytest.fixture
+    def files(self, tmp_path, capsys):
+        cone, catalog_path = tmp_path / "conifold.txt", tmp_path / "cat.jsonl"
+        config = tmp_path / "config.json"
+        cone.write_text(CONIFOLD_FILE)
+        config.write_text('{"format": "records"}')
+        argv = ("batch", "--length", "3", "--max-exponent", "3", "-o", str(catalog_path))
+        assert run(capsys, *argv)[0] == 0
+        return {"cone": str(cone), "catalog": str(catalog_path), "config": str(config)}
 
-    def test_bad_values_rejected(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"jobs": 0}')
-        rc, _, err = run(capsys, "homology", "--config", str(cfg), "bp=2,3,5")
-        assert rc == 1
-        cfg.write_text('{"format": "yaml"}')
-        rc, _, err = run(capsys, "homology", "--config", str(cfg), "bp=2,3,5")
-        assert rc == 1
+    @pytest.mark.parametrize("command, records, table", FORMATTED_OUTPUT)
+    def test_format_after_each_query(self, capsys, files, command, records, table):
+        tokens = command.format(**files).split()
+        head = 2 if tokens[0] == "toric" else 1
+        for fmt, expected in (("records", records), ("table", table)):
+            rc, out, _ = run(capsys, *tokens[:head], "--format", fmt, *tokens[head:])
+            assert (rc, out) == (0, expected)
+            rc, out, _ = run(capsys, *tokens, "--format", fmt)
+            assert (rc, out) == (0, expected)
 
-    def test_missing_config_file(self, capsys):
-        rc, _, err = run(capsys, "homology", "--config", "/nonexistent.json", "bp=2,3,5")
-        assert rc == 1
-
-    def test_config_not_an_object(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text("[1, 2]")
-        rc, _, err = run(capsys, "homology", "--config", str(cfg), "bp=2,3,5")
-        assert rc == 1
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "--format records homology bp=2,3,5",
+            "--jobs 2 homology bp=2,3,5",
+            "--config {config} homology bp=2,3,5",
+            "homology --config {config} bp=2,3,5",
+            "toric --format records volume {cone} --xi 3,3/2,3/2",
+            "casson --jobs 2 2 3 5",
+            "batch --format records --length 3 --max-exponent 3",
+            "export-table --jobs 2 {catalog}",
+        ],
+    )
+    def test_misplaced_option_is_usage_error(self, capsys, files, command):
+        rc, out, err = run(capsys, *command.format(**files).split())
+        assert (rc, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestExitCodes:

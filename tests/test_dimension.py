@@ -226,6 +226,11 @@ class TestCasson:
         with pytest.raises(DomainError):
             casson_invariant((2, 3, 5, 7))
 
+    def test_rejects_non_integer_exponents(self):
+        # Truncated, 2.9 would give Sigma(2, 3, 5) and lambda = -1.
+        with pytest.raises(DomainError, match="exponent must be an integer, got 2.9"):
+            casson_invariant((2.9, 3, 5))
+
 
 def ncf_value(rs) -> Fraction:
     value = Fraction(rs[-1])

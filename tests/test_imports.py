@@ -55,3 +55,45 @@ except AttributeError:
     result = run_python(code)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "ok\n"
+
+
+# The package's exports as they stood when each module's __all__ became
+# the only list of its names; selink.__all__ is assembled from those lists.
+EXPORTS = {
+    "__version__",
+    # links
+    "LINK_TYPES", "WeightedLink", "BPExponents", "FractionalWeights", "as_link",
+    "bp_to_link", "classify_type", "fractional_weights", "parse_presentation",
+    # homology
+    "HomologyGroup", "OrlikTable", "betti_number", "link_homology", "orlik_table",
+    "torsion_orders",
+    # existence
+    "RULES", "STATUSES", "ExistenceVerdict", "bp_klt_window", "crude_klt",
+    "decide_existence", "ghigi_kollar", "lichnerowicz_obstruction",
+    # dimension
+    "MODULI_REFERENCE", "SmaleManifold", "TableLookup", "casson_invariant",
+    "count_monomials", "moduli_dimension", "moduli_reference",
+    "negative_continued_fraction", "smale_name", "table_lookup", "tight_contact_count",
+    # toric
+    "GorensteinResult", "MomentCone", "ReebVector", "VolumeMinimum", "WeightMatrix",
+    "cokernel_invariants", "cone_from_weights", "cy_condition", "gorenstein_gamma",
+    "minimize_volume", "read_cone_file", "read_weight_matrix_file", "reeb_is_interior",
+    "reeb_slice_project", "volume", "volume_gradient", "volume_hessian",
+    # catalog
+    "CatalogRecord", "catalogs_equal", "enumerate_bp", "export_table", "read_catalog",
+    "run_pipeline", "write_catalog",
+    # errors
+    "ConvergenceError", "DomainError", "InternalConsistencyError", "NotSmaleFormError",
+    "TorsionDivisionError", "UnboundedPolytopeError",
+}
+
+
+def test_package_exports():
+    import selink
+    import selink.toric
+
+    assert len(EXPORTS) == 65
+    assert len(selink.__all__) == len(set(selink.__all__))
+    assert set(selink.__all__) == EXPORTS
+    # The one list of names kept outside its module, so that toric loads lazily.
+    assert list(selink._TORIC_NAMES) == selink.toric.__all__

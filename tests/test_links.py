@@ -1,6 +1,7 @@
 """Presentations, trichotomy, fractional weights, and the input grammar."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -43,6 +44,19 @@ class TestWeightedLink:
         with pytest.raises(DomainError):
             WeightedLink(weights, degree)
 
+    @pytest.mark.parametrize(
+        "weights, degree, message",
+        [
+            ((1.5, 2, 3), 6, "weight must be an integer, got 1.5"),
+            ((1, 2, 3), Fraction(13, 2), "degree must be an integer, got Fraction(13, 2)"),
+            ((1, 2, 3), "6", "degree must be an integer, got '6'"),
+        ],
+    )
+    def test_rejects_non_integers(self, weights, degree, message):
+        # Truncation would turn these into w=1,2,3 d=6.
+        with pytest.raises(DomainError, match=re.escape(message)):
+            WeightedLink(weights, degree)
+
 
 class TestBPExponents:
     def test_lcm_degree_and_weights(self):
@@ -68,6 +82,11 @@ class TestBPExponents:
             BPExponents((1, 2, 3))
         with pytest.raises(DomainError):
             BPExponents((2, 2))
+
+    def test_rejects_non_integer_exponents(self):
+        # Truncation would turn this into bp=2,3,5.
+        with pytest.raises(DomainError, match="exponent must be an integer, got 2.9"):
+            BPExponents((2.9, 3, 5))
 
 
 class TestTrichotomy:
