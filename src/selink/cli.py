@@ -59,13 +59,13 @@ class _Parser(argparse.ArgumentParser):
         raise DomainError(message)
 
 
-def _emit(fmt: str, mapping: dict, stream=None) -> None:
+def _emit(fmt: str, mapping: dict) -> None:
     """Render one result in the selected output format.
 
     text: space-separated key=value pairs, '-' for missing values.
     records: one JSON line.  table: TSV header plus one row.
     """
-    stream = stream or sys.stdout
+    stream = sys.stdout
     if fmt == "records":
         stream.write(json.dumps(mapping, sort_keys=True) + "\n")
         return
@@ -293,16 +293,11 @@ def _worker_count(jobs: int) -> int:
 
 def _cmd_batch(args) -> int:
     jobs = _worker_count(args.jobs)
-    coprime = None
-    if args.coprime:
-        coprime = True
-    elif args.no_coprime:
-        coprime = False
     tuples = enumerate_bp(
         args.length,
         args.max_exponent,
         link_type=args.type,
-        coprime=coprime,
+        coprime=args.coprime,
         status=args.status,
     )
     with ExitStack() as stack:
@@ -428,8 +423,21 @@ def build_parser() -> _Parser:
     p.add_argument("--length", type=int, required=True, help="number of exponents")
     p.add_argument("--max-exponent", type=int, required=True)
     p.add_argument("--type", choices=LINK_TYPES, help="keep only this trichotomy type")
-    p.add_argument("--coprime", action="store_true", help="keep only pairwise-coprime tuples")
-    p.add_argument("--no-coprime", action="store_true", help="keep only non-coprime tuples")
+    coprime = p.add_mutually_exclusive_group()
+    coprime.add_argument(
+        "--coprime",
+        dest="coprime",
+        action="store_const",
+        const=True,
+        help="keep only pairwise-coprime tuples",
+    )
+    coprime.add_argument(
+        "--no-coprime",
+        dest="coprime",
+        action="store_const",
+        const=False,
+        help="keep only non-coprime tuples",
+    )
     p.add_argument("--status", choices=STATUSES, help="keep only this verdict status")
     p.add_argument(
         "--jobs",

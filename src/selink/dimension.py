@@ -6,9 +6,11 @@ classification applies: every such manifold is
     kM_inf # M_{m_1} # ... # M_{m_s},   m_1 | m_2 | ... | m_s,  m_i >= 2,
 
 where M_inf = S^2 x S^3, M_m has H_2 = Z/m + Z/m, and the empty sum is
-S^5.  smale_name converts a computed homology group into that normal form
-(the torsion must consist of doubled cyclic factors; otherwise the
-manifold is not of spin Smale form and we refuse).
+S^5.  smale_name reads that normal form off the invariant factors of a
+computed homology group: the torsion of such a link is a doubled group,
+whose invariant factors come in equal pairs, and one of each pair is the
+chain m_i.  A torsion chain that does not pair up has no spin Smale form
+and is refused.
 
 table_lookup answers whether a given Smale manifold is known to admit a
 Sasaki-Einstein metric, per the published classification table for spin
@@ -42,7 +44,7 @@ from fractions import Fraction
 from itertools import combinations, groupby
 
 from .errors import DomainError, InternalConsistencyError, NotSmaleFormError
-from .homology import HomologyGroup, factorint
+from .homology import HomologyGroup
 from .links import WeightedLink, _index
 
 __all__ = [
@@ -94,39 +96,22 @@ class SmaleManifold:
 def smale_name(group: HomologyGroup) -> SmaleManifold:
     """Convert H_2 of a 5-dimensional link into Smale normal form.
 
-    The torsion must decompose into prime powers of even multiplicity
-    (H_2 torsion of such links is a doubled group); the halved multiset is
-    then reassembled into an ascending divisibility chain.
+    H_2 torsion of such a link is a doubled group G + G, and G + G has the
+    invariant factors of G, each one twice.  So the descending chain
+    d_1, d_2, ... of the group pairs up, d_1 = d_2, d_3 = d_4, ..., and the
+    odd-numbered entries, reversed, are the ascending Smale chain.  A chain
+    that does not pair up is not a doubled group and is refused.
     """
     if group.degree != 2:
         raise DomainError(f"Smale names need H_2, got degree {group.degree}")
-    prime_exponents: dict[int, list[int]] = {}
-    for d in group.torsion:
-        for p, e in factorint(d).items():
-            prime_exponents.setdefault(p, []).append(e)
-    halved: dict[int, list[int]] = {}
-    for p, exps in prime_exponents.items():
-        counts: dict[int, int] = {}
-        for e in exps:
-            counts[e] = counts.get(e, 0) + 1
-        half = []
-        for e, cnt in counts.items():
-            if cnt % 2 != 0:
-                raise NotSmaleFormError(
-                    f"prime power {p}^{e} appears {cnt} times (odd) in "
-                    f"torsion {group.torsion}; not a doubled group"
-                )
-            half.extend([e] * (cnt // 2))
-        halved[p] = sorted(half, reverse=True)
-    depth = max((len(v) for v in halved.values()), default=0)
-    chain = []
-    for j in range(depth):  # largest invariant factor first
-        m = 1
-        for p, exps in halved.items():
-            if j < len(exps):
-                m *= p ** exps[j]
-        chain.append(m)
-    return SmaleManifold(betti=group.betti, torsion_chain=tuple(reversed(chain)))
+    torsion = group.torsion
+    half = torsion[0::2]
+    if half != torsion[1::2]:  # also unequal when the length is odd
+        raise NotSmaleFormError(
+            f"invariant factors of torsion {torsion} do not pair up; "
+            "not a doubled group"
+        )
+    return SmaleManifold(betti=group.betti, torsion_chain=half[::-1])
 
 
 @dataclass(frozen=True)

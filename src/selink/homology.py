@@ -38,7 +38,10 @@ machine-checked examples (see tests).  Then with r = floor(max k),
 
     d_j = prod(c_S : k_S >= j),    j = 1, ..., r,
 
-after which trivial factors are pruned.
+after which trivial factors are pruned.  The d_j are the invariant factors
+of the torsion subgroup, its canonical form: two links have isomorphic
+torsion exactly when their chains are equal, and no prime factorization is
+needed to compare, halve or name a group.
 
 Read literally, both tables pair every S with every subset of S: 3^m
 pairs.  Neither is computed that way.  The definition of c says that the
@@ -88,6 +91,10 @@ PROVEN_SOURCES = ("bp", "chain")
 
 _MAX_N_BETTI = 20  # one pass over 2^(n+1) subset terms
 _MAX_N_TORSION = 12  # two transforms of (n+1) * 2^n steps each
+# Invariant factors a torsion chain may hold.  Their number is the largest
+# multiplicity, which grows like the square of the exponents (bp=2,p,p,p
+# has (p-1)(p-2) of them), so it is refused before any list is built.
+_MAX_TORSION_FACTORS = 2 * 10**6
 
 
 def _check_torsion_size(n: int) -> None:
@@ -158,20 +165,6 @@ def _gcd_moebius(u: tuple[int, ...]) -> list:
     return c
 
 
-def factorint(n: int) -> dict[int, int]:
-    """Prime factorization {p: e} of n >= 1 by trial division (orders are small)."""
-    factors: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        factors[n] = 1
-    return factors
-
-
 def betti_number(link: WeightedLink | BPExponents) -> int:
     """Free rank of H_{n-1}(L; Z) via the alternating subset sum."""
     link = as_link(link)
@@ -239,7 +232,12 @@ def orlik_table(link: WeightedLink | BPExponents) -> OrlikTable:
 
 
 def torsion_orders(table: OrlikTable) -> tuple[int, ...]:
-    """Divisibility chain d_1, d_2, ... (descending, trivial factors pruned)."""
+    """Divisibility chain d_1, d_2, ... (descending, trivial factors pruned).
+
+    These are the invariant factors of the torsion, its canonical form.  A
+    chain longer than ``_MAX_TORSION_FACTORS`` is refused as a DomainError
+    before it is built.
+    """
     full = (1 << table.size) - 1
     # c[mask] divides d_j exactly for the integers j = 1..floor(k[mask]), so
     # only masks with c > 1 matter and the chain stops at their largest count.
@@ -255,9 +253,14 @@ def torsion_orders(table: OrlikTable) -> tuple[int, ...]:
     # d_{j+1} times the factors whose count is exactly j, so d stays the same
     # between consecutive counts, and it is > 1 from the top count on.
     factors.sort(reverse=True)
+    j = factors[0][0] if factors else 0  # the length of the chain
+    if j > _MAX_TORSION_FACTORS:
+        raise DomainError(
+            f"torsion chain of {j} invariant factors exceeds the "
+            f"safety bound of {_MAX_TORSION_FACTORS}"
+        )
     orders = []  # d_r, d_{r-1}, ..., reversed below
     d = 1
-    j = factors[0][0] if factors else 0
     for count, c in factors:
         orders += [d] * (j - count)
         d *= c
@@ -291,25 +294,6 @@ class HomologyGroup:
             )
         if self.torsion and self.torsion[-1] < 2:
             raise InternalConsistencyError(f"trivial torsion factor in {self.torsion}")
-
-    def primary_decomposition(self) -> tuple[int, ...]:
-        """Sorted multiset of prime powers p^e, one per cyclic primary factor.
-
-        Two finite abelian groups are isomorphic iff these multisets agree,
-        which is how golden values quoted in mixed forms are compared.
-        """
-        powers = []
-        for d in self.torsion:
-            for p, e in factorint(d).items():
-                powers.append(p**e)
-        return tuple(sorted(powers))
-
-    def group_string(self) -> str:
-        parts = []
-        if self.betti:
-            parts.append(f"Z^{self.betti}" if self.betti > 1 else "Z")
-        parts.extend(f"Z/{d}" for d in self.torsion)
-        return " + ".join(parts) if parts else "0"
 
 
 def link_homology(

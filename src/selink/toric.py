@@ -400,13 +400,16 @@ def _solve(matrix, rhs) -> list[float] | None:
     return x
 
 
+# Newton iterations minimize_volume may take before it gives up.
+_MAX_ITERATIONS = 10_000
+
+
 def minimize_volume(
     cone: MomentCone,
     gamma=None,
     *,
     start=None,
     grad_tol: float = 1e-8,
-    max_iter: int = 10_000,
 ) -> VolumeMinimum:
     """Find the volume-minimizing Reeb covector on the Gorenstein slice.
 
@@ -418,8 +421,8 @@ def minimize_volume(
         [[H, gamma], [gamma^T, 0]] @ (step, lambda) = (-grad, 0),
 
     which keeps the step on the slice; a zero pivot falls back to
-    steepest descent.  Exhausting the iteration budget raises
-    ConvergenceError with diagnostics.
+    steepest descent.  Exhausting the budget of ``_MAX_ITERATIONS`` steps
+    raises ConvergenceError with diagnostics.
     """
     if gamma is None:
         result = gorenstein_gamma(cone)
@@ -436,7 +439,7 @@ def minimize_volume(
     g_norm2 = _dot(g, g)
     current = volume(cone, xi)
     grad_norm = math.inf
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, _MAX_ITERATIONS + 1):
         grad = volume_gradient(cone, xi)
         along = _dot(grad, g) / g_norm2
         tangent_grad = [a - along * b for a, b in zip(grad, g)]
@@ -477,7 +480,7 @@ def minimize_volume(
         current = candidate_value
     raise ConvergenceError(
         "iteration budget exhausted",
-        iterations=max_iter,
+        iterations=_MAX_ITERATIONS,
         last_point=xi,
         last_value=current,
         grad_norm=grad_norm,

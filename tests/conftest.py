@@ -16,6 +16,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import sympy
 from hypothesis import strategies as st
 
 import selink
@@ -82,6 +83,20 @@ def random_coprime_triple(rng: random.Random, max_exponent=30) -> tuple[int, int
             and math.gcd(a[1], a[2]) == 1
         ):
             return a
+
+
+def primary_parts(orders) -> tuple[int, ...]:
+    """Primary decomposition of a product of cyclic groups of these orders.
+
+    Two finite abelian groups are isomorphic iff these sorted multisets of
+    prime powers agree, which is how golden values quoted in mixed forms
+    are compared.
+    """
+    out = []
+    for m in orders:
+        for p, e in sympy.factorint(m).items():
+            out.append(p**e)
+    return tuple(sorted(out))
 
 
 def run_python(code: str, *flags: str) -> subprocess.CompletedProcess:

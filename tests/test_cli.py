@@ -14,6 +14,7 @@ import pytest
 
 import selink.catalog as catalog
 import selink.cli as cli
+import selink.toric as toric
 from selink import BPExponents, DomainError
 from selink.catalog import catalogs_equal, read_catalog
 from selink.cli import _worker_count, main
@@ -100,6 +101,14 @@ class TestHomology:
         rc, out, err = run(capsys, "homology", presentation)
         assert (rc, out, err) == (1, "", f"error: {message}\n")
 
+    def test_overlong_torsion_chain_is_domain_error(self, capsys):
+        rc, out, err = run(capsys, "homology", "bp=2,1000003,1000003,1000003")
+        assert (rc, out) == (1, "")
+        assert err == (
+            "error: torsion chain of 1000003000002 invariant factors exceeds "
+            "the safety bound of 2000000\n"
+        )
+
 
 class TestVerdict:
     def test_existence(self, capsys):
@@ -136,6 +145,18 @@ class TestDim5Name:
         rc, _, err = run(capsys, "dim5-name", "bp=2,3,5,7,11")
         assert rc == 1
         assert err.startswith("error:")
+
+    def test_undoubled_torsion_is_domain_error(self, capsys):
+        rc, out, err = run(capsys, "dim5-name", "w=1,2,4,4", "d=10")
+        assert (rc, out) == (1, "")
+        assert err == (
+            "error: invariant factors of torsion (2,) do not pair up; "
+            "not a doubled group\n"
+        )
+
+    def test_large_prime_torsion(self, capsys):
+        rc, out, _ = run(capsys, "dim5-name", "bp=2,3,6,10000000000037")
+        assert (rc, out) == (0, "name=M_10000000000037\n")
 
 
 class TestSeTable:
@@ -307,6 +328,15 @@ class TestToric:
         rc, out, _ = run(capsys, "toric", "minimize", str(path), "--weights")
         assert float(parse_kv(out)["volume"]) == pytest.approx(16 / 27, abs=1e-9)
 
+    def test_unconverged_minimum_is_exit_2(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(toric, "_MAX_ITERATIONS", 1)
+        path = tmp_path / "quotient.txt"
+        path.write_text("1 4\n1 3 -2 -2\n")
+        rc, out, err = run(capsys, "toric", "minimize", str(path), "--weights")
+        assert (rc, out) == (2, "")
+        assert err.startswith("internal error: iteration budget exhausted (iterations=1,")
+        assert err.count("\n") == 1
+
     def test_missing_query(self, capsys, conifold):
         rc, _, err = run(capsys, "toric")
         assert rc == 1
@@ -404,6 +434,26 @@ class TestBatch:
         assert "wrote 1 records" in err
         record = json.loads(out_path.read_text().splitlines()[1])
         assert record["presentation"] == "bp=2,3,5"
+
+    def test_coprime_flags_exclude_each_other(self, capsys, tmp_path):
+        out_path = tmp_path / "cat.jsonl"
+        rc, out, err = run(
+            capsys,
+            "batch", "--length", "3", "--max-exponent", "5",
+            "--coprime", "--no-coprime", "-o", str(out_path),
+        )
+        assert (rc, out) == (1, "")
+        assert err == "error: argument --no-coprime: not allowed with argument --coprime\n"
+        assert not out_path.exists()
+        rc, _, err = run(
+            capsys,
+            "batch", "--length", "3", "--max-exponent", "5",
+            "--no-coprime", "-o", str(out_path),
+        )
+        assert rc == 0
+        expected = [bp.presentation() for bp in catalog.enumerate_bp(3, 5, coprime=False)]
+        with out_path.open() as fh:
+            assert [r.presentation for r in read_catalog(fh)[1]] == expected
 
     def test_status_filter(self, capsys, tmp_path):
         out_path = tmp_path / "cat.jsonl"

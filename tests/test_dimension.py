@@ -7,6 +7,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -73,6 +74,96 @@ class TestSmaleNames:
         # 21 copies of the infinite family generator.
         manifold = smale_name(link_homology(WeightedLink((1, 1, 1, 3), 6)))
         assert manifold.name() == "21M_inf"
+
+    def test_large_factors_are_not_factored(self):
+        # A product of two Mersenne primes, far beyond trial division.
+        big = (2**61 - 1) * (2**89 - 1)
+        manifold = smale_name(HomologyGroup(0, (6 * big, 6 * big, 3, 3), 2, "proven"))
+        assert manifold.torsion_chain == (3, 6 * big)
+
+
+def smale_name_oracle(group: HomologyGroup) -> SmaleManifold:
+    """Smale form by halving the multiset of prime powers of the torsion.
+
+    Each prime power must occur an even number of times; half of them are
+    reassembled into the ascending divisibility chain, largest factor
+    built first.
+    """
+    prime_exponents: dict[int, list[int]] = {}
+    for d in group.torsion:
+        for p, e in sympy.factorint(d).items():
+            prime_exponents.setdefault(p, []).append(e)
+    halved: dict[int, list[int]] = {}
+    for p, exps in prime_exponents.items():
+        half = []
+        for e in set(exps):
+            if exps.count(e) % 2:
+                raise NotSmaleFormError(f"prime power {p}^{e} appears an odd number of times")
+            half.extend([e] * (exps.count(e) // 2))
+        halved[p] = sorted(half, reverse=True)
+    depth = max((len(v) for v in halved.values()), default=0)
+    chain = []
+    for j in range(depth):
+        chain.append(math.prod(p ** exps[j] for p, exps in halved.items() if j < len(exps)))
+    return SmaleManifold(betti=group.betti, torsion_chain=tuple(reversed(chain)))
+
+
+def outcome(name, group):
+    """name(group), or the class of the error it raises."""
+    try:
+        return name(group)
+    except NotSmaleFormError:
+        return NotSmaleFormError
+
+
+@st.composite
+def smale_chains(draw):
+    """Betti number and an ascending divisibility chain of up to 6 factors <= 10^6."""
+    chain = []
+    m = 1
+    for _ in range(draw(st.integers(0, 6))):
+        m *= draw(st.integers(1 if chain else 2, 10**6 // m))
+        chain.append(m)
+    return draw(st.integers(0, 10)), tuple(chain)
+
+
+def doubled(betti, chain) -> HomologyGroup:
+    """H_2 = Z^betti + G + G for G with the ascending invariant factors chain."""
+    return HomologyGroup(betti, tuple(m for m in reversed(chain) for _ in "ab"), 2, "proven")
+
+
+class TestSmaleNameOracle:
+    def test_every_bp_five_link(self):
+        count = 0
+        for bp in enumerate_bp(4, 20):
+            group = link_homology(bp)
+            assert outcome(smale_name, group) == outcome(smale_name_oracle, group), bp
+            count += 1
+        assert count == 7315
+
+    @given(smale_chains())
+    @settings(max_examples=300, deadline=None)
+    def test_doubled_chains(self, data):
+        betti, chain = data
+        group = doubled(betti, chain)
+        assert smale_name(group) == smale_name_oracle(group) == SmaleManifold(betti, chain)
+
+    @given(smale_chains(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_perturbed_chains(self, data, extra):
+        betti, chain = data
+        torsion = list(doubled(betti, chain).torsion)
+        how = extra.draw(st.sampled_from(("drop", "scale", "append")))
+        if how == "drop" and torsion:
+            del torsion[extra.draw(st.integers(0, len(torsion) - 1))]
+        elif how == "scale" and torsion:
+            torsion[0] *= extra.draw(st.integers(2, 50))
+        else:
+            last = torsion[-1] if torsion else extra.draw(st.integers(2, 10**6))
+            divisors = [k for k in sympy.divisors(last) if k >= 2]
+            torsion.append(extra.draw(st.sampled_from(divisors)))
+        group = HomologyGroup(betti, tuple(torsion), 2, "proven")
+        assert outcome(smale_name, group) == outcome(smale_name_oracle, group)
 
 
 TABLE_CASES = [

@@ -14,7 +14,6 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,8 +33,8 @@ from selink import (
 )
 from selink import homology
 from selink.catalog import run_pipeline
-from selink.homology import _gcd_moebius, factorint
-from conftest import bp_exponents, coprime_triples, fermat_type_links
+from selink.homology import _gcd_moebius
+from conftest import bp_exponents, coprime_triples, fermat_type_links, primary_parts
 
 # (weights, degree, betti, torsion as primary prime-power multiset)
 GOLDEN_HYPERSURFACES = [
@@ -61,7 +60,7 @@ class TestGoldenTable:
     def test_row(self, weights, degree, betti, primary):
         group = link_homology(WeightedLink(weights, degree))
         assert group.betti == betti
-        assert group.primary_decomposition() == tuple(sorted(primary))
+        assert primary_parts(group.torsion) == tuple(sorted(primary))
         assert group.degree == 3
 
     def test_weight_order_is_immaterial(self):
@@ -88,26 +87,8 @@ class TestFermatLinks:
     def test_branched_quartic_family(self, m):
         # Machine-checked golden family: Z^60 + Z_{4m} + (Z_m)^20.
         group = link_homology(BPExponents((4 * m, 4, 4, 4, 4)))
-        expected = [4 * m] + [m] * 20
-        primary = []
-        for d in expected:
-            for p, e in _factor(d).items():
-                primary.append(p**e)
         assert group.betti == 60
-        assert group.primary_decomposition() == tuple(sorted(primary))
-
-
-def _factor(x: int) -> dict:
-    factors: dict[int, int] = {}
-    p = 2
-    while p * p <= x:
-        while x % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            x //= p
-        p += 1
-    if x > 1:
-        factors[x] = factors.get(x, 0) + 1
-    return factors
+        assert primary_parts(group.torsion) == primary_parts([4 * m] + [m] * 20)
 
 
 class TestHomotopySpheres:
@@ -233,19 +214,6 @@ class TestProperties:
         assert group.applicability == "proven"
 
 
-class TestFactorint:
-    def test_matches_sympy_up_to_ten_thousand(self):
-        for n in range(1, 10**4 + 1):
-            assert factorint(n) == sympy.factorint(n), n
-
-    @pytest.mark.parametrize(
-        "n",
-        [10007 * 10009, 99991 * 100003, 999983 * 1000003, 2**31 - 1, 3**20 * 7919**2],
-    )
-    def test_large_semiprimes_and_powers(self, n):
-        assert factorint(n) == sympy.factorint(n)
-
-
 class TestErrorPaths:
     def test_non_presentation_data_aborts(self):
         # No weighted-homogeneous polynomial with isolated singularity has
@@ -311,6 +279,26 @@ class TestSizeCaps:
 
             monkeypatch.setattr(homology, "betti_number", no_betti_sum)
         bp = BPExponents((2,) + (3,) * n)
+        with pytest.raises(DomainError) as info:
+            link_homology(bp)
+        assert str(info.value) == message
+        record = run_pipeline(bp)
+        assert f"homology: {message}" in record.error.split("; ")
+
+    def test_long_torsion_chain_answered(self):
+        # bp=2,p,p,p has (p-1)(p-2) invariant factors, all 2.
+        group = link_homology(BPExponents((2, 1009, 1009, 1009)))
+        assert len(group.torsion) == 1008 * 1007 < homology._MAX_TORSION_FACTORS
+        assert set(group.torsion) == {2}
+
+    def test_torsion_chain_bound(self):
+        # Refused from the largest multiplicity, before a list is built
+        # (building it raised MemoryError).
+        bp = BPExponents((2, 1000003, 1000003, 1000003))
+        message = (
+            "torsion chain of 1000003000002 invariant factors exceeds "
+            "the safety bound of 2000000"
+        )
         with pytest.raises(DomainError) as info:
             link_homology(bp)
         assert str(info.value) == message
@@ -487,14 +475,10 @@ class TestSumConvention:
         golden_primary = tuple(sorted([16] + [4] * 20))
 
         group = link_homology(link)
-        assert group.primary_decomposition() == golden_primary
+        assert primary_parts(group.torsion) == golden_primary
 
         variant = _torsion_proper_subset_variant(link)
-        primary_variant = []
-        for d in variant:
-            for p, e in _factor(d).items():
-                primary_variant.append(p**e)
-        assert tuple(sorted(primary_variant)) != golden_primary
+        assert primary_parts(variant) != golden_primary
 
     def test_variant_agrees_on_torsion_free_rows(self):
         # On torsion-free links both conventions coincide, which is why

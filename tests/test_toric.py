@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
 from selink import (
+    ConvergenceError,
     DomainError,
     MomentCone,
     ReebVector,
@@ -36,6 +37,7 @@ from selink import (
     volume_hessian,
 )
 
+from selink import toric
 from selink.toric import _solve
 from toric_oracles import oracle_cone, oracle_volume
 from toric_potentials import guillemin_potential, potential_hessian
@@ -478,6 +480,17 @@ class TestMinimize:
         cone = MomentCone(((1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 2)))
         with pytest.raises(DomainError):
             minimize_volume(cone)
+
+    def test_exhausted_budget_raises_convergence_error(self, monkeypatch):
+        # This quotient needs 3 Newton iterations; a budget of 1 runs out.
+        monkeypatch.setattr(toric, "_MAX_ITERATIONS", 1)
+        cone = cone_from_weights(WeightMatrix(((1, 3, -2, -2),), 4))
+        with pytest.raises(ConvergenceError) as info:
+            minimize_volume(cone)
+        assert info.value.iterations == 1
+        assert len(info.value.last_point) == 3
+        assert reeb_is_interior(cone, info.value.last_point)
+        assert math.isfinite(info.value.grad_norm) and info.value.grad_norm > 0
 
 
 class TestGuilleminPotential:
