@@ -6,8 +6,9 @@ followed by one JSON record per line.  The header carries the provenance
 (strings, ints, lists), so rewriting a catalog from the same inputs gives
 the same record lines byte for byte, and only the header timestamp
 differs.  write_catalog consumes its records lazily, writing each line as
-the record arrives, so a streamed batch holds no records in memory.  A
-tab-separated export mirrors the layout of the summary tables this feeds.
+the record arrives, so a streamed batch holds no records in memory; the
+reader and the tab-separated export stream the same way.  The export
+mirrors the layout of the summary tables this feeds.
 
 run_pipeline chains presentation parsing, classification, homology,
 existence rules and the dimension-specific extras, capturing per-stage
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from itertools import combinations_with_replacement
 from typing import Iterable, Iterator
@@ -43,7 +44,6 @@ __all__ = [
     "enumerate_bp",
     "write_catalog",
     "read_catalog",
-    "catalogs_equal",
     "export_table",
 ]
 
@@ -88,7 +88,7 @@ class CatalogRecord:
     error: str | None = None
 
     def to_dict(self) -> dict:
-        d = asdict(self)
+        d = dict(vars(self))
         for key in ("weights", "torsion"):
             if d[key] is not None:
                 d[key] = list(d[key])
@@ -261,28 +261,23 @@ def write_catalog(records: Iterable[CatalogRecord], stream) -> int:
     return count
 
 
-def read_catalog(stream) -> tuple[dict, list[CatalogRecord]]:
-    lines = [line for line in stream.read().splitlines() if line.strip()]
-    if not lines:
+def _read_records(stream) -> tuple[dict, Iterator[CatalogRecord]]:
+    """Check the header now; then yield the records one line at a time."""
+    lines = (line for line in stream if line.strip())
+    first = next(lines, None)
+    if first is None:
         raise DomainError("empty catalog")
-    header = json.loads(lines[0])
+    header = json.loads(first)
     if header.get("format") != CATALOG_FORMAT:
         raise DomainError(f"not a catalog file (header {header!r})")
     if header.get("version") != CATALOG_VERSION:
         raise DomainError(f"unsupported catalog version {header.get('version')!r}")
-    return header, [CatalogRecord.from_dict(json.loads(line)) for line in lines[1:]]
+    return header, (CatalogRecord.from_dict(json.loads(line)) for line in lines)
 
 
-def catalogs_equal(text_a: str, text_b: str) -> bool:
-    """Same header apart from its timestamp, and identical record lines."""
-
-    def split(text: str) -> tuple[dict, str]:
-        header, _, records = text.partition("\n")
-        header = json.loads(header or "{}")
-        header.pop("timestamp", None)
-        return header, records
-
-    return split(text_a) == split(text_b)
+def read_catalog(stream) -> tuple[dict, list[CatalogRecord]]:
+    header, records = _read_records(stream)
+    return header, list(records)
 
 
 _TABLE_COLUMNS = (
@@ -303,8 +298,8 @@ _TABLE_COLUMNS = (
 )
 
 
-def export_table(records: Iterable[CatalogRecord]) -> str:
-    """Tab-separated summary with one row per record."""
+def _table_rows(records: Iterable[CatalogRecord]) -> Iterator[str]:
+    """The TSV header line, then one line per record as it arrives."""
 
     def cell(value) -> str:
         if value is None:
@@ -313,7 +308,11 @@ def export_table(records: Iterable[CatalogRecord]) -> str:
             return ",".join(str(v) for v in value)
         return str(value)
 
-    lines = ["\t".join(_TABLE_COLUMNS)]
+    yield "\t".join(_TABLE_COLUMNS) + "\n"
     for record in records:
-        lines.append("\t".join(cell(getattr(record, col)) for col in _TABLE_COLUMNS))
-    return "\n".join(lines) + "\n"
+        yield "\t".join(cell(getattr(record, col)) for col in _TABLE_COLUMNS) + "\n"
+
+
+def export_table(records: Iterable[CatalogRecord]) -> str:
+    """Tab-separated summary with one row per record."""
+    return "".join(_table_rows(records))

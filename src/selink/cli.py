@@ -20,15 +20,10 @@ import sys
 import warnings
 from contextlib import ExitStack
 from fractions import Fraction
+from itertools import islice
 
 from ._version import __version__
-from .catalog import (
-    enumerate_bp,
-    export_table,
-    read_catalog,
-    run_pipeline,
-    write_catalog,
-)
+from .catalog import _read_records, _table_rows, enumerate_bp, run_pipeline, write_catalog
 from .dimension import (
     SmaleManifold,
     casson_invariant,
@@ -291,6 +286,25 @@ def _worker_count(jobs: int) -> int:
     return min(jobs, os.cpu_count() or 1)
 
 
+# Inputs per window that a parallel batch hands the pool.  One window
+# drains while the next computes, so at most two are in flight and the
+# parent's memory does not grow with the enumeration (Executor.map alone
+# submits every input up front before Python 3.14).
+_BATCH_WINDOW = 512
+
+
+def _windowed_map(pool, fn, items):
+    """pool.map(fn, items) in input order, submitting one window ahead."""
+    items = iter(items)
+    windows = iter(lambda: list(islice(items, _BATCH_WINDOW)), [])
+    current = iter(())
+    for window in windows:
+        following = pool.map(fn, window, chunksize=16)
+        yield from current
+        current = following
+    yield from current
+
+
 def _cmd_batch(args) -> int:
     jobs = _worker_count(args.jobs)
     tuples = enumerate_bp(
@@ -305,12 +319,11 @@ def _cmd_batch(args) -> int:
         if jobs > 1:
             from concurrent.futures import ProcessPoolExecutor
 
-            # Workers compute, the parent is the single writer; map() yields
-            # in input order so the catalog is deterministic regardless of
-            # --jobs.  It submits every input up front (Executor.map has no
-            # buffersize before Python 3.14); only --jobs 1 holds no records.
+            # Workers compute, the parent is the single writer; results
+            # come back in input order, so the catalog is deterministic
+            # regardless of --jobs.
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
-            records = pool.map(run_pipeline, tuples, chunksize=16)
+            records = _windowed_map(pool, run_pipeline, tuples)
         else:
             records = map(run_pipeline, tuples)
         count = write_catalog(records, stream)
@@ -319,14 +332,18 @@ def _cmd_batch(args) -> int:
 
 
 def _cmd_export_table(args) -> int:
-    with open(args.catalog) as fh:
-        _, records = read_catalog(fh)
-    text = export_table(records)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with ExitStack() as stack:
+        # The header is checked before the output is opened; the rows are
+        # written while the records are read, so the output may not be the
+        # input.
+        _, records = _read_records(stack.enter_context(open(args.catalog)))
+        if args.output:
+            if os.path.exists(args.output) and os.path.samefile(args.catalog, args.output):
+                raise DomainError(f"output {args.output} is the input catalog")
+            out = stack.enter_context(open(args.output, "w"))
+        else:
+            out = sys.stdout
+        out.writelines(_table_rows(records))
     return 0
 
 

@@ -575,7 +575,7 @@ def cone_from_weights(omega: WeightMatrix) -> MomentCone:
 
 
 # ---------------------------------------------------------------------------
-# File formats used by the CLI and scripts.
+# File formats used by the CLI.
 
 
 def read_cone_file(path) -> MomentCone:

@@ -9,6 +9,7 @@ always bounds a genuine presentation; the rescaling (t*w, t*d) leaves
 the fractional weights unchanged.
 """
 
+import json
 import math
 import os
 import random
@@ -97,6 +98,18 @@ def primary_parts(orders) -> tuple[int, ...]:
         for p, e in sympy.factorint(m).items():
             out.append(p**e)
     return tuple(sorted(out))
+
+
+def catalogs_equal(text_a: str, text_b: str) -> bool:
+    """Same header apart from its timestamp, and identical record lines."""
+
+    def split(text: str) -> tuple[dict, str]:
+        header, _, records = text.partition("\n")
+        header = json.loads(header or "{}")
+        header.pop("timestamp", None)
+        return header, records
+
+    return split(text_a) == split(text_b)
 
 
 def run_python(code: str, *flags: str) -> subprocess.CompletedProcess:

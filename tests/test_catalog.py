@@ -8,6 +8,7 @@ population, per-stage error isolation, filtering, and the file format
 round trip.
 """
 
+import dataclasses
 import io
 import json
 import math
@@ -15,6 +16,7 @@ import time
 import warnings
 
 import pytest
+from conftest import catalogs_equal
 
 import selink.catalog as catalog
 from selink import (
@@ -23,7 +25,6 @@ from selink import (
     DomainError,
     WeightedLink,
     casson_invariant,
-    catalogs_equal,
     decide_existence,
     enumerate_bp,
     export_table,
@@ -53,6 +54,27 @@ class TestCatalogRecord:
     def test_unknown_field_rejected(self):
         with pytest.raises(DomainError, match="bogus"):
             CatalogRecord.from_dict({"presentation": "x", "bogus": 1})
+
+    @staticmethod
+    def _asdict_to_dict(record: CatalogRecord) -> dict:
+        """The former to_dict, a deep copy through dataclasses.asdict: the oracle."""
+        d = dataclasses.asdict(record)
+        for key in ("weights", "torsion"):
+            if d[key] is not None:
+                d[key] = list(d[key])
+        return d
+
+    def test_to_dict_matches_asdict_oracle(self):
+        records = [run_pipeline(bp) for bp in enumerate_bp(3, 30)]
+        records += [run_pipeline(bp) for bp in enumerate_bp(4, 12)]
+        records += TestCatalogIO()._records()
+        assert len(records) == 4495 + 1001 + 3
+        assert any(r.error for r in records) and any(r.torsion for r in records)
+        for record in records:
+            # A tuple never equals a list, so == also pins the list fields.
+            got, expected = record.to_dict(), self._asdict_to_dict(record)
+            assert got == expected
+            assert json.dumps(got, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
 class TestRunPipeline:

@@ -6,17 +6,21 @@ exit-code contract: 0 success, 1 domain/usage error, 2 violated internal
 invariant.
 """
 
+import concurrent.futures
+import io
 import json
 import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import pytest
+from conftest import catalogs_equal
 
 import selink.catalog as catalog
 import selink.cli as cli
 import selink.toric as toric
 from selink import BPExponents, DomainError
-from selink.catalog import catalogs_equal, read_catalog
+from selink.catalog import read_catalog
 from selink.cli import _worker_count, main
 
 CONIFOLD_FILE = "# conifold\n1 0 0\n1 1 0\n1 1 1\n1 0 1\n"
@@ -514,6 +518,40 @@ class TestBatch:
         assert rc == 0 and "wrote 10 records" in err
         assert events == ["write"] + ["run", "write"] * 10
 
+    def test_parallel_batch_bounds_records_in_flight(self, capsys, tmp_path, monkeypatch):
+        # --jobs N hands the pool one window of inputs at a time and submits
+        # the next window while the current one drains, so at most two
+        # windows are ever in flight.
+        counts = {"submitted": 0, "yielded": 0}
+        in_flight = []
+
+        class Pool(ProcessPoolExecutor):
+            def map(self, fn, items, **kwargs):
+                items = list(items)
+                counts["submitted"] += len(items)
+                in_flight.append(counts["submitted"] - counts["yielded"])
+                results = super().map(fn, items, **kwargs)
+
+                def counted():
+                    for result in results:
+                        counts["yielded"] += 1
+                        yield result
+
+                return counted()
+
+        monkeypatch.setattr(cli, "_BATCH_WINDOW", 8)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        serial, parallel = tmp_path / "serial.jsonl", tmp_path / "parallel.jsonl"
+        args = ("batch", "--length", "3", "--max-exponent", "10")
+        assert run(capsys, *args, "-o", str(serial))[0] == 0
+        rc, _, err = run(capsys, *args, "--jobs", "2", "-o", str(parallel))
+        assert rc == 0 and "wrote 165 records" in err
+        assert counts == {"submitted": 165, "yielded": 165}
+        assert len(in_flight) == 21  # ceil(165 / 8) windows
+        assert in_flight[0] == 8 and max(in_flight) == 16
+        assert catalogs_equal(serial.read_text(), parallel.read_text())
+
 
 class TestExportTable:
     def test_pipeline(self, capsys, tmp_path):
@@ -553,6 +591,69 @@ class TestExportTable:
         rc, out, err = run(capsys, "export-table", str(path))
         assert rc == 1 and out == ""
         assert err == "error: unsupported catalog version 1\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("\n", "empty catalog"),
+            ("{}\n", "not a catalog file (header {})"),
+            ('{"format": "selink-catalog", "version": 99}\n', "unsupported catalog version 99"),
+        ],
+    )
+    def test_bad_header_leaves_no_file(self, capsys, tmp_path, text, message):
+        path, tsv = tmp_path / "cat.jsonl", tmp_path / "out.tsv"
+        path.write_text(text)
+        rc, out, err = run(capsys, "export-table", str(path), "-o", str(tsv))
+        assert (rc, out, err) == (1, "", f"error: {message}\n")
+        assert not tsv.exists()
+
+    def test_rows_streamed_one_at_a_time(self, capsys, tmp_path, monkeypatch):
+        # Each row is written before the next record line is read, so the
+        # export never holds more than one record.
+        cat = tmp_path / "cat.jsonl"
+        argv = ("batch", "--length", "3", "--max-exponent", "4", "-o", str(cat))
+        assert run(capsys, *argv)[0] == 0
+        events = []
+
+        class Catalog(io.StringIO):
+            def __next__(self):
+                line = super().__next__()
+                events.append("read")
+                return line
+
+        class Stream(io.StringIO):
+            def write(self, text):
+                events.append("write")
+
+        monkeypatch.setattr(cli, "open", lambda path: Catalog(cat.read_text()), raising=False)
+        monkeypatch.setattr(cli.sys, "stdout", Stream())
+        assert main(["export-table", str(cat)]) == 0
+        assert events == ["read", "write"] + ["read", "write"] * 10
+
+    def test_refuses_input_as_output(self, capsys, tmp_path):
+        cat = tmp_path / "cat.jsonl"
+        run(capsys, "batch", "--length", "3", "--max-exponent", "3", "-o", str(cat))
+        before = cat.read_text()
+        link = tmp_path / "link.jsonl"
+        link.symlink_to(cat)
+        for output in (cat, link, f"{tmp_path}/./cat.jsonl"):
+            rc, out, err = run(capsys, "export-table", str(cat), "-o", str(output))
+            assert (rc, out) == (1, "")
+            assert err == f"error: output {output} is the input catalog\n"
+            assert cat.read_text() == before
+
+    def test_bad_record_line_leaves_partial_table(self, capsys, tmp_path):
+        # Rows are written as records are read, so the rows before a bad
+        # record line are already out when it stops the export.
+        cat, tsv = tmp_path / "cat.jsonl", tmp_path / "out.tsv"
+        run(capsys, "batch", "--length", "3", "--max-exponent", "3", "-o", str(cat))
+        lines = cat.read_text().splitlines(keepends=True)
+        cat.write_text("".join(lines[:3]) + '{"presentation": "x", "zzz": 0}\n' + lines[3])
+        rc, out, err = run(capsys, "export-table", str(cat), "-o", str(tsv))
+        assert (rc, out) == (1, "")
+        assert err == "error: unknown catalog record fields: ['zzz']\n"
+        assert tsv.read_text().splitlines()[0].startswith("presentation\t")
+        assert len(tsv.read_text().splitlines()) == 3
 
 
 # Each rendering command with --format records and table, and the bytes
