@@ -157,7 +157,7 @@ def run_pipeline(presentation: str | BPExponents | WeightedLink) -> CatalogRecor
     record.index = link.index
     record.link_type = classify_type(link)
 
-    homology = guard("homology")(link_homology, bp if bp is not None else link)
+    homology = guard("homology")(link_homology, link, None if bp is None else "bp")
     if homology is not None:
         record.betti = homology.betti
         record.torsion = homology.torsion
@@ -261,18 +261,35 @@ def write_catalog(records: Iterable[CatalogRecord], stream) -> int:
     return count
 
 
+def _record(number: int, line: str) -> CatalogRecord:
+    """The record on catalog line ``number``; a malformed one is a DomainError."""
+    try:
+        d = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise DomainError(f"catalog line {number} is not JSON ({exc.msg})") from None
+    if not isinstance(d, dict):
+        raise DomainError(f"catalog line {number} is not a record: {d!r}")
+    for key in ("weights", "torsion"):
+        if not isinstance(d.get(key), (list, type(None))):
+            raise DomainError(f"catalog line {number}: {key} is not a list: {d[key]!r}")
+    return CatalogRecord.from_dict(d)
+
+
 def _read_records(stream) -> tuple[dict, Iterator[CatalogRecord]]:
     """Check the header now; then yield the records one line at a time."""
-    lines = (line for line in stream if line.strip())
-    first = next(lines, None)
+    lines = ((number, line) for number, line in enumerate(stream, 1) if line.strip())
+    number, first = next(lines, (0, None))
     if first is None:
         raise DomainError("empty catalog")
-    header = json.loads(first)
-    if header.get("format") != CATALOG_FORMAT:
+    try:
+        header = json.loads(first)
+    except json.JSONDecodeError:
+        raise DomainError(f"not a catalog file (line {number} is not JSON)") from None
+    if not isinstance(header, dict) or header.get("format") != CATALOG_FORMAT:
         raise DomainError(f"not a catalog file (header {header!r})")
     if header.get("version") != CATALOG_VERSION:
         raise DomainError(f"unsupported catalog version {header.get('version')!r}")
-    return header, (CatalogRecord.from_dict(json.loads(line)) for line in lines)
+    return header, (_record(number, line) for number, line in lines)
 
 
 def read_catalog(stream) -> tuple[dict, list[CatalogRecord]]:

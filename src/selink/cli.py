@@ -489,7 +489,7 @@ def main(argv=None) -> int:
     except InternalConsistencyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # an unreadable input file
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

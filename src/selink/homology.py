@@ -15,6 +15,8 @@ index i).  Each subset J contributes the term
 with empty product 1 and lcm() = 1.  Over the common denominator
 D = (prod of all v_i) * lcm(all u_i) every term is an integer D * f(J), so
 each sum below is an integer sum with a single division by D at the end.
+link_homology builds this one table of terms per link and hands it to
+both the Betti sum and the Orlik transform.
 
 The free rank b is the alternating sum of (-1)^{m-|J|} f(J) over all 2^m
 subsets, so the empty subset contributes (-1)^{n+1}.  The sum is an
@@ -73,7 +75,6 @@ from .links import (
     BPExponents,
     WeightedLink,
     as_link,
-    bp_to_link,
     fractional_weights,
 )
 
@@ -97,25 +98,32 @@ _MAX_N_TORSION = 12  # two transforms of (n+1) * 2^n steps each
 _MAX_TORSION_FACTORS = 2 * 10**6
 
 
+def _check_betti_size(n: int) -> None:
+    if n > _MAX_N_BETTI:
+        raise DomainError(f"n={n} too large for subset enumeration")
+
+
 def _check_torsion_size(n: int) -> None:
     if n > _MAX_N_TORSION:
         raise DomainError(f"n={n} too large for the torsion table")
 
 
-def _subset_terms(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[list[int], int]:
-    """Integer numerators D * f(J) per bitmask J, and the common denominator D.
+def _subset_terms(link: WeightedLink) -> tuple[tuple[int, ...], list[int], int]:
+    """The numerators u, the integers D * f(J) per bitmask J, and D.
 
     Adding index i to J multiplies f(J) by gcd(lcm(u_J), u_i) / v_i, so the
-    tables double as the indices are taken in: the new half is the old one
+    table doubles as the indices are taken in: the new half is the old one
     with bit i set.
     """
+    fw = fractional_weights(link)
+    u, v = fw.numerators, fw.denominators
     denominator = math.prod(v) * math.lcm(*u)
     terms, lcm_u = [denominator], [1]
     for x, y in zip(u, v):
         gcds = [math.gcd(ell, x) for ell in lcm_u]
         terms += [term * g // y for term, g in zip(terms, gcds)]
         lcm_u += [ell * x // g for ell, g in zip(lcm_u, gcds)]
-    return terms, denominator
+    return u, terms, denominator
 
 
 def _moebius_slices(m: int):
@@ -165,14 +173,11 @@ def _gcd_moebius(u: tuple[int, ...]) -> list:
     return c
 
 
-def betti_number(link: WeightedLink | BPExponents) -> int:
-    """Free rank of H_{n-1}(L; Z) via the alternating subset sum."""
-    link = as_link(link)
-    if link.n > _MAX_N_BETTI:
-        raise DomainError(f"n={link.n} too large for subset enumeration")
-    fw = fractional_weights(link)
-    m = len(fw.numerators)
-    terms, denominator = _subset_terms(fw.numerators, fw.denominators)
+def _betti_sum(
+    link: WeightedLink, u: tuple[int, ...], terms: list[int], denominator: int
+) -> int:
+    """The alternating subset sum over the table of ``_subset_terms``."""
+    m = len(u)
     total = sum(
         -term if (m - mask.bit_count()) % 2 else term for mask, term in enumerate(terms)
     )
@@ -182,6 +187,13 @@ def betti_number(link: WeightedLink | BPExponents) -> int:
             "expected a nonnegative integer"
         )
     return total // denominator
+
+
+def betti_number(link: WeightedLink | BPExponents) -> int:
+    """Free rank of H_{n-1}(L; Z) via the alternating subset sum."""
+    link = as_link(link)
+    _check_betti_size(link.n)
+    return _betti_sum(link, *_subset_terms(link))
 
 
 @dataclass(frozen=True)
@@ -196,6 +208,23 @@ class OrlikTable:
     size: int  # number of indices, n+1
     c: tuple  # int per mask, None at the full mask
     k: tuple  # Fraction per mask
+
+
+def _orlik_transform(
+    u: tuple[int, ...], terms: list[int], denominator: int
+) -> OrlikTable:
+    """The c/k tables from the table of ``_subset_terms``, inverted in place."""
+    m = len(u)
+    c = _gcd_moebius(u)
+    for into, source in _moebius_slices(m):
+        terms[into] = map(operator.sub, terms[into], terms[source])
+    # eps(n - s + 1) with n = m - 1: nonzero only when m - s is odd.
+    zero = Fraction(0)
+    k = tuple(
+        Fraction(term, denominator) if term and (m - mask.bit_count()) % 2 else zero
+        for mask, term in enumerate(terms)
+    )
+    return OrlikTable(size=m, c=tuple(c), k=k)
 
 
 def orlik_table(link: WeightedLink | BPExponents) -> OrlikTable:
@@ -215,20 +244,7 @@ def orlik_table(link: WeightedLink | BPExponents) -> OrlikTable:
     """
     link = as_link(link)
     _check_torsion_size(link.n)
-    fw = fractional_weights(link)
-    u, v = fw.numerators, fw.denominators
-    m = len(u)
-    c = _gcd_moebius(u)
-    terms, denominator = _subset_terms(u, v)
-    for into, source in _moebius_slices(m):
-        terms[into] = map(operator.sub, terms[into], terms[source])
-    # eps(n - s + 1) with n = m - 1: nonzero only when m - s is odd.
-    zero = Fraction(0)
-    k = tuple(
-        Fraction(term, denominator) if term and (m - mask.bit_count()) % 2 else zero
-        for mask, term in enumerate(terms)
-    )
-    return OrlikTable(size=m, c=tuple(c), k=k)
+    return _orlik_transform(*_subset_terms(link))
 
 
 def torsion_orders(table: OrlikTable) -> tuple[int, ...]:
@@ -310,17 +326,14 @@ def link_homology(
     """
     if isinstance(presentation, BPExponents):
         source = source or "bp"
-        link = bp_to_link(presentation)
-    else:
-        link = presentation
+    link = as_link(presentation)
     if source is not None and source not in PROVEN_SOURCES:
         raise DomainError(f"unknown source class {source!r}")
-    # Refuse a table that is too large before the O(2^(n+1)) Betti sum;
-    # beyond the Betti cap, betti_number's own error comes first.
-    if link.n <= _MAX_N_BETTI:
-        _check_torsion_size(link.n)
-    betti = betti_number(link)
-    torsion = torsion_orders(orlik_table(link))
+    _check_betti_size(link.n)
+    _check_torsion_size(link.n)
+    table = _subset_terms(link)
+    betti = _betti_sum(link, *table)  # before the transform inverts the terms
+    torsion = torsion_orders(_orlik_transform(*table))
     proven = link.n in (2, 3) or source in PROVEN_SOURCES
     return HomologyGroup(
         betti=betti,

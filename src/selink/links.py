@@ -183,12 +183,17 @@ def classify_type(link: WeightedLink) -> str:
     return "null"
 
 
+def _is_int_token(text: str) -> bool:
+    # Not str.isdigit, which also passes digits such as "²" that int() refuses.
+    return text.removeprefix("-").isdecimal()
+
+
 def _parse_int_list(value: str, token: str, position: int) -> tuple[int, ...]:
     parts = value.split(",")
     out = []
     for part in parts:
         part = part.strip()
-        if not part.lstrip("-").isdigit():
+        if not _is_int_token(part):
             raise DomainError(
                 f"token {token!r} at position {position}: {part!r} is not an integer"
             )
@@ -218,7 +223,7 @@ def parse_presentation(text: str) -> BPExponents | WeightedLink:
         if key == "bp" or key == "w":
             fields[key] = _parse_int_list(value, token, position)
         elif key == "d":
-            if not value.lstrip("-").isdigit():
+            if not _is_int_token(value):
                 raise DomainError(
                     f"token {token!r} at position {position}: degree must be an integer"
                 )

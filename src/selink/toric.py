@@ -47,11 +47,11 @@ from .errors import (
     UnboundedPolytopeError,
 )
 from .intlinalg import (
+    _echelon,
     _int_rows,
     det_int,
     kernel_vector,
     primitive_vector,
-    rank_rational,
     smith_normal_form,
     solve_exact,
 )
@@ -101,10 +101,9 @@ class MomentCone:
                 raise DomainError("facet normals of mixed dimension")
             cleaned[primitive_vector(row)] = None
         object.__setattr__(self, "normals", tuple(cleaned))
-        if rank_rational(self.normals) < dim:
-            raise DomainError("cone is not strongly convex (contains a line)")
-        # The rays' sum lies in the relative interior of this pointed cone; a
-        # normal vanishing there vanishes on every ray, so the interior is empty.
+        # Computing the rays checks strong convexity first.  Their sum lies in
+        # the relative interior of this pointed cone; a normal vanishing there
+        # vanishes on every ray, so the interior is empty.
         centre = [sum(column) for column in zip(*self.rays)]
         if any(sum(a * b for a, b in zip(n, centre)) <= 0 for n in self.normals):
             raise DomainError("cone is not full-dimensional (empty interior)")
@@ -124,7 +123,9 @@ class MomentCone:
 
         Double description (Motzkin et al. 1953; Fukuda-Prodon 1996).  The
         first dim independent normals cut out a simplicial cone, whose rays
-        are the kernels of dim-1 of them, oriented into the cone.  The
+        are the kernels of dim-1 of them, oriented into the cone.  They are
+        the pivot columns of one elimination of the transposed normals, and
+        fewer than dim pivots means the cone contains a line.  The
         other normals h are added one at a time in input order: rays with
         <h, r> >= 0 stay, and every adjacent pair with <h, p> > 0 > <h, q>
         adds the primitive vector <h, p> q - <h, q> p.  Each ray carries its
@@ -134,12 +135,9 @@ class MomentCone:
         """
         dim = self.dim
         normals = self.normals
-        basis = []
-        for i, normal in enumerate(normals):
-            if len(basis) == dim:
-                break
-            if rank_rational([normals[j] for j in basis] + [normal]) > len(basis):
-                basis.append(i)
+        basis = _echelon(list(zip(*normals)))[1]
+        if len(basis) < dim:
+            raise DomainError("cone is not strongly convex (contains a line)")
         added = sum(1 << i for i in basis)
         rays = []  # (primitive vector, zero set)
         for i in basis:

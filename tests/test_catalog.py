@@ -19,6 +19,9 @@ import pytest
 from conftest import catalogs_equal
 
 import selink.catalog as catalog
+import selink.existence as existence
+import selink.homology as homology
+import selink.links as links
 from selink import (
     BPExponents,
     CatalogRecord,
@@ -94,6 +97,29 @@ class TestRunPipeline:
         assert record.casson == -1
         assert record.smale is None  # 3-dimensional link, no 5-dim table
         assert record.error is None
+
+    def test_one_subset_table_per_record(self, monkeypatch):
+        # The link is derived once for the record and once more where the
+        # verdict checks that bp presents it; the fractional weights and the
+        # subset terms once, for both the Betti sum and the Orlik table.
+        calls = dict.fromkeys(("bp_to_link", "fractional_weights", "_subset_terms"), 0)
+
+        def count(module, name):
+            fn = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(links, "bp_to_link")
+        count(existence, "bp_to_link")
+        count(homology, "fractional_weights")
+        count(homology, "_subset_terms")
+        record = run_pipeline(BPExponents((2, 3, 4, 5)))
+        assert (record.betti, record.torsion, record.error) == (0, (), None)
+        assert calls == {"bp_to_link": 2, "fractional_weights": 1, "_subset_terms": 1}
 
     def test_obstructed_example(self):
         record = run_pipeline("w=1,2,5,5,5 d=10")

@@ -19,7 +19,7 @@ from conftest import catalogs_equal
 import selink.catalog as catalog
 import selink.cli as cli
 import selink.toric as toric
-from selink import BPExponents, DomainError
+from selink import BPExponents, DomainError, as_link
 from selink.catalog import read_catalog
 from selink.cli import _worker_count, main
 
@@ -390,7 +390,7 @@ class TestBatch:
         real_link_homology = catalog.link_homology
 
         def link_homology(presentation, *rest):
-            if presentation == BPExponents((2, 3, 4)):
+            if as_link(presentation) == as_link(BPExponents((2, 3, 4))):
                 raise OverflowError("integer too large")
             return real_link_homology(presentation, *rest)
 
@@ -598,6 +598,9 @@ class TestExportTable:
             ("\n", "empty catalog"),
             ("{}\n", "not a catalog file (header {})"),
             ('{"format": "selink-catalog", "version": 99}\n', "unsupported catalog version 99"),
+            ("[]\n", "not a catalog file (header [])"),
+            ('"selink-catalog"\n', "not a catalog file (header 'selink-catalog')"),
+            ("\n{not json\n", "not a catalog file (line 2 is not JSON)"),
         ],
     )
     def test_bad_header_leaves_no_file(self, capsys, tmp_path, text, message):
@@ -605,6 +608,14 @@ class TestExportTable:
         path.write_text(text)
         rc, out, err = run(capsys, "export-table", str(path), "-o", str(tsv))
         assert (rc, out, err) == (1, "", f"error: {message}\n")
+        assert not tsv.exists()
+
+    def test_undecodable_catalog(self, capsys, tmp_path):
+        path, tsv = tmp_path / "cat.jsonl", tmp_path / "out.tsv"
+        path.write_bytes(b"\xff\xfe\x00\n")
+        rc, out, err = run(capsys, "export-table", str(path), "-o", str(tsv))
+        assert (rc, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert not tsv.exists()
 
     def test_rows_streamed_one_at_a_time(self, capsys, tmp_path, monkeypatch):
@@ -648,12 +659,20 @@ class TestExportTable:
         cat, tsv = tmp_path / "cat.jsonl", tmp_path / "out.tsv"
         run(capsys, "batch", "--length", "3", "--max-exponent", "3", "-o", str(cat))
         lines = cat.read_text().splitlines(keepends=True)
-        cat.write_text("".join(lines[:3]) + '{"presentation": "x", "zzz": 0}\n' + lines[3])
-        rc, out, err = run(capsys, "export-table", str(cat), "-o", str(tsv))
-        assert (rc, out) == (1, "")
-        assert err == "error: unknown catalog record fields: ['zzz']\n"
-        assert tsv.read_text().splitlines()[0].startswith("presentation\t")
-        assert len(tsv.read_text().splitlines()) == 3
+        for line, message in [
+            ('{"presentation": "x", "zzz": 0}', "unknown catalog record fields: ['zzz']"),
+            ('{"presentation": ', "catalog line 4 is not JSON (Expecting value)"),
+            ("5", "catalog line 4 is not a record: 5"),
+            ('["presentation"]', "catalog line 4 is not a record: ['presentation']"),
+            ('{"presentation": "x", "weights": 5}', "catalog line 4: weights is not a list: 5"),
+            ('{"presentation": "x", "torsion": "2"}', "catalog line 4: torsion is not a list: '2'"),
+        ]:
+            cat.write_text("".join(lines[:3]) + line + "\n" + lines[3])
+            rc, out, err = run(capsys, "export-table", str(cat), "-o", str(tsv))
+            assert (rc, out) == (1, "")
+            assert err == f"error: {message}\n"
+            assert tsv.read_text().splitlines()[0].startswith("presentation\t")
+            assert len(tsv.read_text().splitlines()) == 3
 
 
 # Each rendering command with --format records and table, and the bytes
@@ -756,6 +775,13 @@ class TestExitCodes:
         rc, _, err = run(capsys, "classify", "w=1,2", "d=oops")
         assert rc == 1
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("presentation", ["bp=--5,3,3", "bp=²,3,5", "w=1,1,1 d=--3"])
+    def test_integer_lookalike_is_domain_error(self, capsys, presentation):
+        # Tokens that str.isdigit accepts and int refuses.
+        rc, out, err = run(capsys, "classify", *presentation.split())
+        assert (rc, out) == (1, "")
+        assert err.startswith("error: token ") and err.count("\n") == 1
 
     def test_internal_inconsistency_is_exit_2(self, capsys):
         # Fractional Betti sum trips a violated invariant, not a usage error.

@@ -258,8 +258,8 @@ class TestSizeCaps:
     """Oversized links fail before any subset work, with fixed messages.
 
     For 13 <= n <= 20 the torsion-table cap must fire before the
-    O(2^(n+1)) Betti sum, which the patched ``betti_number`` would reject;
-    beyond n = 20 the Betti cap's message still comes first.
+    O(2^(n+1)) subset table, which the patched ``_subset_terms`` would
+    reject; beyond n = 20 the Betti cap's message still comes first.
     """
 
     @pytest.mark.parametrize(
@@ -272,12 +272,10 @@ class TestSizeCaps:
         ],
     )
     def test_link_homology_message(self, n, message, monkeypatch):
-        if n <= homology._MAX_N_BETTI:
+        def no_subset_terms(link):
+            raise AssertionError("subset table built for an oversized link")
 
-            def no_betti_sum(link):
-                raise AssertionError("Betti sum run for an oversized table")
-
-            monkeypatch.setattr(homology, "betti_number", no_betti_sum)
+        monkeypatch.setattr(homology, "_subset_terms", no_subset_terms)
         bp = BPExponents((2,) + (3,) * n)
         with pytest.raises(DomainError) as info:
             link_homology(bp)
@@ -426,10 +424,13 @@ def assert_matches_oracle(link):
     assert list(table.c) == c
     assert list(table.k) == k
     assert all(type(x) is Fraction for x in table.k)
-    assert torsion_orders(table) == torsion_chain_oracle(c, k)
+    torsion = torsion_chain_oracle(c, k)
+    assert torsion_orders(table) == torsion
     betti = betti_oracle(u, v)
     assert betti.denominator == 1 and betti >= 0
     assert betti_number(link) == betti
+    group = link_homology(link)
+    assert (group.betti, group.torsion) == (betti, torsion)
 
 
 class TestMoebiusAgainstOracle:

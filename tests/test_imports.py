@@ -1,8 +1,12 @@
 """Import hygiene: the package loads no third-party module.
 
 Each check runs in a fresh interpreter, since this test process has
-already imported numpy, scipy and sympy for the oracles.
+already imported numpy, scipy and sympy for the oracles.  The source is
+also read for statements that ``python -O`` would strip.
 """
+
+import ast
+from pathlib import Path
 
 from conftest import run_python
 
@@ -98,3 +102,20 @@ def test_package_exports():
     assert set(selink.__all__) == EXPORTS
     # The one list of names kept outside its module, so that toric loads lazily.
     assert list(selink._TORIC_NAMES) == selink.toric.__all__
+
+
+def test_no_assert_statements_in_src():
+    # python -O strips assert statements, so an invariant check written as
+    # one would silently vanish; the package raises its own errors instead.
+    src = Path(__file__).resolve().parent.parent / "src"
+    paths = sorted(src.rglob("*.py"))
+    assert paths
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [
+            f"{path.relative_to(src)}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)
+        ]
+    assert found == []

@@ -169,6 +169,9 @@ class TestParser:
             "w=1,2,3 d=6 x=1",     # unknown key
             "w=1,a,3 d=6",         # non-integer entry
             "w=1,2,3 6",           # token without '='
+            "bp=--5,3,3",          # a second minus sign
+            "bp=²,3,5",            # a digit that is not decimal
+            "w=1,1,1 d=--3",       # the same in the degree
         ],
     )
     def test_rejects_malformed(self, text):
