@@ -96,15 +96,44 @@ class CatalogRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CatalogRecord":
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
+        """The record a catalog line holds; a field of the wrong type is a DomainError.
+
+        Each field's type is read off its annotation (see _FIELD_CHECKS);
+        every field but the presentation may be None.
+        """
+        unknown = d.keys() - _FIELD_CHECKS.keys()
         if unknown:
             raise DomainError(f"unknown catalog record fields: {sorted(unknown)}")
+        for name, (check, expected, optional) in _FIELD_CHECKS.items():
+            value = d.get(name)
+            if not (check(value) or value is None and optional):
+                raise DomainError(f"catalog record field {name} is not {expected}: {value!r}")
         d = dict(d)
         for key in ("weights", "torsion"):
             if d.get(key) is not None:
                 d[key] = tuple(d[key])
         return cls(**d)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# Per annotated record type: its check and its name in an error message.
+_TYPE_CHECKS = {
+    "int": (_is_int, "an int"),
+    "str": (lambda value: isinstance(value, str), "a string"),
+    "tuple[int, ...]": (
+        lambda value: isinstance(value, (list, tuple)) and all(map(_is_int, value)),
+        "a list of ints",
+    ),
+}
+
+# Per record field: its type's check and name, and whether it may be None.
+_FIELD_CHECKS = {
+    f.name: (*_TYPE_CHECKS[f.type.split(" | ")[0]], f.default is None)
+    for f in fields(CatalogRecord)
+}
 
 
 def _stage_error(stage: str, exc: BaseException) -> str:

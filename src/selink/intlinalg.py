@@ -6,7 +6,6 @@ solves.  All but the Smith form come from one routine, ``_echelon``: a
 fraction-free (Bareiss) row echelon form in plain Python ints, whose
 entries are minors of the input and never need a Fraction.
 
-- ``rank_rational`` counts its pivots;
 - ``det_int`` reads the last pivot of a square matrix;
 - ``kernel_vector`` back-substitutes in integers over the pivot rows;
 - ``solve_exact`` back-substitutes in integers scaled by the determinant
@@ -28,7 +27,6 @@ from .errors import DomainError
 __all__ = [
     "smith_normal_form",
     "det_int",
-    "rank_rational",
     "solve_exact",
     "kernel_vector",
     "primitive_vector",
@@ -180,11 +178,6 @@ def det_int(matrix) -> int:
         return 1
     rows, pivots = _echelon(matrix)
     return rows[-1][-1] if len(pivots) == n else 0
-
-
-def rank_rational(matrix) -> int:
-    """Rank over the rationals of an integer matrix."""
-    return len(_echelon(matrix)[1])
 
 
 def solve_exact(matrix, rhs):

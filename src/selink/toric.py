@@ -23,12 +23,16 @@ cone is decomposed once into simplicial subcones, read off the ray-facet
 incidences, whose index structure does not depend on xi.  The
 volume is then a finite sum
 
-    V(xi) = sum over simplices |det(r_1 ... r_m)| / prod <xi, r_j>,
+    V(xi) = sum over simplices |det(r_1 ... r_m)| / prod <xi, r_j>.
 
-evaluated in exact rationals for rational xi and in floats inside the
-optimizer, with closed-form gradient and Hessian.  The float path is plain
-Python: a Newton step needs one linear solve of size m+1, done by
-Gaussian elimination.
+The determinants are read off the triangulation's own recursion: one
+fraction-free elimination is carried down it, so a simplex only finishes
+its last small block.  For rational xi the sum is exact, over one common
+denominator, with a single Fraction at the end; inside the optimizer it
+is taken in floats, with closed-form gradient and Hessian whose
+single-ray parts are grouped by ray.  The float path is plain Python: a
+Newton step needs one linear solve of size m+1, done by Gaussian
+elimination.
 """
 
 from __future__ import annotations
@@ -179,8 +183,8 @@ class MomentCone:
         return tuple(vec for vec, _ in rays), tuple(masks)
 
     @cached_property
-    def _triangulation(self) -> tuple[tuple[int, ...], ...]:
-        """Decomposition into simplicial subcones, as tuples of ray indices.
+    def _simplices(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Simplicial subcones as (ray indices, |determinant|) pairs.
 
         Recursive pulling triangulation on the face lattice.  A face is the
         bitmask of its ray indices, and each normal has the bitmask of the
@@ -189,34 +193,77 @@ class MomentCone:
         off the exact incidences and needs no further arithmetic.  Each face
         is coned from its lowest ray (the anchor) over the facets that miss
         it, taken in the order of the normals.
+
+        Every simplex below a face contains the anchors above it, so the
+        determinants come out of one fraction-free (Bareiss 1968)
+        elimination carried down the recursion.  A face that is not a
+        simplex pivots once on its anchor's reduced row, at its first
+        nonzero column not yet used, and reduces only the rows of the rays
+        in the facets it recurses into; that pivot is the divisor one level
+        down.  A simplicial face finishes its own square block the same way,
+        row by row, and its last pivot is the determinant up to sign.
         """
         rays, masks = self._incidences
 
-        def triangulate(face: int, d: int):
-            if face.bit_count() == d:
-                return [tuple(j for j in range(face.bit_length()) if face >> j & 1)]
-            anchor = face & -face
+        # rows[j] is ray j reduced by the anchors above the face, over the d
+        # columns they left unused; prev is the last of their pivots.
+        def triangulate(face: int, d: int, rows, prev: int):
+            if face.bit_count() == d:  # a simplex, pulled from its lowest ray too
+                members = _set_bits(face)
+                block = [rows[j] for j in members]
+                while len(block) > 1:
+                    prev, block = _eliminate(block[0], block[1:], prev)
+                return [(members, abs(block[0][0]))]
+            anchor = (face & -face).bit_length() - 1
             subs = dict.fromkeys(face & mask for mask in masks)  # in normal order
             subs.pop(face, None)
             facets = []  # by decreasing size: a facet is in no larger one
             for sub in sorted(subs, key=int.bit_count, reverse=True):
                 if all(sub & f != sub for f in facets):
                     facets.append(sub)
+            below = [sub for sub in subs if sub in facets and not sub >> anchor & 1]
+            union = 0
+            for sub in below:
+                union |= sub
+            used = _set_bits(union)
+            pivot, reduced = _eliminate(rows[anchor], [rows[j] for j in used], prev)
+            reduced = dict(zip(used, reduced))
             simplices = []
-            for sub in subs:
-                if sub in facets and not sub & anchor:
-                    for tau in triangulate(sub, d - 1):
-                        simplices.append(tau + (anchor.bit_length() - 1,))
+            for sub in below:
+                for tau, det in triangulate(sub, d - 1, reduced, pivot):
+                    simplices.append((tau + (anchor,), det))
             return simplices
 
-        return tuple(triangulate((1 << len(rays)) - 1, self.dim))
+        return tuple(triangulate((1 << len(rays)) - 1, self.dim, rays, 1))
 
-    @cached_property
-    def _simplex_dets(self) -> tuple[int, ...]:
-        rays = self.rays
-        return tuple(
-            abs(det_int([rays[j] for j in simplex])) for simplex in self._triangulation
+
+def _set_bits(mask: int) -> tuple[int, ...]:
+    """Indices of the set bits of mask, ascending."""
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(bits)
+
+
+def _eliminate(top, rows, prev: int):
+    """One fraction-free step: pivot on top at its first nonzero entry.
+
+    Returns the pivot and the rows with that column eliminated and dropped.
+    Each new entry is a minor of the original rows, so the division by the
+    previous pivot prev is exact.
+    """
+    c = top.index(next(filter(None, top)))  # the first nonzero entry
+    pivot = top[c]
+    rest = top[:c] + top[c + 1 :]
+    reduced = []
+    for row in rows:
+        f = row[c]
+        reduced.append(
+            [(pivot * a - f * b) // prev for a, b in zip(row[:c] + row[c + 1 :], rest)]
         )
+    return pivot, reduced
 
 
 @dataclass(frozen=True)
@@ -271,55 +318,80 @@ def volume(cone: MomentCone, xi):
 
     Exact Fraction for integer/Fraction input, float otherwise.  Raises
     UnboundedPolytopeError when xi is not strictly inside the dual cone.
+    The exact sum is taken over one common denominator.  A Fraction xi is
+    first scaled to integers by the lcm D of its denominators; V is
+    homogeneous of degree -m, so V(xi) = D^m V(D xi).
     """
     xi = _coerce_xi(cone, xi)
-    exact = all(isinstance(x, (int, Fraction)) for x in xi)
-    supports = _supports(cone, xi)
-    total = Fraction(0) if exact else 0.0
-    for det, simplex in zip(cone._simplex_dets, cone._triangulation):
-        denom = 1
-        for j in simplex:
-            denom *= supports[j]
-        total += Fraction(det, denom) if exact else det / denom
-    return total
+    if not all(isinstance(x, (int, Fraction)) for x in xi):
+        supports = _supports(cone, xi)
+        total = 0.0
+        for simplex, det in cone._simplices:
+            denom = 1
+            for j in simplex:
+                denom *= supports[j]
+            total += det / denom
+        return total
+    scale = math.lcm(*(x.denominator for x in xi))
+    supports = _supports(cone, [x.numerator * (scale // x.denominator) for x in xi])
+    denoms = [math.prod(supports[j] for j in simplex) for simplex, _ in cone._simplices]
+    common = math.lcm(*denoms)
+    total = sum(
+        det * (common // denom) for (_, det), denom in zip(cone._simplices, denoms)
+    )
+    return Fraction(total * scale**cone.dim, common)
 
 
 def _simplex_terms(cone: MomentCone, xi):
-    """Per simplex, its float volume term and the vectors r_j / <xi, r_j>.
+    """The float volume term of each simplex, and q_r = r / <xi, r> per ray.
 
-    The term det / prod_j <xi, r_j> has gradient -term * sum_j q_j with
-    q_j = r_j / <xi, r_j>, and Hessian term * (qs qs^T + sum_j q_j q_j^T)
-    with qs = sum_j q_j.
+    The term det / prod_j <xi, r_j> has gradient -term * qs, with qs the
+    sum of q_j over the simplex's rays, and Hessian
+    term * (qs qs^T + sum_j q_j q_j^T).  Summed over the simplices, the
+    parts in single rays group by ray, with weight W_r the summed term of
+    the simplices that contain r.
     """
     xi = [float(x) for x in _coerce_xi(cone, xi)]
     supports = _supports(cone, xi)
     quotients = [[a / s for a in ray] for ray, s in zip(cone.rays, supports)]
-    for det, simplex in zip(cone._simplex_dets, cone._triangulation):
-        yield (
-            det / math.prod(supports[j] for j in simplex),
-            [quotients[j] for j in simplex],
-        )
+    terms = [
+        det / math.prod(supports[j] for j in simplex) for simplex, det in cone._simplices
+    ]
+    weights = [0.0] * len(quotients)
+    for (simplex, _), term in zip(cone._simplices, terms):
+        for j in simplex:
+            weights[j] += term
+    return terms, quotients, weights
 
 
 def volume_gradient(cone: MomentCone, xi) -> tuple[float, ...]:
-    """Closed-form gradient of the normalized volume (float)."""
-    grad = [0.0] * cone.dim
-    for term, q in _simplex_terms(cone, xi):
-        for a, column in enumerate(zip(*q)):
-            grad[a] -= term * sum(column)
-    return tuple(grad)
+    """Closed-form gradient of the normalized volume (float): -sum_r W_r q_r."""
+    _, quotients, weights = _simplex_terms(cone, xi)
+    return tuple(
+        -sum(w * x for w, x in zip(weights, column)) for column in zip(*quotients)
+    )
 
 
 def volume_hessian(cone: MomentCone, xi) -> tuple[tuple[float, ...], ...]:
-    """Closed-form Hessian of the normalized volume (float, symmetric)."""
+    """Closed-form Hessian of the normalized volume (float, symmetric).
+
+    sum_r W_r q_r q_r^T, plus term * qs qs^T for each simplex.
+    """
     dim = cone.dim
+    terms, quotients, weights = _simplex_terms(cone, xi)
     hess = [[0.0] * dim for _ in range(dim)]
-    for term, q in _simplex_terms(cone, xi):
-        qs = [sum(column) for column in zip(*q)]
+
+    def add_outer(scale, v):  # hess += scale * v v^T, upper triangle
         for a in range(dim):
+            sa = scale * v[a]
             row = hess[a]
             for b in range(a, dim):
-                row[b] += term * (qs[a] * qs[b] + sum(v[a] * v[b] for v in q))
+                row[b] += sa * v[b]
+
+    for w, q in zip(weights, quotients):
+        add_outer(w, q)
+    for (simplex, _), term in zip(cone._simplices, terms):
+        add_outer(term, [sum(column) for column in zip(*(quotients[j] for j in simplex))])
     for a in range(dim):
         for b in range(a):
             hess[a][b] = hess[b][a]

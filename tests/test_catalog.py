@@ -12,6 +12,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 import time
 import warnings
 
@@ -57,6 +58,35 @@ class TestCatalogRecord:
     def test_unknown_field_rejected(self):
         with pytest.raises(DomainError, match="bogus"):
             CatalogRecord.from_dict({"presentation": "x", "bogus": 1})
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"betti": "lots"}, "field betti is not an int: 'lots'"),
+            ({"n": [1]}, "field n is not an int: [1]"),
+            ({"casson": True}, "field casson is not an int: True"),
+            ({"degree": 10.0}, "field degree is not an int: 10.0"),
+            ({"status": 3}, "field status is not a string: 3"),
+            ({"margin": 0.5}, "field margin is not a string: 0.5"),
+            ({"presentation": None}, "field presentation is not a string: None"),
+            ({"presentation": b"x"}, "field presentation is not a string: b'x'"),
+            ({"weights": [1, "2"]}, "field weights is not a list of ints: [1, '2']"),
+            ({"torsion": [False]}, "field torsion is not a list of ints: [False]"),
+        ],
+    )
+    def test_mistyped_field_rejected(self, fields, message):
+        d = {"presentation": "x", **fields}
+        with pytest.raises(DomainError, match=f"^catalog record {re.escape(message)}$"):
+            CatalogRecord.from_dict(d)
+
+    def test_missing_presentation_rejected(self):
+        with pytest.raises(DomainError, match="presentation is not a string: None"):
+            CatalogRecord.from_dict({"betti": 1})
+
+    def test_optional_fields_may_be_none(self):
+        names = [f.name for f in dataclasses.fields(CatalogRecord)]
+        d = {name: None for name in names if name != "presentation"}
+        assert CatalogRecord.from_dict({"presentation": "x", **d}) == CatalogRecord("x")
 
     @staticmethod
     def _asdict_to_dict(record: CatalogRecord) -> dict:

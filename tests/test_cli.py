@@ -674,6 +674,25 @@ class TestExportTable:
             assert tsv.read_text().splitlines()[0].startswith("presentation\t")
             assert len(tsv.read_text().splitlines()) == 3
 
+    def test_mistyped_field_leaves_partial_table(self, capsys, tmp_path):
+        # A record line of the right shape whose fields hold the wrong
+        # types is refused like any other malformed line.
+        cat, tsv = tmp_path / "cat.jsonl", tmp_path / "out.tsv"
+        run(capsys, "batch", "--length", "3", "--max-exponent", "3", "-o", str(cat))
+        lines = cat.read_text().splitlines(keepends=True)
+        for line, message in [
+            ('{"presentation": "x", "betti": "lots", "n": [1]}', "n is not an int: [1]"),
+            ('{"presentation": "x", "betti": "lots"}', "betti is not an int: 'lots'"),
+            ('{"presentation": "x", "moduli": true}', "moduli is not an int: True"),
+            ('{"presentation": "x", "rule": 7}', "rule is not a string: 7"),
+            ('{"betti": 1}', "presentation is not a string: None"),
+        ]:
+            cat.write_text("".join(lines[:3]) + line + "\n" + lines[3])
+            rc, out, err = run(capsys, "export-table", str(cat), "-o", str(tsv))
+            assert (rc, out) == (1, "")
+            assert err == f"error: catalog record field {message}\n"
+            assert len(tsv.read_text().splitlines()) == 3
+
 
 # Each rendering command with --format records and table, and the bytes
 # it prints; "{cone}" stands for the conifold cone file.

@@ -20,10 +20,10 @@ from selink.intlinalg import (
     det_int,
     kernel_vector,
     primitive_vector,
-    rank_rational,
     smith_normal_form,
     solve_exact,
 )
+from toric_oracles import rank_rational
 
 
 def rref(matrix):

@@ -37,9 +37,9 @@ from selink import (
     volume_hessian,
 )
 
-from selink import toric
+from selink import intlinalg, toric
 from selink.toric import _solve
-from toric_oracles import oracle_cone, oracle_volume
+from toric_oracles import oracle_cone, oracle_volume, simplex_gradient, simplex_hessian
 from toric_potentials import guillemin_potential, potential_hessian
 
 ORTHANT3 = MomentCone(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
@@ -133,8 +133,13 @@ def ypq_normals(p: int, q: int):
     return cone_from_weights(WeightMatrix(((p - q, p + q, -p, -p),), 4)).normals
 
 
+def positive_combination(normals, coeffs):
+    """sum_i c_i n_i; inside the dual cone when every c_i > 0."""
+    return tuple(sum(c * n[i] for c, n in zip(coeffs, normals)) for i in range(len(normals[0])))
+
+
 def assert_matches_oracle(raw_normals):
-    """rays, triangulation, dets and exact volume, or the error, as the oracle."""
+    """rays, simplices with dets and exact volume, or the error, as the oracle."""
     try:
         expected = oracle_cone(raw_normals)
     except DomainError as exc:
@@ -145,10 +150,11 @@ def assert_matches_oracle(raw_normals):
     cone = MomentCone(raw_normals)
     assert cone.normals == normals
     assert cone.rays == rays
-    assert cone._triangulation == triangulation
-    assert cone._simplex_dets == dets
+    assert cone._simplices == tuple(zip(triangulation, dets))
     # Every ray pairs positively with some normal, so xi is interior.
     xi = tuple(sum(column) for column in zip(*normals))
+    assert volume(cone, xi) == oracle_volume(rays, triangulation, dets, xi)
+    xi = positive_combination(normals, [Fraction(i + 1, i + 2) for i in range(len(normals))])
     assert volume(cone, xi) == oracle_volume(rays, triangulation, dets, xi)
 
 
@@ -218,6 +224,41 @@ class TestCombinatoricsAgainstOracles:
     def test_random_small_cones(self, normals):
         assert_matches_oracle(normals)
 
+    @settings(max_examples=200, deadline=None)
+    @given(small_normal_sets(), st.data())
+    def test_exact_volume_at_fraction_xi(self, normals, data):
+        # A Fraction xi is scaled to integers by the lcm of its
+        # denominators, and the scale comes back as D^dim.
+        try:
+            normals, rays, triangulation, dets = oracle_cone(normals)
+        except DomainError:
+            return
+        coeff = st.fractions(min_value=Fraction(1, 50), max_value=50, max_denominator=60)
+        coeffs = data.draw(st.lists(coeff, min_size=len(normals), max_size=len(normals)))
+        xi = positive_combination(normals, coeffs)
+        expected = oracle_volume(rays, triangulation, dets, xi)
+        cone = MomentCone(normals)
+        assert volume(cone, xi) == expected
+        assert volume(cone, ReebVector(xi)) == expected
+
+    def test_simplices_make_no_elimination_call(self, monkeypatch):
+        # The determinants come out of the triangulation's own recursion;
+        # a det_int per simplex would run one echelon form each.
+        cone = MomentCone(cyclic_normals(5, 12))
+        calls = []
+        real = intlinalg._echelon
+
+        def counting(matrix):
+            calls.append(matrix)
+            return real(matrix)
+
+        monkeypatch.setattr(intlinalg, "_echelon", counting)
+        monkeypatch.setattr(toric, "_echelon", counting)
+        assert len(cone._simplices) > 100
+        assert calls == []
+        intlinalg.det_int([[2, 1], [1, 1]])  # the wrapper does see eliminations
+        assert len(calls) == 1
+
 
 class TestVolume:
     def test_orthant_anchor(self):
@@ -270,7 +311,7 @@ class TestVolume:
         # determinants taken by sympy, add up to the same exact value.
         supports = [sum(a * b for a, b in zip(xi, ray)) for ray in cone.rays]
         total = Fraction(0)
-        for simplex in cone._triangulation:
+        for simplex, _ in cone._simplices:
             det = sympy.Matrix([cone.rays[j] for j in simplex]).det()
             assert det != 0
             total += Fraction(abs(int(det)), math.prod(supports[j] for j in simplex))
@@ -325,6 +366,26 @@ class TestDerivatives:
             xi = random_interior_xi(CONIFOLD, rng)
             eigs = np.linalg.eigvalsh(volume_hessian(CONIFOLD, xi))
             assert eigs.min() > 0
+
+
+    @pytest.mark.parametrize(
+        "normals",
+        [CONIFOLD.normals, DP3_NORMALS, cyclic_normals(4, 8), cyclic_normals(5, 12),
+         cyclic_normals(6, 12)],
+        ids=["conifold", "dP3", "cyclic-4-8", "cyclic-5-12", "cyclic-6-12"],
+    )
+    def test_by_ray_sums_match_simplex_sums(self, normals):
+        # Gradient and Hessian grouped by ray against the per-simplex sums.
+        cone = MomentCone(normals)
+        rng = random.Random(13)
+        for _ in range(5):
+            xi = random_interior_xi(cone, rng)
+            expected = np.asarray(simplex_gradient(cone.rays, cone._simplices, xi))
+            got = np.asarray(volume_gradient(cone, xi))
+            assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+            expected = np.asarray(simplex_hessian(cone.rays, cone._simplices, xi))
+            got = np.asarray(volume_hessian(cone, xi))
+            assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 class TestNewtonStep:

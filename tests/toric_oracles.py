@@ -7,14 +7,23 @@ its active normals have rank dim-1, so every (dim-1)-subset of normals is
 tried by an exact kernel; and a facet of a face is an intersection with a
 facet hyperplane whose rays have rank one less than the face.  They are
 slow (C(F, dim-1) kernels, one rank per candidate face) and serve as
-oracles only.
+oracles only.  So do the per-simplex determinants, Fraction volume sum
+and float derivatives that the package now reads off one elimination down
+the triangulation and sums by ray, and the rank that it reads off the
+echelon form's pivots.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
 from selink import DomainError
-from selink.intlinalg import det_int, kernel_vector, primitive_vector, rank_rational
+from selink.intlinalg import _echelon, det_int, kernel_vector, primitive_vector
+
+
+def rank_rational(matrix) -> int:
+    """Rank over the rationals of an integer matrix."""
+    return len(_echelon(matrix)[1])
 
 
 def subset_kernel_rays(normals) -> tuple[tuple[int, ...], ...]:
@@ -92,3 +101,36 @@ def oracle_volume(rays, triangulation, dets, xi) -> Fraction:
             denom *= supports[j]
         total += Fraction(det, denom)
     return total
+
+
+def _simplex_terms(rays, simplices, xi):
+    """Per simplex, its float term det / prod <xi, r_j> and its q_j = r_j / <xi, r_j>."""
+    xi = [float(x) for x in xi]
+    supports = [sum(a * b for a, b in zip(xi, ray)) for ray in rays]
+    quotients = [[a / s for a in ray] for ray, s in zip(rays, supports)]
+    for simplex, det in simplices:
+        yield (
+            det / math.prod(supports[j] for j in simplex),
+            [quotients[j] for j in simplex],
+        )
+
+
+def simplex_gradient(rays, simplices, xi) -> tuple[float, ...]:
+    """Gradient of the volume, summed simplex by simplex: -sum term * sum_j q_j."""
+    grad = [0.0] * len(xi)
+    for term, q in _simplex_terms(rays, simplices, xi):
+        for a, column in enumerate(zip(*q)):
+            grad[a] -= term * sum(column)
+    return tuple(grad)
+
+
+def simplex_hessian(rays, simplices, xi) -> tuple[tuple[float, ...], ...]:
+    """Hessian of the volume, simplex by simplex: term * (qs qs^T + sum_j q_j q_j^T)."""
+    dim = len(xi)
+    hess = [[0.0] * dim for _ in range(dim)]
+    for term, q in _simplex_terms(rays, simplices, xi):
+        qs = [sum(column) for column in zip(*q)]
+        for a in range(dim):
+            for b in range(dim):
+                hess[a][b] += term * (qs[a] * qs[b] + sum(v[a] * v[b] for v in q))
+    return tuple(map(tuple, hess))
