@@ -298,10 +298,10 @@ def _record(number: int, line: str) -> CatalogRecord:
         raise DomainError(f"catalog line {number} is not JSON ({exc.msg})") from None
     if not isinstance(d, dict):
         raise DomainError(f"catalog line {number} is not a record: {d!r}")
-    for key in ("weights", "torsion"):
-        if not isinstance(d.get(key), (list, type(None))):
-            raise DomainError(f"catalog line {number}: {key} is not a list: {d[key]!r}")
-    return CatalogRecord.from_dict(d)
+    try:
+        return CatalogRecord.from_dict(d)
+    except DomainError as exc:
+        raise DomainError(f"catalog line {number}: {exc}") from None
 
 
 def _read_records(stream) -> tuple[dict, Iterator[CatalogRecord]]:

@@ -473,10 +473,51 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _misplaced_option(parser, argv) -> str | None:
+    """Name the first option in argv that the command before it does not take.
+
+    Each parser is asked for its own options (long ones also by prefix, as
+    argparse allows).  The scan follows the command names down the
+    subparsers, skips the value of an option that is taken, and stops at
+    '--' or at a token that is not a command where one is due.
+    """
+    tokens = iter(argv)
+    for token in tokens:
+        if token == "--":
+            break
+        if token.startswith("-") and token.lstrip("-")[:1].isalpha():
+            is_long = token.startswith("--")
+            name = token.split("=", 1)[0] if is_long else token[:2]
+            taken = [
+                action
+                for option, action in parser._option_string_actions.items()
+                if option == name or is_long and option.startswith(name)
+            ]
+            if not taken:
+                return f"{parser.prog} does not take {name}"
+            if taken[0].nargs != 0 and token == name:
+                next(tokens, None)  # its value
+            continue
+        commands = next(
+            (a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)),
+            None,
+        )
+        if commands is not None:
+            if token not in commands:
+                break
+            parser = commands[token]
+    return None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+    except DomainError as exc:  # a usage error; name a misplaced option
+        misplaced = _misplaced_option(parser, sys.argv[1:] if argv is None else argv)
+        print(f"error: {misplaced or exc}", file=sys.stderr)
+        return 1
+    try:
         if args.command is None:
             parser.print_help()
             return 0

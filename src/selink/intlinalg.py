@@ -1,15 +1,15 @@
 """Exact integer linear algebra for small matrices.
 
 Cone construction and lattice bookkeeping need Smith normal form with its
-unimodular transforms, exact ranks, determinants, kernels and linear
-solves.  All but the Smith form come from one routine, ``_echelon``: a
-fraction-free (Bareiss) row echelon form in plain Python ints, whose
-entries are minors of the input and never need a Fraction.
+unimodular transforms, exact ranks, determinants and linear solves.  All
+but the Smith form come from one routine, ``_echelon``: a fraction-free
+(Bareiss) row echelon form in plain Python ints, whose entries are minors
+of the input and never need a Fraction.
 
 - ``det_int`` reads the last pivot of a square matrix;
-- ``kernel_vector`` back-substitutes in integers over the pivot rows;
-- ``solve_exact`` back-substitutes in integers scaled by the determinant
-  of the pivot rows and makes one Fraction per unknown at the end.
+- ``_cramer_numerators`` back-substitutes in integers scaled by the
+  determinant of the pivot rows, which gives D x (Cramer's numerators);
+- ``solve_exact`` divides those by D, one Fraction per unknown.
 
 The Smith form and the elimination take integer entries only (whatever
 ``operator.index`` accepts) and reject anything else as a
@@ -28,7 +28,6 @@ __all__ = [
     "smith_normal_form",
     "det_int",
     "solve_exact",
-    "kernel_vector",
     "primitive_vector",
 ]
 
@@ -180,6 +179,22 @@ def det_int(matrix) -> int:
     return rows[-1][-1] if len(pivots) == n else 0
 
 
+def _cramer_numerators(rows, ncols: int, rhs: int) -> tuple[int, list[int]]:
+    """(D, D x) from echelon rows whose first ncols columns are all pivots.
+
+    D is the determinant of those columns (the last pivot) and x solves
+    the system whose right-hand side is column rhs.  D x is integral by
+    Cramer's rule, so every division in the back-substitution is exact.
+    """
+    det = rows[ncols - 1][ncols - 1] if ncols else 1
+    y = [0] * ncols
+    for r in reversed(range(ncols)):
+        row = rows[r]
+        s = det * row[rhs] - sum(row[c] * y[c] for c in range(r + 1, ncols))
+        y[r] = s // row[r]
+    return det, y
+
+
 def solve_exact(matrix, rhs):
     """Solve A x = b exactly over the rationals, for integer A and b.
 
@@ -198,40 +213,8 @@ def solve_exact(matrix, rhs):
         return "inconsistent", None
     if len(pivots) < ncols:
         return "underdetermined", None
-    det = rows[ncols - 1][ncols - 1] if ncols else 1
-    y = [0] * ncols
-    for r in reversed(range(ncols)):
-        row = rows[r]
-        s = det * row[ncols] - sum(row[c] * y[c] for c in range(r + 1, ncols))
-        y[r] = s // row[r]
+    det, y = _cramer_numerators(rows, ncols, ncols)
     return "unique", tuple(Fraction(v, det) for v in y)
-
-
-def kernel_vector(matrix, ncols: int):
-    """A primitive integer spanning vector of a one-dimensional kernel.
-
-    Returns None unless the kernel of the (rows x ncols) matrix has
-    dimension exactly one.  The kernel is supported on the columns up to
-    the single free column j0, and the vector is oriented so that its
-    entry at j0 (its last nonzero entry) is positive.
-    """
-    rows, pivots = _echelon(matrix)
-    if ncols - len(pivots) != 1:
-        return None
-    j0 = next((j for j, col in enumerate(pivots) if j != col), len(pivots))
-    # Columns 0..j0-1 are pivots of rows 0..j0-1: back-substitute with
-    # x[j0] = 1, scaling x up whenever a pivot does not divide exactly.
-    x = [0] * ncols
-    x[j0] = 1
-    for r in reversed(range(j0)):
-        row = rows[r]
-        s = sum(row[c] * x[c] for c in range(r + 1, j0 + 1))
-        scale = abs(row[r]) // math.gcd(s, row[r])
-        if scale != 1:
-            x = [v * scale for v in x]
-            s *= scale
-        x[r] = -s // row[r]
-    return primitive_vector(x)
 
 
 def primitive_vector(vec) -> tuple[int, ...]:

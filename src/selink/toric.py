@@ -29,10 +29,12 @@ The determinants are read off the triangulation's own recursion: one
 fraction-free elimination is carried down it, so a simplex only finishes
 its last small block.  For rational xi the sum is exact, over one common
 denominator, with a single Fraction at the end; inside the optimizer it
-is taken in floats, with closed-form gradient and Hessian whose
-single-ray parts are grouped by ray.  The float path is plain Python: a
-Newton step needs one linear solve of size m+1, done by Gaussian
-elimination.
+is taken in floats.  One pass over the simplices at a point gives its
+float volume, simplex terms and per-ray weights, and the closed-form
+gradient and Hessian, whose single-ray parts are grouped by ray, are
+read off that table: the optimizer forms it once per point it visits.
+The float path is plain Python: a Newton step needs one linear solve of
+size m+1, done by Gaussian elimination.
 """
 
 from __future__ import annotations
@@ -51,10 +53,11 @@ from .errors import (
     UnboundedPolytopeError,
 )
 from .intlinalg import (
+    _cramer_numerators,
     _echelon,
+    _identity,
     _int_rows,
     det_int,
-    kernel_vector,
     primitive_vector,
     smith_normal_form,
     solve_exact,
@@ -126,16 +129,18 @@ class MomentCone:
         """The sorted extreme rays, and per normal the bitmask of rays on it.
 
         Double description (Motzkin et al. 1953; Fukuda-Prodon 1996).  The
-        first dim independent normals cut out a simplicial cone, whose rays
-        are the kernels of dim-1 of them, oriented into the cone.  They are
-        the pivot columns of one elimination of the transposed normals, and
-        fewer than dim pivots means the cone contains a line.  The
-        other normals h are added one at a time in input order: rays with
-        <h, r> >= 0 stay, and every adjacent pair with <h, p> > 0 > <h, q>
-        adds the primitive vector <h, p> q - <h, q> p.  Each ray carries its
-        zero set over the normals added so far as a bitmask; two rays are
-        adjacent when their common zero set has at least dim-2 members and
-        lies in no third ray's zero set.  Computed on construction.
+        first dim independent normals, the pivot columns of one elimination
+        of the transposed normals, are the rows of a basis B; fewer than dim
+        pivots means the cone contains a line.  The simplicial cone of B has
+        one ray off each row k: column k of adj(B) = det(B) B^-1, times the
+        sign of det B and made primitive.  One elimination of [B | I] gives
+        them all.  The other normals h are added one at a time in input
+        order: rays with <h, r> >= 0 stay, and every adjacent pair with
+        <h, p> > 0 > <h, q> adds the primitive vector <h, p> q - <h, q> p.
+        Each ray carries its zero set over the normals added so far as a
+        bitmask; two rays are adjacent when their common zero set has at
+        least dim-2 members and lies in no third ray's zero set.  Computed
+        on construction.
         """
         dim = self.dim
         normals = self.normals
@@ -143,11 +148,11 @@ class MomentCone:
         if len(basis) < dim:
             raise DomainError("cone is not strongly convex (contains a line)")
         added = sum(1 << i for i in basis)
+        echelon = _echelon([[*normals[i], *e] for i, e in zip(basis, _identity(dim))])[0]
         rays = []  # (primitive vector, zero set)
-        for i in basis:
-            vec = kernel_vector([normals[j] for j in basis if j != i], dim)
-            if _dot(normals[i], vec) < 0:
-                vec = tuple(-x for x in vec)
+        for k, i in enumerate(basis):
+            det, column = _cramer_numerators(echelon, dim, dim + k)
+            vec = primitive_vector([x if det > 0 else -x for x in column])
             rays.append((vec, added & ~(1 << i)))
         for i, h in enumerate(normals):
             if added >> i & 1:
@@ -324,14 +329,7 @@ def volume(cone: MomentCone, xi):
     """
     xi = _coerce_xi(cone, xi)
     if not all(isinstance(x, (int, Fraction)) for x in xi):
-        supports = _supports(cone, xi)
-        total = 0.0
-        for simplex, det in cone._simplices:
-            denom = 1
-            for j in simplex:
-                denom *= supports[j]
-            total += det / denom
-        return total
+        return _float_table(cone, xi)[0]
     scale = math.lcm(*(x.denominator for x in xi))
     supports = _supports(cone, [x.numerator * (scale // x.denominator) for x in xi])
     denoms = [math.prod(supports[j] for j in simplex) for simplex, _ in cone._simplices]
@@ -342,43 +340,45 @@ def volume(cone: MomentCone, xi):
     return Fraction(total * scale**cone.dim, common)
 
 
-def _simplex_terms(cone: MomentCone, xi):
-    """The float volume term of each simplex, and q_r = r / <xi, r> per ray.
+def _float_table(cone: MomentCone, xi):
+    """(volume, terms, quotients, weights): the float volume at xi, unsummed.
 
-    The term det / prod_j <xi, r_j> has gradient -term * qs, with qs the
-    sum of q_j over the simplex's rays, and Hessian
-    term * (qs qs^T + sum_j q_j q_j^T).  Summed over the simplices, the
-    parts in single rays group by ray, with weight W_r the summed term of
-    the simplices that contain r.
+    A simplex's term det / prod_j <xi, r_j> has gradient -term * qs, with
+    qs the sum over its rays of q_r = r / <xi, r>, and Hessian
+    term * (qs qs^T + sum_j q_j q_j^T).  The single-ray parts group by ray,
+    with weight W_r the summed term of the simplices that contain r.  The
+    volume adds the terms in simplex order by hand: sum() of floats is
+    compensated from Python 3.12 on and would round differently.
     """
-    xi = [float(x) for x in _coerce_xi(cone, xi)]
     supports = _supports(cone, xi)
     quotients = [[a / s for a in ray] for ray, s in zip(cone.rays, supports)]
-    terms = [
-        det / math.prod(supports[j] for j in simplex) for simplex, det in cone._simplices
-    ]
-    weights = [0.0] * len(quotients)
-    for (simplex, _), term in zip(cone._simplices, terms):
+    terms = []
+    weights = [0.0] * len(supports)
+    total = 0.0
+    for simplex, det in cone._simplices:
+        denom = 1
+        for j in simplex:
+            denom *= supports[j]
+        term = det / denom
         for j in simplex:
             weights[j] += term
-    return terms, quotients, weights
+        terms.append(term)
+        total += term
+    return total, terms, quotients, weights
 
 
-def volume_gradient(cone: MomentCone, xi) -> tuple[float, ...]:
-    """Closed-form gradient of the normalized volume (float): -sum_r W_r q_r."""
-    _, quotients, weights = _simplex_terms(cone, xi)
+def _gradient(table) -> tuple[float, ...]:
+    """-sum_r W_r q_r, read off a _float_table."""
+    _, _, quotients, weights = table
     return tuple(
         -sum(w * x for w, x in zip(weights, column)) for column in zip(*quotients)
     )
 
 
-def volume_hessian(cone: MomentCone, xi) -> tuple[tuple[float, ...], ...]:
-    """Closed-form Hessian of the normalized volume (float, symmetric).
-
-    sum_r W_r q_r q_r^T, plus term * qs qs^T for each simplex.
-    """
+def _hessian(cone: MomentCone, table) -> tuple[tuple[float, ...], ...]:
+    """sum_r W_r q_r q_r^T, plus term * qs qs^T per simplex, off a _float_table."""
     dim = cone.dim
-    terms, quotients, weights = _simplex_terms(cone, xi)
+    _, terms, quotients, weights = table
     hess = [[0.0] * dim for _ in range(dim)]
 
     def add_outer(scale, v):  # hess += scale * v v^T, upper triangle
@@ -396,6 +396,16 @@ def volume_hessian(cone: MomentCone, xi) -> tuple[tuple[float, ...], ...]:
         for b in range(a):
             hess[a][b] = hess[b][a]
     return tuple(map(tuple, hess))
+
+
+def volume_gradient(cone: MomentCone, xi) -> tuple[float, ...]:
+    """Closed-form gradient of the normalized volume (float)."""
+    return _gradient(_float_table(cone, [float(x) for x in _coerce_xi(cone, xi)]))
+
+
+def volume_hessian(cone: MomentCone, xi) -> tuple[tuple[float, ...], ...]:
+    """Closed-form Hessian of the normalized volume (float, symmetric)."""
+    return _hessian(cone, _float_table(cone, [float(x) for x in _coerce_xi(cone, xi)]))
 
 
 @dataclass(frozen=True)
@@ -486,7 +496,7 @@ def minimize_volume(
     Newton steps on the slice (the volume is strictly convex there) with
     steepest-descent fallback, Armijo backtracking and a hard interior
     guard; converged when the projected gradient norm drops below
-    grad_tol.  The Newton step solves the bordered system
+    grad_tol, which must be positive and finite.  The Newton step solves the bordered system
 
         [[H, gamma], [gamma^T, 0]] @ (step, lambda) = (-grad, 0),
 
@@ -494,6 +504,8 @@ def minimize_volume(
     steepest descent.  Exhausting the budget of ``_MAX_ITERATIONS`` steps
     raises ConvergenceError with diagnostics.
     """
+    if not 0 < grad_tol < math.inf:
+        raise DomainError(f"grad_tol must be positive and finite, got {grad_tol}")
     if gamma is None:
         result = gorenstein_gamma(cone)
         if result.gamma is None:
@@ -507,10 +519,11 @@ def minimize_volume(
         raise DomainError("start point is not interior to the dual cone")
     xi = reeb_slice_project(cone, g, xi)
     g_norm2 = _dot(g, g)
-    current = volume(cone, xi)
+    table = _float_table(cone, xi)
+    current = table[0]
     grad_norm = math.inf
     for iteration in range(1, _MAX_ITERATIONS + 1):
-        grad = volume_gradient(cone, xi)
+        grad = _gradient(table)
         along = _dot(grad, g) / g_norm2
         tangent_grad = [a - along * b for a, b in zip(grad, g)]
         grad_norm = math.hypot(*tangent_grad)
@@ -521,7 +534,7 @@ def minimize_volume(
                 iterations=iteration - 1,
                 grad_norm=grad_norm,
             )
-        hess = volume_hessian(cone, xi)
+        hess = _hessian(cone, table)
         bordered = [[*row, b] for row, b in zip(hess, g)] + [[*g, 0.0]]
         solution = _solve(bordered, [-a for a in grad] + [0.0])
         step = None if solution is None else solution[:-1]
@@ -532,11 +545,12 @@ def minimize_volume(
         while alpha > 1e-18:
             candidate = tuple(x + alpha * s for x, s in zip(xi, step))
             try:
-                candidate_value = volume(cone, candidate)
+                trial = _float_table(cone, candidate)
             except UnboundedPolytopeError:
-                candidate_value = math.inf
-            if candidate_value <= current + 1e-4 * alpha * slope:
-                break
+                pass
+            else:
+                if trial[0] <= current + 1e-4 * alpha * slope:
+                    break
             alpha *= 0.5
         else:
             raise ConvergenceError(
@@ -546,8 +560,8 @@ def minimize_volume(
                 last_value=current,
                 grad_norm=grad_norm,
             )
-        xi = candidate
-        current = candidate_value
+        xi, table = candidate, trial
+        current = table[0]
     raise ConvergenceError(
         "iteration budget exhausted",
         iterations=_MAX_ITERATIONS,

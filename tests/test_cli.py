@@ -341,6 +341,17 @@ class TestToric:
         assert err.startswith("internal error: iteration budget exhausted (iterations=1,")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("grad_tol", ["0", "-1", "nan", "inf"])
+    def test_grad_tol_not_positive_and_finite(self, capsys, tmp_path, grad_tol):
+        # Refused at once as bad input, not after a full iteration budget
+        # as an internal error.
+        path = tmp_path / "y21.txt"
+        path.write_text("1 4\n1 3 -2 -2\n")
+        argv = ("toric", "minimize", str(path), "--weights", f"--grad-tol={grad_tol}")
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (1, "")
+        assert err == f"error: grad_tol must be positive and finite, got {float(grad_tol)}\n"
+
     def test_missing_query(self, capsys, conifold):
         rc, _, err = run(capsys, "toric")
         assert rc == 1
@@ -660,12 +671,21 @@ class TestExportTable:
         run(capsys, "batch", "--length", "3", "--max-exponent", "3", "-o", str(cat))
         lines = cat.read_text().splitlines(keepends=True)
         for line, message in [
-            ('{"presentation": "x", "zzz": 0}', "unknown catalog record fields: ['zzz']"),
+            (
+                '{"presentation": "x", "zzz": 0}',
+                "catalog line 4: unknown catalog record fields: ['zzz']",
+            ),
             ('{"presentation": ', "catalog line 4 is not JSON (Expecting value)"),
             ("5", "catalog line 4 is not a record: 5"),
             ('["presentation"]', "catalog line 4 is not a record: ['presentation']"),
-            ('{"presentation": "x", "weights": 5}', "catalog line 4: weights is not a list: 5"),
-            ('{"presentation": "x", "torsion": "2"}', "catalog line 4: torsion is not a list: '2'"),
+            (
+                '{"presentation": "x", "weights": 5}',
+                "catalog line 4: catalog record field weights is not a list of ints: 5",
+            ),
+            (
+                '{"presentation": "x", "torsion": "2"}',
+                "catalog line 4: catalog record field torsion is not a list of ints: '2'",
+            ),
         ]:
             cat.write_text("".join(lines[:3]) + line + "\n" + lines[3])
             rc, out, err = run(capsys, "export-table", str(cat), "-o", str(tsv))
@@ -690,7 +710,7 @@ class TestExportTable:
             cat.write_text("".join(lines[:3]) + line + "\n" + lines[3])
             rc, out, err = run(capsys, "export-table", str(cat), "-o", str(tsv))
             assert (rc, out) == (1, "")
-            assert err == f"error: catalog record field {message}\n"
+            assert err == f"error: catalog line 4: catalog record field {message}\n"
             assert len(tsv.read_text().splitlines()) == 3
 
 
@@ -777,6 +797,38 @@ class TestOptionPlacement:
         rc, out, err = run(capsys, *command.format(**files).split())
         assert (rc, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            ("--format records homology bp=2,3,5", "selink does not take --format"),
+            ("toric --jobs 2 gamma {cone}", "selink toric does not take --jobs"),
+            ("casson --jobs 2 2 3 5", "selink casson does not take --jobs"),
+        ],
+    )
+    def test_misplaced_option_is_named(self, capsys, files, command, message):
+        # argparse alone would complain about the next token instead.
+        rc, out, err = run(capsys, *command.format(**files).split())
+        assert (rc, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            (
+                "batch --jobs x --length 3 --max-exponent 3",
+                "argument --jobs: invalid int value: 'x'",
+            ),
+            ("batch --len 3 --max 3 --jobs=x", "argument --jobs: invalid int value: 'x'"),
+            ("toric minimize {cone} --grad-tol -inf", "argument --grad-tol: expected one argument"),
+            ("export-table -o{catalog}", "the following arguments are required: catalog"),
+            ("casson --format records 2 3", "the following arguments are required: a2"),
+        ],
+    )
+    def test_placed_option_keeps_argparse_text(self, capsys, files, command, message):
+        # Options where their command takes them, abbreviated, with an
+        # attached value or before a value that starts with '-'.
+        rc, out, err = run(capsys, *command.format(**files).split())
+        assert (rc, out, err) == (1, "", f"error: {message}\n")
 
 
 class TestExitCodes:

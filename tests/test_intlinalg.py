@@ -1,9 +1,9 @@
 """Exact integer linear algebra against Fraction and sympy oracles.
 
-The library computes ranks, kernels, determinants and solutions from one
-fraction-free (Bareiss) echelon form.  ``rref`` below is the Fraction
-Gauss-Jordan it replaced, kept as an independent oracle together with the
-kernel and solve rules that were built on it.
+The library computes ranks, determinants and solutions from one
+fraction-free (Bareiss) echelon form.  ``rref`` (in ``toric_oracles``) is
+the Fraction Gauss-Jordan it replaced, kept as an independent oracle
+together with the solve rule below that was built on it.
 """
 
 import math
@@ -16,53 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selink import DomainError
-from selink.intlinalg import (
-    det_int,
-    kernel_vector,
-    primitive_vector,
-    smith_normal_form,
-    solve_exact,
-)
-from toric_oracles import rank_rational
-
-
-def rref(matrix):
-    """Reduced row echelon form over Fractions; returns (rows, pivot_cols)."""
-    M = [[Fraction(x) for x in row] for row in matrix]
-    pivots = []
-    r = 0
-    ncols = len(M[0]) if M else 0
-    for col in range(ncols):
-        pivot_row = next((i for i in range(r, len(M)) if M[i][col] != 0), None)
-        if pivot_row is None:
-            continue
-        M[r], M[pivot_row] = M[pivot_row], M[r]
-        pv = M[r][col]
-        M[r] = [x / pv for x in M[r]]
-        for i in range(len(M)):
-            if i != r and M[i][col] != 0:
-                f = M[i][col]
-                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(M):
-            break
-    return M, pivots
-
-
-def rref_kernel_vector(matrix, ncols):
-    """The kernel rule over ``rref``: free entry 1, then made primitive."""
-    reduced, pivots = rref(matrix)
-    free = [j for j in range(ncols) if j not in pivots]
-    if len(free) != 1:
-        return None
-    j0 = free[0]
-    x = [Fraction(0)] * ncols
-    x[j0] = Fraction(1)
-    for r, col in enumerate(pivots):
-        x[col] = -reduced[r][j0]
-    scale = math.lcm(*(f.denominator for f in x))
-    return primitive_vector([int(f * scale) for f in x])
+from selink.intlinalg import det_int, primitive_vector, smith_normal_form, solve_exact
+from toric_oracles import rank_rational, rref, rref_kernel_vector
 
 
 def rref_solve(matrix, rhs):
@@ -258,15 +213,6 @@ class TestRationalSolvers:
 
 
 class TestKernelAndPrimitive:
-    def test_one_dimensional_kernel(self):
-        vec = kernel_vector([[1, 1, 1], [0, 1, 2]], 3)
-        # Kernel spanned by (1, -2, 1) up to sign.
-        assert vec in ((1, -2, 1), (-1, 2, -1))
-
-    def test_kernel_not_one_dimensional(self):
-        assert kernel_vector([[1, 1, 1]], 3) is None
-        assert kernel_vector([[1, 0], [0, 1]], 2) is None
-
     def test_primitive_vector(self):
         assert primitive_vector((4, -6, 8)) == (2, -3, 4)
         with pytest.raises(DomainError):
@@ -301,10 +247,10 @@ class TestEliminationAgainstOracles:
 
     @given(st.one_of(wide_matrices(), corank_one_matrices()))
     @settings(max_examples=300, deadline=None)
-    def test_kernel_vector_bit_identical(self, rows):
+    def test_rref_kernel_vector_matches_sympy(self, rows):
+        # The kernel rule that the subset-kernel ray oracle is built on.
         ncols = len(rows[0])
-        vec = kernel_vector(rows, ncols)
-        assert vec == rref_kernel_vector(rows, ncols)
+        vec = rref_kernel_vector(rows, ncols)
         nullspace = sympy.Matrix(rows).nullspace()
         if vec is None:
             assert len(nullspace) != 1
@@ -357,8 +303,6 @@ class TestEliminationAgainstOracles:
         for helper in (rank_rational, det_int):
             with pytest.raises(DomainError):
                 helper([[Fraction(1, 2), 1], [1, 1]])
-        with pytest.raises(DomainError):
-            kernel_vector([[1.5, 1]], 2)
         with pytest.raises(DomainError):
             solve_exact([[1, 0], [0, 1]], [Fraction(1, 3), 1])
 

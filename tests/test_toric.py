@@ -259,6 +259,21 @@ class TestCombinatoricsAgainstOracles:
         intlinalg.det_int([[2, 1], [1, 1]])  # the wrapper does see eliminations
         assert len(calls) == 1
 
+    def test_start_rays_come_from_one_elimination(self, monkeypatch):
+        # One elimination picks the basis normals and one more, of
+        # [B | I], gives every starting ray; one kernel per ray would run
+        # dim more.
+        calls = []
+        real = intlinalg._echelon
+
+        def counting(matrix):
+            calls.append(matrix)
+            return real(matrix)
+
+        monkeypatch.setattr(toric, "_echelon", counting)
+        MomentCone(cyclic_normals(5, 12))
+        assert len(calls) == 2
+
 
 class TestVolume:
     def test_orthant_anchor(self):
@@ -542,6 +557,31 @@ class TestMinimize:
         with pytest.raises(DomainError):
             minimize_volume(cone)
 
+    def test_each_point_forms_one_table(self, monkeypatch):
+        # Y^{2,1} takes 3 Newton steps and accepts every full step: the
+        # table is formed at the start and at each accepted point, and the
+        # Hessian only where the convergence test fails.
+        cone = cone_from_weights(WeightMatrix(((1, 3, -2, -2),), 4))
+        counts = {"_float_table": 0, "_hessian": 0}
+        for name in counts:
+            real = getattr(toric, name)
+
+            def counting(*args, _real=real, _name=name):
+                counts[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(toric, name, counting)
+        assert minimize_volume(cone).iterations == 3
+        assert counts == {"_float_table": 4, "_hessian": 3}
+
+    @pytest.mark.parametrize("grad_tol", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_grad_tol_not_positive_and_finite(self, monkeypatch, grad_tol):
+        # Refused before the first iteration; a zero or NaN tolerance
+        # could never be met and would run out the iteration budget.
+        monkeypatch.setattr(toric, "_float_table", None)
+        with pytest.raises(DomainError, match="^grad_tol must be positive and finite"):
+            minimize_volume(CONIFOLD, grad_tol=grad_tol)
+
     def test_exhausted_budget_raises_convergence_error(self, monkeypatch):
         # This quotient needs 3 Newton iterations; a budget of 1 runs out.
         monkeypatch.setattr(toric, "_MAX_ITERATIONS", 1)
@@ -551,6 +591,7 @@ class TestMinimize:
         assert info.value.iterations == 1
         assert len(info.value.last_point) == 3
         assert reeb_is_interior(cone, info.value.last_point)
+        assert info.value.last_value == volume(cone, info.value.last_point)
         assert math.isfinite(info.value.grad_norm) and info.value.grad_norm > 0
 
 

@@ -4,13 +4,13 @@ The package finds extreme rays by double description and reads the face
 lattice off the final ray-facet incidences.  The routines below are the
 direct definitions they replace: a ray of a pointed cone is extreme iff
 its active normals have rank dim-1, so every (dim-1)-subset of normals is
-tried by an exact kernel; and a facet of a face is an intersection with a
-facet hyperplane whose rays have rank one less than the face.  They are
-slow (C(F, dim-1) kernels, one rank per candidate face) and serve as
-oracles only.  So do the per-simplex determinants, Fraction volume sum
-and float derivatives that the package now reads off one elimination down
-the triangulation and sums by ray, and the rank that it reads off the
-echelon form's pivots.
+tried by an exact kernel, read off a Fraction Gauss-Jordan form; and a
+facet of a face is an intersection with a facet hyperplane whose rays
+have rank one less than the face.  They are slow (C(F, dim-1) kernels,
+one rank per candidate face) and serve as oracles only.  So do the
+per-simplex determinants, Fraction volume sum and float derivatives that
+the package now reads off one elimination down the triangulation and
+sums by ray, and the rank that it reads off the echelon form's pivots.
 """
 
 import math
@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from selink import DomainError
-from selink.intlinalg import _echelon, det_int, kernel_vector, primitive_vector
+from selink.intlinalg import _echelon, det_int, primitive_vector
 
 
 def rank_rational(matrix) -> int:
@@ -26,12 +26,51 @@ def rank_rational(matrix) -> int:
     return len(_echelon(matrix)[1])
 
 
+def rref(matrix):
+    """Reduced row echelon form over Fractions; returns (rows, pivot_cols)."""
+    M = [[Fraction(x) for x in row] for row in matrix]
+    pivots = []
+    r = 0
+    ncols = len(M[0]) if M else 0
+    for col in range(ncols):
+        pivot_row = next((i for i in range(r, len(M)) if M[i][col] != 0), None)
+        if pivot_row is None:
+            continue
+        M[r], M[pivot_row] = M[pivot_row], M[r]
+        pv = M[r][col]
+        M[r] = [x / pv for x in M[r]]
+        for i in range(len(M)):
+            if i != r and M[i][col] != 0:
+                f = M[i][col]
+                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(M):
+            break
+    return M, pivots
+
+
+def rref_kernel_vector(matrix, ncols):
+    """The kernel rule over ``rref``: free entry 1, then made primitive."""
+    reduced, pivots = rref(matrix)
+    free = [j for j in range(ncols) if j not in pivots]
+    if len(free) != 1:
+        return None
+    j0 = free[0]
+    x = [Fraction(0)] * ncols
+    x[j0] = Fraction(1)
+    for r, col in enumerate(pivots):
+        x[col] = -reduced[r][j0]
+    scale = math.lcm(*(f.denominator for f in x))
+    return primitive_vector([int(f * scale) for f in x])
+
+
 def subset_kernel_rays(normals) -> tuple[tuple[int, ...], ...]:
     """Primitive extreme rays, sorted, from kernels of (dim-1)-subsets."""
     dim = len(normals[0])
     found = set()
     for subset in combinations(normals, dim - 1):
-        vec = kernel_vector(subset, dim)
+        vec = rref_kernel_vector(subset, dim)
         if vec is None:
             continue
         dots = [sum(a * b for a, b in zip(normal, vec)) for normal in normals]
