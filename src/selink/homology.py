@@ -46,14 +46,18 @@ torsion exactly when their chains are equal, and no prime factorization is
 needed to compare, halve or name a group.
 
 Read literally, both tables pair every S with every subset of S: 3^m
-pairs.  Neither is computed that way.  The definition of c says that the
-product of c_J over all J in S is gcd(u_j : j not in S), so c is the
-multiplicative Moebius inverse of the complement gcds; the k_S are, up to
-eps and the factor 1/D, the additive Moebius inverse of the integer terms.
-Each inverse is m in-place passes over the 2^m masks, O(m * 2^m) steps in
-all, and the Betti sum is one O(2^m) pass.  The torsion chain then costs
-O(F log F + r) for the F masks with c_S > 1.  The definitional 3^m loops
-live on in the tests as oracles.
+pairs.  Neither is computed that way.  The k_S are, up to eps and the
+factor 1/D, the additive Moebius inverse of the integer terms: m in-place
+passes over the 2^m masks, O(m * 2^m) steps, and the Betti sum is one
+O(2^m) pass over the same terms.  The definition of c says that the
+product of c_J over all J in S is gcd(u_j : j not in S), and that
+Moebius inverse has a closed form (see ``orlik_table``): over a pairwise
+coprime base of the u, found by gcd refinement without factoring, c_S
+collects one base element b per threshold t with S = {j : v_b(u_j) < t}.
+So only the few masks with c_S > 1 are ever formed, and a Fraction k_S
+is made for those alone.  The torsion chain then costs O(F log F + r)
+for the F masks with c_S > 1.  The definitional 3^m loops live on in the
+tests as oracles.
 
 This torsion formula is a theorem for n = 2 and n = 3, for Brieskorn-Pham
 polynomials, and for iterated chain polynomials
@@ -70,7 +74,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 
-from .errors import DomainError, InternalConsistencyError, TorsionDivisionError
+from .errors import DomainError, InternalConsistencyError
 from .links import (
     BPExponents,
     WeightedLink,
@@ -91,7 +95,7 @@ __all__ = [
 PROVEN_SOURCES = ("bp", "chain")
 
 _MAX_N_BETTI = 20  # one pass over 2^(n+1) subset terms
-_MAX_N_TORSION = 12  # two transforms of (n+1) * 2^n steps each
+_MAX_N_TORSION = 12  # one transform of (n+1) * 2^n steps
 # Invariant factors a torsion chain may hold.  Their number is the largest
 # multiplicity, which grows like the square of the exponents (bp=2,p,p,p
 # has (p-1)(p-2) of them), so it is refused before any list is built.
@@ -148,28 +152,61 @@ def _moebius_slices(m: int):
                 yield slice(base, base + bit), slice(base - bit, base)
 
 
-def _gcd_moebius(u: tuple[int, ...]) -> list:
-    """The c table: multiplicative Moebius inverse of the complement gcds.
+def _coprime_base(numbers) -> list[int]:
+    """A pairwise coprime base of the numbers > 1, by gcd refinement alone.
 
-    Entry S holds gcd(u_j : j not in S) before the passes; each pass divides
-    it by its neighbour without one bit, c[S] //= c[S ^ bit].  The full mask
-    starts at gcd() = 0, is never a divisor, and ends as None.
+    Bach, Driscoll & Shallit, "Factor refinement" (1993).  A number x that
+    shares a factor g > 1 with a base element b takes b out of the base and
+    puts g, b / g and x / g back on the list still to place; a number
+    coprime to the whole base joins it.  Each split divides the product of
+    the base and the list by g, so the loop ends, and every number is then
+    a product of base elements.  No number is ever factored into primes.
     """
-    m = len(u)
-    size = 1 << m
-    gcd_of = [0]  # gcd(u_j : j in mask), doubling as in _subset_terms
-    for x in u:
-        gcd_of += [math.gcd(g, x) for g in gcd_of]
-    c: list = gcd_of[::-1]  # the complement of mask is size - 1 - mask
-    for into, source in _moebius_slices(m):
-        dividends, divisors = c[into], c[source]
-        if any(map(operator.mod, dividends, divisors)):
-            for mask, a, b in zip(range(size)[into], dividends, divisors):
-                if a % b:
-                    subset = tuple(i for i in range(m) if mask >> i & 1)
-                    raise TorsionDivisionError(subset, a, b)
-        c[into] = map(operator.floordiv, dividends, divisors)
-    c[-1] = None
+    base: list[int] = []
+    todo = [x for x in numbers if x > 1]
+    while todo:
+        x = todo.pop()
+        for i, b in enumerate(base):
+            g = math.gcd(x, b)
+            if g > 1:
+                base[i] = base[-1]
+                base.pop()
+                todo += [y for y in (g, b // g, x // g) if y > 1]
+                break
+        else:
+            base.append(x)
+    return base
+
+
+def _orlik_c(u: tuple[int, ...]) -> dict[int, int]:
+    """c_S per mask S with c_S > 1; every other proper mask has c_S = 1.
+
+    For each element b of a coprime base of u, with e_j = v_b(u_j), b is
+    multiplied into c_S once per threshold t = 1..max e, S = {j : e_j < t}
+    (see ``orlik_table``).  The thresholds between two consecutive values
+    of e share one S, so they enter as one power of b.
+    """
+    c: dict[int, int] = {}
+    rest = list(u)
+    for b in _coprime_base(u):
+        levels: dict[int, int] = {}  # valuation -> mask of the j that have it
+        for j, x in enumerate(rest):
+            e = 0
+            while x % b == 0:
+                x //= b
+                e += 1
+            rest[j] = x
+            levels[e] = levels.get(e, 0) | 1 << j
+        below = previous = 0  # the j with e_j < t, for t = previous + 1 .. e
+        for e in sorted(levels):
+            if e:
+                c[below] = c.get(below, 1) * b ** (e - previous)
+            below |= levels[e]
+            previous = e
+    if any(x != 1 for x in rest):
+        raise InternalConsistencyError(
+            f"coprime base does not rebuild the numerators {u}: remainders {rest}"
+        )
     return c
 
 
@@ -198,49 +235,48 @@ def betti_number(link: WeightedLink | BPExponents) -> int:
 
 @dataclass(frozen=True)
 class OrlikTable:
-    """The c (integer) and k (rational multiplicity) tables, bitmask-indexed.
+    """The masks with c_S > 1, each with its c_S and rational multiplicity k_S.
 
-    Bit i of a mask selects index i.  The entry for the full index set is
-    never computed (its multiplicity vanishes identically, so it can never
-    enter a torsion product); c holds None there.
+    Bit i of a mask selects index i.  Every proper mask left out has
+    c_S = 1, so it can never enter a torsion product; the full index set is
+    never an entry (its multiplicity vanishes identically).
     """
 
     size: int  # number of indices, n+1
-    c: tuple  # int per mask, None at the full mask
-    k: tuple  # Fraction per mask
+    entries: tuple  # (mask, c, k) with c > 1 an int and k a Fraction, by mask
 
 
 def _orlik_transform(
     u: tuple[int, ...], terms: list[int], denominator: int
 ) -> OrlikTable:
-    """The c/k tables from the table of ``_subset_terms``, inverted in place."""
+    """The sparse table from the table of ``_subset_terms``, inverted in place."""
     m = len(u)
-    c = _gcd_moebius(u)
+    c = _orlik_c(u)
     for into, source in _moebius_slices(m):
         terms[into] = map(operator.sub, terms[into], terms[source])
     # eps(n - s + 1) with n = m - 1: nonzero only when m - s is odd.
-    zero = Fraction(0)
-    k = tuple(
-        Fraction(term, denominator) if term and (m - mask.bit_count()) % 2 else zero
-        for mask, term in enumerate(terms)
+    entries = tuple(
+        (mask, c[mask], Fraction((m - mask.bit_count()) % 2 * terms[mask], denominator))
+        for mask in sorted(c)
     )
-    return OrlikTable(size=m, c=tuple(c), k=k)
+    return OrlikTable(size=m, entries=entries)
 
 
 def orlik_table(link: WeightedLink | BPExponents) -> OrlikTable:
-    """Build the full c/k table over proper index subsets, in O(m * 2^m).
+    """The masks with c_S > 1 and their c and k, in O(m * 2^m) plus a base.
 
-    c is computed by dividing in place (see ``_gcd_moebius``), and every
-    division is exact for positive u.  At a prime p the complement gcd has
-    exponent g(S) = min(v_p(u_j) : j not in S), which is the number of
-    thresholds t >= 1 whose set {j : v_p(u_j) < t} lies inside S.  So the
-    Moebius inverse of g counts thresholds and is >= 0.  After the passes
-    over a set B of bits, entry S holds the inverse over the subsets T of
-    S & B of T -> g((S - B) | T), a function of the same form (the indices
-    outside S act as one more index, never in T), so its exponent is >= 0
-    as well.  Every intermediate entry is therefore an integer.  The remainder check stays
-    as a safety net: ``TorsionDivisionError`` names the index subset of the
-    mask being divided, with the dividend and the divisor of that step.
+    c_S has a closed form.  Let b be an element of a pairwise coprime base
+    of the u (``_coprime_base``) and e_j = v_b(u_j).  The complement gcd
+    has b-exponent g(S) = min(e_j : j not in S), which is the number of
+    thresholds t >= 1 whose set T_t = {j : e_j < t} lies inside S.  The
+    product of c_J over the subsets J of S is that gcd, so the b-exponent
+    of c_J, the Moebius inverse of g, counts the thresholds with T_t = J.
+    For t = 1..max e the set T_t misses an index of largest e, so it is a
+    proper mask; every larger t gives the full mask, which is never
+    needed.  Hence c_S is the product of b over the pairs (b, t) with
+    T_t = S, a positive integer, and it is 1 on every mask no threshold
+    hits.  ``_orlik_c`` builds exactly that; it checks that the base
+    rebuilds every u_j, and raises InternalConsistencyError if not.
     """
     link = as_link(link)
     _check_torsion_size(link.n)
@@ -254,17 +290,13 @@ def torsion_orders(table: OrlikTable) -> tuple[int, ...]:
     chain longer than ``_MAX_TORSION_FACTORS`` is refused as a DomainError
     before it is built.
     """
-    full = (1 << table.size) - 1
-    # c[mask] divides d_j exactly for the integers j = 1..floor(k[mask]), so
-    # only masks with c > 1 matter and the chain stops at their largest count.
-    factors = []
-    for mask, k in enumerate(table.k):
-        if k.numerator < k.denominator:  # k < 1, without Fraction's slow compare
-            continue
-        if mask == full:
-            raise InternalConsistencyError("full index set cannot carry multiplicity")
-        if table.c[mask] > 1:
-            factors.append((int(k), table.c[mask]))
+    # Each c (> 1) divides d_j exactly for the integers j = 1..floor(k), so
+    # the chain stops at the largest such count.
+    factors = [
+        (int(k), c)
+        for _, c, k in table.entries
+        if k.numerator >= k.denominator  # k >= 1, without Fraction's slow compare
+    ]
     # Sweep j from the largest count down with a running product: d_j is
     # d_{j+1} times the factors whose count is exactly j, so d stays the same
     # between consecutive counts, and it is > 1 from the top count on.

@@ -30,11 +30,14 @@ fraction-free elimination is carried down it, so a simplex only finishes
 its last small block.  For rational xi the sum is exact, over one common
 denominator, with a single Fraction at the end; inside the optimizer it
 is taken in floats.  One pass over the simplices at a point gives its
-float volume, simplex terms and per-ray weights, and the closed-form
-gradient and Hessian, whose single-ray parts are grouped by ray, are
-read off that table: the optimizer forms it once per point it visits.
-The float path is plain Python: a Newton step needs one linear solve of
-size m+1, done by Gaussian elimination.
+float volume and simplex terms, which is all a line-search candidate
+needs.  At a point the optimizer accepts, the per-ray quotients and
+weights are derived from those terms once, and the closed-form gradient
+and Hessian, whose single-ray parts are grouped by ray, are read off
+them.  The float path is plain Python: a Newton step needs one linear
+solve of size m+1, done by Gaussian elimination.  Every float sum is
+added left to right by hand, never by sum(), which is compensated from
+Python 3.12 on, so the results do not depend on the Python version.
 """
 
 from __future__ import annotations
@@ -301,16 +304,29 @@ def _coerce_xi(cone: MomentCone, xi) -> tuple:
 def reeb_is_interior(cone: MomentCone, xi) -> bool:
     """True iff <xi, r> > 0 for every extreme ray r (interior of dual cone)."""
     xi = _coerce_xi(cone, xi)
-    return all(sum(a * b for a, b in zip(xi, ray)) > 0 for ray in cone.rays)
+    return all(_fdot(xi, ray) > 0 for ray in cone.rays)
 
 
 def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
+def _fdot(u, v):
+    """The dot product added left to right by hand, from an int 0.
+
+    Exact for exact entries.  For floats it rounds as sum() did up to
+    Python 3.11; from 3.12 on sum() of floats is compensated and would
+    round differently, so no float reduction here goes through sum().
+    """
+    total = 0
+    for a, b in zip(u, v):
+        total += a * b
+    return total
+
+
 def _supports(cone: MomentCone, xi) -> list:
     """<xi, r> for every extreme ray r; all must be positive."""
-    supports = [_dot(xi, ray) for ray in cone.rays]
+    supports = [_fdot(xi, ray) for ray in cone.rays]
     if any(s <= 0 for s in supports):
         raise UnboundedPolytopeError(
             "Reeb covector does not cut the cone to a bounded polytope"
@@ -341,44 +357,53 @@ def volume(cone: MomentCone, xi):
 
 
 def _float_table(cone: MomentCone, xi):
-    """(volume, terms, quotients, weights): the float volume at xi, unsummed.
+    """(volume, supports, terms): the float volume at xi and its summands.
 
-    A simplex's term det / prod_j <xi, r_j> has gradient -term * qs, with
-    qs the sum over its rays of q_r = r / <xi, r>, and Hessian
-    term * (qs qs^T + sum_j q_j q_j^T).  The single-ray parts group by ray,
-    with weight W_r the summed term of the simplices that contain r.  The
-    volume adds the terms in simplex order by hand: sum() of floats is
-    compensated from Python 3.12 on and would round differently.
+    The terms are det / prod_j <xi, r_j>, one per simplex, and the volume
+    adds them in simplex order by hand: sum() of floats is compensated from
+    Python 3.12 on and would round differently.
     """
     supports = _supports(cone, xi)
-    quotients = [[a / s for a in ray] for ray, s in zip(cone.rays, supports)]
     terms = []
-    weights = [0.0] * len(supports)
     total = 0.0
     for simplex, det in cone._simplices:
         denom = 1
         for j in simplex:
             denom *= supports[j]
         term = det / denom
-        for j in simplex:
-            weights[j] += term
         terms.append(term)
         total += term
-    return total, terms, quotients, weights
+    return total, supports, terms
 
 
-def _gradient(table) -> tuple[float, ...]:
-    """-sum_r W_r q_r, read off a _float_table."""
-    _, _, quotients, weights = table
-    return tuple(
-        -sum(w * x for w, x in zip(weights, column)) for column in zip(*quotients)
-    )
+def _ray_parts(cone: MomentCone, table):
+    """(quotients, weights) of a _float_table, for the derivatives.
+
+    A simplex's term has gradient -term * qs, with qs the sum over its rays
+    of q_r = r / <xi, r>, and Hessian term * (qs qs^T + sum_j q_j q_j^T).
+    The single-ray parts group by ray, with weight W_r the summed term of
+    the simplices that contain r, added in simplex order.
+    """
+    _, supports, terms = table
+    quotients = [[a / s for a in ray] for ray, s in zip(cone.rays, supports)]
+    weights = [0.0] * len(supports)
+    for (simplex, _), term in zip(cone._simplices, terms):
+        for j in simplex:
+            weights[j] += term
+    return quotients, weights
 
 
-def _hessian(cone: MomentCone, table) -> tuple[tuple[float, ...], ...]:
-    """sum_r W_r q_r q_r^T, plus term * qs qs^T per simplex, off a _float_table."""
+def _gradient(parts) -> tuple[float, ...]:
+    """-sum_r W_r q_r, from the _ray_parts of a point."""
+    quotients, weights = parts
+    return tuple(-_fdot(weights, column) for column in zip(*quotients))
+
+
+def _hessian(cone: MomentCone, table, parts) -> tuple[tuple[float, ...], ...]:
+    """sum_r W_r q_r q_r^T, plus term * qs qs^T per simplex, at one point."""
     dim = cone.dim
-    _, terms, quotients, weights = table
+    terms = table[2]
+    quotients, weights = parts
     hess = [[0.0] * dim for _ in range(dim)]
 
     def add_outer(scale, v):  # hess += scale * v v^T, upper triangle
@@ -391,7 +416,11 @@ def _hessian(cone: MomentCone, table) -> tuple[tuple[float, ...], ...]:
     for w, q in zip(weights, quotients):
         add_outer(w, q)
     for (simplex, _), term in zip(cone._simplices, terms):
-        add_outer(term, [sum(column) for column in zip(*(quotients[j] for j in simplex))])
+        qs = [0.0] * dim  # column sums, ray by ray in simplex order
+        for j in simplex:
+            for a, x in enumerate(quotients[j]):
+                qs[a] += x
+        add_outer(term, qs)
     for a in range(dim):
         for b in range(a):
             hess[a][b] = hess[b][a]
@@ -400,12 +429,14 @@ def _hessian(cone: MomentCone, table) -> tuple[tuple[float, ...], ...]:
 
 def volume_gradient(cone: MomentCone, xi) -> tuple[float, ...]:
     """Closed-form gradient of the normalized volume (float)."""
-    return _gradient(_float_table(cone, [float(x) for x in _coerce_xi(cone, xi)]))
+    table = _float_table(cone, [float(x) for x in _coerce_xi(cone, xi)])
+    return _gradient(_ray_parts(cone, table))
 
 
 def volume_hessian(cone: MomentCone, xi) -> tuple[tuple[float, ...], ...]:
     """Closed-form Hessian of the normalized volume (float, symmetric)."""
-    return _hessian(cone, _float_table(cone, [float(x) for x in _coerce_xi(cone, xi)]))
+    table = _float_table(cone, [float(x) for x in _coerce_xi(cone, xi)])
+    return _hessian(cone, table, _ray_parts(cone, table))
 
 
 @dataclass(frozen=True)
@@ -439,7 +470,7 @@ def reeb_slice_project(cone: MomentCone, gamma, xi):
     """
     xi = _coerce_xi(cone, xi)
     gamma = tuple(gamma)
-    pairing = sum(a * b for a, b in zip(xi, gamma))
+    pairing = _fdot(xi, gamma)
     if pairing >= 0:
         raise DomainError(
             f"<xi, gamma> = {pairing} is not negative; cannot project to the slice"
@@ -476,7 +507,7 @@ def _solve(matrix, rhs) -> list[float] | None:
                 row[k] -= factor * head[k]
     x = [0.0] * n
     for i in reversed(range(n)):
-        x[i] = (rows[i][n] - _dot(rows[i][i + 1 : n], x[i + 1 :])) / rows[i][i]
+        x[i] = (rows[i][n] - _fdot(rows[i][i + 1 : n], x[i + 1 :])) / rows[i][i]
     return x
 
 
@@ -518,13 +549,14 @@ def minimize_volume(
     if not reeb_is_interior(cone, xi):
         raise DomainError("start point is not interior to the dual cone")
     xi = reeb_slice_project(cone, g, xi)
-    g_norm2 = _dot(g, g)
+    g_norm2 = _fdot(g, g)
     table = _float_table(cone, xi)
     current = table[0]
     grad_norm = math.inf
     for iteration in range(1, _MAX_ITERATIONS + 1):
-        grad = _gradient(table)
-        along = _dot(grad, g) / g_norm2
+        parts = _ray_parts(cone, table)
+        grad = _gradient(parts)
+        along = _fdot(grad, g) / g_norm2
         tangent_grad = [a - along * b for a, b in zip(grad, g)]
         grad_norm = math.hypot(*tangent_grad)
         if grad_norm < grad_tol:
@@ -534,13 +566,13 @@ def minimize_volume(
                 iterations=iteration - 1,
                 grad_norm=grad_norm,
             )
-        hess = _hessian(cone, table)
+        hess = _hessian(cone, table, parts)
         bordered = [[*row, b] for row, b in zip(hess, g)] + [[*g, 0.0]]
         solution = _solve(bordered, [-a for a in grad] + [0.0])
         step = None if solution is None else solution[:-1]
-        if step is None or _dot(grad, step) > -1e-14 * grad_norm:
+        if step is None or _fdot(grad, step) > -1e-14 * grad_norm:
             step = [-a for a in tangent_grad]
-        slope = _dot(grad, step)
+        slope = _fdot(grad, step)
         alpha = 1.0
         while alpha > 1e-18:
             candidate = tuple(x + alpha * s for x, s in zip(xi, step))

@@ -352,6 +352,19 @@ class TestToric:
         assert (rc, out) == (1, "")
         assert err == f"error: grad_tol must be positive and finite, got {float(grad_tol)}\n"
 
+    def test_minimize_text_same_on_every_python(self, capsys, tmp_path):
+        # The text of Python 3.10 and 3.11.  Every float reduction adds left
+        # to right by hand; through sum(), which is compensated from 3.12
+        # on, the last line read grad_norm=4.97710149414e-13 there.
+        path = tmp_path / "y21.txt"
+        path.write_text("1 4\n1 3 -2 -2\n")
+        rc, out, _ = run(capsys, "toric", "minimize", str(path), "--weights", "--start", "7,1,1")
+        assert rc == 0
+        assert out == (
+            "xi=-2.21110255091,2.60555127545,2.60555127545 volume=0.286642489448 "
+            "iterations=10 grad_norm=4.97687501013e-13\n"
+        )
+
     def test_missing_query(self, capsys, conifold):
         rc, _, err = run(capsys, "toric")
         assert rc == 1

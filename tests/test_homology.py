@@ -5,11 +5,13 @@ the subset-sum conventions (empty product = 1, lcm of nothing = 1, and
 the multiplicity sum running over ALL subsets of the index set, not just
 proper ones).  test_proper_subset_variant_breaks_golden_data documents
 why the last convention is forced.  The definitional O(3^m) tables live
-here as oracles, and TestMoebiusAgainstOracle holds the shipped O(m 2^m)
-transforms to them exactly.
+here as oracles, and TestMoebiusAgainstOracle holds the shipped sparse
+table (c by threshold counting over a coprime base, k by an O(m 2^m)
+transform) to them exactly.
 """
 
 import math
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -33,7 +35,7 @@ from selink import (
 )
 from selink import homology
 from selink.catalog import run_pipeline
-from selink.homology import _gcd_moebius
+from selink.homology import _coprime_base, _orlik_c
 from conftest import bp_exponents, coprime_triples, fermat_type_links, primary_parts
 
 # (weights, degree, betti, torsion as primary prime-power multiset)
@@ -139,21 +141,23 @@ class TestBettiOracle:
 
 class TestOrlikTable:
     def test_fermat_cubic_c_values(self):
-        # u = (3,3,3,3,3): c_empty = 3 and every larger gcd ratio collapses to 1.
+        # u = (3,3,3,3,3): c_empty = 3 and every larger gcd ratio collapses to
+        # 1, so the empty mask is the only entry.
         table = orlik_table(WeightedLink((1, 1, 1, 1, 1), 3))
-        assert table.c[0] == 3
-        for i in range(5):
-            assert table.c[1 << i] == 1
+        assert [(mask, c) for mask, c, _ in table.entries] == [(0, 3)]
 
     def test_trivial_when_weights_equal_degree(self):
-        # u = (1,...,1): every c is 1, no torsion.
+        # u = (1,...,1): every c is 1, no entry and no torsion.
         table = orlik_table(WeightedLink((2, 2, 2), 2))
-        assert table.c[0] == 1
+        assert table.entries == ()
         assert torsion_orders(table) == ()
 
-    def test_full_mask_not_computed(self):
-        table = orlik_table(WeightedLink((1, 1, 1), 3))
-        assert table.c[-1] is None
+    @given(fermat_type_links(max_n=3, max_degree=30))
+    @settings(max_examples=80, deadline=None)
+    def test_full_mask_not_computed(self, link):
+        table = orlik_table(link)
+        full = (1 << table.size) - 1
+        assert all(mask != full for mask, _, _ in table.entries)
 
     def test_golden_x6_torsion(self):
         table = orlik_table(WeightedLink((1, 1, 1, 1, 3), 6))
@@ -165,17 +169,19 @@ class TestOrlikTable:
         # Multiplicity vanishes on subsets where the epsilon factor is even.
         table = orlik_table(link)
         m = table.size
-        for mask in range((1 << m) - 1):
-            s = bin(mask).count("1")
-            if (m - s) % 2 == 0:
-                assert table.k[mask] == 0
+        for mask, _, k in table.entries:
+            if (m - mask.bit_count()) % 2 == 0:
+                assert k == 0
 
     @given(fermat_type_links(max_n=3, max_degree=30))
     @settings(max_examples=80, deadline=None)
     def test_c_values_are_positive_integers(self, link):
         table = orlik_table(link)
-        for mask, c in enumerate(table.c[:-1]):
-            assert isinstance(c, int) and c >= 1
+        masks = [mask for mask, _, _ in table.entries]
+        assert masks == sorted(set(masks))
+        for _, c, k in table.entries:
+            assert type(c) is int and c > 1
+            assert type(k) is Fraction
 
 
 class TestProperties:
@@ -414,6 +420,14 @@ def _torsion_proper_subset_variant(link) -> tuple[int, ...]:
     return torsion_chain_oracle(c, k)
 
 
+def assert_sparse_c_matches(c_entries, oracle_c):
+    """Every oracle c > 1 is an entry with that value; every other proper c is 1."""
+    full = len(oracle_c) - 1
+    assert oracle_c[full] is None and full not in c_entries
+    assert c_entries == {mask: c for mask, c in enumerate(oracle_c[:full]) if c != 1}
+    assert all(type(c) is int and c > 1 for c in c_entries.values())
+
+
 def assert_matches_oracle(link):
     """c, k, Betti and torsion bit-identical to the definitional versions."""
     fw = fractional_weights(link)
@@ -421,9 +435,9 @@ def assert_matches_oracle(link):
     c, k = orlik_oracle(u, v)
     table = orlik_table(link)
     assert table.size == len(u)
-    assert list(table.c) == c
-    assert list(table.k) == k
-    assert all(type(x) is Fraction for x in table.k)
+    assert_sparse_c_matches({mask: cc for mask, cc, _ in table.entries}, c)
+    for mask, _, kk in table.entries:
+        assert type(kk) is Fraction and kk == k[mask]
     torsion = torsion_chain_oracle(c, k)
     assert torsion_orders(table) == torsion
     betti = betti_oracle(u, v)
@@ -459,12 +473,72 @@ class TestMoebiusAgainstOracle:
     )
     @settings(max_examples=200, deadline=None)
     def test_c_transform_is_integral_on_any_positive_u(self, u):
-        # The p-adic Moebius argument in orlik_table's docstring: no
-        # division in the in-place passes leaves a remainder.
-        c = _gcd_moebius(tuple(u))
-        assert c[-1] is None
-        assert all(type(x) is int and x >= 1 for x in c[:-1])
-        assert c == orlik_oracle(u, [1] * len(u))[0]
+        # The threshold count in orlik_table's docstring is the Moebius
+        # inverse of the complement gcds for any positive u, not only for
+        # the numerators of a link.
+        assert_sparse_c_matches(_orlik_c(tuple(u)), orlik_oracle(u, [1] * len(u))[0])
+
+    @pytest.mark.parametrize(
+        "u",
+        [
+            (6, 10, 15),
+            (8, 12, 18),
+            (30, 42, 70, 105),
+            (4, 6, 9, 27, 36),
+            ((2**61 - 1) ** 2, 2**61 - 1, (2**61 - 1) ** 3, 2 * (2**61 - 1)),
+            ((2**61 - 1) ** 3, (2**61 - 1) ** 3, 3 * (2**61 - 1)),
+        ],
+    )
+    def test_c_on_composites_sharing_factors(self, u):
+        # No base element divides another, and none is prime here: the
+        # refinement must still split 6, 10, 15 into 2, 3, 5.
+        assert_sparse_c_matches(_orlik_c(u), orlik_oracle(u, [1] * len(u))[0])
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(1, 720),
+                st.integers(1, 2**64),
+                st.builds(math.prod, st.lists(st.sampled_from([2, 3, 6, 10, 15, 2**61 - 1]))),
+            ),
+            max_size=8,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_coprime_base_is_coprime_and_rebuilds_every_u(self, u):
+        base = _coprime_base(u)
+        assert all(b > 1 for b in base)
+        for i, a in enumerate(base):
+            for b in base[i + 1 :]:
+                assert math.gcd(a, b) == 1
+        for x in u:
+            for b in base:
+                while x % b == 0:
+                    x //= b
+            assert x == 1
+
+    def test_base_that_does_not_rebuild_u_is_internal_error(self, monkeypatch):
+        # The remainder check is a raise, not an assert, so it also holds
+        # under python -O.
+        monkeypatch.setattr(homology, "_coprime_base", lambda numbers: [2, 3])
+        with pytest.raises(InternalConsistencyError, match="does not rebuild"):
+            _orlik_c((6, 10, 15))
+
+    def test_product_of_two_primes_near_1e12(self):
+        # Refinement never factors: u_0 = p q is split by its gcds with p
+        # and q alone, in microseconds, where trial division would not end.
+        p, q = 999999999989, 1000000000039
+        u = (p * q, p * q, p * p, q)
+        started = time.perf_counter()
+        c = _orlik_c(u)
+        assert time.perf_counter() - started < 0.5
+        assert sorted(_coprime_base(u)) == [p, q]
+        assert c == {0b1000: p, 0b0100: q, 0b1011: p}
+        assert_sparse_c_matches(c, orlik_oracle(u, [1] * 4)[0])
+        # A link whose torsion is Z/p, with a Betti number near 10^36.
+        link = bp_to_link(BPExponents((p * q, p * q, p)))
+        assert link_homology(link).torsion == (p,)
+        assert_matches_oracle(link)
 
 
 class TestSumConvention:

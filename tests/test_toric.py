@@ -299,6 +299,24 @@ class TestVolume:
         assert isinstance(value, float)
         assert abs(value - 16 / 27) < 1e-12
 
+    def test_float_volume_forms_no_ray_parts(self, monkeypatch):
+        # The value needs the simplex terms alone; quotients and ray
+        # weights are for the derivatives.
+        ts = (-7, -6, -5, -3, -2, 1, 2, 3, 4, 5, 6, 7)
+        cone = MomentCone(tuple(tuple(t**k for k in range(6)) for t in ts))
+        xi = [float(sum(column)) for column in zip(*cone.normals)]
+        expected = float(volume(cone, [int(x) for x in xi]))
+        monkeypatch.setattr(toric, "_ray_parts", None)
+        assert abs(volume(cone, xi) - expected) <= 1e-12 * expected
+
+    def test_float_dot_adds_left_to_right(self):
+        # sum() of floats is compensated from Python 3.12 on and gives 2.0
+        # here; the float path must round the same way on every version.
+        assert toric._fdot([1.0, 1e100, 1.0, -1e100], [1, 1, 1, 1]) == 0.0
+        assert toric._fdot([0.1, 0.2, 0.3], [1.0, 1.0, 1.0]) == (0.1 + 0.2) + 0.3
+        exact = toric._fdot([Fraction(1, 3), 2], [3, Fraction(1, 4)])
+        assert exact == Fraction(3, 2) and type(exact) is Fraction
+
     def test_unbounded_outside_dual_cone(self):
         with pytest.raises(UnboundedPolytopeError):
             volume(orthant(3), (1, 1, 0))
@@ -573,6 +591,23 @@ class TestMinimize:
             monkeypatch.setattr(toric, name, counting)
         assert minimize_volume(cone).iterations == 3
         assert counts == {"_float_table": 4, "_hessian": 3}
+
+    def test_ray_parts_once_per_accepted_point(self, monkeypatch):
+        # Quotients and ray weights are derived once per point the
+        # optimizer accepts, and shared by its gradient and Hessian.
+        cone = cone_from_weights(WeightMatrix(((1, 3, -2, -2),), 4))
+        calls = []
+        real = toric._ray_parts
+
+        def counting(cone, table):
+            calls.append(table)
+            return real(cone, table)
+
+        monkeypatch.setattr(toric, "_ray_parts", counting)
+        result = minimize_volume(cone, start=(7, 1, 1))
+        assert result.iterations == 10
+        assert len(calls) == 11
+        assert len({id(table) for table in calls}) == 11
 
     @pytest.mark.parametrize("grad_tol", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_grad_tol_not_positive_and_finite(self, monkeypatch, grad_tol):
