@@ -5,14 +5,13 @@ caller handed us something outside an operation's domain (bad exponents,
 a non-coprime pair, a Reeb vector outside the dual cone) and maps to CLI
 exit code 1.  An InternalConsistencyError means a computation produced
 something that should be impossible for valid input (a fractional Betti
-number, a torsion division with remainder); the result cannot be trusted
+number, a torsion chain that is not divisible); the result cannot be trusted
 and the CLI exits with code 2.
 """
 
 __all__ = [
     "DomainError",
     "InternalConsistencyError",
-    "TorsionDivisionError",
     "NotSmaleFormError",
     "UnboundedPolytopeError",
     "ConvergenceError",
@@ -25,25 +24,6 @@ class DomainError(ValueError):
 
 class InternalConsistencyError(RuntimeError):
     """A result contradicted an invariant that holds for all valid input."""
-
-
-class TorsionDivisionError(InternalConsistencyError):
-    """Non-exact division while building the torsion table.
-
-    The inductive gcd quotients are integers for every input class the
-    algorithm is known or conjectured to cover, so a remainder here means
-    either a genuine counterexample or a bug.  The offending index subset
-    is kept for diagnosis.
-    """
-
-    def __init__(self, subset, numerator, denominator):
-        self.subset = tuple(subset)
-        self.numerator = numerator
-        self.denominator = denominator
-        super().__init__(
-            f"torsion table entry for subset {self.subset} is not integral: "
-            f"{numerator} / {denominator} leaves a remainder"
-        )
 
 
 class NotSmaleFormError(DomainError):

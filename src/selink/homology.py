@@ -7,16 +7,14 @@ sits in degree n-1:
     H_{n-1}(L; Z) = Z^b  (+)  Z/d_1 (+) ... (+) Z/d_r,   d_{j+1} | d_j.
 
 Both pieces are computed from the reduced fractions u_i/v_i = d/w_i alone,
-as tables indexed by bitmasks over the m = n+1 indices (bit i selects
-index i).  Each subset J contributes the term
+indexed by bitmasks over the m = n+1 indices (bit i selects index i).  Each
+subset J contributes the term
 
     f(J) = (prod u_j) / ((prod v_j) * lcm(u_j : j in J)),    j in J,
 
 with empty product 1 and lcm() = 1.  Over the common denominator
 D = (prod of all v_i) * lcm(all u_i) every term is an integer D * f(J), so
 each sum below is an integer sum with a single division by D at the end.
-link_homology builds this one table of terms per link and hands it to
-both the Betti sum and the Orlik transform.
 
 The free rank b is the alternating sum of (-1)^{m-|J|} f(J) over all 2^m
 subsets, so the empty subset contributes (-1)^{n+1}.  The sum is an
@@ -46,18 +44,22 @@ torsion exactly when their chains are equal, and no prime factorization is
 needed to compare, halve or name a group.
 
 Read literally, both tables pair every S with every subset of S: 3^m
-pairs.  Neither is computed that way.  The k_S are, up to eps and the
-factor 1/D, the additive Moebius inverse of the integer terms: m in-place
-passes over the 2^m masks, O(m * 2^m) steps, and the Betti sum is one
-O(2^m) pass over the same terms.  The definition of c says that the
-product of c_J over all J in S is gcd(u_j : j not in S), and that
-Moebius inverse has a closed form (see ``orlik_table``): over a pairwise
-coprime base of the u, found by gcd refinement without factoring, c_S
-collects one base element b per threshold t with S = {j : v_b(u_j) < t}.
-So only the few masks with c_S > 1 are ever formed, and a Fraction k_S
-is made for those alone.  The torsion chain then costs O(F log F + r)
-for the F masks with c_S > 1.  The definitional 3^m loops live on in the
-tests as oracles.
+pairs.  Neither is computed that way.  f(J) depends on J only through
+prod u_j/v_j and lcm(u_J): Milnor and Orlik ("Isolated singularities
+defined by weighted homogeneous polynomials", Topology 9, 1970) write the
+divisor of the characteristic polynomial as prod_i (Lambda_{u_i}/v_i - 1)
+with Lambda_a Lambda_b = gcd(a, b) Lambda_lcm(a, b).  So one pass over the
+indices, keeping per gcd class the signed sums over all J and over the J
+inside each needed S, gives the Betti sum and every k_S at once
+(``_divisor_sums``); link_homology makes that pass once per link.  The
+definition of c says that the product of c_J over all J in S is
+gcd(u_j : j not in S), and that Moebius inverse has a closed form (see
+``orlik_table``): over a pairwise coprime base of the u, found by gcd
+refinement without factoring, c_S collects one base element b per
+threshold t with S = {j : v_b(u_j) < t}.  So only the few masks with
+c_S > 1 are ever formed, and k_S is summed for those with eps = 1 alone.
+The torsion chain then costs O(F log F + r) for the F masks with c_S > 1.
+The definitional 2^m and 3^m loops live on in the tests as oracles.
 
 This torsion formula is a theorem for n = 2 and n = 3, for Brieskorn-Pham
 polynomials, and for iterated chain polynomials
@@ -94,8 +96,8 @@ __all__ = [
 # Polynomial classes for which the torsion algorithm is an actual theorem.
 PROVEN_SOURCES = ("bp", "chain")
 
-_MAX_N_BETTI = 20  # one pass over 2^(n+1) subset terms
-_MAX_N_TORSION = 12  # one transform of (n+1) * 2^n steps
+_MAX_N_BETTI = 20  # the divisor pass holds at most 2^(n+1) states
+_MAX_N_TORSION = 12  # at most 2^(n+1) states of 1 + F sums, F entries
 # Invariant factors a torsion chain may hold.  Their number is the largest
 # multiplicity, which grows like the square of the exponents (bp=2,p,p,p
 # has (p-1)(p-2) of them), so it is refused before any list is built.
@@ -112,44 +114,37 @@ def _check_torsion_size(n: int) -> None:
         raise DomainError(f"n={n} too large for the torsion table")
 
 
-def _subset_terms(link: WeightedLink) -> tuple[tuple[int, ...], list[int], int]:
-    """The numerators u, the integers D * f(J) per bitmask J, and D.
+def _divisor_sums(u: tuple[int, ...], v: tuple[int, ...], masks=()) -> tuple[list[int], int]:
+    """D times the signed sums of (-1)^{m-|J|} f(J), and D.
 
-    Adding index i to J multiplies f(J) by gcd(lcm(u_J), u_i) / v_i, so the
-    table doubles as the indices are taken in: the new half is the old one
-    with bit i set.
+    Entry 0 sums over every subset J, entry e + 1 over the J inside
+    masks[e].  Taking index i into J multiplies f(J) by g / v_i with
+    g = gcd(lcm(u_J), u_i); later factors need lcm(u_J) only up to its gcd
+    with the numerators still to come, so the J merge into states keyed by
+    that gcd.  Taking i multiplies a state's sums by -g // v_i, exact term
+    by term, into entry 0 and the masks that hold i; leaving it out keeps
+    them, and (-1)^m comes at the end.  Indices go by descending u, which
+    keeps the keys few; at the end every key is 1.
     """
-    fw = fractional_weights(link)
-    u, v = fw.numerators, fw.denominators
     denominator = math.prod(v) * math.lcm(*u)
-    terms, lcm_u = [denominator], [1]
-    for x, y in zip(u, v):
-        gcds = [math.gcd(ell, x) for ell in lcm_u]
-        terms += [term * g // y for term, g in zip(terms, gcds)]
-        lcm_u += [ell * x // g for ell, g in zip(lcm_u, gcds)]
-    return u, terms, denominator
-
-
-def _moebius_slices(m: int):
-    """Slice pairs (masks containing bit i, the same masks without it).
-
-    Element by element, the first slice lists masks S and the second the
-    masks S ^ (1 << i).  Applying an invertible step from each source to
-    its target, bit after bit, turns a table of sums over subsets into the
-    table of summands: the subset Moebius inversion.  Each bit is cut into
-    as few slices as possible, strided for low bits and contiguous for high
-    ones, so the arithmetic runs in ``map`` rather than a Python loop.
-    """
-    size = 1 << m
-    for i in range(m):
-        bit = 1 << i
-        step = bit << 1
-        if bit * bit <= size:
-            for offset in range(bit):
-                yield slice(bit + offset, size, step), slice(offset, size, step)
-        else:
-            for base in range(bit, size, step):
-                yield slice(base, base + bit), slice(base - bit, base)
+    order = sorted(range(len(u)), key=u.__getitem__, reverse=True)
+    ahead = [1]  # lcm of the numerators after each index in order, built backwards
+    for i in reversed(order[1:]):
+        ahead.append(math.lcm(ahead[-1], u[i]))
+    states = {1: [denominator] * (len(masks) + 1)}
+    for i, rest in zip(order, reversed(ahead)):
+        x, y = u[i], v[i]
+        inside = [True] + [mask >> i & 1 for mask in masks]
+        after: dict[int, list[int]] = {}
+        for key, sums in states.items():
+            g = math.gcd(key, x)
+            taken = [-s * g // y if b else 0 for s, b in zip(sums, inside)]
+            for into, part in ((math.gcd(key, rest), sums), (math.gcd(key // g * x, rest), taken)):
+                held = after.get(into)
+                after[into] = part if held is None else list(map(operator.add, held, part))
+        states = after
+    sums = states[1]
+    return (sums if len(u) % 2 == 0 else [-s for s in sums]), denominator
 
 
 def _coprime_base(numbers) -> list[int]:
@@ -210,14 +205,8 @@ def _orlik_c(u: tuple[int, ...]) -> dict[int, int]:
     return c
 
 
-def _betti_sum(
-    link: WeightedLink, u: tuple[int, ...], terms: list[int], denominator: int
-) -> int:
-    """The alternating subset sum over the table of ``_subset_terms``."""
-    m = len(u)
-    total = sum(
-        -term if (m - mask.bit_count()) % 2 else term for mask, term in enumerate(terms)
-    )
+def _betti(link: WeightedLink, total: int, denominator: int) -> int:
+    """The alternating subset sum D * b of ``_divisor_sums``, checked and divided."""
     if total < 0 or total % denominator != 0:
         raise InternalConsistencyError(
             f"Betti sum for {link.presentation()} is {Fraction(total, denominator)}, "
@@ -230,7 +219,9 @@ def betti_number(link: WeightedLink | BPExponents) -> int:
     """Free rank of H_{n-1}(L; Z) via the alternating subset sum."""
     link = as_link(link)
     _check_betti_size(link.n)
-    return _betti_sum(link, *_subset_terms(link))
+    fw = fractional_weights(link)
+    (total,), denominator = _divisor_sums(fw.numerators, fw.denominators)
+    return _betti(link, total, denominator)
 
 
 @dataclass(frozen=True)
@@ -246,24 +237,26 @@ class OrlikTable:
     entries: tuple  # (mask, c, k) with c > 1 an int and k a Fraction, by mask
 
 
-def _orlik_transform(
-    u: tuple[int, ...], terms: list[int], denominator: int
-) -> OrlikTable:
-    """The sparse table from the table of ``_subset_terms``, inverted in place."""
+def _orlik_pass(link: WeightedLink) -> tuple[OrlikTable, int, int]:
+    """The Orlik table with the Betti sum D * b and D, from one divisor pass.
+
+    k_S is summed only where eps(n - s + 1) = 1, i.e. m - s is odd; there
+    (-1)^{s-|J|} = -(-1)^{m-|J|}, so k_S = -sums / D.  Elsewhere k_S = 0.
+    """
+    fw = fractional_weights(link)
+    u = fw.numerators
     m = len(u)
     c = _orlik_c(u)
-    for into, source in _moebius_slices(m):
-        terms[into] = map(operator.sub, terms[into], terms[source])
-    # eps(n - s + 1) with n = m - 1: nonzero only when m - s is odd.
-    entries = tuple(
-        (mask, c[mask], Fraction((m - mask.bit_count()) % 2 * terms[mask], denominator))
-        for mask in sorted(c)
-    )
-    return OrlikTable(size=m, entries=entries)
+    masks = sorted(c)
+    odd = [mask for mask in masks if (m - mask.bit_count()) % 2]
+    sums, denominator = _divisor_sums(u, fw.denominators, odd)
+    k = dict(zip(odd, sums[1:]))
+    entries = tuple((mask, c[mask], Fraction(-k.get(mask, 0), denominator)) for mask in masks)
+    return OrlikTable(size=m, entries=entries), sums[0], denominator
 
 
 def orlik_table(link: WeightedLink | BPExponents) -> OrlikTable:
-    """The masks with c_S > 1 and their c and k, in O(m * 2^m) plus a base.
+    """The masks with c_S > 1 and their c and k, from a base and one divisor pass.
 
     c_S has a closed form.  Let b be an element of a pairwise coprime base
     of the u (``_coprime_base``) and e_j = v_b(u_j).  The complement gcd
@@ -280,7 +273,7 @@ def orlik_table(link: WeightedLink | BPExponents) -> OrlikTable:
     """
     link = as_link(link)
     _check_torsion_size(link.n)
-    return _orlik_transform(*_subset_terms(link))
+    return _orlik_pass(link)[0]
 
 
 def torsion_orders(table: OrlikTable) -> tuple[int, ...]:
@@ -363,9 +356,9 @@ def link_homology(
         raise DomainError(f"unknown source class {source!r}")
     _check_betti_size(link.n)
     _check_torsion_size(link.n)
-    table = _subset_terms(link)
-    betti = _betti_sum(link, *table)  # before the transform inverts the terms
-    torsion = torsion_orders(_orlik_transform(*table))
+    table, total, denominator = _orlik_pass(link)
+    betti = _betti(link, total, denominator)
+    torsion = torsion_orders(table)
     proven = link.n in (2, 3) or source in PROVEN_SOURCES
     return HomologyGroup(
         betti=betti,

@@ -131,8 +131,8 @@ class TestRunPipeline:
     def test_one_subset_table_per_record(self, monkeypatch):
         # The link is derived once for the record and once more where the
         # verdict checks that bp presents it; the fractional weights and the
-        # subset terms once, for both the Betti sum and the Orlik table.
-        calls = dict.fromkeys(("bp_to_link", "fractional_weights", "_subset_terms"), 0)
+        # divisor pass once, for both the Betti sum and the Orlik table.
+        calls = dict.fromkeys(("bp_to_link", "fractional_weights", "_divisor_sums"), 0)
 
         def count(module, name):
             fn = getattr(module, name)
@@ -146,10 +146,10 @@ class TestRunPipeline:
         count(links, "bp_to_link")
         count(existence, "bp_to_link")
         count(homology, "fractional_weights")
-        count(homology, "_subset_terms")
+        count(homology, "_divisor_sums")
         record = run_pipeline(BPExponents((2, 3, 4, 5)))
         assert (record.betti, record.torsion, record.error) == (0, (), None)
-        assert calls == {"bp_to_link": 2, "fractional_weights": 1, "_subset_terms": 1}
+        assert calls == {"bp_to_link": 2, "fractional_weights": 1, "_divisor_sums": 1}
 
     def test_obstructed_example(self):
         record = run_pipeline("w=1,2,5,5,5 d=10")

@@ -4,16 +4,19 @@ The golden rows below were machine-checked published values; they pin
 the subset-sum conventions (empty product = 1, lcm of nothing = 1, and
 the multiplicity sum running over ALL subsets of the index set, not just
 proper ones).  test_proper_subset_variant_breaks_golden_data documents
-why the last convention is forced.  The definitional O(3^m) tables live
-here as oracles, and TestMoebiusAgainstOracle holds the shipped sparse
-table (c by threshold counting over a coprime base, k by an O(m 2^m)
-transform) to them exactly.
+why the last convention is forced.  The definitional 2^m and 3^m tables
+live here as oracles, and TestMoebiusAgainstOracle holds the shipped
+sparse table (c by threshold counting over a coprime base, the Betti sum
+and k by one divisor pass over gcd classes) to them exactly.
+TestMilnorDelta checks the torsion order against Milnor's Delta(1), a
+theorem for every link, so it also covers the conjectural torsion path.
 """
 
 import math
 import time
+from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings
@@ -24,10 +27,10 @@ from selink import (
     DomainError,
     HomologyGroup,
     InternalConsistencyError,
-    TorsionDivisionError,
     WeightedLink,
     betti_number,
     bp_to_link,
+    enumerate_bp,
     fractional_weights,
     link_homology,
     orlik_table,
@@ -35,8 +38,27 @@ from selink import (
 )
 from selink import homology
 from selink.catalog import run_pipeline
-from selink.homology import _coprime_base, _orlik_c
+from selink.homology import _coprime_base, _divisor_sums, _orlik_c
 from conftest import bp_exponents, coprime_triples, fermat_type_links, primary_parts
+
+
+class TorsionDivisionError(InternalConsistencyError):
+    """Non-exact division in the definitional c table of ``orlik_oracle``.
+
+    The inductive gcd quotients are integers for every positive u, so a
+    remainder here means a bug in the oracle.  The offending index subset
+    is kept for diagnosis.
+    """
+
+    def __init__(self, subset, numerator, denominator):
+        self.subset = tuple(subset)
+        self.numerator = numerator
+        self.denominator = denominator
+        super().__init__(
+            f"torsion table entry for subset {self.subset} is not integral: "
+            f"{numerator} / {denominator} leaves a remainder"
+        )
+
 
 # (weights, degree, betti, torsion as primary prime-power multiset)
 GOLDEN_HYPERSURFACES = [
@@ -263,9 +285,9 @@ class TestErrorPaths:
 class TestSizeCaps:
     """Oversized links fail before any subset work, with fixed messages.
 
-    For 13 <= n <= 20 the torsion-table cap must fire before the
-    O(2^(n+1)) subset table, which the patched ``_subset_terms`` would
-    reject; beyond n = 20 the Betti cap's message still comes first.
+    For 13 <= n <= 20 the torsion-table cap must fire before the divisor
+    pass, which the patched ``_divisor_sums`` would reject; beyond n = 20
+    the Betti cap's message still comes first.
     """
 
     @pytest.mark.parametrize(
@@ -278,10 +300,10 @@ class TestSizeCaps:
         ],
     )
     def test_link_homology_message(self, n, message, monkeypatch):
-        def no_subset_terms(link):
-            raise AssertionError("subset table built for an oversized link")
+        def no_divisor_sums(u, v, masks=()):
+            raise AssertionError("divisor pass run for an oversized link")
 
-        monkeypatch.setattr(homology, "_subset_terms", no_subset_terms)
+        monkeypatch.setattr(homology, "_divisor_sums", no_divisor_sums)
         bp = BPExponents((2,) + (3,) * n)
         with pytest.raises(DomainError) as info:
             link_homology(bp)
@@ -448,7 +470,7 @@ def assert_matches_oracle(link):
 
 
 class TestMoebiusAgainstOracle:
-    """The O(m 2^m) transforms against the definitional O(3^m) loops."""
+    """The threshold count and the divisor pass against the definitional loops."""
 
     @given(bp_exponents(max_len=8, max_exponent=12))
     @settings(max_examples=60, deadline=None)
@@ -539,6 +561,114 @@ class TestMoebiusAgainstOracle:
         link = bp_to_link(BPExponents((p * q, p * q, p)))
         assert link_homology(link).torsion == (p,)
         assert_matches_oracle(link)
+
+
+def signed_sums_oracle(u, v, masks) -> list[Fraction]:
+    """Sum of (-1)^{m-|J|} f(J) over every J, then over the J inside each mask."""
+    m = len(u)
+    prod_u, prod_v, lcm_u = _subset_data(u, v)
+    terms = [
+        (mask, (-1) ** (m - mask.bit_count()) * Fraction(prod_u[mask], prod_v[mask] * ell))
+        for mask, ell in enumerate(lcm_u)
+    ]
+    return [sum(t for j, t in terms if j & s == j) for s in ((1 << m) - 1, *masks)]
+
+
+FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
+
+
+class TestDivisorPass:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_sums_match_subset_loop(self, data):
+        # Any positive u and v: every D * f(J) is an integer, so each step's
+        # division by v_i is exact whether or not the data present a link.
+        m = data.draw(st.integers(1, 7))
+        numbers = st.one_of(st.integers(1, 720), st.integers(1, 2**64))
+        u = tuple(data.draw(st.lists(numbers, min_size=m, max_size=m)))
+        v = tuple(data.draw(st.lists(st.integers(1, 60), min_size=m, max_size=m)))
+        masks = data.draw(st.lists(st.integers(0, (1 << m) - 1), max_size=6))
+        sums, denominator = _divisor_sums(u, v, masks)
+        assert denominator == math.prod(v) * math.lcm(*u)
+        assert all(type(s) is int for s in sums)
+        assert [Fraction(s, denominator) for s in sums] == signed_sums_oracle(u, v, masks)
+
+    def test_twenty_primes_then_their_product(self):
+        # Taken in input order the primes keep 2^20 gcd classes apart until
+        # their product comes.  By descending u the product comes first, and
+        # two classes remain at every step.
+        link = bp_to_link(BPExponents(FIRST_PRIMES + (math.prod(FIRST_PRIMES),)))
+        started = time.perf_counter()
+        betti = betti_number(link)
+        assert time.perf_counter() - started < 0.5
+        assert betti == math.prod(p - 1 for p in FIRST_PRIMES) == 71303543877206959718400000
+
+    def test_twelve_primes_then_their_product(self):
+        primes = FIRST_PRIMES[:12]
+        assert_matches_oracle(bp_to_link(BPExponents(primes + (math.prod(primes),))))
+
+
+def lcm_class_coefficients(u, v) -> dict[int, Fraction]:
+    """c_L, the signed terms f(J) summed over the J with lcm(u_J) = L.
+
+    Milnor and Orlik write the divisor of the characteristic polynomial as
+    prod_i (Lambda_{u_i} / v_i - 1) with Lambda_a Lambda_b =
+    gcd(a, b) Lambda_lcm(a, b), so Delta(t) = prod_L (t^L - 1)^{c_L}.
+    """
+    m = len(u)
+    prod_u, prod_v, lcm_u = _subset_data(u, v)
+    coefficients: dict[int, Fraction] = {}
+    for mask in range(1 << m):
+        ell = lcm_u[mask]
+        term = (-1) ** (m - mask.bit_count()) * Fraction(prod_u[mask], prod_v[mask] * ell)
+        coefficients[ell] = coefficients.get(ell, 0) + term
+    return coefficients
+
+
+def checked_sphere_applicability(link) -> str | None:
+    """The applicability flag of a rational homology sphere, else None.
+
+    When b = sum of c_L = 0, Delta(t) = prod ((t^L - 1) / (t - 1))^{c_L},
+    whose value at 1 is prod L^{c_L}; by Milnor's theorem its absolute
+    value is the order of H_{n-1}, the product of the invariant factors.
+    That is checked here, with every c_L an integer summing to b.
+    """
+    fw = fractional_weights(link)
+    coefficients = lcm_class_coefficients(fw.numerators, fw.denominators)
+    assert all(c.denominator == 1 for c in coefficients.values())
+    group = link_homology(link)
+    assert sum(coefficients.values()) == group.betti
+    if group.betti:
+        return None
+    delta_at_one = math.prod(Fraction(ell) ** int(c) for ell, c in coefficients.items())
+    assert delta_at_one == math.prod(group.torsion)
+    return group.applicability
+
+
+class TestMilnorDelta:
+    """Torsion order against Milnor's Delta(1), not against Orlik's formula."""
+
+    def test_bp_census(self):
+        flags = Counter(
+            checked_sphere_applicability(bp_to_link(bp))
+            for enum in ((3, 30), (4, 12))
+            for bp in enumerate_bp(*enum)
+        )
+        assert flags == {"proven": 3887, None: 1609}
+
+    def test_divisor_weight_links(self):
+        # Weights dividing d <= 24 with no common factor, m = 3..6.  With
+        # m >= 5 and no source the torsion is Orlik's conjecture, so this
+        # checks the conjectural path against a theorem.
+        flags = Counter()
+        for d in range(2, 25):
+            divisors = [w for w in range(1, d) if d % w == 0]
+            for m in range(3, 7):
+                for weights in combinations_with_replacement(divisors, m):
+                    if math.gcd(d, *weights) == 1:
+                        flags[checked_sphere_applicability(WeightedLink(weights, d))] += 1
+        assert flags[None] > 0
+        assert (flags["proven"], flags["conjectural"]) == (71, 118)
 
 
 class TestSumConvention:
