@@ -294,8 +294,9 @@ def _record(number: int, line: str) -> CatalogRecord:
     """The record on catalog line ``number``; a malformed one is a DomainError."""
     try:
         d = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"catalog line {number} is not JSON ({exc.msg})") from None
+    except ValueError as exc:  # JSONDecodeError, or an integer over int()'s digit limit
+        reason = getattr(exc, "msg", exc)
+        raise DomainError(f"catalog line {number} is not JSON ({reason})") from None
     if not isinstance(d, dict):
         raise DomainError(f"catalog line {number} is not a record: {d!r}")
     try:
@@ -312,7 +313,7 @@ def _read_records(stream) -> tuple[dict, Iterator[CatalogRecord]]:
         raise DomainError("empty catalog")
     try:
         header = json.loads(first)
-    except json.JSONDecodeError:
+    except ValueError:  # JSONDecodeError, or an integer over int()'s digit limit
         raise DomainError(f"not a catalog file (line {number} is not JSON)") from None
     if not isinstance(header, dict) or header.get("format") != CATALOG_FORMAT:
         raise DomainError(f"not a catalog file (header {header!r})")

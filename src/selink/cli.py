@@ -41,6 +41,7 @@ from .links import (
     BPExponents,
     as_link,
     classify_type,
+    parse_int,
     parse_presentation,
 )
 
@@ -52,6 +53,14 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise DomainError(message)
+
+
+def _int(text: str) -> int:
+    """An integer argument, read by parse_int; argparse words the error."""
+    try:
+        return parse_int(text, "")
+    except DomainError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _emit(fmt: str, mapping: dict) -> None:
@@ -184,10 +193,7 @@ def _cmd_se_table(args) -> int:
             raise DomainError("need a presentation or --betti (with optional --m)")
         torsion = ()
         if args.m:
-            try:
-                torsion = tuple(int(tok) for tok in args.m.split(","))
-            except ValueError:
-                raise DomainError(f"bad torsion list {args.m!r}")
+            torsion = tuple(parse_int(part.strip(), "--m") for part in args.m.split(","))
         manifold = SmaleManifold(args.betti, torsion)
     lookup = table_lookup(manifold)
     _emit(
@@ -406,17 +412,17 @@ def build_parser() -> _Parser:
         sub, "se-table", _cmd_se_table, "classification table lookup for 5-manifolds"
     )
     p.add_argument("presentation", nargs="*", help="link presentation (optional)")
-    p.add_argument("--betti", type=int, help="rank of H_2")
+    p.add_argument("--betti", type=_int, help="rank of H_2")
     p.add_argument("--m", help="comma-separated torsion chain m_1|m_2|...")
 
     p = _add_query(sub, "casson", _cmd_casson, "Casson invariant of a Brieskorn sphere")
-    p.add_argument("a0", type=int)
-    p.add_argument("a1", type=int)
-    p.add_argument("a2", type=int)
+    p.add_argument("a0", type=_int)
+    p.add_argument("a1", type=_int)
+    p.add_argument("a2", type=_int)
 
     p = _add_query(sub, "tight-count", _cmd_tight_count, "tight contact structures on L(p,q)")
-    p.add_argument("p", type=int)
-    p.add_argument("q", type=int)
+    p.add_argument("p", type=_int)
+    p.add_argument("q", type=_int)
 
     p = _add_query(sub, "moduli", _cmd_moduli, "naive moduli dimension")
     _add_presentation_argument(p)
@@ -437,8 +443,8 @@ def build_parser() -> _Parser:
     q.add_argument("--grad-tol", type=float, default=1e-8)
 
     p = sub.add_parser("batch", help="enumerate BP links into a catalog")
-    p.add_argument("--length", type=int, required=True, help="number of exponents")
-    p.add_argument("--max-exponent", type=int, required=True)
+    p.add_argument("--length", type=_int, required=True, help="number of exponents")
+    p.add_argument("--max-exponent", type=_int, required=True)
     p.add_argument("--type", choices=LINK_TYPES, help="keep only this trichotomy type")
     coprime = p.add_mutually_exclusive_group()
     coprime.add_argument(
@@ -458,7 +464,7 @@ def build_parser() -> _Parser:
     p.add_argument("--status", choices=STATUSES, help="keep only this verdict status")
     p.add_argument(
         "--jobs",
-        type=int,
+        type=_int,
         default=1,
         help="worker processes (default 1, at most the CPU count)",
     )

@@ -37,7 +37,6 @@ degree-long table is used instead when its exact cost bound is lower.
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -289,11 +288,8 @@ def count_monomials(weights, degree: int) -> int:
     ``_NODE_COST`` cells.  When even the cheaper one exceeds
     ``_MAX_COUNT_COST`` cells the count is a DomainError.
     """
-    try:
-        m = operator.index(degree)
-        ws = tuple(map(operator.index, weights))
-    except TypeError:
-        raise DomainError("monomial counts need integer weights and degree") from None
+    m = _index(degree, "degree")
+    ws = tuple(_index(w, "weight") for w in weights)
     if m < 0:
         raise DomainError(f"degree must be >= 0, got {m}")
     if any(w < 1 for w in ws):

@@ -13,12 +13,19 @@ is a function of the pair (w, d) only, so that pair is the core datum here.
 Two presentations are supported: a raw weight/degree pair, and a
 Brieskorn-Pham exponent tuple a = (a_0, ..., a_n) standing for the polynomial
 z_0^{a_0} + ... + z_n^{a_n}, from which weights and degree are derived.
+
+This module also holds the package's two integer readers.  ``parse_int``
+reads text (presentation tokens here, and the CLI arguments and toric
+files elsewhere) as an optional '-' and decimal digits; ``_index`` takes a
+Python value that is an integer and rejects a float, Fraction or string.
+Both reject anything else as a DomainError.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,6 +44,23 @@ __all__ = [
 ]
 
 LINK_TYPES = ("positive", "negative", "null")
+
+
+def parse_int(text: str, context: str) -> int:
+    """The integer written as an optional '-' and decimal digits.
+
+    Anything else, such as '+3', ' 3', '2_2', '--5' or '²' (which
+    str.isdigit passes), is a DomainError that names the context, and so
+    is a number longer than int() reads (sys.get_int_max_str_digits).
+    """
+    digits = text.removeprefix("-")
+    if not digits.isdecimal():
+        raise DomainError(f"{context}: {text!r} is not an integer")
+    try:
+        return int(text)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise DomainError(f"{context}: {len(digits)} digits, over the limit of {limit}") from None
 
 
 def _index(value, what: str) -> int:
@@ -183,24 +207,6 @@ def classify_type(link: WeightedLink) -> str:
     return "null"
 
 
-def _is_int_token(text: str) -> bool:
-    # Not str.isdigit, which also passes digits such as "²" that int() refuses.
-    return text.removeprefix("-").isdecimal()
-
-
-def _parse_int_list(value: str, token: str, position: int) -> tuple[int, ...]:
-    parts = value.split(",")
-    out = []
-    for part in parts:
-        part = part.strip()
-        if not _is_int_token(part):
-            raise DomainError(
-                f"token {token!r} at position {position}: {part!r} is not an integer"
-            )
-        out.append(int(part))
-    return tuple(out)
-
-
 def parse_presentation(text: str) -> BPExponents | WeightedLink:
     """Parse the presentation grammar used by the CLI and catalog files.
 
@@ -213,25 +219,18 @@ def parse_presentation(text: str) -> BPExponents | WeightedLink:
     if not tokens:
         raise DomainError("empty presentation")
     for position, token in enumerate(tokens):
-        if "=" not in token:
-            raise DomainError(
-                f"token {token!r} at position {position}: expected key=value"
-            )
-        key, _, value = token.partition("=")
+        context = f"token {token!r} at position {position}"
+        key, equals, value = token.partition("=")
+        if not equals:
+            raise DomainError(f"{context}: expected key=value")
         if key in fields:
-            raise DomainError(f"token {token!r} at position {position}: duplicate key")
+            raise DomainError(f"{context}: duplicate key")
         if key == "bp" or key == "w":
-            fields[key] = _parse_int_list(value, token, position)
+            fields[key] = tuple(parse_int(part, context) for part in value.split(","))
         elif key == "d":
-            if not _is_int_token(value):
-                raise DomainError(
-                    f"token {token!r} at position {position}: degree must be an integer"
-                )
-            fields[key] = int(value)
+            fields[key] = parse_int(value, context)
         else:
-            raise DomainError(
-                f"token {token!r} at position {position}: unknown key {key!r}"
-            )
+            raise DomainError(f"{context}: unknown key {key!r}")
     if "bp" in fields:
         if len(fields) != 1:
             raise DomainError("bp=... cannot be combined with other keys")

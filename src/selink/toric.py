@@ -65,6 +65,7 @@ from .intlinalg import (
     smith_normal_form,
     solve_exact,
 )
+from .links import _index, parse_int
 
 __all__ = [
     "MomentCone",
@@ -115,7 +116,7 @@ class MomentCone:
         # the relative interior of this pointed cone; a normal vanishing there
         # vanishes on every ray, so the interior is empty.
         centre = [sum(column) for column in zip(*self.rays)]
-        if any(sum(a * b for a, b in zip(n, centre)) <= 0 for n in self.normals):
+        if any(_fdot(n, centre) <= 0 for n in self.normals):
             raise DomainError("cone is not full-dimensional (empty interior)")
 
     @property
@@ -162,7 +163,7 @@ class MomentCone:
                 continue
             kept, pos, neg = [], [], []
             for vec, zeros in rays:
-                s = _dot(h, vec)
+                s = _fdot(h, vec)
                 if s > 0:
                     pos.append((vec, zeros, s))
                     kept.append((vec, zeros))
@@ -305,10 +306,6 @@ def reeb_is_interior(cone: MomentCone, xi) -> bool:
     """True iff <xi, r> > 0 for every extreme ray r (interior of dual cone)."""
     xi = _coerce_xi(cone, xi)
     return all(_fdot(xi, ray) > 0 for ray in cone.rays)
-
-
-def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
 
 
 def _fdot(u, v):
@@ -616,7 +613,7 @@ class WeightMatrix:
 
     def __post_init__(self):
         rows = tuple(map(tuple, _int_rows(self.rows)))
-        [[n]] = _int_rows([[self.n]])
+        n = _index(self.n, "n")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "n", n)
         if self.n < 1:
@@ -694,21 +691,26 @@ def cone_from_weights(omega: WeightMatrix) -> MomentCone:
 # File formats used by the CLI.
 
 
+def _integer_lines(path) -> list[tuple[int, ...]]:
+    """The integers on each line; blank lines and '#' lines are skipped.
+
+    Each token is read by parse_int, so an error names ``path:lineno``.
+    """
+    rows = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            words = line.split()
+            if words and not words[0].startswith("#"):
+                rows.append(tuple(parse_int(word, f"{path}:{lineno}") for word in words))
+    return rows
+
+
 def read_cone_file(path) -> MomentCone:
     """One facet normal per line, whitespace-separated integers.
 
     Blank lines and lines starting with '#' are ignored.
     """
-    normals = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                normals.append(tuple(int(tok) for tok in line.split()))
-            except ValueError:
-                raise DomainError(f"{path}:{lineno}: expected integers, got {line!r}")
+    normals = _integer_lines(path)
     if not normals:
         raise DomainError(f"{path}: no facet normals found")
     return MomentCone(tuple(normals))
@@ -716,25 +718,14 @@ def read_cone_file(path) -> MomentCone:
 
 def read_weight_matrix_file(path) -> WeightMatrix:
     """Header line 'k n', then k rows of n integers each."""
-    with open(path) as fh:
-        lines = [
-            line.strip()
-            for line in fh
-            if line.strip() and not line.strip().startswith("#")
-        ]
+    lines = _integer_lines(path)
     if not lines:
         raise DomainError(f"{path}: empty weight matrix file")
-    try:
-        k, n = (int(tok) for tok in lines[0].split())
-    except ValueError:
-        raise DomainError(f"{path}: header must be 'k n', got {lines[0]!r}")
-    if len(lines) - 1 != k:
-        raise DomainError(f"{path}: header promises {k} rows, found {len(lines) - 1}")
-    rows = []
-    for line in lines[1:]:
-        try:
-            row = tuple(int(tok) for tok in line.split())
-        except ValueError:
-            raise DomainError(f"{path}: expected integers, got {line!r}")
-        rows.append(row)
+    header, *rows = lines
+    if len(header) != 2:
+        got = " ".join(map(str, header))
+        raise DomainError(f"{path}: header must be 'k n', got {got!r}")
+    k, n = header
+    if len(rows) != k:
+        raise DomainError(f"{path}: header promises {k} rows, found {len(rows)}")
     return WeightMatrix(tuple(rows), n=n)

@@ -206,6 +206,12 @@ class TestRunPipeline:
         assert record.betti is None
         assert record.status is None
 
+    def test_over_long_integer_is_a_parse_error(self):
+        record = run_pipeline("bp=2,3," + "7" * 5000)
+        assert record.error.startswith("parse: token ")
+        assert record.error.endswith(": 5000 digits, over the limit of 4300")
+        assert record.weights is None
+
     def test_stage_failure_is_isolated(self):
         # This input parses but its Betti sum is fractional, so the homology
         # stage fails; classification, existence and moduli still populate.

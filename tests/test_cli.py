@@ -625,6 +625,11 @@ class TestExportTable:
             ("[]\n", "not a catalog file (header [])"),
             ('"selink-catalog"\n', "not a catalog file (header 'selink-catalog')"),
             ("\n{not json\n", "not a catalog file (line 2 is not JSON)"),
+            pytest.param(
+                '{"format": 1%s}\n' % ("0" * 5000),
+                "not a catalog file (line 1 is not JSON)",
+                id="over-long-integer",
+            ),
         ],
     )
     def test_bad_header_leaves_no_file(self, capsys, tmp_path, text, message):
@@ -633,6 +638,15 @@ class TestExportTable:
         rc, out, err = run(capsys, "export-table", str(path), "-o", str(tsv))
         assert (rc, out, err) == (1, "", f"error: {message}\n")
         assert not tsv.exists()
+
+    def test_over_long_json_integer_in_a_record(self, capsys, tmp_path):
+        # json.loads raises a plain ValueError for an integer over int()'s limit.
+        path = tmp_path / "cat.jsonl"
+        header = '{"format": "selink-catalog", "version": 2}\n'
+        path.write_text(header + '{"betti": 1%s}\n' % ("0" * 5000))
+        rc, out, err = run(capsys, "export-table", str(path))
+        assert rc == 1 and out.startswith("presentation\t") and out.count("\n") == 1
+        assert err.startswith("error: catalog line 2 is not JSON (") and err.count("\n") == 1
 
     def test_undecodable_catalog(self, capsys, tmp_path):
         path, tsv = tmp_path / "cat.jsonl", tmp_path / "out.tsv"
@@ -866,6 +880,47 @@ class TestExitCodes:
         rc, out, err = run(capsys, "classify", *presentation.split())
         assert (rc, out) == (1, "")
         assert err.startswith("error: token ") and err.count("\n") == 1
+
+    # Every place the CLI reads an integer: the command, with {x} for the
+    # value, and for the toric ones the text of {file}.
+    INTEGER_SITES = [
+        ("se-table --betti {x}", None),
+        ("se-table --betti 0 --m {x}", None),
+        ("se-table --betti 0 --m 2,{x}", None),
+        ("casson {x} 3 5", None),
+        ("casson 2 {x} 5", None),
+        ("casson 2 3 {x}", None),
+        ("tight-count {x} 3", None),
+        ("tight-count 5 {x}", None),
+        ("batch --length {x} --max-exponent 3", None),
+        ("batch --length 3 --max-exponent {x}", None),
+        ("batch --jobs {x} --length 3 --max-exponent 3", None),
+        ("toric gamma {file}", "1 0 0\n1 1 0\n1 1 1\n1 {x} 1\n"),
+        ("toric gamma --weights {file}", "{x} 4\n1 1 -1 -1\n"),
+        ("toric gamma --weights {file}", "1 {x}\n1 1 -1 -1\n"),
+        ("toric gamma --weights {file}", "1 4\n1 1 {x} -1\n"),
+    ]
+
+    @pytest.mark.parametrize(
+        "command, text, value",
+        [
+            (command, text, value)
+            for command, text in INTEGER_SITES
+            for value in ["2_2", "+3", "--5", "²", "7" * 5000]
+            # Whitespace separates the integers of --m and of a file.
+            + ([] if text or "--m" in command.split() else [" 3"])
+        ],
+        ids=lambda v: v and v[:40],
+    )
+    def test_integer_lookalike_at_every_site(self, capsys, tmp_path, command, text, value):
+        # int() would read '2_2', '+3' and ' 3' as 22, 3 and 3.
+        path = tmp_path / "input.txt"
+        if text:
+            path.write_text(text.format(x=value))
+        argv = [token.format(x=value, file=path) for token in command.split()]
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_internal_inconsistency_is_exit_2(self, capsys):
         # Fractional Betti sum trips a violated invariant, not a usage error.

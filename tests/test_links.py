@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from selink import (
     BPExponents,
@@ -17,6 +18,7 @@ from selink import (
     fractional_weights,
     parse_presentation,
 )
+from selink.links import parse_int
 from conftest import bp_exponents, fermat_type_links
 
 
@@ -172,11 +174,16 @@ class TestParser:
             "bp=--5,3,3",          # a second minus sign
             "bp=²,3,5",            # a digit that is not decimal
             "w=1,1,1 d=--3",       # the same in the degree
+            pytest.param("bp=2,3," + "7" * 5000, id="more digits than int() reads"),
         ],
     )
     def test_rejects_malformed(self, text):
         with pytest.raises(DomainError):
             parse_presentation(text)
+
+    def test_degree_message_names_the_token(self):
+        with pytest.raises(DomainError, match=r"^token 'd=1_2' at position 1: '1_2' is not"):
+            parse_presentation("w=1,2,3 d=1_2")
 
     @given(bp_exponents())
     def test_presentation_round_trip_bp(self, bp):
@@ -190,3 +197,24 @@ class TestParser:
         link = WeightedLink((1, 2, 3), 6)
         assert as_link(link) is link
         assert as_link(BPExponents((2, 3, 5))) == WeightedLink((15, 10, 6), 30)
+
+
+class TestParseInt:
+    @given(st.integers(min_value=-(10**4299) + 1, max_value=10**4299 - 1))
+    def test_round_trip(self, n):
+        assert parse_int(str(n), "") == n
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "-", "2_2", "+3", " 3", "3 ", "--5", "-+5", "²", "0x10", "1e3", "3.0", "٣_٣"],
+    )
+    def test_rejects_lookalikes(self, text):
+        message = f"where: {text!r} is not an integer"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            parse_int(text, "where")
+
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_rejects_more_digits_than_int_reads(self, sign):
+        with pytest.raises(DomainError, match="^where: 4301 digits, over the limit of 4300$"):
+            parse_int(sign + "1" * 4301, "where")
+        assert parse_int(sign + "1" * 4300, "where") == int(sign + "1" * 4300)
