@@ -19,7 +19,6 @@ spoils a batch.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from itertools import combinations_with_replacement
@@ -169,16 +168,13 @@ def run_pipeline(presentation: str | BPExponents | WeightedLink) -> CatalogRecor
 
         return run
 
-    bp: BPExponents | None = None
-    link: WeightedLink | None = None
     try:
         obj = parse_presentation(text) if isinstance(presentation, str) else presentation
-        if isinstance(obj, BPExponents):
-            bp = obj
-        link = as_link(obj)
     except _STAGE_ERRORS as exc:
         record.error = _stage_error("parse", exc)
         return record
+    bp = obj if isinstance(obj, BPExponents) else None
+    link = as_link(obj)
 
     record.weights = link.weights
     record.degree = link.degree
@@ -210,11 +206,7 @@ def run_pipeline(presentation: str | BPExponents | WeightedLink) -> CatalogRecor
         record.casson = guard("casson")(casson_invariant, bp.exponents)
 
     if link.degree <= _MODULI_DEGREE_LIMIT:
-        # The naive count can go negative on small links; the value is
-        # recorded as computed, so the advisory warning is just noise here.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            record.moduli = guard("moduli")(moduli_dimension, link)
+        record.moduli = guard("moduli")(moduli_dimension, link)
 
     if errors:
         record.error = "; ".join(errors)
@@ -265,7 +257,7 @@ def enumerate_bp(
             return False
         if link_type is None and status is None:
             return True
-        link = as_link(bp)
+        link = bp.link
         if link_type is not None and classify_type(link) != link_type:
             return False
         return status is None or decide_existence(link, bp).status == status

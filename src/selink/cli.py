@@ -39,6 +39,7 @@ from .homology import link_homology
 from .links import (
     LINK_TYPES,
     BPExponents,
+    _shown,
     as_link,
     classify_type,
     parse_int,
@@ -60,7 +61,7 @@ def _int(text: str) -> int:
     try:
         return parse_int(text, "")
     except DomainError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text)}") from None
 
 
 def _emit(fmt: str, mapping: dict) -> None:
@@ -101,9 +102,15 @@ def _torsion_string(torsion: tuple[int, ...]) -> str:
 def _load_cone(args):
     from .toric import cone_from_weights, read_cone_file, read_weight_matrix_file
 
-    if args.weights:
-        return cone_from_weights(read_weight_matrix_file(args.file))
-    return read_cone_file(args.file)
+    if not args.weights:
+        return read_cone_file(args.file)
+    # Print a torsion warning as one line, not in Python's two-line format.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cone = cone_from_weights(read_weight_matrix_file(args.file))
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
+    return cone
 
 
 def _parse_xi(text: str) -> tuple[Fraction, ...]:
@@ -222,13 +229,10 @@ def _cmd_tight_count(args) -> int:
 
 def _cmd_moduli(args) -> int:
     link = as_link(_parse_args_presentation(args.presentation))
-    # A negative count warns; print it as one line, not in Python's
-    # format, which names the source file and line.
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        value = moduli_dimension(link)
-    for warning in caught:
-        print(f"warning: {warning.message}", file=sys.stderr)
+    value = moduli_dimension(link)
+    if value < 0:
+        warning = f"naive moduli count is negative ({value}) for {link.presentation()}"
+        print(f"warning: {warning}", file=sys.stderr)
     reference = moduli_reference(link)
     mapping: dict = {"moduli": value}
     if reference is not None:
@@ -491,8 +495,9 @@ def _misplaced_option(parser, argv) -> str | None:
     for token in tokens:
         if token == "--":
             break
-        if token.startswith("-") and token.lstrip("-")[:1].isalpha():
-            is_long = token.startswith("--")
+        is_long = token.startswith("--")
+        # argparse reads every '--' token, '--5' too, as an option, and '-5' as a value.
+        if is_long or token[:1] == "-" and token[1:2].isalpha():
             name = token.split("=", 1)[0] if is_long else token[:2]
             taken = [
                 action

@@ -26,7 +26,8 @@ counted from the negative continued fraction expansion of -p/q.
 
 Monomial counting in the weighted graded ring gives a naive moduli
 dimension for the singularity; see moduli_dimension for the convention
-and its known discrepancy on the standard degree-12 example.  A count
+and its known discrepancy on the standard degree-12 example.  The count
+can be negative on small links and is returned as it is.  A count
 enumerates the exponents of the weights with the fewest terms, reduced by
 gcds, down to Popoviciu's (1953) closed form for two variables
 (Beck-Robins, Computing the Continuous Discretely, ch. 1), at a cost of
@@ -37,7 +38,6 @@ degree-long table is used instead when its exact cost bound is lower.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, groupby
@@ -371,15 +371,10 @@ def moduli_dimension(link: WeightedLink) -> int:
     """2 * (monomials of degree d minus sum of monomials of degree w_i).
 
     A naive dimension count for the deformation space of the singularity.
-    It can come out negative for extreme weight data, which is reported
-    with a warning rather than clamped.
+    It can come out negative for extreme weight data, such as -6 for
+    w=1,1,1 d=2; the count is returned as it is, not clamped, and the CLI
+    prints a warning line for it.
     """
     total = count_monomials(link.weights, link.degree)
     lower = sum(count_monomials(link.weights, w) for w in link.weights)
-    dim = 2 * (total - lower)
-    if dim < 0:
-        warnings.warn(
-            f"naive moduli count is negative ({dim}) for {link.presentation()}",
-            stacklevel=2,
-        )
-    return dim
+    return 2 * (total - lower)

@@ -33,7 +33,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import DomainError, InternalConsistencyError
-from .links import BPExponents, WeightedLink, bp_to_link, classify_type
+from .links import BPExponents, WeightedLink, classify_type
 
 __all__ = [
     "STATUSES",
@@ -155,7 +155,7 @@ def decide_existence(
     unknown.  Negative and null links short-circuit to the eta-Einstein
     statement.  When ``bp`` is given it must present ``link``.
     """
-    if bp is not None and bp_to_link(bp) != link:
+    if bp is not None and bp.link != link:
         raise DomainError(f"{bp.presentation()} does not present {link.presentation()}")
     link_type = classify_type(link)
     if link_type != "positive":

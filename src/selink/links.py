@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError, InternalConsistencyError
@@ -46,6 +46,11 @@ __all__ = [
 LINK_TYPES = ("positive", "negative", "null")
 
 
+def _shown(text: str) -> str:
+    """repr(text), cut to 40 characters so that an error line stays short."""
+    return repr(text if len(text) <= 40 else text[:37] + "...")
+
+
 def parse_int(text: str, context: str) -> int:
     """The integer written as an optional '-' and decimal digits.
 
@@ -55,7 +60,7 @@ def parse_int(text: str, context: str) -> int:
     """
     digits = text.removeprefix("-")
     if not digits.isdecimal():
-        raise DomainError(f"{context}: {text!r} is not an integer")
+        raise DomainError(f"{context}: {_shown(text)} is not an integer")
     try:
         return int(text)
     except ValueError:
@@ -118,9 +123,13 @@ class WeightedLink:
 
 @dataclass(frozen=True)
 class BPExponents:
-    """Brieskorn-Pham exponents a_i >= 2 for z_0^{a_0} + ... + z_n^{a_n}."""
+    """Brieskorn-Pham exponents a_i >= 2 for z_0^{a_0} + ... + z_n^{a_n}.
+
+    Their link is built with them: d = lcm(a), w_i = d / a_i, so a_i w_i = d.
+    """
 
     exponents: tuple[int, ...]
+    link: WeightedLink = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         exps = tuple(_index(a, "exponent") for a in self.exponents)
@@ -129,6 +138,11 @@ class BPExponents:
             raise DomainError(f"need at least 3 exponents, got {len(exps)}")
         if any(a < 2 for a in exps):
             raise DomainError(f"exponents must all be >= 2: {exps}")
+        d = math.lcm(*exps)
+        weights = tuple(d // a for a in exps)
+        if any(a * w != d for a, w in zip(exps, weights)):
+            raise InternalConsistencyError(f"a * w != {d} for {self.presentation()}")
+        object.__setattr__(self, "link", WeightedLink(weights, d))
 
     @property
     def n(self) -> int:
@@ -150,14 +164,10 @@ class BPExponents:
 
 
 def bp_to_link(bp: BPExponents) -> WeightedLink:
-    """Weights w_i = d / a_i with d = lcm(a_0, ..., a_n), so a_i * w_i = d."""
+    """The link of bp (a BPExponents or a sequence of exponents), bp.link."""
     if not isinstance(bp, BPExponents):
         bp = BPExponents(tuple(bp))
-    d = math.lcm(*bp.exponents)
-    weights = tuple(d // a for a in bp.exponents)
-    if any(a * w != d for a, w in zip(bp.exponents, weights)):
-        raise InternalConsistencyError(f"a * w != {d} for {bp.presentation()}")
-    return WeightedLink(weights, d)
+    return bp.link
 
 
 @dataclass(frozen=True)
@@ -219,7 +229,7 @@ def parse_presentation(text: str) -> BPExponents | WeightedLink:
     if not tokens:
         raise DomainError("empty presentation")
     for position, token in enumerate(tokens):
-        context = f"token {token!r} at position {position}"
+        context = f"token {_shown(token)} at position {position}"
         key, equals, value = token.partition("=")
         if not equals:
             raise DomainError(f"{context}: expected key=value")
@@ -230,7 +240,7 @@ def parse_presentation(text: str) -> BPExponents | WeightedLink:
         elif key == "d":
             fields[key] = parse_int(value, context)
         else:
-            raise DomainError(f"{context}: unknown key {key!r}")
+            raise DomainError(f"{context}: unknown key {_shown(key)}")
     if "bp" in fields:
         if len(fields) != 1:
             raise DomainError("bp=... cannot be combined with other keys")
@@ -243,5 +253,5 @@ def parse_presentation(text: str) -> BPExponents | WeightedLink:
 def as_link(presentation: BPExponents | WeightedLink) -> WeightedLink:
     """Coerce either presentation to its link."""
     if isinstance(presentation, BPExponents):
-        return bp_to_link(presentation)
+        return presentation.link
     return presentation

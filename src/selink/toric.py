@@ -652,8 +652,6 @@ def _check_minors(omega: WeightMatrix):
 
 def cokernel_invariants(omega: WeightMatrix) -> tuple[int, ...]:
     """Invariant factors (> 1) of the torsion of Z^n / rowspan(omega)."""
-    if omega.k == 0:
-        return ()
     transpose = [[omega.rows[i][j] for i in range(omega.k)] for j in range(omega.n)]
     _, d, _ = smith_normal_form(transpose)
     return tuple(d[i][i] for i in range(omega.k) if d[i][i] > 1)
@@ -670,8 +668,6 @@ def cone_from_weights(omega: WeightMatrix) -> MomentCone:
     normals then live in the free quotient lattice.
     """
     k, n = omega.k, omega.n
-    if k == 0:
-        return MomentCone(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
     _check_minors(omega)
     transpose = [[omega.rows[i][j] for i in range(k)] for j in range(n)]
     u, d, _ = smith_normal_form(transpose)

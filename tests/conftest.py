@@ -112,6 +112,11 @@ def catalogs_equal(text_a: str, text_b: str) -> bool:
     return split(text_a) == split(text_b)
 
 
+def pytest_configure(config):
+    # An advisory that reaches a test outside pytest.warns fails it.
+    config.addinivalue_line("filterwarnings", "error::UserWarning")
+
+
 def run_python(code: str, *flags: str) -> subprocess.CompletedProcess:
     """Run code in a fresh interpreter (with extra flags) that imports this selink."""
     env = dict(os.environ)

@@ -205,6 +205,16 @@ class TestCasson:
         assert rc == 1
         assert "coprime" in err
 
+    @pytest.mark.parametrize("argv", [("2", "3", "--5"), ("--5", "3", "5")])
+    def test_double_dash_number_is_named(self, capsys, argv):
+        # argparse takes --5 for an option; it is named, not a missing a2.
+        rc, out, err = run(capsys, "casson", *argv)
+        assert (rc, out, err) == (1, "", "error: selink casson does not take --5\n")
+
+    def test_negative_value_reaches_the_domain_check(self, capsys):
+        rc, out, err = run(capsys, "casson", "2", "3", "-5")
+        assert (rc, out, err) == (1, "", "error: exponents must be >= 2: (2, 3, -5)\n")
+
 
 class TestTightCount:
     def test_value(self, capsys):
@@ -331,6 +341,24 @@ class TestToric:
         assert out == "gamma=-1,-1,-1\n"
         rc, out, _ = run(capsys, "toric", "minimize", str(path), "--weights")
         assert float(parse_kv(out)["volume"]) == pytest.approx(16 / 27, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "query, expected",
+        [
+            ("gamma", "gamma=-1,-1\n"),
+            ("volume --xi 1,1", "volume=2/3\n"),
+            ("minimize", "xi=0,2 volume=0.5 iterations=0 grad_norm=0\n"),
+        ],
+    )
+    def test_torsion_quotient_warns_in_one_line(self, capsys, tmp_path, query, expected):
+        path = tmp_path / "orbifold.txt"
+        path.write_text("1 3\n2 2 -4\n")
+        rc, out, err = run(capsys, "toric", *query.split(), str(path), "--weights")
+        assert (rc, out) == (0, expected)
+        assert err == (
+            "warning: quotient lattice has torsion (2,); "
+            "using the free quotient (orbifold lattice)\n"
+        )
 
     def test_unconverged_minimum_is_exit_2(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(toric, "_MAX_ITERATIONS", 1)
@@ -921,6 +949,26 @@ class TestExitCodes:
         rc, out, err = run(capsys, *argv)
         assert (rc, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err) < 250  # a long value is cut, not echoed whole
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ("classify", "bp=2,3," + "7" * 5000),
+                "token 'bp=2,3," + "7" * 30 + "...' at position 0: "
+                "5000 digits, over the limit of 4300",
+            ),
+            (
+                ("casson", "2", "3", "7" * 5000),
+                "argument a2: invalid int value: '" + "7" * 37 + "...'",
+            ),
+        ],
+        ids=["presentation", "argument"],
+    )
+    def test_long_value_is_cut_in_the_error_line(self, capsys, argv, message):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out, err) == (1, "", f"error: {message}\n")
 
     def test_internal_inconsistency_is_exit_2(self, capsys):
         # Fractional Betti sum trips a violated invariant, not a usage error.

@@ -171,8 +171,17 @@ class TestDecideExistence:
         assert (verdict.status, verdict.rule) == ("unknown", None)
 
     def test_mismatched_bp_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^bp=2,3,5 does not present w=1,1,1 d=2$"):
             decide_existence(WeightedLink((1, 1, 1), 2), BPExponents((2, 3, 5)))
+        # The same weights in another order are another presentation.
+        with pytest.raises(DomainError, match="does not present w=10,15,6 d=30"):
+            decide_existence(WeightedLink((10, 15, 6), 30), BPExponents((2, 3, 5)))
+
+    def test_bp_presents_its_own_link(self):
+        bp = BPExponents((2, 3, 5))
+        assert decide_existence(bp.link, bp).status == "se_exists"
+        # An equal link built apart from bp is accepted too.
+        assert decide_existence(WeightedLink((15, 10, 6), 30), bp) == decide_existence(bp.link, bp)
 
     def test_checks_survive_optimize_flag(self):
         code = """

@@ -1,6 +1,7 @@
 """Presentations, trichotomy, fractional weights, and the input grammar."""
 
 import math
+import pickle
 import re
 from fractions import Fraction
 
@@ -65,6 +66,25 @@ class TestBPExponents:
         link = bp_to_link(BPExponents((2, 3, 5)))
         assert link.degree == 30
         assert link.weights == (15, 10, 6)
+
+    def test_link_is_built_with_the_exponents(self):
+        bp = BPExponents([2, 3, 5])
+        assert bp.link == WeightedLink((15, 10, 6), 30)
+        assert bp_to_link(bp) is bp.link and as_link(bp) is bp.link
+        assert bp_to_link((2, 3, 5)) == bp.link  # a plain tuple is coerced
+
+    def test_link_is_not_part_of_equality_hash_or_repr(self):
+        bp = BPExponents((2, 3, 5))
+        assert bp == BPExponents([2, 3, 5]) and hash(bp) == hash(BPExponents([2, 3, 5]))
+        assert bp != BPExponents((2, 3, 7))
+        assert repr(bp) == "BPExponents(exponents=(2, 3, 5))"
+        assert bp.presentation() == "bp=2,3,5"
+
+    def test_link_survives_pickling(self):
+        # batch --jobs hands exponent tuples to worker processes.
+        bp = pickle.loads(pickle.dumps(BPExponents((2, 3, 4, 5))))
+        assert bp == BPExponents((2, 3, 4, 5))
+        assert bp.link == WeightedLink((30, 20, 15, 12), 60)
 
     def test_exponent_weight_product_is_degree(self):
         bp = BPExponents((4, 4, 4, 6, 10))
@@ -185,6 +205,34 @@ class TestParser:
         with pytest.raises(DomainError, match=r"^token 'd=1_2' at position 1: '1_2' is not"):
             parse_presentation("w=1,2,3 d=1_2")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "bp=2,3," + "7" * 5000,
+                "token 'bp=2,3," + "7" * 30 + "...' at position 0: "
+                "5000 digits, over the limit of 4300",
+            ),
+            (
+                "bp=2," + "x" * 5000,
+                "token 'bp=2," + "x" * 32 + "...' at position 0: "
+                "'" + "x" * 37 + "...' is not an integer",
+            ),
+            (
+                "y" * 50 + "=1",
+                "token '" + "y" * 37 + "...' at position 0: unknown key '" + "y" * 37 + "...'",
+            ),
+            # Exactly 40 characters are shown whole.
+            ("w=1,1,1 d=" + "x" * 38, "token 'd=" + "x" * 38 + "' at position 1: "),
+        ],
+        ids=["digits", "part", "key", "40 characters"],
+    )
+    def test_long_tokens_are_cut_in_messages(self, text, message):
+        with pytest.raises(DomainError) as excinfo:
+            parse_presentation(text)
+        assert str(excinfo.value).startswith(message)
+        assert len(str(excinfo.value)) < 200
+
     @given(bp_exponents())
     def test_presentation_round_trip_bp(self, bp):
         assert parse_presentation(bp.presentation()) == bp
@@ -210,6 +258,12 @@ class TestParseInt:
     )
     def test_rejects_lookalikes(self, text):
         message = f"where: {text!r} is not an integer"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            parse_int(text, "where")
+
+    def test_long_text_is_cut_in_the_message(self):
+        text = "1" * 30 + "_" + "2" * 30
+        message = f"where: {text[:37] + '...'!r} is not an integer"
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             parse_int(text, "where")
 

@@ -670,9 +670,13 @@ class TestWeightMatrices:
         # standard conifold presentation.
         assert abs(result.value - 16 / 27) < 1e-9
 
-    def test_zero_weight_matrix_gives_orthant(self):
-        cone = cone_from_weights(WeightMatrix(rows=(), n=3))
-        assert cone.normals == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_zero_weight_matrix_gives_orthant(self, n):
+        # No rows: the Smith normal form of the n x 0 transpose is U = I.
+        omega = WeightMatrix(rows=(), n=n)
+        orthant = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        assert cone_from_weights(omega).normals == orthant
+        assert cokernel_invariants(omega) == ()
 
     def test_non_integer_entries_rejected(self):
         # int() would truncate this to the conifold row (1, 1, -1, -1).
