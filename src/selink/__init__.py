@@ -32,7 +32,7 @@ from .homology import *
 from .links import *
 
 # The names of the toric module, which loads on first use through
-# __getattr__ below; a test pins this list to toric.__all__.
+# __getattr__ below; toric.__all__ is built from this list.
 _TORIC_NAMES = (
     "MomentCone",
     "ReebVector",

@@ -32,6 +32,7 @@ from .homology import link_homology
 from .links import (
     BPExponents,
     WeightedLink,
+    _short_numbers,
     as_link,
     classify_type,
     parse_presentation,
@@ -136,8 +137,14 @@ _FIELD_CHECKS = {
 
 
 def _stage_error(stage: str, exc: BaseException) -> str:
-    """The record's error text; foreign exceptions carry their type name."""
-    if isinstance(exc, (DomainError, InternalConsistencyError)):
+    """The record's error text; foreign exceptions carry their type name.
+
+    A DomainError's long numbers are cut (see ``_short_numbers``); an
+    internal error keeps every digit.
+    """
+    if isinstance(exc, DomainError):
+        return f"{stage}: {_short_numbers(str(exc))}"
+    if isinstance(exc, InternalConsistencyError):
         return f"{stage}: {exc}"
     return f"{stage}: {type(exc).__name__}: {exc}"
 

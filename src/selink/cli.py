@@ -35,10 +35,11 @@ from .dimension import (
 )
 from .errors import DomainError, InternalConsistencyError
 from .existence import STATUSES, decide_existence
-from .homology import link_homology
+from .homology import PROVEN_SOURCES, link_homology
 from .links import (
     LINK_TYPES,
     BPExponents,
+    _short_numbers,
     _shown,
     as_link,
     classify_type,
@@ -122,13 +123,6 @@ def _parse_xi(text: str) -> tuple[Fraction, ...]:
 
 def _fmt_float(x: float) -> str:
     return format(float(x), ".12g")
-
-
-def _fmt_components(xs) -> str:
-    out = []
-    for x in xs:
-        out.append(str(x) if isinstance(x, (int, Fraction)) else _fmt_float(x))
-    return ",".join(out)
 
 
 # ---------------------------------------------------------------- commands
@@ -262,12 +256,11 @@ def _cmd_toric_volume(args) -> int:
     from .toric import volume
 
     cone = _load_cone(args)
-    value = volume(cone, _parse_xi(args.xi))
-    text = str(value) if isinstance(value, Fraction) else _fmt_float(value)
+    value = volume(cone, _parse_xi(args.xi))  # exact: _parse_xi gives Fractions
     if args.format == "records":
-        _emit(args.format, {"volume": text, "float": float(value)})
+        _emit(args.format, {"volume": str(value), "float": float(value)})
     else:
-        _emit(args.format, {"volume": text})
+        _emit(args.format, {"volume": str(value)})
     return 0
 
 
@@ -280,7 +273,7 @@ def _cmd_toric_minimize(args) -> int:
     _emit(
         args.format,
         {
-            "xi": _fmt_components(result.reeb.components),
+            "xi": ",".join(map(_fmt_float, result.reeb.components)),
             "volume": _fmt_float(result.value),
             "iterations": result.iterations,
             "grad_norm": _fmt_float(result.grad_norm),
@@ -402,7 +395,7 @@ def build_parser() -> _Parser:
     _add_presentation_argument(p)
     p.add_argument(
         "--source",
-        choices=("bp", "chain"),
+        choices=PROVEN_SOURCES,
         help="declare the defining polynomial class (affects the proven flag)",
     )
 
@@ -526,7 +519,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except DomainError as exc:  # a usage error; name a misplaced option
         misplaced = _misplaced_option(parser, sys.argv[1:] if argv is None else argv)
-        print(f"error: {misplaced or exc}", file=sys.stderr)
+        print(f"error: {_short_numbers(misplaced or str(exc))}", file=sys.stderr)
         return 1
     try:
         if args.command is None:
@@ -536,7 +529,7 @@ def main(argv=None) -> int:
             raise DomainError("toric needs a query: gamma, volume or minimize")
         return args.func(args)
     except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_short_numbers(str(exc))}", file=sys.stderr)
         return 1
     except InternalConsistencyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -223,17 +223,34 @@ def casson_invariant(exponents) -> int:
     return tau.numerator // 8
 
 
+# Terms a continued fraction may have.  q = p - 1 gives p - 1 terms, each
+# -2, so without a cap the list grows with p itself.
+_MAX_FRACTION_TERMS = 10**6
+
+
 def negative_continued_fraction(p: int, q: int) -> tuple[int, ...]:
-    """Coefficients r_i <= -2 with -p/q = r_0 - 1/(r_1 - 1/(... - 1/r_k))."""
+    """Coefficients r_i <= -2 with -p/q = r_0 - 1/(r_1 - 1/(... - 1/r_k)).
+
+    More than ``_MAX_FRACTION_TERMS`` terms is a DomainError, raised as
+    soon as the expansion passes that many.
+    """
     if not (p > q > 0):
         raise DomainError(f"need p > q > 0, got p={p} q={q}")
     if math.gcd(p, q) != 1:
         raise DomainError(f"p={p} and q={q} are not coprime")
     rs = []
-    while q:
-        a = -((-p) // q)  # ceil(p/q)
+    x, y = p, q
+    for _ in range(_MAX_FRACTION_TERMS):
+        a = -((-x) // y)  # ceil(x/y)
         rs.append(-a)
-        p, q = q, a * q - p
+        x, y = y, a * y - x
+        if not y:
+            break
+    else:
+        raise DomainError(
+            f"the continued fraction of -{p}/{q} has more than "
+            f"{_MAX_FRACTION_TERMS} terms"
+        )
     if any(r > -2 for r in rs):
         raise InternalConsistencyError(f"continued fraction {rs} has entries > -2")
     return tuple(rs)

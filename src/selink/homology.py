@@ -219,8 +219,7 @@ def betti_number(link: WeightedLink | BPExponents) -> int:
     """Free rank of H_{n-1}(L; Z) via the alternating subset sum."""
     link = as_link(link)
     _check_betti_size(link.n)
-    fw = fractional_weights(link)
-    (total,), denominator = _divisor_sums(fw.numerators, fw.denominators)
+    (total,), denominator = _divisor_sums(*fractional_weights(link))
     return _betti(link, total, denominator)
 
 
@@ -243,13 +242,12 @@ def _orlik_pass(link: WeightedLink) -> tuple[OrlikTable, int, int]:
     k_S is summed only where eps(n - s + 1) = 1, i.e. m - s is odd; there
     (-1)^{s-|J|} = -(-1)^{m-|J|}, so k_S = -sums / D.  Elsewhere k_S = 0.
     """
-    fw = fractional_weights(link)
-    u = fw.numerators
+    u, v = fractional_weights(link)
     m = len(u)
     c = _orlik_c(u)
     masks = sorted(c)
     odd = [mask for mask in masks if (m - mask.bit_count()) % 2]
-    sums, denominator = _divisor_sums(u, fw.denominators, odd)
+    sums, denominator = _divisor_sums(u, v, odd)
     k = dict(zip(odd, sums[1:]))
     entries = tuple((mask, c[mask], Fraction(-k.get(mask, 0), denominator)) for mask in masks)
     return OrlikTable(size=m, entries=entries), sums[0], denominator

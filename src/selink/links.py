@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -35,8 +36,6 @@ __all__ = [
     "LINK_TYPES",
     "WeightedLink",
     "BPExponents",
-    "FractionalWeights",
-    "bp_to_link",
     "fractional_weights",
     "classify_type",
     "parse_presentation",
@@ -49,6 +48,15 @@ LINK_TYPES = ("positive", "negative", "null")
 def _shown(text: str) -> str:
     """repr(text), cut to 40 characters so that an error line stays short."""
     return repr(text if len(text) <= 40 else text[:37] + "...")
+
+
+def _short_numbers(text: str) -> str:
+    """text with each run of more than 40 digits cut to its first 37 and '...'.
+
+    Applied where a DomainError's text leaves the program, so that an
+    input of thousands of digits does not fill the error line.
+    """
+    return re.sub(r"[0-9]{41,}", lambda run: run[0][:37] + "...", text)
 
 
 def parse_int(text: str, context: str) -> int:
@@ -163,40 +171,15 @@ class BPExponents:
         return "bp={}".format(",".join(map(str, self.exponents)))
 
 
-def bp_to_link(bp: BPExponents) -> WeightedLink:
-    """The link of bp (a BPExponents or a sequence of exponents), bp.link."""
-    if not isinstance(bp, BPExponents):
-        bp = BPExponents(tuple(bp))
-    return bp.link
+def fractional_weights(link: WeightedLink) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The reduced fractions u_i / v_i = d / w_i, as the pair (u, v).
 
-
-@dataclass(frozen=True)
-class FractionalWeights:
-    """Reduced fractions u_i / v_i = d / w_i.
-
-    These determine the homology of the link completely (free part always,
-    torsion at least conjecturally), so they are the interface between a
-    presentation and the homology machinery.
+    u_i = d/gcd(d, w_i) and v_i = w_i/gcd(d, w_i), so u_i w_i = d v_i, and
+    every u_i and v_i is positive.  These fractions determine the homology
+    of the link completely (free part always, torsion at least
+    conjecturally), so they are the interface between a presentation and
+    the homology machinery.
     """
-
-    numerators: tuple[int, ...]  # u_i
-    denominators: tuple[int, ...]  # v_i
-
-    def __post_init__(self):
-        if len(self.numerators) != len(self.denominators):
-            raise DomainError("numerators and denominators differ in length")
-        for u, v in zip(self.numerators, self.denominators):
-            if u < 1 or v < 1:
-                raise DomainError(f"fractional weight {u}/{v} is not positive")
-            if math.gcd(u, v) != 1:
-                raise DomainError(f"fractional weight {u}/{v} is not reduced")
-
-    def __len__(self) -> int:
-        return len(self.numerators)
-
-
-def fractional_weights(link: WeightedLink) -> FractionalWeights:
-    """u_i = d/gcd(d, w_i), v_i = w_i/gcd(d, w_i); then u_i w_i = d v_i."""
     d = link.degree
     nums, dens = [], []
     for w in link.weights:
@@ -205,7 +188,7 @@ def fractional_weights(link: WeightedLink) -> FractionalWeights:
         dens.append(w // g)
     if any(u * w != d * v for u, v, w in zip(nums, dens, link.weights)):
         raise InternalConsistencyError(f"u * w != d * v for {link.presentation()}")
-    return FractionalWeights(tuple(nums), tuple(dens))
+    return tuple(nums), tuple(dens)
 
 
 def classify_type(link: WeightedLink) -> str:

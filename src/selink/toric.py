@@ -49,6 +49,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
+from . import _TORIC_NAMES
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -67,25 +68,7 @@ from .intlinalg import (
 )
 from .links import _index, parse_int
 
-__all__ = [
-    "MomentCone",
-    "ReebVector",
-    "WeightMatrix",
-    "GorensteinResult",
-    "VolumeMinimum",
-    "cy_condition",
-    "cone_from_weights",
-    "cokernel_invariants",
-    "gorenstein_gamma",
-    "reeb_slice_project",
-    "volume",
-    "volume_gradient",
-    "volume_hessian",
-    "reeb_is_interior",
-    "minimize_volume",
-    "read_cone_file",
-    "read_weight_matrix_file",
-]
+__all__ = list(_TORIC_NAMES)
 
 
 @dataclass(frozen=True)
@@ -529,8 +512,10 @@ def minimize_volume(
         [[H, gamma], [gamma^T, 0]] @ (step, lambda) = (-grad, 0),
 
     which keeps the step on the slice; a zero pivot falls back to
-    steepest descent.  Exhausting the budget of ``_MAX_ITERATIONS`` steps
-    raises ConvergenceError with diagnostics.
+    steepest descent.  A grad_tol that floats cannot reach, where an
+    accepted step leaves xi as it was, is a DomainError.  A stalled line
+    search, or exhausting the budget of ``_MAX_ITERATIONS`` steps, raises
+    ConvergenceError with diagnostics.
     """
     if not 0 < grad_tol < math.inf:
         raise DomainError(f"grad_tol must be positive and finite, got {grad_tol}")
@@ -588,6 +573,11 @@ def minimize_volume(
                 last_point=xi,
                 last_value=current,
                 grad_norm=grad_norm,
+            )
+        if candidate == xi:  # floats no longer move xi; later steps would repeat this one
+            raise DomainError(
+                f"grad_tol={grad_tol!r} is out of float reach: the steps stopped "
+                f"moving xi at projected gradient norm {grad_norm!r}"
             )
         xi, table = candidate, trial
         current = table[0]
@@ -650,11 +640,20 @@ def _check_minors(omega: WeightMatrix):
             )
 
 
+def _cokernel(omega: WeightMatrix):
+    """(U, torsion) from the Smith form U omega^T V of the transposed weights.
+
+    The last n - k rows of U give coordinates on the free part of
+    Z^n / rowspan(omega); torsion holds the invariant factors > 1.
+    """
+    transpose = [[row[j] for row in omega.rows] for j in range(omega.n)]
+    u, d, _ = smith_normal_form(transpose)
+    return u, tuple(d[i][i] for i in range(omega.k) if d[i][i] > 1)
+
+
 def cokernel_invariants(omega: WeightMatrix) -> tuple[int, ...]:
-    """Invariant factors (> 1) of the torsion of Z^n / rowspan(omega)."""
-    transpose = [[omega.rows[i][j] for i in range(omega.k)] for j in range(omega.n)]
-    _, d, _ = smith_normal_form(transpose)
-    return tuple(d[i][i] for i in range(omega.k) if d[i][i] > 1)
+    """Invariant factors (> 1) of the torsion of Z^n / rowspan(omega), by ``_cokernel``."""
+    return _cokernel(omega)[1]
 
 
 def cone_from_weights(omega: WeightMatrix) -> MomentCone:
@@ -662,16 +661,13 @@ def cone_from_weights(omega: WeightMatrix) -> MomentCone:
 
     The facet normals are the images of the standard basis under the
     projection Z^n -> Z^n / rowspan(omega), expressed in coordinates on
-    the free quotient via Smith normal form, made primitive and
-    deduplicated.  Requires every k x k minor of omega to be nonzero.  A
-    torsion cokernel (orbifold lattice) is reported as a warning; the
+    the free quotient by the Smith form of ``_cokernel``, made primitive
+    and deduplicated.  Requires every k x k minor of omega to be nonzero.
+    A torsion cokernel (orbifold lattice) is reported as a warning; the
     normals then live in the free quotient lattice.
     """
-    k, n = omega.k, omega.n
     _check_minors(omega)
-    transpose = [[omega.rows[i][j] for i in range(k)] for j in range(n)]
-    u, d, _ = smith_normal_form(transpose)
-    torsion = tuple(d[i][i] for i in range(k) if d[i][i] > 1)
+    u, torsion = _cokernel(omega)
     if torsion:
         warnings.warn(
             f"quotient lattice has torsion {torsion}; using the free quotient "
@@ -679,7 +675,7 @@ def cone_from_weights(omega: WeightMatrix) -> MomentCone:
             stacklevel=2,
         )
     # MomentCone makes the images primitive and drops repeats.
-    images = (tuple(u[r][alpha] for r in range(k, n)) for alpha in range(n))
+    images = (tuple(row[alpha] for row in u[omega.k :]) for alpha in range(omega.n))
     return MomentCone(tuple(images))
 
 

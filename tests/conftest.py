@@ -21,7 +21,7 @@ import sympy
 from hypothesis import strategies as st
 
 import selink
-from selink import BPExponents, WeightedLink, bp_to_link
+from selink import BPExponents, WeightedLink
 
 SRC = str(Path(selink.__file__).resolve().parent.parent)
 
@@ -39,7 +39,7 @@ def bp_exponents(draw, **kwargs):
 
 @st.composite
 def bp_links(draw, **kwargs):
-    return bp_to_link(draw(bp_exponents(**kwargs)))
+    return draw(bp_exponents(**kwargs)).link
 
 
 @st.composite

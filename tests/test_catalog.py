@@ -24,6 +24,7 @@ from selink import (
     BPExponents,
     CatalogRecord,
     DomainError,
+    InternalConsistencyError,
     WeightedLink,
     casson_invariant,
     decide_existence,
@@ -208,6 +209,19 @@ class TestRunPipeline:
             "5000 digits, over the limit of 4300"
         )
         assert record.weights is None
+
+    def test_long_number_in_a_domain_error_is_cut(self):
+        record = run_pipeline("bp=-" + "7" * 4000 + ",2,2")
+        assert record.error == "parse: exponents must all be >= 2: (-" + "7" * 37 + "..., 2, 2)"
+
+    def test_long_number_in_an_internal_error_is_kept(self, monkeypatch):
+        number = "7" * 4000
+
+        def moduli(link):
+            raise InternalConsistencyError(f"bad count {number}")
+
+        monkeypatch.setattr(catalog, "moduli_dimension", moduli)
+        assert run_pipeline("bp=2,3,5").error == f"moduli: bad count {number}"
 
     def test_stage_failure_is_isolated(self):
         # This input parses but its Betti sum is fractional, so the homology

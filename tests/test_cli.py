@@ -226,6 +226,13 @@ class TestTightCount:
         rc, _, err = run(capsys, "tight-count", "5", "5")
         assert rc == 1
 
+    def test_too_many_terms_refused(self, capsys):
+        rc, out, err = run(capsys, "tight-count", "1000002", "1000001")
+        assert (rc, out) == (1, "")
+        assert err == (
+            "error: the continued fraction of -1000002/1000001 has more than 1000000 terms\n"
+        )
+
 
 class TestModuli:
     def test_plain(self, capsys):
@@ -379,6 +386,19 @@ class TestToric:
         rc, out, err = run(capsys, *argv)
         assert (rc, out) == (1, "")
         assert err == f"error: grad_tol must be positive and finite, got {float(grad_tol)}\n"
+
+    @pytest.mark.parametrize("grad_tol", ["1e-17", "1e-300"])
+    def test_grad_tol_out_of_float_reach(self, capsys, tmp_path, grad_tol):
+        # The norm stops at about 7.9e-17 here; once a step no longer moves
+        # xi, every later step repeats it, so this is refused as bad input
+        # instead of running out the iteration budget as an internal error.
+        path = tmp_path / "y21.txt"
+        path.write_text("1 4\n1 3 -2 -2\n")
+        argv = ("toric", "minimize", str(path), "--weights", "--grad-tol", grad_tol)
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (1, "")
+        assert err.startswith(f"error: grad_tol={float(grad_tol)!r} is out of float reach")
+        assert "projected gradient norm" in err and err.count("\n") == 1
 
     def test_minimize_text_same_on_every_python(self, capsys, tmp_path):
         # The text of Python 3.10 and 3.11.  Every float reduction adds left
@@ -969,6 +989,39 @@ class TestExitCodes:
     def test_long_value_is_cut_in_the_error_line(self, capsys, argv, message):
         rc, out, err = run(capsys, *argv)
         assert (rc, out, err) == (1, "", f"error: {message}\n")
+
+    # Every DomainError that can quote a number of the input: the command,
+    # with {x} for a number of 4000 digits, and the start of the error
+    # text, with {x} for that number cut to 37 digits and '...'.
+    LONG_NUMBER_SITES = [
+        ("homology w={x}", "incomplete presentation 'w={x}': need bp=... or w=... d=..."),
+        ("homology w=1,1,1 d=-{x}", "degree must be a positive integer: -{x}"),
+        ("homology w=-{x},1,1 d=3", "weights must be positive integers: (-{x}, 1, 1)"),
+        ("homology bp=-{x},2,2", "exponents must all be >= 2: (-{x}, 2, 2)"),
+        ("casson -{x} 3 5", "exponents must be >= 2: (-{x}, 3, 5)"),
+        ("tight-count 3 {x}", "need p > q > 0, got p=3 q={x}"),
+        ("se-table --betti -{x}", "negative rank -{x}"),
+        ("batch --length -{x} --max-exponent 3", "need length >= 3, got -{x}"),
+        ("batch --length 3 --max-exponent -{x}", "need max exponent >= 2, got -{x}"),
+        ("batch --length 3 --max-exponent 3 --jobs -{x}", "--jobs must be >= 1, got -{x}"),
+        (
+            "moduli w=1,1,1 d={x}",
+            "counting monomials of degree {x} needs {steps}... steps, over the limit of "
+            "20000000",
+        ),
+        ("homology bp=2,3,5 --source {x}", "argument --source: invalid choice: '{x}'"),
+    ]
+
+    @pytest.mark.parametrize(
+        "command, message", LONG_NUMBER_SITES, ids=[command for command, _ in LONG_NUMBER_SITES]
+    )
+    def test_long_number_is_cut_in_the_error_line(self, capsys, command, message):
+        number = "7" * 4000
+        steps = str(4 * (int(number) + 1))[:37]  # (weights + 1) * (d + 1) table cells
+        rc, out, err = run(capsys, *command.format(x=number).split())
+        assert (rc, out) == (1, "")
+        assert err.startswith("error: " + message.format(x="7" * 37 + "...", steps=steps))
+        assert err.count("\n") == 1 and len(err) < 250
 
     def test_internal_inconsistency_is_exit_2(self, capsys):
         # Fractional Betti sum trips a violated invariant, not a usage error.

@@ -360,6 +360,14 @@ class TestTightCount:
     def test_lens_5_3(self):
         assert tight_contact_count(5, 3) == 2
 
+    def test_term_cap_boundary(self):
+        # q = p - 1 has p - 1 terms, all -2: 999 999 are answered, and the
+        # expansion with 1 000 001 is refused once it passes the cap.
+        assert dimension._MAX_FRACTION_TERMS == 10**6
+        assert tight_contact_count(10**6, 10**6 - 1) == 1
+        with pytest.raises(DomainError, match="has more than 1000000 terms"):
+            tight_contact_count(10**6 + 2, 10**6 + 1)
+
     @given(st.integers(2, 150), st.integers(1, 149))
     @settings(max_examples=150, deadline=None)
     def test_at_least_one_and_unity_criterion(self, p, q):

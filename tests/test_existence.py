@@ -12,7 +12,6 @@ from selink import (
     DomainError,
     WeightedLink,
     bp_klt_window,
-    bp_to_link,
     crude_klt,
     decide_existence,
     ghigi_kollar,
@@ -131,19 +130,19 @@ class TestDecideExistence:
 
     def test_gk_exists_with_margin(self):
         bp = BPExponents((2, 3, 5))
-        verdict = decide_existence(bp_to_link(bp), bp)
+        verdict = decide_existence(bp.link, bp)
         assert (verdict.status, verdict.rule) == ("se_exists", "ghigi_kollar")
         assert verdict.margin == Fraction(1, 30)
 
     def test_gk_not_exists_is_obstruction(self):
         bp = BPExponents((2, 3, 5, 61))
-        verdict = decide_existence(bp_to_link(bp), bp)
+        verdict = decide_existence(bp.link, bp)
         assert (verdict.status, verdict.rule) == ("obstructed", "ghigi_kollar")
         assert verdict.margin == Fraction(1, 1830)
 
     def test_gk_exists_close_call(self):
         bp = BPExponents((2, 3, 5, 59))
-        verdict = decide_existence(bp_to_link(bp), bp)
+        verdict = decide_existence(bp.link, bp)
         assert (verdict.status, verdict.rule) == ("se_exists", "ghigi_kollar")
         assert verdict.margin == Fraction(1, 1770)
 
@@ -154,7 +153,7 @@ class TestDecideExistence:
 
     def test_window_rule_for_bp_presentations(self):
         bp = BPExponents((2, 3, 7, 35))
-        verdict = decide_existence(bp_to_link(bp), bp)
+        verdict = decide_existence(bp.link, bp)
         assert (verdict.status, verdict.rule) == ("se_exists", "bp_klt_window")
         total = Fraction(211, 210)
         assert verdict.margin == min(total - 1, Fraction(101, 98) - total)
@@ -167,7 +166,7 @@ class TestDecideExistence:
         assert verdict.margin == Fraction(2, 1) * 60 - 30  # 90
 
     def test_unknown_when_nothing_fires(self):
-        verdict = decide_existence(bp_to_link(BPExponents((2, 2, 2))), BPExponents((2, 2, 2)))
+        verdict = decide_existence(BPExponents((2, 2, 2)).link, BPExponents((2, 2, 2)))
         assert (verdict.status, verdict.rule) == ("unknown", None)
 
     def test_mismatched_bp_rejected(self):
@@ -204,7 +203,7 @@ class TestInvariants:
     @given(bp_exponents(max_len=5, max_exponent=14))
     @settings(max_examples=200, deadline=None)
     def test_obstruction_and_sufficiency_mutually_exclusive(self, bp):
-        link = bp_to_link(bp)
+        link = bp.link
         if link.index <= 0:
             return
         fired_obstruction = lichnerowicz_obstruction(link)
@@ -223,7 +222,7 @@ class TestInvariants:
     @given(bp_exponents(max_len=5, max_exponent=12))
     @settings(max_examples=150, deadline=None)
     def test_margins_are_exact_and_positive(self, bp):
-        verdict = decide_existence(bp_to_link(bp), bp)
+        verdict = decide_existence(bp.link, bp)
         if verdict.margin is not None:
             assert isinstance(verdict.margin, (int, Fraction))
             assert verdict.margin >= 0
@@ -231,7 +230,7 @@ class TestInvariants:
     @given(bp_exponents())
     @settings(max_examples=100, deadline=None)
     def test_status_vocabulary(self, bp):
-        verdict = decide_existence(bp_to_link(bp), bp)
+        verdict = decide_existence(bp.link, bp)
         assert verdict.status in ("se_exists", "obstructed", "unknown", "eta_einstein_exists")
         if verdict.link_type != "positive":
             assert verdict.status == "eta_einstein_exists"

@@ -29,7 +29,6 @@ from selink import (
     InternalConsistencyError,
     WeightedLink,
     betti_number,
-    bp_to_link,
     enumerate_bp,
     fractional_weights,
     link_homology,
@@ -153,12 +152,12 @@ class TestBettiOracle:
     )
     def test_matches_eigenvalue_count(self, exponents):
         bp = BPExponents(exponents)
-        assert betti_number(bp_to_link(bp)) == bp_monodromy_fixed_count(exponents)
+        assert betti_number(bp.link) == bp_monodromy_fixed_count(exponents)
 
     @given(bp_exponents(max_len=4, max_exponent=8))
     @settings(max_examples=60, deadline=None)
     def test_matches_eigenvalue_count_random(self, bp):
-        assert betti_number(bp_to_link(bp)) == bp_monodromy_fixed_count(bp.exponents)
+        assert betti_number(bp.link) == bp_monodromy_fixed_count(bp.exponents)
 
 
 class TestOrlikTable:
@@ -437,8 +436,7 @@ def _torsion_proper_subset_variant(link) -> tuple[int, ...]:
     itself (runs over proper subsets only).  A plausible literal reading,
     kept here to show it contradicts the machine-checked golden family.
     """
-    fw = fractional_weights(link)
-    c, k = orlik_oracle(fw.numerators, fw.denominators, k_over_proper_subsets=True)
+    c, k = orlik_oracle(*fractional_weights(link), k_over_proper_subsets=True)
     return torsion_chain_oracle(c, k)
 
 
@@ -452,8 +450,7 @@ def assert_sparse_c_matches(c_entries, oracle_c):
 
 def assert_matches_oracle(link):
     """c, k, Betti and torsion bit-identical to the definitional versions."""
-    fw = fractional_weights(link)
-    u, v = fw.numerators, fw.denominators
+    u, v = fractional_weights(link)
     c, k = orlik_oracle(u, v)
     table = orlik_table(link)
     assert table.size == len(u)
@@ -475,7 +472,7 @@ class TestMoebiusAgainstOracle:
     @given(bp_exponents(max_len=8, max_exponent=12))
     @settings(max_examples=60, deadline=None)
     def test_bp_tuples(self, bp):
-        assert_matches_oracle(bp_to_link(bp))
+        assert_matches_oracle(bp.link)
 
     @given(fermat_type_links(max_n=6))
     @settings(max_examples=80, deadline=None)
@@ -486,7 +483,7 @@ class TestMoebiusAgainstOracle:
         "exponents", [(3, 3, 4, 5, 5, 6, 6, 7, 8, 8), (2, 2, 2, 3, 5, 5, 6, 7, 7, 7, 8)]
     )
     def test_long_tuples(self, exponents):
-        assert_matches_oracle(bp_to_link(BPExponents(exponents)))
+        assert_matches_oracle(BPExponents(exponents).link)
 
     @given(
         st.lists(
@@ -558,7 +555,7 @@ class TestMoebiusAgainstOracle:
         assert c == {0b1000: p, 0b0100: q, 0b1011: p}
         assert_sparse_c_matches(c, orlik_oracle(u, [1] * 4)[0])
         # A link whose torsion is Z/p, with a Betti number near 10^36.
-        link = bp_to_link(BPExponents((p * q, p * q, p)))
+        link = BPExponents((p * q, p * q, p)).link
         assert link_homology(link).torsion == (p,)
         assert_matches_oracle(link)
 
@@ -597,7 +594,7 @@ class TestDivisorPass:
         # Taken in input order the primes keep 2^20 gcd classes apart until
         # their product comes.  By descending u the product comes first, and
         # two classes remain at every step.
-        link = bp_to_link(BPExponents(FIRST_PRIMES + (math.prod(FIRST_PRIMES),)))
+        link = BPExponents(FIRST_PRIMES + (math.prod(FIRST_PRIMES),)).link
         started = time.perf_counter()
         betti = betti_number(link)
         assert time.perf_counter() - started < 0.5
@@ -605,7 +602,7 @@ class TestDivisorPass:
 
     def test_twelve_primes_then_their_product(self):
         primes = FIRST_PRIMES[:12]
-        assert_matches_oracle(bp_to_link(BPExponents(primes + (math.prod(primes),))))
+        assert_matches_oracle(BPExponents(primes + (math.prod(primes),)).link)
 
 
 def lcm_class_coefficients(u, v) -> dict[int, Fraction]:
@@ -633,8 +630,7 @@ def checked_sphere_applicability(link) -> str | None:
     value is the order of H_{n-1}, the product of the invariant factors.
     That is checked here, with every c_L an integer summing to b.
     """
-    fw = fractional_weights(link)
-    coefficients = lcm_class_coefficients(fw.numerators, fw.denominators)
+    coefficients = lcm_class_coefficients(*fractional_weights(link))
     assert all(c.denominator == 1 for c in coefficients.values())
     group = link_homology(link)
     assert sum(coefficients.values()) == group.betti
@@ -650,7 +646,7 @@ class TestMilnorDelta:
 
     def test_bp_census(self):
         flags = Counter(
-            checked_sphere_applicability(bp_to_link(bp))
+            checked_sphere_applicability(bp.link)
             for enum in ((3, 30), (4, 12))
             for bp in enumerate_bp(*enum)
         )
@@ -676,7 +672,7 @@ class TestSumConvention:
         # The branched quartic family (m=4) distinguishes the conventions:
         # including the subset itself in the multiplicity sum reproduces
         # Z_16 + (Z_4)^20; omitting it does not.
-        link = bp_to_link(BPExponents((16, 4, 4, 4, 4)))
+        link = BPExponents((16, 4, 4, 4, 4)).link
         golden_primary = tuple(sorted([16] + [4] * 20))
 
         group = link_homology(link)

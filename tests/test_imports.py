@@ -63,13 +63,14 @@ except AttributeError:
 
 # The package's exports as they stood when each module's __all__ became
 # the only list of its names, less catalogs_equal and TorsionDivisionError,
-# which only tests use and which moved into them; selink.__all__ is
-# assembled from those lists.
+# which only tests use and which moved into them, and less bp_to_link and
+# FractionalWeights, which BPExponents.link and the (u, v) pair of
+# fractional_weights replaced; selink.__all__ is assembled from those lists.
 EXPORTS = {
     "__version__",
     # links
-    "LINK_TYPES", "WeightedLink", "BPExponents", "FractionalWeights", "as_link",
-    "bp_to_link", "classify_type", "fractional_weights", "parse_presentation",
+    "LINK_TYPES", "WeightedLink", "BPExponents", "as_link", "classify_type",
+    "fractional_weights", "parse_presentation",
     # homology
     "HomologyGroup", "OrlikTable", "betti_number", "link_homology", "orlik_table",
     "torsion_orders",
@@ -96,13 +97,10 @@ EXPORTS = {
 
 def test_package_exports():
     import selink
-    import selink.toric
 
-    assert len(EXPORTS) == 63
+    assert len(EXPORTS) == 61
     assert len(selink.__all__) == len(set(selink.__all__))
     assert set(selink.__all__) == EXPORTS
-    # The one list of names kept outside its module, so that toric loads lazily.
-    assert list(selink._TORIC_NAMES) == selink.toric.__all__
 
 
 def test_no_assert_statements_in_src():

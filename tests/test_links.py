@@ -14,7 +14,6 @@ from selink import (
     DomainError,
     WeightedLink,
     as_link,
-    bp_to_link,
     classify_type,
     fractional_weights,
     parse_presentation,
@@ -63,15 +62,14 @@ class TestWeightedLink:
 
 class TestBPExponents:
     def test_lcm_degree_and_weights(self):
-        link = bp_to_link(BPExponents((2, 3, 5)))
+        link = BPExponents((2, 3, 5)).link
         assert link.degree == 30
         assert link.weights == (15, 10, 6)
 
     def test_link_is_built_with_the_exponents(self):
         bp = BPExponents([2, 3, 5])
         assert bp.link == WeightedLink((15, 10, 6), 30)
-        assert bp_to_link(bp) is bp.link and as_link(bp) is bp.link
-        assert bp_to_link((2, 3, 5)) == bp.link  # a plain tuple is coerced
+        assert as_link(bp) is bp.link
 
     def test_link_is_not_part_of_equality_hash_or_repr(self):
         bp = BPExponents((2, 3, 5))
@@ -88,7 +86,7 @@ class TestBPExponents:
 
     def test_exponent_weight_product_is_degree(self):
         bp = BPExponents((4, 4, 4, 6, 10))
-        link = bp_to_link(bp)
+        link = bp.link
         for a, w in zip(bp.exponents, link.weights):
             assert a * w == link.degree
 
@@ -126,7 +124,7 @@ class TestTrichotomy:
     @given(bp_exponents())
     def test_bp_positive_iff_reciprocal_sum_exceeds_one(self, bp):
         # Sign of |w| - d agrees with the sign of sum(1/a_i) - 1.
-        link = bp_to_link(bp)
+        link = bp.link
         total = bp.reciprocal_sum()
         if classify_type(link) == "positive":
             assert total > 1
@@ -139,21 +137,20 @@ class TestTrichotomy:
 class TestFractionalWeights:
     def test_example(self):
         # d=12, w=(1,1,1,4,6): gcds are 1,1,1,4,6.
-        fw = fractional_weights(WeightedLink((1, 1, 1, 4, 6), 12))
-        assert fw.numerators == (12, 12, 12, 3, 2)
-        assert fw.denominators == (1, 1, 1, 1, 1)
+        u, v = fractional_weights(WeightedLink((1, 1, 1, 4, 6), 12))
+        assert u == (12, 12, 12, 3, 2)
+        assert v == (1, 1, 1, 1, 1)
 
     def test_nontrivial_denominator(self):
         # d=6, w=4: gcd=2, u=3, v=2.
-        fw = fractional_weights(WeightedLink((4, 3, 2), 6))
-        assert fw.numerators == (3, 2, 3)
-        assert fw.denominators == (2, 1, 1)
+        u, v = fractional_weights(WeightedLink((4, 3, 2), 6))
+        assert u == (3, 2, 3)
+        assert v == (2, 1, 1)
 
     @given(fermat_type_links())
     def test_reconstruction_identity(self, link):
         # u_i * w_i = d * v_i for every i, and u_i/v_i is reduced.
-        fw = fractional_weights(link)
-        for u, v, w in zip(fw.numerators, fw.denominators, link.weights):
+        for u, v, w in zip(*fractional_weights(link), link.weights):
             assert u * w == link.degree * v
             assert math.gcd(u, v) == 1
 
