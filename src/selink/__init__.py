@@ -39,9 +39,7 @@ _TORIC_NAMES = (
     "WeightMatrix",
     "GorensteinResult",
     "VolumeMinimum",
-    "cy_condition",
     "cone_from_weights",
-    "cokernel_invariants",
     "gorenstein_gamma",
     "reeb_slice_project",
     "volume",

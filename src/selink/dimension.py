@@ -154,16 +154,9 @@ def table_lookup(manifold: SmaleManifold) -> TableLookup:
         return TableLookup("yes", row="kM_inf", condition="any k >= 0")
     if (k, tors) in _SPORADIC_YES:
         return TableLookup("yes", row=_SPORADIC_YES[(k, tors)], condition=None)
-    if tors == (3, 3):
-        row = "kM_inf # 2M_3"
-        if k == 0:
-            return TableLookup("yes", row=row, condition="k = 0")
-        return TableLookup("unresolved", row=row, condition="k = 0")
-    if tors == (3, 3, 3):
-        row = "kM_inf # 3M_3"
-        if k == 0:
-            return TableLookup("yes", row=row, condition="k = 0")
-        return TableLookup("unresolved", row=row, condition="k = 0")
+    if tors in ((3, 3), (3, 3, 3)):
+        row = f"kM_inf # {len(tors)}M_3"
+        return TableLookup("yes" if k == 0 else "unresolved", row=row, condition="k = 0")
     if all(m == 2 for m in tors):
         row = "kM_inf # nM_2"
         cond = "(k, n) = (0, 1) or k = 1"

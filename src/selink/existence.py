@@ -39,10 +39,6 @@ __all__ = [
     "STATUSES",
     "RULES",
     "ExistenceVerdict",
-    "lichnerowicz_obstruction",
-    "crude_klt",
-    "bp_klt_window",
-    "ghigi_kollar",
     "decide_existence",
 ]
 
@@ -65,8 +61,8 @@ class ExistenceVerdict:
             raise InternalConsistencyError(f"{self.status} on a {self.link_type} link")
 
 
-# Each rule has one exact slack, positive iff the rule fires; the public
-# predicates test its sign and decide_existence takes each margin from it.
+# Each rule has one exact slack, positive iff the rule fires;
+# decide_existence tests its sign and takes each margin from it.
 
 
 def _lichnerowicz_slack(link: WeightedLink) -> Fraction:
@@ -103,45 +99,6 @@ def _bp_klt_slack(bp: BPExponents) -> Fraction:
 def _ghigi_kollar_slack(bp: BPExponents) -> Fraction:
     """The window with upper end 1 + n / max a_i."""
     return _window_slack(bp, 1 + Fraction(bp.n, max(bp.exponents)))
-
-
-def lichnerowicz_obstruction(link: WeightedLink) -> bool:
-    """True iff I > n * min w_i, which forbids a Sasaki-Einstein metric.
-
-    Only meaningful for positive links; for I <= 0 the inequality is
-    vacuously false.
-    """
-    return _lichnerowicz_slack(link) > 0
-
-
-def crude_klt(link: WeightedLink) -> bool:
-    """True iff I * d < (n/(n-1)) * min_{i<j} w_i w_j.
-
-    A sufficient condition for existence on positive links.  It evaluates
-    on any link (vacuously true for I <= 0) but the aggregate verdict only
-    consults it in the positive case.
-    """
-    return _crude_klt_slack(link) > 0
-
-
-def bp_klt_window(bp: BPExponents) -> bool:
-    """Two-sided klt window test for Brieskorn-Pham exponents.
-
-    Returns the bare truth of 1 < sum 1/a_i < upper bound; in particular
-    it is false (not an error) on the positivity boundary sum 1/a_i = 1.
-    """
-    return _bp_klt_slack(bp) > 0
-
-
-def ghigi_kollar(bp: BPExponents) -> str:
-    """Sharp test for pairwise coprime exponents.
-
-    Returns "exists", "not_exists", or "not_applicable" when the exponents
-    are not pairwise coprime.
-    """
-    if not bp.pairwise_coprime():
-        return "not_applicable"
-    return "exists" if _ghigi_kollar_slack(bp) > 0 else "not_exists"
 
 
 def decide_existence(

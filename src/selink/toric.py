@@ -47,7 +47,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 
 from . import _TORIC_NAMES
 from .errors import (
@@ -269,12 +269,6 @@ class ReebVector:
         if not self.components:
             raise DomainError("empty Reeb vector")
 
-    def __len__(self) -> int:
-        return len(self.components)
-
-    def as_floats(self) -> tuple[float, ...]:
-        return tuple(float(x) for x in self.components)
-
 
 def _coerce_xi(cone: MomentCone, xi) -> tuple:
     if isinstance(xi, ReebVector):
@@ -491,6 +485,14 @@ def _solve(matrix, rhs) -> list[float] | None:
     return x
 
 
+def _floats(values, what: str) -> tuple[float, ...]:
+    """The values as floats; an integer beyond float range is a DomainError."""
+    try:
+        return tuple(float(x) for x in values)
+    except OverflowError:
+        raise DomainError(f"{what} is outside float range") from None
+
+
 # Newton iterations minimize_volume may take before it gives up.
 _MAX_ITERATIONS = 10_000
 
@@ -512,10 +514,11 @@ def minimize_volume(
         [[H, gamma], [gamma^T, 0]] @ (step, lambda) = (-grad, 0),
 
     which keeps the step on the slice; a zero pivot falls back to
-    steepest descent.  A grad_tol that floats cannot reach, where an
-    accepted step leaves xi as it was, is a DomainError.  A stalled line
-    search, or exhausting the budget of ``_MAX_ITERATIONS`` steps, raises
-    ConvergenceError with diagnostics.
+    steepest descent.  A start point, Gorenstein vector, ray entry or
+    simplex determinant beyond float range is a DomainError.  So is a
+    grad_tol that floats cannot reach, where an accepted step leaves xi
+    as it was.  A stalled line search, or exhausting the budget of
+    ``_MAX_ITERATIONS`` steps, raises ConvergenceError with diagnostics.
     """
     if not 0 < grad_tol < math.inf:
         raise DomainError(f"grad_tol must be positive and finite, got {grad_tol}")
@@ -524,10 +527,12 @@ def minimize_volume(
         if result.gamma is None:
             raise DomainError(f"cone has no Gorenstein vector ({result.reason})")
         gamma = result.gamma
-    g = [float(x) for x in gamma]
+    determinants = (det for _, det in cone._simplices)
+    _floats(chain(*cone.rays, determinants), "a ray entry or simplex determinant of the cone")
+    g = _floats(gamma, "Gorenstein vector")
     if start is None:
         start = [sum(column) for column in zip(*cone.normals)]
-    xi = tuple(float(x) for x in _coerce_xi(cone, start))
+    xi = _floats(_coerce_xi(cone, start), "start point")
     if not reeb_is_interior(cone, xi):
         raise DomainError("start point is not interior to the dual cone")
     xi = reeb_slice_project(cone, g, xi)
@@ -619,16 +624,6 @@ class WeightMatrix:
         return len(self.rows)
 
 
-def cy_condition(omega) -> bool:
-    """True iff every row of the weight matrix sums to zero.
-
-    This is the condition for the quotient cone to be Calabi-Yau (trivial
-    first Chern class of the transverse structure).
-    """
-    rows = omega.rows if isinstance(omega, WeightMatrix) else omega
-    return all(sum(row) == 0 for row in rows)
-
-
 def _check_minors(omega: WeightMatrix):
     k = omega.k
     for cols in combinations(range(omega.n), k):
@@ -649,11 +644,6 @@ def _cokernel(omega: WeightMatrix):
     transpose = [[row[j] for row in omega.rows] for j in range(omega.n)]
     u, d, _ = smith_normal_form(transpose)
     return u, tuple(d[i][i] for i in range(omega.k) if d[i][i] > 1)
-
-
-def cokernel_invariants(omega: WeightMatrix) -> tuple[int, ...]:
-    """Invariant factors (> 1) of the torsion of Z^n / rowspan(omega), by ``_cokernel``."""
-    return _cokernel(omega)[1]
 
 
 def cone_from_weights(omega: WeightMatrix) -> MomentCone:

@@ -163,6 +163,15 @@ class TestDim5Name:
         assert (rc, out) == (0, "name=M_10000000000037\n")
 
 
+# The rows kM_inf # 2M_3 and kM_inf # 3M_3 of the table, at k = 0 and k = 1.
+THREE_TORSION_ROWS = [
+    ("0", "3,3", "manifold=2M_3 status=yes row=kM_inf # 2M_3 condition=k = 0"),
+    ("1", "3,3", "manifold=M_inf # 2M_3 status=unresolved row=kM_inf # 2M_3 condition=k = 0"),
+    ("0", "3,3,3", "manifold=3M_3 status=yes row=kM_inf # 3M_3 condition=k = 0"),
+    ("1", "3,3,3", "manifold=M_inf # 3M_3 status=unresolved row=kM_inf # 3M_3 condition=k = 0"),
+]
+
+
 class TestSeTable:
     def test_from_presentation(self, capsys):
         # condition values may contain spaces, so match substrings here
@@ -175,6 +184,12 @@ class TestSeTable:
         assert out.startswith("manifold=S^5 status=yes ")
         rc, out, _ = run(capsys, "se-table", "--betti", "0", "--m", "5,5")
         assert out.startswith("manifold=2M_5 status=yes ")
+
+    @pytest.mark.parametrize("betti, chain, expected", THREE_TORSION_ROWS)
+    def test_three_torsion_rows(self, capsys, betti, chain, expected):
+        # Both rows hold at k = 0 only.
+        rc, out, _ = run(capsys, "se-table", "--betti", betti, "--m", chain)
+        assert (rc, out) == (0, expected + "\n")
 
     def test_absent_manifold(self, capsys):
         rc, out, _ = run(capsys, "se-table", "--betti", "9", "--m", "12")
@@ -399,6 +414,29 @@ class TestToric:
         assert (rc, out) == (1, "")
         assert err.startswith(f"error: grad_tol={float(grad_tol)!r} is out of float reach")
         assert "projected gradient norm" in err and err.count("\n") == 1
+
+    def test_start_outside_float_range(self, capsys, conifold):
+        rc, out, err = run(capsys, "toric", "minimize", conifold, "--start", "1e400,1,1")
+        assert (rc, out, err) == (1, "", "error: start point is outside float range\n")
+
+    @pytest.mark.parametrize(
+        "exponent, message",
+        [
+            (100, "start point is not interior to the dual cone"),
+            (308, "start point is not interior to the dual cone"),
+            (310, "a ray entry or simplex determinant of the cone is outside float range"),
+        ],
+    )
+    def test_weights_outside_float_range(self, capsys, tmp_path, exponent, message):
+        # gamma is exact and the same at every size; the minimizer works in
+        # floats, and a ray entry of 10^310 is beyond their range.
+        big = 10**exponent
+        path = tmp_path / "big.txt"
+        path.write_text(f"1 4\n1 {big} -1 -{big}\n")
+        rc, out, _ = run(capsys, "toric", "gamma", str(path), "--weights")
+        assert (rc, out) == (0, "gamma=-1,-1,-1\n")
+        rc, out, err = run(capsys, "toric", "minimize", str(path), "--weights")
+        assert (rc, out, err) == (1, "", f"error: {message}\n")
 
     def test_minimize_text_same_on_every_python(self, capsys, tmp_path):
         # The text of Python 3.10 and 3.11.  Every float reduction adds left

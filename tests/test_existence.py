@@ -7,15 +7,12 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
-from selink import (
-    BPExponents,
-    DomainError,
-    WeightedLink,
-    bp_klt_window,
-    crude_klt,
-    decide_existence,
-    ghigi_kollar,
-    lichnerowicz_obstruction,
+from selink import BPExponents, DomainError, WeightedLink, decide_existence
+from selink.existence import (
+    _bp_klt_slack,
+    _crude_klt_slack,
+    _ghigi_kollar_slack,
+    _lichnerowicz_slack,
 )
 from conftest import bp_exponents, coprime_triples, run_python
 
@@ -23,30 +20,30 @@ from conftest import bp_exponents, coprime_triples, run_python
 class TestLichnerowicz:
     def test_index_family_example(self):
         # I = 8 > 4 * 1.
-        assert lichnerowicz_obstruction(WeightedLink((1, 2, 5, 5, 5), 10))
+        assert _lichnerowicz_slack(WeightedLink((1, 2, 5, 5, 5), 10)) == 4
 
     def test_table_family_example(self):
         # (1,l,l,l), d=2l at l=5: I = 6 > 3.
-        assert lichnerowicz_obstruction(WeightedLink((1, 5, 5, 5), 10))
+        assert _lichnerowicz_slack(WeightedLink((1, 5, 5, 5), 10)) == 3
 
     def test_small_index_does_not_fire(self):
-        assert not lichnerowicz_obstruction(WeightedLink((1, 1, 1, 1), 3))
+        assert _lichnerowicz_slack(WeightedLink((1, 1, 1, 1), 3)) < 0
 
     def test_boundary_is_not_an_obstruction(self):
         # I = 3 = 3 * 1 exactly: strict inequality, must not fire.
         link = WeightedLink((1, 9, 7, 14), 28)
         assert link.index == 3 and link.n * min(link.weights) == 3
-        assert not lichnerowicz_obstruction(link)
+        assert _lichnerowicz_slack(link) == 0
 
 
 class TestCrudeKlt:
     def test_famously_weak_on_fermat_cubic(self):
         # I*d = 3 vs (3/2)*1.
-        assert not crude_klt(WeightedLink((1, 1, 1, 1), 3))
+        assert _crude_klt_slack(WeightedLink((1, 1, 1, 1), 3)) < 0
 
     def test_fires_near_null(self):
         # I = 1, I*d = 29 < 2 * 90.
-        assert crude_klt(WeightedLink((9, 10, 11), 29))
+        assert _crude_klt_slack(WeightedLink((9, 10, 11), 29)) > 0
 
     def test_random_instance_against_inline_evaluation(self):
         link = WeightedLink((11, 13, 17, 41), 43)
@@ -54,8 +51,8 @@ class TestCrudeKlt:
         rhs = Fraction(link.n, link.n - 1) * min(
             a * b for a, b in combinations(link.weights, 2)
         )
-        assert crude_klt(link) == (lhs < rhs)
-        assert not crude_klt(link)  # 39 * 43 is far above (3/2) * 143
+        assert _crude_klt_slack(link) == rhs - lhs
+        assert _crude_klt_slack(link) < 0  # 39 * 43 is far above (3/2) * 143
 
 
 def window_upper_oracle(exponents) -> Fraction:
@@ -73,47 +70,54 @@ def window_upper_oracle(exponents) -> Fraction:
 class TestBPWindow:
     def test_all_twos_fails(self):
         # Sum 5/2 against upper bound 4/3.
-        assert not bp_klt_window(BPExponents((2, 2, 2, 2, 2)))
+        assert _bp_klt_slack(BPExponents((2, 2, 2, 2, 2))) < 0
 
     def test_mixed_example_fires(self):
         # a=(2,3,7,35): sum = 211/210, b = (1,1,7,7), upper = 101/98.
         bp = BPExponents((2, 3, 7, 35))
         assert bp.reciprocal_sum() == Fraction(211, 210)
         assert window_upper_oracle(bp.exponents) == Fraction(101, 98)
-        assert bp_klt_window(bp)
+        assert _bp_klt_slack(bp) == Fraction(1, 210)
 
     def test_null_boundary_fails(self):
-        assert not bp_klt_window(BPExponents((4, 4, 4, 4)))
+        # Sum 1: the lower end of the window holds with equality.
+        assert _bp_klt_slack(BPExponents((4, 4, 4, 4))) == 0
 
     @given(bp_exponents(max_len=5, max_exponent=12))
     @settings(max_examples=100, deadline=None)
     def test_against_oracle(self, bp):
         total = sum(Fraction(1, a) for a in bp.exponents)
         expected = 1 < total < window_upper_oracle(bp.exponents)
-        assert bp_klt_window(bp) == expected
+        assert (_bp_klt_slack(bp) > 0) == expected
 
 
 class TestGhigiKollar:
     def test_five_primes_exists(self):
         bp = BPExponents((2, 3, 5, 7, 11))
         assert bp.reciprocal_sum() == Fraction(2927, 2310)
-        assert ghigi_kollar(bp) == "exists"
+        assert bp.pairwise_coprime() and _ghigi_kollar_slack(bp) > 0
 
     def test_sylvester_style_tuple(self):
         bp = BPExponents((2, 3, 7, 43, 139))
         total = bp.reciprocal_sum()
         assert 1 < total < 1 + Fraction(4, 139)
-        assert ghigi_kollar(bp) == "exists"
+        assert bp.pairwise_coprime() and _ghigi_kollar_slack(bp) > 0
 
     def test_not_applicable_without_coprimality(self):
-        assert ghigi_kollar(BPExponents((2, 4, 5))) == "not_applicable"
+        # A tuple that is not pairwise coprime is never decided by the sharp
+        # test, even where its window would hold: (2,2,2) has slack 1/2.
+        for exponents in ((2, 4, 5), (2, 2, 2), (2, 3, 4, 5)):
+            bp = BPExponents(exponents)
+            assert not bp.pairwise_coprime()
+            assert decide_existence(bp.link, bp).rule != "ghigi_kollar"
+        assert _ghigi_kollar_slack(BPExponents((2, 2, 2))) == Fraction(1, 2)
 
     def test_poincare_sphere(self):
-        assert ghigi_kollar(BPExponents((2, 3, 5))) == "exists"
+        assert _ghigi_kollar_slack(BPExponents((2, 3, 5))) == Fraction(1, 30)
 
     def test_upper_failure(self):
         # (2,3,5,61): sum = 1921/1830 exceeds 1 + 3/61 = 1920/1830.
-        assert ghigi_kollar(BPExponents((2, 3, 5, 61))) == "not_exists"
+        assert _ghigi_kollar_slack(BPExponents((2, 3, 5, 61))) == Fraction(-1, 1830)
 
 
 class TestDecideExistence:
@@ -206,8 +210,8 @@ class TestInvariants:
         link = bp.link
         if link.index <= 0:
             return
-        fired_obstruction = lichnerowicz_obstruction(link)
-        fired_sufficiency = crude_klt(link) or bp_klt_window(bp)
+        fired_obstruction = _lichnerowicz_slack(link) > 0
+        fired_sufficiency = _crude_klt_slack(link) > 0 or _bp_klt_slack(bp) > 0
         assert not (fired_obstruction and fired_sufficiency)
 
     @given(coprime_triples())
@@ -216,8 +220,8 @@ class TestInvariants:
         # Whenever the klt window fires on coprime data, the sharp test
         # must agree that a metric exists.
         bp = BPExponents(triple)
-        if bp_klt_window(bp):
-            assert ghigi_kollar(bp) == "exists"
+        if _bp_klt_slack(bp) > 0:
+            assert _ghigi_kollar_slack(bp) > 0
 
     @given(bp_exponents(max_len=5, max_exponent=12))
     @settings(max_examples=150, deadline=None)

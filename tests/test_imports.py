@@ -63,9 +63,12 @@ except AttributeError:
 
 # The package's exports as they stood when each module's __all__ became
 # the only list of its names, less catalogs_equal and TorsionDivisionError,
-# which only tests use and which moved into them, and less bp_to_link and
+# which only tests use and which moved into them, less bp_to_link and
 # FractionalWeights, which BPExponents.link and the (u, v) pair of
-# fractional_weights replaced; selink.__all__ is assembled from those lists.
+# fractional_weights replaced, and less the four rule predicates, cy_condition
+# and cokernel_invariants, which only tests reached: decide_existence reads
+# each rule's slack, and cone_from_weights warns with the torsion.
+# selink.__all__ is assembled from those lists.
 EXPORTS = {
     "__version__",
     # links
@@ -75,17 +78,16 @@ EXPORTS = {
     "HomologyGroup", "OrlikTable", "betti_number", "link_homology", "orlik_table",
     "torsion_orders",
     # existence
-    "RULES", "STATUSES", "ExistenceVerdict", "bp_klt_window", "crude_klt",
-    "decide_existence", "ghigi_kollar", "lichnerowicz_obstruction",
+    "RULES", "STATUSES", "ExistenceVerdict", "decide_existence",
     # dimension
     "MODULI_REFERENCE", "SmaleManifold", "TableLookup", "casson_invariant",
     "count_monomials", "moduli_dimension", "moduli_reference",
     "negative_continued_fraction", "smale_name", "table_lookup", "tight_contact_count",
     # toric
     "GorensteinResult", "MomentCone", "ReebVector", "VolumeMinimum", "WeightMatrix",
-    "cokernel_invariants", "cone_from_weights", "cy_condition", "gorenstein_gamma",
-    "minimize_volume", "read_cone_file", "read_weight_matrix_file", "reeb_is_interior",
-    "reeb_slice_project", "volume", "volume_gradient", "volume_hessian",
+    "cone_from_weights", "gorenstein_gamma", "minimize_volume", "read_cone_file",
+    "read_weight_matrix_file", "reeb_is_interior", "reeb_slice_project", "volume",
+    "volume_gradient", "volume_hessian",
     # catalog
     "CatalogRecord", "enumerate_bp", "export_table", "read_catalog", "run_pipeline",
     "write_catalog",
@@ -98,7 +100,7 @@ EXPORTS = {
 def test_package_exports():
     import selink
 
-    assert len(EXPORTS) == 61
+    assert len(EXPORTS) == 55
     assert len(selink.__all__) == len(set(selink.__all__))
     assert set(selink.__all__) == EXPORTS
 
