@@ -18,54 +18,59 @@ Brieskorn-Pham exponents:
 
 Everything combinatorial runs in exact integer/rational arithmetic;
 floats appear only in the toric optimizer.  The package needs nothing
-beyond the standard library.  The toric names load on first use, so the
-link commands do not pay for importing them.
+beyond the standard library.  Every module loads on first use: ``import
+selink`` loads none of them, and a name asked of the package loads the
+module that defines it and what that module imports, nothing more.
 """
 
-from . import catalog, dimension, errors, existence, homology, links
+from importlib import import_module
+
 from ._version import __version__
-from .catalog import *
-from .dimension import *
-from .errors import *
-from .existence import *
-from .homology import *
-from .links import *
 
-# The names of the toric module, which loads on first use through
-# __getattr__ below; toric.__all__ is built from this list.
-_TORIC_NAMES = (
-    "MomentCone",
-    "ReebVector",
-    "WeightMatrix",
-    "GorensteinResult",
-    "VolumeMinimum",
-    "cone_from_weights",
-    "gorenstein_gamma",
-    "reeb_slice_project",
-    "volume",
-    "volume_gradient",
-    "volume_hessian",
-    "reeb_is_interior",
-    "minimize_volume",
-    "read_cone_file",
-    "read_weight_matrix_file",
-)
+# The public names of each module, which loads on first use through
+# __getattr__ below; each module's __all__ is built from its row.
+_EXPORTS = {
+    "links": (
+        "LINK_TYPES", "WeightedLink", "BPExponents", "fractional_weights", "classify_type",
+        "parse_presentation", "as_link",
+    ),
+    "homology": (
+        "HomologyGroup", "OrlikTable", "betti_number", "orlik_table", "torsion_orders",
+        "link_homology",
+    ),
+    "existence": ("STATUSES", "RULES", "ExistenceVerdict", "decide_existence"),
+    "dimension": (
+        "SmaleManifold", "TableLookup", "smale_name", "table_lookup", "casson_invariant",
+        "negative_continued_fraction", "tight_contact_count", "count_monomials",
+        "moduli_dimension", "moduli_reference", "MODULI_REFERENCE",
+    ),
+    "toric": (
+        "MomentCone", "ReebVector", "WeightMatrix", "GorensteinResult", "VolumeMinimum",
+        "cone_from_weights", "gorenstein_gamma", "reeb_slice_project", "volume",
+        "volume_gradient", "volume_hessian", "reeb_is_interior", "minimize_volume",
+        "read_cone_file", "read_weight_matrix_file",
+    ),
+    "catalog": (
+        "CatalogRecord", "run_pipeline", "enumerate_bp", "write_catalog", "read_catalog",
+        "export_table",
+    ),
+    "errors": (
+        "DomainError", "InternalConsistencyError", "NotSmaleFormError",
+        "UnboundedPolytopeError", "ConvergenceError",
+    ),
+}
 
-__all__ = [
-    "__version__",
-    *links.__all__,
-    *homology.__all__,
-    *existence.__all__,
-    *dimension.__all__,
-    *_TORIC_NAMES,
-    *catalog.__all__,
-    *errors.__all__,
-]
+__all__ = ["__version__", *(name for names in _EXPORTS.values() for name in names)]
 
 
 def __getattr__(name):
-    if name in _TORIC_NAMES:
-        from . import toric
-
-        return getattr(toric, name)
+    if name in _EXPORTS:
+        return import_module(f".{name}", __name__)
+    for module, names in _EXPORTS.items():
+        if name in names:
+            return getattr(import_module(f".{module}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_EXPORTS})

@@ -24,6 +24,7 @@ from datetime import datetime, timezone
 from itertools import combinations_with_replacement
 from typing import Iterable, Iterator
 
+from . import _EXPORTS
 from ._version import __version__
 from .dimension import moduli_dimension, casson_invariant, smale_name, table_lookup
 from .errors import DomainError, InternalConsistencyError
@@ -38,14 +39,7 @@ from .links import (
     parse_presentation,
 )
 
-__all__ = [
-    "CatalogRecord",
-    "run_pipeline",
-    "enumerate_bp",
-    "write_catalog",
-    "read_catalog",
-    "export_table",
-]
+__all__ = list(_EXPORTS["catalog"])
 
 CATALOG_FORMAT = "selink-catalog"
 CATALOG_VERSION = 2

@@ -14,7 +14,6 @@ violated mathematical invariant, which is a bug worth reporting).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import warnings
@@ -23,16 +22,6 @@ from fractions import Fraction
 from itertools import islice
 
 from ._version import __version__
-from .catalog import _read_records, _table_rows, enumerate_bp, run_pipeline, write_catalog
-from .dimension import (
-    SmaleManifold,
-    casson_invariant,
-    moduli_dimension,
-    moduli_reference,
-    smale_name,
-    table_lookup,
-    tight_contact_count,
-)
 from .errors import DomainError, InternalConsistencyError
 from .existence import STATUSES, decide_existence
 from .homology import PROVEN_SOURCES, link_homology
@@ -73,6 +62,8 @@ def _emit(fmt: str, mapping: dict) -> None:
     """
     stream = sys.stdout
     if fmt == "records":
+        import json
+
         stream.write(json.dumps(mapping, sort_keys=True) + "\n")
         return
 
@@ -114,9 +105,26 @@ def _load_cone(args):
     return cone
 
 
-def _parse_xi(text: str) -> tuple[Fraction, ...]:
+def _parse_xi(text: str, option: str) -> tuple[Fraction, ...]:
+    """The comma-separated rationals of --xi or --start.
+
+    A component whose digits plus |exponent| pass int()'s digit limit is
+    refused before any Fraction is built: Fraction('1e100000000') alone
+    runs for minutes.
+    """
+    limit = sys.get_int_max_str_digits()
+    tokens = text.split(",")
+    for tok in tokens:
+        mantissa, _, exponent = tok.lower().partition("e")
+        size = sum(c.isdigit() for c in mantissa)
+        try:
+            size += abs(int(exponent or 0))
+        except ValueError:  # not an integer, or longer than int() reads
+            size += len(exponent)
+        if limit and size > limit:  # a limit of 0 means none
+            raise DomainError(f"{option}: {_shown(tok)} has more than {limit} digits")
     try:
-        return tuple(Fraction(tok) for tok in text.split(","))
+        return tuple(Fraction(tok) for tok in tokens)
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"bad Reeb vector {text!r}: {exc}")
 
@@ -178,6 +186,8 @@ def _cmd_verdict(args) -> int:
 
 
 def _cmd_dim5_name(args) -> int:
+    from .dimension import smale_name
+
     group = link_homology(_parse_args_presentation(args.presentation))
     manifold = smale_name(group)
     _emit(args.format, {"name": manifold.name()})
@@ -185,6 +195,8 @@ def _cmd_dim5_name(args) -> int:
 
 
 def _cmd_se_table(args) -> int:
+    from .dimension import SmaleManifold, smale_name, table_lookup
+
     if args.presentation:
         if args.betti is not None or args.m is not None:
             raise DomainError("give either a presentation or --betti/--m, not both")
@@ -210,18 +222,24 @@ def _cmd_se_table(args) -> int:
 
 
 def _cmd_casson(args) -> int:
+    from .dimension import casson_invariant
+
     value = casson_invariant((args.a0, args.a1, args.a2))
     _emit(args.format, {"casson": value})
     return 0
 
 
 def _cmd_tight_count(args) -> int:
+    from .dimension import tight_contact_count
+
     value = tight_contact_count(args.p, args.q)
     _emit(args.format, {"count": value})
     return 0
 
 
 def _cmd_moduli(args) -> int:
+    from .dimension import moduli_dimension, moduli_reference
+
     link = as_link(_parse_args_presentation(args.presentation))
     value = moduli_dimension(link)
     if value < 0:
@@ -256,11 +274,16 @@ def _cmd_toric_volume(args) -> int:
     from .toric import volume
 
     cone = _load_cone(args)
-    value = volume(cone, _parse_xi(args.xi))  # exact: _parse_xi gives Fractions
+    value = volume(cone, _parse_xi(args.xi, "--xi"))  # exact: _parse_xi gives Fractions
+    try:
+        text = str(value)
+    except ValueError:  # a numerator or denominator past int()'s digit limit
+        limit = sys.get_int_max_str_digits()
+        raise DomainError(f"the exact volume has more than {limit} digits") from None
     if args.format == "records":
-        _emit(args.format, {"volume": str(value), "float": float(value)})
+        _emit(args.format, {"volume": text, "float": float(value)})
     else:
-        _emit(args.format, {"volume": str(value)})
+        _emit(args.format, {"volume": text})
     return 0
 
 
@@ -268,7 +291,7 @@ def _cmd_toric_minimize(args) -> int:
     from .toric import minimize_volume
 
     cone = _load_cone(args)
-    start = _parse_xi(args.start) if args.start else None
+    start = _parse_xi(args.start, "--start") if args.start else None
     result = minimize_volume(cone, start=start, grad_tol=args.grad_tol)
     _emit(
         args.format,
@@ -309,6 +332,8 @@ def _windowed_map(pool, fn, items):
 
 
 def _cmd_batch(args) -> int:
+    from .catalog import enumerate_bp, run_pipeline, write_catalog
+
     jobs = _worker_count(args.jobs)
     tuples = enumerate_bp(
         args.length,
@@ -335,6 +360,8 @@ def _cmd_batch(args) -> int:
 
 
 def _cmd_export_table(args) -> int:
+    from .catalog import _read_records, _table_rows
+
     with ExitStack() as stack:
         # The header is checked before the output is opened; the rows are
         # written while the records are read, so the output may not be the

@@ -42,23 +42,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, groupby
 
+from . import _EXPORTS
 from .errors import DomainError, InternalConsistencyError, NotSmaleFormError
 from .homology import HomologyGroup
 from .links import WeightedLink, _index
 
-__all__ = [
-    "SmaleManifold",
-    "TableLookup",
-    "smale_name",
-    "table_lookup",
-    "casson_invariant",
-    "negative_continued_fraction",
-    "tight_contact_count",
-    "count_monomials",
-    "moduli_dimension",
-    "moduli_reference",
-    "MODULI_REFERENCE",
-]
+__all__ = list(_EXPORTS["dimension"])
 
 
 @dataclass(frozen=True)

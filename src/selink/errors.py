@@ -9,13 +9,9 @@ number, a torsion chain that is not divisible); the result cannot be trusted
 and the CLI exits with code 2.
 """
 
-__all__ = [
-    "DomainError",
-    "InternalConsistencyError",
-    "NotSmaleFormError",
-    "UnboundedPolytopeError",
-    "ConvergenceError",
-]
+from . import _EXPORTS
+
+__all__ = list(_EXPORTS["errors"])
 
 
 class DomainError(ValueError):

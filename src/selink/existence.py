@@ -32,15 +32,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+from . import _EXPORTS
 from .errors import DomainError, InternalConsistencyError
 from .links import BPExponents, WeightedLink, classify_type
 
-__all__ = [
-    "STATUSES",
-    "RULES",
-    "ExistenceVerdict",
-    "decide_existence",
-]
+__all__ = list(_EXPORTS["existence"])
 
 STATUSES = ("se_exists", "obstructed", "unknown", "eta_einstein_exists")
 RULES = ("ghigi_kollar", "lichnerowicz", "bp_klt_window", "crude_klt")

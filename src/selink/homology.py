@@ -76,6 +76,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 
+from . import _EXPORTS
 from .errors import DomainError, InternalConsistencyError
 from .links import (
     BPExponents,
@@ -84,14 +85,7 @@ from .links import (
     fractional_weights,
 )
 
-__all__ = [
-    "HomologyGroup",
-    "OrlikTable",
-    "betti_number",
-    "orlik_table",
-    "torsion_orders",
-    "link_homology",
-]
+__all__ = list(_EXPORTS["homology"])
 
 # Polynomial classes for which the torsion algorithm is an actual theorem.
 PROVEN_SOURCES = ("bp", "chain")

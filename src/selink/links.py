@@ -30,17 +30,10 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import _EXPORTS
 from .errors import DomainError, InternalConsistencyError
 
-__all__ = [
-    "LINK_TYPES",
-    "WeightedLink",
-    "BPExponents",
-    "fractional_weights",
-    "classify_type",
-    "parse_presentation",
-    "as_link",
-]
+__all__ = list(_EXPORTS["links"])
 
 LINK_TYPES = ("positive", "negative", "null")
 

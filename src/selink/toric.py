@@ -49,7 +49,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations
 
-from . import _TORIC_NAMES
+from . import _EXPORTS
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -68,7 +68,7 @@ from .intlinalg import (
 )
 from .links import _index, parse_int
 
-__all__ = list(_TORIC_NAMES)
+__all__ = list(_EXPORTS["toric"])
 
 
 @dataclass(frozen=True)
@@ -312,14 +312,16 @@ def volume(cone: MomentCone, xi):
     """Normalized volume m! * vol(C intersect {<y, xi> <= 1}).
 
     Exact Fraction for integer/Fraction input, float otherwise.  Raises
-    UnboundedPolytopeError when xi is not strictly inside the dual cone.
+    UnboundedPolytopeError when xi is not strictly inside the dual cone;
+    in floats, a ray entry, simplex determinant or xi beyond float range
+    is a DomainError.
     The exact sum is taken over one common denominator.  A Fraction xi is
     first scaled to integers by the lcm D of its denominators; V is
     homogeneous of degree -m, so V(xi) = D^m V(D xi).
     """
     xi = _coerce_xi(cone, xi)
     if not all(isinstance(x, (int, Fraction)) for x in xi):
-        return _float_table(cone, xi)[0]
+        return _checked_float_table(cone, xi)[0]
     scale = math.lcm(*(x.denominator for x in xi))
     supports = _supports(cone, [x.numerator * (scale // x.denominator) for x in xi])
     denoms = [math.prod(supports[j] for j in simplex) for simplex, _ in cone._simplices]
@@ -403,13 +405,13 @@ def _hessian(cone: MomentCone, table, parts) -> tuple[tuple[float, ...], ...]:
 
 def volume_gradient(cone: MomentCone, xi) -> tuple[float, ...]:
     """Closed-form gradient of the normalized volume (float)."""
-    table = _float_table(cone, [float(x) for x in _coerce_xi(cone, xi)])
+    table = _checked_float_table(cone, xi)
     return _gradient(_ray_parts(cone, table))
 
 
 def volume_hessian(cone: MomentCone, xi) -> tuple[tuple[float, ...], ...]:
     """Closed-form Hessian of the normalized volume (float, symmetric)."""
-    table = _float_table(cone, [float(x) for x in _coerce_xi(cone, xi)])
+    table = _checked_float_table(cone, xi)
     return _hessian(cone, table, _ray_parts(cone, table))
 
 
@@ -493,6 +495,22 @@ def _floats(values, what: str) -> tuple[float, ...]:
         raise DomainError(f"{what} is outside float range") from None
 
 
+def _check_float_cone(cone: MomentCone) -> None:
+    """Refuse a cone whose ray entries or simplex determinants floats cannot hold.
+
+    Checked once per public float call, not in _float_table, which the
+    line search calls for every candidate.
+    """
+    determinants = (det for _, det in cone._simplices)
+    _floats(chain(*cone.rays, determinants), "a ray entry or simplex determinant of the cone")
+
+
+def _checked_float_table(cone: MomentCone, xi):
+    """The _float_table at a caller's xi, once the cone and xi fit in floats."""
+    _check_float_cone(cone)
+    return _float_table(cone, _floats(_coerce_xi(cone, xi), "Reeb vector"))
+
+
 # Newton iterations minimize_volume may take before it gives up.
 _MAX_ITERATIONS = 10_000
 
@@ -527,8 +545,7 @@ def minimize_volume(
         if result.gamma is None:
             raise DomainError(f"cone has no Gorenstein vector ({result.reason})")
         gamma = result.gamma
-    determinants = (det for _, det in cone._simplices)
-    _floats(chain(*cone.rays, determinants), "a ray entry or simplex determinant of the cone")
+    _check_float_cone(cone)
     g = _floats(gamma, "Gorenstein vector")
     if start is None:
         start = [sum(column) for column in zip(*cone.normals)]

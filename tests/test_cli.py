@@ -10,6 +10,7 @@ import concurrent.futures
 import io
 import json
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
@@ -420,6 +421,43 @@ class TestToric:
         assert (rc, out, err) == (1, "", "error: start point is outside float range\n")
 
     @pytest.mark.parametrize(
+        "command, option, component",
+        [
+            ("volume", "--xi", "1e100000000"),
+            ("volume", "--xi", "1e-4400"),
+            ("volume", "--xi", "1e" + "9" * 5000),
+            ("volume", "--xi", "1" * 4301 + "/2"),
+            ("minimize", "--start", "1e4300"),
+            ("minimize", "--start", "1." + "0" * 4300),
+        ],
+        ids=["huge-exponent", "negative-exponent", "long-exponent", "long-numerator",
+             "start-exponent", "start-decimals"],
+    )
+    def test_component_past_the_digit_limit(self, capsys, conifold, command, option, component):
+        # Refused before any Fraction is built: Fraction('1e100000000')
+        # alone runs for minutes.  Digits plus |exponent| are counted.
+        limit = sys.get_int_max_str_digits()
+        rc, out, err = run(capsys, "toric", command, conifold, option, f"{component},1,1")
+        assert (rc, out) == (1, "")
+        assert err.startswith(f"error: {option}: '")
+        assert err.endswith(f" has more than {limit} digits\n") and len(err) < 120
+
+    def test_component_at_the_digit_limit(self, capsys, conifold):
+        # 1e4299 has 4300 digits, so it is read, and then refused by the
+        # minimizer, which works in floats.
+        rc, out, err = run(capsys, "toric", "minimize", conifold, "--start", "1e4299,1,1")
+        assert (rc, out, err) == (1, "", "error: start point is outside float range\n")
+
+    def test_exact_volume_too_long_to_print(self, capsys, conifold):
+        # Each component is short, but the volume's denominator has more
+        # digits than str() writes.
+        limit = sys.get_int_max_str_digits()
+        rc, out, err = run(capsys, "toric", "volume", conifold, "--xi", "1e2200,1,1")
+        assert (rc, out, err) == (1, "", f"error: the exact volume has more than {limit} digits\n")
+        rc, out, _ = run(capsys, "toric", "volume", conifold, "--xi", "1e1000,1,1")
+        assert rc == 0 and out.startswith("volume=") and len(out) > 2000
+
+    @pytest.mark.parametrize(
         "exponent, message",
         [
             (100, "start point is not interior to the dual cone"),
@@ -612,7 +650,7 @@ class TestBatch:
         # With --jobs 1 each record is written before the next one is
         # computed, so the batch never holds more than one record.
         events = []
-        real_run_pipeline = cli.run_pipeline
+        real_run_pipeline = catalog.run_pipeline
 
         def run_pipeline(*args, **kwargs):
             events.append("run")
@@ -622,7 +660,7 @@ class TestBatch:
             def write(self, text):
                 events.append("write")
 
-        monkeypatch.setattr(cli, "run_pipeline", run_pipeline)
+        monkeypatch.setattr(catalog, "run_pipeline", run_pipeline)
         monkeypatch.setattr(cli.sys, "stdout", Stream())
         rc, _, err = run(capsys, "batch", "--length", "3", "--max-exponent", "4")
         assert rc == 0 and "wrote 10 records" in err

@@ -39,26 +39,58 @@ print("loaded:", loaded)
     ]
 
 
-def test_toric_names_resolve_on_demand():
+def loaded_after(code: str) -> list[str]:
+    """The selink modules loaded in a fresh interpreter after running code."""
+    report = "import sys\nprint(sorted(m for m in sys.modules if m.startswith('selink')))"
+    result = run_python(f"{code}\n{report}")
+    assert result.returncode == 0, result.stderr
+    return ast.literal_eval(result.stdout.splitlines()[-1])
+
+
+def test_package_import_loads_no_module():
+    assert loaded_after("import selink") == ["selink", "selink._version"]
+
+
+def test_toric_loads_no_link_layer():
+    assert loaded_after("import selink.toric") == [
+        "selink",
+        "selink._version",
+        "selink.errors",
+        "selink.intlinalg",
+        "selink.links",
+        "selink.toric",
+    ]
+
+
+def test_homology_command_loads_neither_catalog_nor_dimension():
+    loaded = loaded_after("import selink.cli\nselink.cli.main(['homology', 'bp=3,3,3,3,3'])")
+    assert "selink.homology" in loaded
+    assert "selink.catalog" not in loaded and "selink.dimension" not in loaded
+
+
+def test_names_resolve_on_demand():
     code = """
 import sys
 import selink
-assert "selink.toric" not in sys.modules
-from selink.toric import MomentCone
-assert selink.MomentCone is MomentCone
-missing = [name for name in selink.__all__ if not hasattr(selink, name)]
-assert not missing, missing
+assert len(selink.__all__) == 55
+assert {*selink.__all__, *selink._EXPORTS} <= set(dir(selink))
+for module, names in selink._EXPORTS.items():
+    defining = getattr(selink, module)
+    assert defining is sys.modules["selink." + module], module
+    assert defining.__all__ == list(names), module
+    for name in names:
+        assert getattr(selink, name) is getattr(defining, name), name
 namespace = {}
 exec("from selink import *", namespace)
-assert set(selink.__all__) <= set(namespace)
+assert all(namespace[name] is getattr(selink, name) for name in selink.__all__)
 try:
     selink.no_such_name
-except AttributeError:
-    print("ok")
+except AttributeError as exc:
+    print(exc)
 """
     result = run_python(code)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "ok\n"
+    assert result.stdout == "module 'selink' has no attribute 'no_such_name'\n"
 
 
 # The package's exports as they stood when each module's __all__ became
@@ -68,7 +100,7 @@ except AttributeError:
 # fractional_weights replaced, and less the four rule predicates, cy_condition
 # and cokernel_invariants, which only tests reached: decide_existence reads
 # each rule's slack, and cone_from_weights warns with the torsion.
-# selink.__all__ is assembled from those lists.
+# selink.__all__ is assembled from the package's table of them.
 EXPORTS = {
     "__version__",
     # links

@@ -315,6 +315,18 @@ class TestVolume:
         exact = toric._fdot([Fraction(1, 3), 2], [3, Fraction(1, 4)])
         assert exact == Fraction(3, 2) and type(exact) is Fraction
 
+    @pytest.mark.parametrize("function", [volume, volume_gradient, volume_hessian])
+    def test_float_paths_refuse_integers_outside_float_range(self, function):
+        # A ray entry of 10^310 (the float branch of volume is taken for
+        # any float in xi), then a Reeb component of 10^400 on Y^{2,1}.
+        big = 10**310
+        cone = cone_from_weights(WeightMatrix(((1, big, -1, -big),), 4))
+        with pytest.raises(DomainError, match="^a ray entry or simplex determinant"):
+            function(cone, (1.0, 1.0, 1.0))
+        y21 = cone_from_weights(WeightMatrix(((1, 3, -2, -2),), 4))
+        with pytest.raises(DomainError, match="^Reeb vector is outside float range$"):
+            function(y21, (10**400, 1, 1.0))
+
     def test_unbounded_outside_dual_cone(self):
         with pytest.raises(UnboundedPolytopeError):
             volume(orthant(3), (1, 1, 0))
