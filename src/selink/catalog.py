@@ -19,6 +19,7 @@ spoils a batch.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from itertools import combinations_with_replacement
@@ -31,6 +32,7 @@ from .errors import DomainError, InternalConsistencyError
 from .existence import decide_existence
 from .homology import link_homology
 from .links import (
+    _MAX_WEIGHTS,
     BPExponents,
     WeightedLink,
     _short_numbers,
@@ -214,7 +216,7 @@ def run_pipeline(presentation: str | BPExponents | WeightedLink) -> CatalogRecor
     return record
 
 
-# Most exponent tuples, and longest tuple, that one enumeration may produce.
+# Most exponent tuples that one enumeration may produce.
 _MAX_ENUMERATION = 2_000_000
 
 
@@ -238,20 +240,14 @@ def enumerate_bp(
         raise DomainError(f"need length >= 3, got {length}")
     if max_exponent < 2:
         raise DomainError(f"need max exponent >= 2, got {max_exponent}")
-    if length > _MAX_ENUMERATION:
-        raise DomainError(f"length {length} exceeds the safety bound of {_MAX_ENUMERATION}")
-    # C(n, length) = C(n, k) as a running product, which is C(n - k + i, i)
-    # after step i; it stops at the bound, before the number gets large.
+    if length > _MAX_WEIGHTS:
+        raise DomainError(f"length {length} exceeds the safety bound of {_MAX_WEIGHTS}")
     n = max_exponent - 2 + length
-    k = min(length, max_exponent - 2)
-    total = 1
-    for i in range(1, k + 1):
-        total = total * (n - k + i) // i
-        if total > _MAX_ENUMERATION:
-            raise DomainError(
-                f"enumeration of C({n}, {length}) > {_MAX_ENUMERATION} exponent tuples "
-                "exceeds the safety bound"
-            )
+    if math.comb(n, length) > _MAX_ENUMERATION:  # a product of at most 64 factors
+        raise DomainError(
+            f"enumeration of C({n}, {length}) > {_MAX_ENUMERATION} exponent tuples "
+            "exceeds the safety bound"
+        )
 
     def keep(bp: BPExponents) -> bool:
         if coprime is not None and bp.pairwise_coprime() != coprime:

@@ -125,8 +125,9 @@ def _parse_xi(text: str, option: str) -> tuple[Fraction, ...]:
             raise DomainError(f"{option}: {_shown(tok)} has more than {limit} digits")
     try:
         return tuple(Fraction(tok) for tok in tokens)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"bad Reeb vector {text!r}: {exc}")
+    except (ValueError, ZeroDivisionError) as exc:  # its text may repeat a whole token
+        reason = str(exc) if len(str(exc)) <= 80 else str(exc)[:77] + "..."
+        raise DomainError(f"bad Reeb vector {_shown(text)}: {reason}") from None
 
 
 def _fmt_float(x: float) -> str:
@@ -271,7 +272,7 @@ def _cmd_toric_gamma(args) -> int:
 
 
 def _cmd_toric_volume(args) -> int:
-    from .toric import volume
+    from .toric import _floats, volume
 
     cone = _load_cone(args)
     value = volume(cone, _parse_xi(args.xi, "--xi"))  # exact: _parse_xi gives Fractions
@@ -281,7 +282,8 @@ def _cmd_toric_volume(args) -> int:
         limit = sys.get_int_max_str_digits()
         raise DomainError(f"the exact volume has more than {limit} digits") from None
     if args.format == "records":
-        _emit(args.format, {"volume": text, "float": float(value)})
+        (approx,) = _floats((value,), "the exact volume")
+        _emit(args.format, {"volume": text, "float": approx})
     else:
         _emit(args.format, {"volume": text})
     return 0

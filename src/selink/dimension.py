@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, groupby
+from itertools import groupby
 
 from . import _EXPORTS
 from .errors import DomainError, InternalConsistencyError, NotSmaleFormError
@@ -192,10 +192,9 @@ def casson_invariant(exponents) -> int:
         raise DomainError(f"need exactly 3 exponents, got {len(a)}")
     if any(x < 2 for x in a):
         raise DomainError(f"exponents must be >= 2: {a}")
-    for x, y in combinations(a, 2):
-        if math.gcd(x, y) != 1:
-            raise DomainError(f"exponents {a} are not pairwise coprime")
     prod = math.prod(a)
+    if math.lcm(*a) != prod:
+        raise DomainError(f"exponents {a} are not pairwise coprime")
     tau = Fraction(prod, 3) * (sum(Fraction(1, x * x) for x in a) - 1) - 1
     tau += Fraction(1, 3 * prod) - 4 * sum(_dedekind_sum(prod // x, x) for x in a)
     if tau.denominator != 1 or tau.numerator % 8 != 0:
@@ -257,8 +256,8 @@ _NODE_COST = 8
 
 # The most work, in table cells (a few seconds), that one count may take;
 # when the cheaper method needs more, the count is refused before any
-# allocation.  A catalog record (degree <= 10^5) with fewer than 199
-# weights stays under it.
+# allocation.  The moduli count of a link (at most 64 weights) shares one
+# table up to its degree, and stays under it up to degree 3 * 10^5.
 _MAX_COUNT_COST = 2 * 10**7
 
 
@@ -293,26 +292,39 @@ def count_monomials(weights, degree: int) -> int:
         raise DomainError(f"degree must be >= 0, got {m}")
     if any(w < 1 for w in ws):
         raise DomainError(f"weights must be positive: {ws}")
-    ws = sorted(w for w in ws if w <= m)
-    cells = (len(ws) + 1) * (m + 1)
-    nodes = _NODE_COST
-    for w in ws[2:]:  # once past cells, the comparison below is decided
-        nodes *= m // w + 1
-        if nodes > cells:
-            break
+    return _counts(ws, (m,))[0]
+
+
+def _counts(weights, degrees) -> list[int]:
+    """``count_monomials`` at each degree, by one method and one cost check.
+
+    Enumeration costs its node bounds summed over the degrees; one table
+    up to the largest degree, which a refusal names, holds every count.
+    """
+    ws = sorted(weights)
+    top = max(degrees)
+    cells = (sum(w <= top for w in ws) + 1) * (top + 1)
+    nodes = 0
+    for m in degrees:
+        cost = _NODE_COST
+        for w in [w for w in ws if w <= m][2:]:  # once past cells, the comparison is decided
+            cost *= m // w + 1
+            if nodes + cost > cells:
+                break
+        nodes += cost
     if min(nodes, cells) > _MAX_COUNT_COST:
         raise DomainError(
-            f"counting monomials of degree {m} needs {min(nodes, cells)} steps, "
+            f"counting monomials of degree {top} needs {min(nodes, cells)} steps, "
             f"over the limit of {_MAX_COUNT_COST}"
         )
     if nodes <= cells:
-        return _enumerate(ws, m)
-    counts = [0] * (m + 1)
+        return [_enumerate([w for w in ws if w <= m], m) for m in degrees]
+    counts = [0] * (top + 1)
     counts[0] = 1
     for w in ws:
-        for k in range(w, m + 1):
+        for k in range(w, top + 1):
             counts[k] += counts[k - w]
-    return counts[m]
+    return [counts[m] for m in degrees]
 
 
 def _enumerate(ws: list[int], m: int) -> int:
@@ -372,8 +384,8 @@ def moduli_dimension(link: WeightedLink) -> int:
     A naive dimension count for the deformation space of the singularity.
     It can come out negative for extreme weight data, such as -6 for
     w=1,1,1 d=2; the count is returned as it is, not clamped, and the CLI
-    prints a warning line for it.
+    prints a warning line for it.  The n + 2 counts share one method and
+    one cost check (see ``_counts``).
     """
-    total = count_monomials(link.weights, link.degree)
-    lower = sum(count_monomials(link.weights, w) for w in link.weights)
-    return 2 * (total - lower)
+    total, *lower = _counts(link.weights, (link.degree, *link.weights))
+    return 2 * (total - sum(lower))

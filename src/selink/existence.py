@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate
 
 from . import _EXPORTS
 from .errors import DomainError, InternalConsistencyError
@@ -69,8 +69,8 @@ def _lichnerowicz_slack(link: WeightedLink) -> Fraction:
 def _crude_klt_slack(link: WeightedLink) -> Fraction:
     """(n/(n-1)) * min_{i<j} w_i w_j - I * d."""
     n = link.n
-    pair_min = min(a * b for a, b in combinations(link.weights, 2))
-    return Fraction(n, n - 1) * pair_min - link.index * link.degree
+    w0, w1 = sorted(link.weights)[:2]  # the smallest product of two weights
+    return Fraction(n, n - 1) * w0 * w1 - link.index * link.degree
 
 
 def _window_slack(bp: BPExponents, upper: Fraction) -> Fraction:
@@ -83,13 +83,12 @@ def _bp_klt_slack(bp: BPExponents) -> Fraction:
     """The window with upper end 1 + (n/(n-1)) * min over 1/a_i and 1/(b_j b_k)."""
     a = bp.exponents
     n = bp.n
-    b = []
-    for j in range(len(a)):
-        c_j = math.lcm(*(a[i] for i in range(len(a)) if i != j))
-        b.append(math.gcd(a[j], c_j))
-    candidates = [Fraction(1, ai) for ai in a]
-    candidates += [Fraction(1, bj * bk) for bj, bk in combinations(b, 2)]
-    return _window_slack(bp, 1 + Fraction(n, n - 1) * min(candidates))
+    # b_j from the lcms before j and after j; the smallest candidate is 1
+    # over the larger of max a and the product of the two largest b.
+    before = list(accumulate(a, math.lcm, initial=1))
+    after = list(accumulate(reversed(a), math.lcm, initial=1))[::-1]
+    b = sorted(math.gcd(x, math.lcm(before[j], after[j + 1])) for j, x in enumerate(a))
+    return _window_slack(bp, 1 + Fraction(n, (n - 1) * max(max(a), b[-1] * b[-2])))
 
 
 def _ghigi_kollar_slack(bp: BPExponents) -> Fraction:

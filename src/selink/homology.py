@@ -90,22 +90,14 @@ __all__ = list(_EXPORTS["homology"])
 # Polynomial classes for which the torsion algorithm is an actual theorem.
 PROVEN_SOURCES = ("bp", "chain")
 
-_MAX_N_BETTI = 20  # the divisor pass holds at most 2^(n+1) states
-_MAX_N_TORSION = 12  # at most 2^(n+1) states of 1 + F sums, F entries
 # Invariant factors a torsion chain may hold.  Their number is the largest
 # multiplicity, which grows like the square of the exponents (bp=2,p,p,p
 # has (p-1)(p-2) of them), so it is refused before any list is built.
 _MAX_TORSION_FACTORS = 2 * 10**6
-
-
-def _check_betti_size(n: int) -> None:
-    if n > _MAX_N_BETTI:
-        raise DomainError(f"n={n} too large for subset enumeration")
-
-
-def _check_torsion_size(n: int) -> None:
-    if n > _MAX_N_TORSION:
-        raise DomainError(f"n={n} too large for the torsion table")
+# Work of the divisor pass, in state sums: the states held at each index
+# times their 1 + F sums.  Pool links need at most 170; numerators whose
+# gcd classes never merge double the states at every index and reach it.
+_MAX_DIVISOR_WORK = 5 * 10**5
 
 
 def _divisor_sums(u: tuple[int, ...], v: tuple[int, ...], masks=()) -> tuple[list[int], int]:
@@ -118,15 +110,21 @@ def _divisor_sums(u: tuple[int, ...], v: tuple[int, ...], masks=()) -> tuple[lis
     that gcd.  Taking i multiplies a state's sums by -g // v_i, exact term
     by term, into entry 0 and the masks that hold i; leaving it out keeps
     them, and (-1)^m comes at the end.  Indices go by descending u, which
-    keeps the keys few; at the end every key is 1.
+    keeps the keys few; at the end every key is 1.  Past
+    ``_MAX_DIVISOR_WORK`` state sums the pass stops with a DomainError.
     """
     denominator = math.prod(v) * math.lcm(*u)
     order = sorted(range(len(u)), key=u.__getitem__, reverse=True)
     ahead = [1]  # lcm of the numerators after each index in order, built backwards
     for i in reversed(order[1:]):
         ahead.append(math.lcm(ahead[-1], u[i]))
-    states = {1: [denominator] * (len(masks) + 1)}
+    width = len(masks) + 1
+    states = {1: [denominator] * width}
+    work = 0
     for i, rest in zip(order, reversed(ahead)):
+        work += len(states) * width
+        if work > _MAX_DIVISOR_WORK:
+            raise DomainError(f"the divisor pass needs more than {_MAX_DIVISOR_WORK} state sums")
         x, y = u[i], v[i]
         inside = [True] + [mask >> i & 1 for mask in masks]
         after: dict[int, list[int]] = {}
@@ -212,7 +210,6 @@ def _betti(link: WeightedLink, total: int, denominator: int) -> int:
 def betti_number(link: WeightedLink | BPExponents) -> int:
     """Free rank of H_{n-1}(L; Z) via the alternating subset sum."""
     link = as_link(link)
-    _check_betti_size(link.n)
     (total,), denominator = _divisor_sums(*fractional_weights(link))
     return _betti(link, total, denominator)
 
@@ -263,9 +260,7 @@ def orlik_table(link: WeightedLink | BPExponents) -> OrlikTable:
     hits.  ``_orlik_c`` builds exactly that; it checks that the base
     rebuilds every u_j, and raises InternalConsistencyError if not.
     """
-    link = as_link(link)
-    _check_torsion_size(link.n)
-    return _orlik_pass(link)[0]
+    return _orlik_pass(as_link(link))[0]
 
 
 def torsion_orders(table: OrlikTable) -> tuple[int, ...]:
@@ -346,8 +341,6 @@ def link_homology(
     link = as_link(presentation)
     if source is not None and source not in PROVEN_SOURCES:
         raise DomainError(f"unknown source class {source!r}")
-    _check_betti_size(link.n)
-    _check_torsion_size(link.n)
     table, total, denominator = _orlik_pass(link)
     betti = _betti(link, total, denominator)
     torsion = torsion_orders(table)

@@ -1,7 +1,7 @@
 """Exact integer linear algebra for small matrices.
 
 Cone construction and lattice bookkeeping need Smith normal form with its
-unimodular transforms, exact ranks, determinants and linear solves.  All
+unimodular row transform, exact ranks, determinants and linear solves.  All
 but the Smith form come from one routine, ``_echelon``: a fraction-free
 (Bareiss) row echelon form in plain Python ints, whose entries are minors
 of the input and never need a Fraction.
@@ -45,12 +45,13 @@ def _identity(n: int) -> list[list[int]]:
 
 
 def smith_normal_form(matrix):
-    """Return (U, D, V) with U @ matrix @ V = D diagonal, U and V unimodular.
+    """Return (U, D) with U @ matrix @ V = D diagonal, U and V unimodular.
 
     The diagonal entries of D are the invariant factors d_1 | d_2 | ...,
     nonnegative, with zeros trailing.  Classic pivot-and-reduce algorithm;
-    the transforms are carried along so callers can read off coordinates
-    on the cokernel.
+    the row transform U is carried along so callers can read off
+    coordinates on the cokernel.  No caller needs the column transform V,
+    so it is not formed.
     """
     A = _int_rows(matrix)
     m = len(A)
@@ -58,7 +59,6 @@ def smith_normal_form(matrix):
     if any(len(row) != n for row in A):
         raise DomainError("ragged matrix")
     U = _identity(m)
-    V = _identity(n)
 
     def swap_rows(i, j):
         A[i], A[j] = A[j], A[i]
@@ -67,32 +67,20 @@ def smith_normal_form(matrix):
     def swap_cols(i, j):
         for row in A:
             row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
 
     def add_row(src, dst, q):  # row_dst += q * row_src
         A[dst] = [a + q * b for a, b in zip(A[dst], A[src])]
         U[dst] = [a + q * b for a, b in zip(U[dst], U[src])]
 
-    def add_col(src, dst, q):
-        for row in A:
-            row[dst] += q * row[src]
-        for row in V:
-            row[dst] += q * row[src]
-
     t = 0
     while t < min(m, n):
-        pivot = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if A[i][j] and (
-                    pivot is None or abs(A[i][j]) < abs(A[pivot[0]][pivot[1]])
-                ):
-                    pivot = (i, j)
+        # The first entry of least absolute value, row by row, is the pivot.
+        nonzero = ((abs(A[i][j]), i, j) for i in range(t, m) for j in range(t, n) if A[i][j])
+        pivot = min(nonzero, default=None)
         if pivot is None:
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
+        swap_rows(t, pivot[1])
+        swap_cols(t, pivot[2])
         while True:
             changed = False
             for i in range(t + 1, m):
@@ -103,21 +91,17 @@ def smith_normal_form(matrix):
                         changed = True
             for j in range(t + 1, n):
                 if A[t][j]:
-                    add_col(t, j, -(A[t][j] // A[t][t]))
+                    q = A[t][j] // A[t][t]
+                    for row in A:
+                        row[j] -= q * row[t]
                     if A[t][j]:
                         swap_cols(t, j)
                         changed = True
             if not changed:
                 break
         # Divisibility repair: d_t must divide the rest of the submatrix.
-        stray = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if A[i][j] % A[t][t]:
-                    stray = i
-                    break
-            if stray is not None:
-                break
+        rest = range(t + 1, n)
+        stray = next((i for i in range(t + 1, m) if any(A[i][j] % A[t][t] for j in rest)), None)
         if stray is not None:
             add_row(stray, t, 1)
             continue  # re-reduce at the same position
@@ -125,7 +109,7 @@ def smith_normal_form(matrix):
             A[t] = [-x for x in A[t]]
             U[t] = [-x for x in U[t]]
         t += 1
-    return U, A, V
+    return U, A
 
 
 def _echelon(matrix) -> tuple[list[list[int]], list[int]]:

@@ -37,6 +37,10 @@ __all__ = list(_EXPORTS["links"])
 
 LINK_TYPES = ("positive", "negative", "null")
 
+# Most weights (or exponents) a link may have.  Each link layer is linear in
+# their number or has a work cap of its own; at 64, it takes milliseconds.
+_MAX_WEIGHTS = 64
+
 
 def _shown(text: str) -> str:
     """repr(text), cut to 40 characters so that an error line stays short."""
@@ -77,6 +81,13 @@ def _index(value, what: str) -> int:
         raise DomainError(f"{what} must be an integer, got {value!r}") from None
 
 
+def _check_length(values, what: str) -> None:
+    """At least 3 and at most ``_MAX_WEIGHTS`` values, else a DomainError."""
+    if not 3 <= len(values) <= _MAX_WEIGHTS:
+        bound = "least 3" if len(values) < 3 else f"most {_MAX_WEIGHTS}"
+        raise DomainError(f"need at {bound} {what}, got {len(values)}")
+
+
 @dataclass(frozen=True)
 class WeightedLink:
     """A link presented by positive integer weights and a degree.
@@ -93,8 +104,7 @@ class WeightedLink:
         weights = tuple(_index(w, "weight") for w in self.weights)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "degree", _index(self.degree, "degree"))
-        if len(weights) < 3:
-            raise DomainError(f"need at least 3 weights, got {len(weights)}")
+        _check_length(weights, "weights")
         if any(w < 1 for w in weights):
             raise DomainError(f"weights must be positive integers: {weights}")
         if self.degree < 1:
@@ -134,9 +144,8 @@ class BPExponents:
 
     def __post_init__(self):
         exps = tuple(_index(a, "exponent") for a in self.exponents)
+        _check_length(exps, "exponents")
         object.__setattr__(self, "exponents", exps)
-        if len(exps) < 3:
-            raise DomainError(f"need at least 3 exponents, got {len(exps)}")
         if any(a < 2 for a in exps):
             raise DomainError(f"exponents must all be >= 2: {exps}")
         d = math.lcm(*exps)
@@ -150,12 +159,8 @@ class BPExponents:
         return len(self.exponents) - 1
 
     def pairwise_coprime(self) -> bool:
-        exps = self.exponents
-        return all(
-            math.gcd(exps[i], exps[j]) == 1
-            for i in range(len(exps))
-            for j in range(i + 1, len(exps))
-        )
+        """lcm = product exactly when no two exponents share a factor."""
+        return self.link.degree == math.prod(self.exponents)
 
     def reciprocal_sum(self) -> Fraction:
         return sum((Fraction(1, a) for a in self.exponents), Fraction(0))

@@ -659,7 +659,7 @@ def _cokernel(omega: WeightMatrix):
     Z^n / rowspan(omega); torsion holds the invariant factors > 1.
     """
     transpose = [[row[j] for row in omega.rows] for j in range(omega.n)]
-    u, d, _ = smith_normal_form(transpose)
+    u, d = smith_normal_form(transpose)
     return u, tuple(d[i][i] for i in range(omega.k) if d[i][i] > 1)
 
 

@@ -86,6 +86,20 @@ def random_coprime_triple(rng: random.Random, max_exponent=30) -> tuple[int, int
             return a
 
 
+def no_merge_family(k: int) -> BPExponents:
+    """Exponents p_j q_j over the first k primes p_j, then their product P.
+
+    The q_j are the primes after P, so no two gcd classes of the homology
+    divisor pass ever merge: it holds 2^j states before the j-th index.
+    """
+    primes = [sympy.prime(j) for j in range(1, k + 1)]
+    top = math.prod(primes)
+    q = []
+    for _ in primes:
+        q.append(sympy.nextprime(q[-1] if q else top))
+    return BPExponents(tuple(p * r for p, r in zip(primes, q)) + (top,))
+
+
 def primary_parts(orders) -> tuple[int, ...]:
     """Primary decomposition of a product of cyclic groups of these orders.
 

@@ -303,15 +303,15 @@ class TestEnumerateBP:
             enumerate_bp(8, 2000)
 
     def test_count_guard_is_immediate(self):
-        # C(2*10^6, 10^6) has about 600000 digits; the bound is checked on
-        # a running product that stops as soon as it passes 2*10^6.
+        # C(10^4000 + 62, 64) has about 256000 digits, but a tuple is at most
+        # 64 long, so the exact count is a product of at most 64 factors.
         start = time.perf_counter()
-        with pytest.raises(DomainError, match=r"C\(2000000, 1000000\) > 2000000 .* safety bound"):
-            enumerate_bp(10**6, 10**6 + 2)
+        with pytest.raises(DomainError, match=r"C\(10{3998}62, 64\) > 2000000 .* safety bound"):
+            enumerate_bp(64, 10**4000)
         assert time.perf_counter() - start < 5.0
 
     def test_count_guard_matches_exact_count(self):
-        # The running product refuses exactly the enumerations whose exact
+        # The guard refuses exactly the enumerations whose exact
         # count C(max_exponent - 2 + length, length) passes the bound.
         for length in range(3, 9):
             for max_exponent in (*range(2, 40), 228, 229, 230):
@@ -324,12 +324,13 @@ class TestEnumerateBP:
 
     def test_length_guard(self):
         # At max exponent 2 there is one tuple of any length, but the
-        # tuple itself would hold a billion entries.
-        with pytest.raises(DomainError, match="length 1000000000 exceeds the safety bound"):
+        # tuple itself would hold a billion entries; a tuple is at most as
+        # long as a link.
+        with pytest.raises(DomainError, match="^length 1000000000 exceeds the safety bound of 64$"):
             enumerate_bp(10**9, 2)
-        with pytest.raises(DomainError, match="safety bound"):
-            enumerate_bp(2_000_001, 2)
-        assert [len(bp.exponents) for bp in enumerate_bp(1000, 2)] == [1000]
+        with pytest.raises(DomainError, match="^length 65 exceeds the safety bound of 64$"):
+            enumerate_bp(65, 2)
+        assert [len(bp.exponents) for bp in enumerate_bp(64, 2)] == [64]
 
     def test_bad_arguments(self):
         with pytest.raises(DomainError):

@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import pytest
-from conftest import catalogs_equal
+from conftest import catalogs_equal, no_merge_family
 
 import selink.catalog as catalog
 import selink.cli as cli
@@ -94,16 +94,25 @@ class TestHomology:
         assert lines[0].split("\t") == ["b", "torsion", "degree", "applicability"]
         assert lines[1].split("\t") == ["10", "3", "3", "proven"]
 
+    def test_long_links_are_answered(self, capsys):
+        rc, out, err = run(capsys, "homology", "bp=" + ",".join(["3"] * 41))
+        assert (rc, out, err) == (0, "b=733007751850 torsion=Z/3 proven\n", "")
+        rc, out, err = run(capsys, "homology", "bp=5," + ",".join(["2"] * 41))
+        assert (rc, out, err) == (0, "b=0 torsion=0 proven\n", "")
+
     @pytest.mark.parametrize(
-        "n, message",
+        "presentation, message",
         [
-            (17, "n=17 too large for the torsion table"),
-            (21, "n=21 too large for subset enumeration"),
+            ("bp=" + ",".join(["3"] * 65), "need at most 64 exponents, got 65"),
+            ("w=" + ",".join(["1"] * 65) + " d=2", "need at most 64 weights, got 65"),
+            (
+                no_merge_family(20).presentation(),
+                "the divisor pass needs more than 500000 state sums",
+            ),
         ],
     )
-    def test_oversized_link_is_domain_error(self, capsys, n, message):
-        presentation = "bp=2," + ",".join(["3"] * n)
-        rc, out, err = run(capsys, "homology", presentation)
+    def test_oversized_link_is_domain_error(self, capsys, presentation, message):
+        rc, out, err = run(capsys, "homology", *presentation.split())
         assert (rc, out, err) == (1, "", f"error: {message}\n")
 
     def test_overlong_torsion_chain_is_domain_error(self, capsys):
@@ -448,6 +457,28 @@ class TestToric:
         rc, out, err = run(capsys, "toric", "minimize", conifold, "--start", "1e4299,1,1")
         assert (rc, out, err) == (1, "", "error: start point is outside float range\n")
 
+    def test_volume_outside_float_range(self, capsys, conifold):
+        # The exact volume is about 10^400, which text prints and records,
+        # with its float, cannot.
+        xi = "1." + "0" * 399 + "1,1,1"
+        rc, out, err = run(capsys, "toric", "volume", conifold, "--xi", xi)
+        assert (rc, err) == (0, "") and out.startswith("volume=1" + "0" * 100)
+        rc, out, err = run(capsys, "toric", "volume", conifold, "--xi", xi, "--format", "records")
+        assert (rc, out, err) == (1, "", "error: the exact volume is outside float range\n")
+
+    @pytest.mark.parametrize(
+        "xi, reason",
+        [
+            ("a,1,1", "Invalid literal for Fraction: 'a'"),
+            ("1/0,1,1", "Fraction(1, 0)"),
+            ("z" * 5000 + ",1,1", "Invalid literal for Fraction: '" + "z" * 46 + "..."),
+        ],
+    )
+    def test_bad_xi_is_cut(self, capsys, conifold, xi, reason):
+        shown = repr(xi if len(xi) <= 40 else xi[:37] + "...")
+        rc, out, err = run(capsys, "toric", "volume", conifold, "--xi", xi)
+        assert (rc, out, err) == (1, "", f"error: bad Reeb vector {shown}: {reason}\n")
+
     def test_exact_volume_too_long_to_print(self, capsys, conifold):
         # Each component is short, but the volume's denominator has more
         # digits than str() writes.
@@ -634,7 +665,7 @@ class TestBatch:
         )
         assert rc == 1
         assert out == ""
-        assert err == "error: length 1000000000 exceeds the safety bound of 2000000\n"
+        assert err == "error: length 1000000000 exceeds the safety bound of 64\n"
         assert not out_path.exists()
 
     def test_bad_enumeration_leaves_no_file(self, capsys, tmp_path):

@@ -2,6 +2,7 @@
 tight contact counts, and monomial/moduli counting."""
 
 import math
+import time
 import warnings
 from fractions import Fraction
 from itertools import product
@@ -557,6 +558,34 @@ class TestModuli:
             warnings.simplefilter("always")
             assert moduli_dimension(WeightedLink((1, 1, 1), 2)) == -6
         assert caught == []
+
+    def test_one_cost_check_for_every_degree(self, monkeypatch):
+        # Enumeration is cheapest at each degree: 8 * 3 * 2 = 48 nodes' cost
+        # at d = 10000, 8 and 8 at 1667 and 2001, 8 * 2 = 16 at 5000 and
+        # 8 * 2 * 2 = 32 at 9999, so 112 in all, against 5 * 10001 cells.
+        # No single count passes 48, but the budget is for all of them.
+        link = WeightedLink((1667, 2001, 5000, 9999), 10000)
+        expected = moduli_oracle(link)
+        monkeypatch.setattr(dimension, "_MAX_COUNT_COST", 112)
+        assert moduli_dimension(link) == expected
+        monkeypatch.setattr(dimension, "_MAX_COUNT_COST", 111)
+        with pytest.raises(DomainError, match=r"^counting monomials of degree 10000 needs 112 steps"):
+            moduli_dimension(link)
+
+    def test_one_table_for_every_degree(self, monkeypatch):
+        # Ten unit weights make enumeration hopeless, so every count, at
+        # d and at each weight, is read from one table up to d.
+        monkeypatch.setattr(dimension, "_enumerate", None)
+        link = WeightedLink((1,) * 10 + tuple(range(9000, 9100, 10)), 10000)
+        assert moduli_dimension(link) == moduli_oracle(link)
+
+    def test_longest_link_at_the_catalog_degree_limit(self):
+        # 32 unit weights and 32 near 9 * 10^4 at degree 10^5: 65 * 100001
+        # cells, once, where one table per degree would need 33 of them.
+        link = WeightedLink((1,) * 32 + tuple(range(90000, 90320, 10)), 100_000)
+        started = time.perf_counter()
+        moduli_dimension(link)
+        assert time.perf_counter() - started < 5.0
 
     @pytest.mark.parametrize("length, max_exponent", [(3, 20), (4, 12), (5, 7)])
     def test_enumerations_against_dp_oracle(self, length, max_exponent):

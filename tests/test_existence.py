@@ -7,7 +7,14 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
-from selink import BPExponents, DomainError, WeightedLink, decide_existence
+from selink import (
+    BPExponents,
+    DomainError,
+    WeightedLink,
+    casson_invariant,
+    decide_existence,
+    enumerate_bp,
+)
 from selink.existence import (
     _bp_klt_slack,
     _crude_klt_slack,
@@ -238,3 +245,53 @@ class TestInvariants:
         assert verdict.status in ("se_exists", "obstructed", "unknown", "eta_einstein_exists")
         if verdict.link_type != "positive":
             assert verdict.status == "eta_einstein_exists"
+
+
+# The pairwise definitions that the closed forms replaced, kept as oracles.
+
+
+def pairwise_coprime_oracle(a) -> bool:
+    return all(math.gcd(x, y) == 1 for x, y in combinations(a, 2))
+
+
+def crude_klt_slack_oracle(link) -> Fraction:
+    n = link.n
+    pair_min = min(x * y for x, y in combinations(link.weights, 2))
+    return Fraction(n, n - 1) * pair_min - link.index * link.degree
+
+
+def bp_klt_slack_oracle(bp) -> Fraction:
+    a = bp.exponents
+    n = bp.n
+    b = [
+        math.gcd(a[j], math.lcm(*(a[i] for i in range(len(a)) if i != j)))
+        for j in range(len(a))
+    ]
+    candidates = [Fraction(1, x) for x in a]
+    candidates += [Fraction(1, x * y) for x, y in combinations(b, 2)]
+    upper = 1 + Fraction(n, n - 1) * min(candidates)
+    total = bp.reciprocal_sum()
+    return min(total - 1, upper - total)
+
+
+class TestClosedFormsAgainstPairwiseOracles:
+    @pytest.mark.parametrize("length, max_exponent", [(3, 30), (4, 12), (5, 7)])
+    def test_enumerations(self, length, max_exponent):
+        for bp in enumerate_bp(length, max_exponent):
+            coprime = pairwise_coprime_oracle(bp.exponents)
+            assert bp.pairwise_coprime() == coprime, bp
+            assert _crude_klt_slack(bp.link) == crude_klt_slack_oracle(bp.link), bp
+            assert _bp_klt_slack(bp) == bp_klt_slack_oracle(bp), bp
+            if length == 3:
+                if coprime:
+                    casson_invariant(bp.exponents)
+                else:
+                    with pytest.raises(DomainError, match="are not pairwise coprime$"):
+                        casson_invariant(bp.exponents)
+
+    def test_longest_link(self):
+        bp = BPExponents((2,) * 64)
+        assert not bp.pairwise_coprime()
+        assert _bp_klt_slack(bp) == bp_klt_slack_oracle(bp)
+        assert _crude_klt_slack(bp.link) == crude_klt_slack_oracle(bp.link)
+        assert decide_existence(bp.link, bp).status == "unknown"

@@ -12,11 +12,13 @@ TestMilnorDelta checks the torsion order against Milnor's Delta(1), a
 theorem for every link, so it also covers the conjectural torsion path.
 """
 
+import json
 import math
 import time
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -33,12 +35,19 @@ from selink import (
     fractional_weights,
     link_homology,
     orlik_table,
+    parse_presentation,
     torsion_orders,
 )
 from selink import homology
 from selink.catalog import run_pipeline
 from selink.homology import _coprime_base, _divisor_sums, _orlik_c
-from conftest import bp_exponents, coprime_triples, fermat_type_links, primary_parts
+from conftest import (
+    bp_exponents,
+    coprime_triples,
+    fermat_type_links,
+    no_merge_family,
+    primary_parts,
+)
 
 
 class TorsionDivisionError(InternalConsistencyError):
@@ -281,34 +290,71 @@ class TestErrorPaths:
         assert "7" in str(err) and "3" in str(err)
 
 
-class TestSizeCaps:
-    """Oversized links fail before any subset work, with fixed messages.
-
-    For 13 <= n <= 20 the torsion-table cap must fire before the divisor
-    pass, which the patched ``_divisor_sums`` would reject; beyond n = 20
-    the Betti cap's message still comes first.
-    """
+class TestSizeRule:
+    """No bound on n: the divisor pass is capped by its work instead."""
 
     @pytest.mark.parametrize(
-        "n, message",
-        [
-            (13, "n=13 too large for the torsion table"),
-            (17, "n=17 too large for the torsion table"),
-            (20, "n=20 too large for the torsion table"),
-            (21, "n=21 too large for subset enumeration"),
-        ],
+        "a, m, betti, torsion",
+        [(3, 5, 10, (3,)), (3, 41, 733007751850, (3,)), (4, 16, 10761681, ())],
     )
-    def test_link_homology_message(self, n, message, monkeypatch):
-        def no_divisor_sums(u, v, masks=()):
-            raise AssertionError("divisor pass run for an oversized link")
+    def test_fermat_goldens(self, a, m, betti, torsion):
+        group = link_homology(BPExponents((a,) * m))
+        assert (group.betti, group.torsion) == (betti, torsion)
 
-        monkeypatch.setattr(homology, "_divisor_sums", no_divisor_sums)
-        bp = BPExponents((2,) + (3,) * n)
+    def test_fermat_closed_form_up_to_the_weight_bound(self):
+        # b((a,)^m) = ((a - 1)^m + (-1)^m (a - 1)) / a for every length
+        # up to the weight bound.
+        for a in range(2, 7):
+            for m in range(3, 65):
+                expected = ((a - 1) ** m + (-1) ** m * (a - 1)) // a
+                assert link_homology(BPExponents((a,) * m)).betti == expected, (a, m)
+
+    def test_no_merge_family_at_twelve_is_answered(self):
+        bp = no_merge_family(12)
+        assert betti_number(bp) == betti_oracle(*fractional_weights(bp.link))
+        with pytest.raises(DomainError, match="^torsion chain of 1103619686400 invariant"):
+            link_homology(bp)
+
+    def test_no_merge_family_at_twenty_is_refused_at_once(self):
+        bp = no_merge_family(20)
+        message = f"the divisor pass needs more than {homology._MAX_DIVISOR_WORK} state sums"
+        started = time.perf_counter()
         with pytest.raises(DomainError) as info:
             link_homology(bp)
+        assert time.perf_counter() - started < 2.0  # the whole pass: 4.4 * 10^7 state sums
         assert str(info.value) == message
-        record = run_pipeline(bp)
-        assert f"homology: {message}" in record.error.split("; ")
+        assert f"homology: {message}" in run_pipeline(bp).error.split("; ")
+
+    def test_work_cap_boundary(self, monkeypatch):
+        # The Betti pass over the family at k holds 1, 2, ..., 2^k states
+        # before its k + 1 indices: 2^(k+1) - 1 state sums in all.
+        bp = no_merge_family(8)
+        betti = betti_number(bp)
+        monkeypatch.setattr(homology, "_MAX_DIVISOR_WORK", 2**9 - 1)
+        assert betti_number(bp) == betti
+        monkeypatch.setattr(homology, "_MAX_DIVISOR_WORK", 2**9 - 2)
+        with pytest.raises(DomainError, match="divisor pass needs more than 510 state sums"):
+            betti_number(bp)
+
+    def test_pools_and_census_stay_far_below_the_cap(self, monkeypatch):
+        # Every presentation of the benchmark pools passes with a cap of
+        # 170 state sums, and every census link with 60.
+        pools = json.loads((Path(__file__).parents[1] / "bench/reference/pools.json").read_text())
+        texts = [
+            item["text"]
+            for items in pools.values()
+            if isinstance(items, list)
+            for item in items
+            if "text" in item
+        ]
+        assert len(texts) == 235
+        monkeypatch.setattr(homology, "_MAX_DIVISOR_WORK", 170)
+        for text in texts:
+            link_homology(parse_presentation(text))
+        monkeypatch.setattr(homology, "_MAX_DIVISOR_WORK", 60)
+        for enum in ((3, 30), (4, 12), (5, 7)):
+            for bp in enumerate_bp(*enum):
+                link_homology(bp)
 
     def test_long_torsion_chain_answered(self):
         # bp=2,p,p,p has (p-1)(p-2) invariant factors, all 2.
@@ -611,14 +657,20 @@ def lcm_class_coefficients(u, v) -> dict[int, Fraction]:
     Milnor and Orlik write the divisor of the characteristic polynomial as
     prod_i (Lambda_{u_i} / v_i - 1) with Lambda_a Lambda_b =
     gcd(a, b) Lambda_lcm(a, b), so Delta(t) = prod_L (t^L - 1)^{c_L}.
+    f(J) depends on J only through how many indices of each distinct pair
+    (u_i, v_i) it holds, so the J are counted by binomials over those
+    counts: a link of many equal weights has few terms.
     """
     m = len(u)
-    prod_u, prod_v, lcm_u = _subset_data(u, v)
+    pairs = Counter(zip(u, v))
     coefficients: dict[int, Fraction] = {}
-    for mask in range(1 << m):
-        ell = lcm_u[mask]
-        term = (-1) ** (m - mask.bit_count()) * Fraction(prod_u[mask], prod_v[mask] * ell)
-        coefficients[ell] = coefficients.get(ell, 0) + term
+    for counts in product(*(range(k + 1) for k in pairs.values())):
+        taken = [(x, y, c) for (x, y), c in zip(pairs, counts) if c]
+        ell = math.lcm(*(x for x, _, _ in taken))
+        subsets = math.prod(math.comb(k, c) for k, c in zip(pairs.values(), counts))
+        term = Fraction(math.prod(x**c for x, _, c in taken), math.prod(y**c for _, y, c in taken))
+        sign = (-1) ** (m - sum(counts))
+        coefficients[ell] = coefficients.get(ell, 0) + sign * subsets * term / ell
     return coefficients
 
 
@@ -665,6 +717,14 @@ class TestMilnorDelta:
                         flags[checked_sphere_applicability(WeightedLink(weights, d))] += 1
         assert flags[None] > 0
         assert (flags["proven"], flags["conjectural"]) == (71, 118)
+
+    def test_long_links_of_equal_exponents(self):
+        # Sigma(5, 2, ..., 2) with 41 twos is a homology sphere (conjectural
+        # only because the weights come without their bp source), and
+        # b((3,)^41) is the sum of the c_L.
+        sphere = BPExponents((5,) + (2,) * 41).link
+        assert checked_sphere_applicability(sphere) == "conjectural"
+        assert checked_sphere_applicability(BPExponents((3,) * 41).link) is None
 
 
 class TestSumConvention:

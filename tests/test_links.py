@@ -109,6 +109,31 @@ class TestBPExponents:
             BPExponents((2.9, 3, 5))
 
 
+class TestWeightBound:
+    """At most 64 weights or exponents, refused before any lcm is taken."""
+
+    def test_longest_links_are_built(self):
+        assert WeightedLink((1,) * 64, 64).n == 63
+        assert BPExponents((2,) * 64).link == WeightedLink((1,) * 64, 2)
+        assert parse_presentation("bp=" + ",".join(["3"] * 64)).n == 63
+
+    def test_one_more_is_refused(self):
+        with pytest.raises(DomainError, match=r"^need at most 64 weights, got 65$"):
+            WeightedLink((1,) * 65, 65)
+        with pytest.raises(DomainError, match=r"^need at most 64 exponents, got 65$"):
+            BPExponents((2,) * 65)
+        with pytest.raises(DomainError, match=r"^need at most 64 exponents, got 65$"):
+            parse_presentation("bp=" + ",".join(["3"] * 65))
+
+    def test_refused_before_any_lcm(self, monkeypatch):
+        def no_lcm(*numbers):
+            raise AssertionError("lcm taken for an overlong link")
+
+        monkeypatch.setattr(math, "lcm", no_lcm)
+        with pytest.raises(DomainError, match=r"^need at most 64 exponents, got 1000000$"):
+            BPExponents(range(2, 1_000_002))
+
+
 class TestTrichotomy:
     @pytest.mark.parametrize(
         "weights, degree, expected",
