@@ -1,19 +1,16 @@
 """Exact integer linear algebra for small matrices.
 
-Cone construction and lattice bookkeeping need Smith normal form with its
-unimodular row transform, exact ranks, determinants and linear solves.  All
-but the Smith form come from one routine, ``_echelon``: a fraction-free
-(Bareiss) row echelon form in plain Python ints, whose entries are minors
-of the input and never need a Fraction.
+Two routines do the elimination, both in plain Python ints on integer
+entries only (whatever ``operator.index`` accepts; anything else is a
+``DomainError``, so nothing is ever rounded or truncated):
 
-- ``det_int`` reads the last pivot of a square matrix;
-- ``_cramer_numerators`` back-substitutes in integers scaled by the
-  determinant of the pivot rows, which gives D x (Cramer's numerators);
-- ``solve_exact`` divides those by D, one Fraction per unknown.
-
-The Smith form and the elimination take integer entries only (whatever
-``operator.index`` accepts) and reject anything else as a
-``DomainError``, so nothing is ever rounded or truncated.
+- ``hermite_form`` runs Euclid's algorithm down each column and keeps its
+  unimodular row transform, whose last rows are a basis of the integer
+  left kernel; ``invariant_factors`` reads the Smith diagonal off Hermite
+  forms of alternate transposes (Cohen 1993, section 2.4);
+- ``_echelon`` is a fraction-free (Bareiss) row echelon form, whose
+  entries are minors of the input and never need a Fraction.  It gives
+  ``det_int`` and ``solve_exact`` (see ``_cramer_numerators``).
 """
 
 from __future__ import annotations
@@ -21,11 +18,13 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import DomainError
 
 __all__ = [
-    "smith_normal_form",
+    "hermite_form",
+    "invariant_factors",
     "det_int",
     "solve_exact",
     "primitive_vector",
@@ -44,14 +43,17 @@ def _identity(n: int) -> list[list[int]]:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def smith_normal_form(matrix):
-    """Return (U, D) with U @ matrix @ V = D diagonal, U and V unimodular.
+def hermite_form(matrix):
+    """Return (U, H) with U @ matrix = H in row Hermite form, U unimodular.
 
-    The diagonal entries of D are the invariant factors d_1 | d_2 | ...,
-    nonnegative, with zeros trailing.  Classic pivot-and-reduce algorithm;
-    the row transform U is carried along so callers can read off
-    coordinates on the cokernel.  No caller needs the column transform V,
-    so it is not formed.
+    Column by column, the rows at and below the current one run Euclid's
+    algorithm: a round pivots on the first entry of least absolute value
+    and reduces each row below by floor division.  In the first column,
+    whose order fixes the coordinates of every one-row weight matrix's
+    cone, a nonzero remainder becomes the pivot at once.  Later columns
+    keep one pivot per round: pivots chained through many rows would
+    multiply the entries of the columns after them.  The pivot is then
+    made positive and the rows above it are reduced modulo it.
     """
     A = _int_rows(matrix)
     m = len(A)
@@ -60,56 +62,49 @@ def smith_normal_form(matrix):
         raise DomainError("ragged matrix")
     U = _identity(m)
 
+    def add_row(src, dst, q):  # row_dst -= q * row_src
+        A[dst] = [a - q * b for a, b in zip(A[dst], A[src])]
+        U[dst] = [a - q * b for a, b in zip(U[dst], U[src])]
+
     def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, q):  # row_dst += q * row_src
-        A[dst] = [a + q * b for a, b in zip(A[dst], A[src])]
-        U[dst] = [a + q * b for a, b in zip(U[dst], U[src])]
+        A[i], A[j], U[i], U[j] = A[j], A[i], U[j], U[i]
 
     t = 0
-    while t < min(m, n):
-        # The first entry of least absolute value, row by row, is the pivot.
-        nonzero = ((abs(A[i][j]), i, j) for i in range(t, m) for j in range(t, n) if A[i][j])
-        pivot = min(nonzero, default=None)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[1])
-        swap_cols(t, pivot[2])
-        while True:
-            changed = False
-            for i in range(t + 1, m):
-                if A[i][t]:
-                    add_row(t, i, -(A[i][t] // A[t][t]))
-                    if A[i][t]:
-                        swap_rows(t, i)
-                        changed = True
-            for j in range(t + 1, n):
-                if A[t][j]:
-                    q = A[t][j] // A[t][t]
-                    for row in A:
-                        row[j] -= q * row[t]
-                    if A[t][j]:
-                        swap_cols(t, j)
-                        changed = True
-            if not changed:
+    for c in range(n):
+        while rows := [i for i in range(t, m) if A[i][c]]:
+            swap_rows(t, min(rows, key=lambda i: abs(A[i][c])))
+            if len(rows) == 1:
                 break
-        # Divisibility repair: d_t must divide the rest of the submatrix.
-        rest = range(t + 1, n)
-        stray = next((i for i in range(t + 1, m) if any(A[i][j] % A[t][t] for j in rest)), None)
-        if stray is not None:
-            add_row(stray, t, 1)
-            continue  # re-reduce at the same position
-        if A[t][t] < 0:
-            A[t] = [-x for x in A[t]]
-            U[t] = [-x for x in U[t]]
+            for i in range(t + 1, m):
+                if A[i][c]:
+                    add_row(t, i, A[i][c] // A[t][c])
+                    if A[i][c] and c == 0:
+                        swap_rows(t, i)
+        else:  # nothing at or below row t in this column
+            continue
+        if A[t][c] < 0:
+            A[t], U[t] = [-x for x in A[t]], [-x for x in U[t]]
+        for i in range(t):
+            add_row(t, i, A[i][c] // A[t][c])
         t += 1
     return U, A
+
+
+def invariant_factors(matrix) -> list[int]:
+    """The Smith diagonal d_1 | d_2 | ... of an integer matrix, zeros last.
+
+    Each Hermite form of the last one's transpose lowers the corner entry
+    to the gcd of its row, or leaves that row and column clear, so the
+    rounds end on a diagonal matrix.  The (gcd, lcm) of each pair of its
+    entries then orders them by divisibility.
+    """
+    h = hermite_form(matrix)[1]
+    while any(x for i, row in enumerate(h) for j, x in enumerate(row) if i != j):
+        h = hermite_form(list(zip(*h)))[1]
+    diag = [row[i] for i, row in enumerate(h) if i < len(row)]
+    for i, j in combinations(range(len(diag)), 2):
+        diag[i], diag[j] = math.gcd(diag[i], diag[j]), math.lcm(diag[i], diag[j])
+    return diag
 
 
 def _echelon(matrix) -> tuple[list[list[int]], list[int]]:

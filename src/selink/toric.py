@@ -62,13 +62,18 @@ from .intlinalg import (
     _identity,
     _int_rows,
     det_int,
+    hermite_form,
+    invariant_factors,
     primitive_vector,
-    smith_normal_form,
     solve_exact,
 )
 from .links import _index, parse_int
 
 __all__ = list(_EXPORTS["toric"])
+
+# Most coordinates a cone or weight matrix may have, like links._MAX_WEIGHTS.
+# The orthant of dimension 1000 took more than a minute to build.
+_MAX_DIMENSION = 64
 
 
 @dataclass(frozen=True)
@@ -89,6 +94,8 @@ class MomentCone:
         dim = len(self.normals[0])
         if dim < 2:
             raise DomainError("ambient dimension must be at least 2")
+        if dim > _MAX_DIMENSION:
+            raise DomainError(f"dimension {dim} exceeds the safety bound of {_MAX_DIMENSION}")
         cleaned = {}  # first-seen order
         for row in self.normals:
             if len(row) != dim:
@@ -624,8 +631,10 @@ class WeightMatrix:
     n: int
 
     def __post_init__(self):
-        rows = tuple(map(tuple, _int_rows(self.rows)))
         n = _index(self.n, "n")
+        if n > _MAX_DIMENSION:
+            raise DomainError(f"n = {n} columns exceeds the safety bound of {_MAX_DIMENSION}")
+        rows = tuple(map(tuple, _int_rows(self.rows)))
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "n", n)
         if self.n < 1:
@@ -641,8 +650,20 @@ class WeightMatrix:
         return len(self.rows)
 
 
+# Most work _check_minors may take: C(n, k) determinants of (k + 1)^3 units
+# each.  For two-digit entries a unit takes 0.1-0.3 us (Python 3.11 on a
+# Xeon core), and the slowest admitted check, 4 x 31, takes about a second.
+_MAX_MINOR_WORK = 4 * 10**6
+
+
 def _check_minors(omega: WeightMatrix):
     k = omega.k
+    count = math.comb(omega.n, k)
+    if count * (k + 1) ** 3 > _MAX_MINOR_WORK:
+        raise DomainError(
+            f"the C({omega.n}, {k}) = {count} minors of the weight matrix cost more "
+            f"than the limit of {_MAX_MINOR_WORK} units"
+        )
     for cols in combinations(range(omega.n), k):
         minor = [[row[c] for c in cols] for row in omega.rows]
         if det_int(minor) == 0:
@@ -652,29 +673,22 @@ def _check_minors(omega: WeightMatrix):
             )
 
 
-def _cokernel(omega: WeightMatrix):
-    """(U, torsion) from the Smith form U omega^T V of the transposed weights.
-
-    The last n - k rows of U give coordinates on the free part of
-    Z^n / rowspan(omega); torsion holds the invariant factors > 1.
-    """
-    transpose = [[row[j] for row in omega.rows] for j in range(omega.n)]
-    u, d = smith_normal_form(transpose)
-    return u, tuple(d[i][i] for i in range(omega.k) if d[i][i] > 1)
-
-
 def cone_from_weights(omega: WeightMatrix) -> MomentCone:
     """Moment cone of the symplectic quotient of C^n by the weight torus.
 
     The facet normals are the images of the standard basis under the
-    projection Z^n -> Z^n / rowspan(omega), expressed in coordinates on
-    the free quotient by the Smith form of ``_cokernel``, made primitive
-    and deduplicated.  Requires every k x k minor of omega to be nonzero.
-    A torsion cokernel (orbifold lattice) is reported as a warning; the
-    normals then live in the free quotient lattice.
+    projection Z^n -> Z^n / rowspan(omega), made primitive and
+    deduplicated.  One Hermite form U omega^T = H gives both parts of the
+    quotient: the last n - k rows of U, a basis of the integer kernel of
+    omega, are coordinates on its free part, and the invariant factors > 1
+    of the k x k block H[:k] are its torsion.  A torsion cokernel (orbifold
+    lattice) is reported as a warning; the normals then live in the free
+    quotient lattice.  Requires every k x k minor of omega to be nonzero,
+    checked within ``_MAX_MINOR_WORK``.
     """
     _check_minors(omega)
-    u, torsion = _cokernel(omega)
+    u, h = hermite_form([[row[j] for row in omega.rows] for j in range(omega.n)])
+    torsion = tuple(d for d in invariant_factors(h[: omega.k]) if d > 1)
     if torsion:
         warnings.warn(
             f"quotient lattice has torsion {torsion}; using the free quotient "
@@ -682,8 +696,7 @@ def cone_from_weights(omega: WeightMatrix) -> MomentCone:
             stacklevel=2,
         )
     # MomentCone makes the images primitive and drops repeats.
-    images = (tuple(row[alpha] for row in u[omega.k :]) for alpha in range(omega.n))
-    return MomentCone(tuple(images))
+    return MomentCone(tuple(zip(*u[omega.k :])))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import io
 import json
 import os
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
@@ -519,6 +520,44 @@ class TestToric:
             "xi=-2.21110255091,2.60555127545,2.60555127545 volume=0.286642489448 "
             "iterations=10 grad_norm=4.97687501013e-13\n"
         )
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            # A 4 x 6 matrix on which a pivot-and-reduce Smith form ran for
+            # more than 30 s.
+            (
+                "4 6\n100 22 20 56 -64 -25\n29 18 34 76 34 -45\n"
+                "-30 87 -75 49 -24 57\n-32 40 93 96 -47 -27\n",
+                (0, "gamma=- reason=inconsistent\n", ""),
+            ),
+            # The transpose of a 5 x 4 matrix that hung that Smith form too.
+            (
+                "4 5\n-99 -81 77 -79 45\n43 97 -48 0 0\n0 0 0 -77 -45\n"
+                "-10 -59 -72 83 -62\n",
+                (1, "", "error: ambient dimension must be at least 2\n"),
+            ),
+            # 7 bytes asking for the orthant of dimension 1000.
+            ("0 1000\n", (1, "", "error: n = 1000 columns exceeds the safety bound of 64\n")),
+            # C(30, 10) = 3.0e7 minors would take over an hour; these are
+            # refused before the first, which would vanish.
+            (
+                "10 30\n" + ("1 " * 30 + "\n") * 10,
+                (
+                    1,
+                    "",
+                    "error: the C(30, 10) = 30045015 minors of the weight matrix cost "
+                    "more than the limit of 4000000 units\n",
+                ),
+            ),
+        ],
+    )
+    def test_slow_weight_files_are_answered_at_once(self, capsys, tmp_path, text, expected):
+        path = tmp_path / "w.txt"
+        path.write_text(text)
+        start = time.perf_counter()
+        assert run(capsys, "toric", "gamma", str(path), "--weights") == expected
+        assert time.perf_counter() - start < 2
 
     def test_missing_query(self, capsys, conifold):
         rc, _, err = run(capsys, "toric")

@@ -7,6 +7,7 @@ together with the solve rule below that was built on it.
 """
 
 import math
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -17,7 +18,13 @@ from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_smith
 
 from selink import DomainError
-from selink.intlinalg import det_int, primitive_vector, smith_normal_form, solve_exact
+from selink.intlinalg import (
+    det_int,
+    hermite_form,
+    invariant_factors,
+    primitive_vector,
+    solve_exact,
+)
 from toric_oracles import rank_rational, rref, rref_kernel_vector
 
 
@@ -111,57 +118,91 @@ def matmul(a, b):
     ]
 
 
-class TestSmithNormalForm:
+def single_column_sweep(column):
+    """U of the one-column Euclid loop that cone_from_weights has used for k = 1.
+
+    The pivot is the first entry of least absolute value; every row below
+    is reduced by floor division, a nonzero remainder swaps in as the pivot
+    at once, and the sweeps repeat until nothing changes.  Its last rows
+    give the free-quotient coordinates of every one-row weight matrix, so
+    the Hermite form must make the same operations on one column.
+    """
+    a = list(column)
+    u = [[int(i == j) for j in range(len(a))] for i in range(len(a))]
+    if not any(a):
+        return u
+    p = min((abs(x), i) for i, x in enumerate(a) if x)[1]
+    a[0], a[p], u[0], u[p] = a[p], a[0], u[p], u[0]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(1, len(a)):
+            if a[i]:
+                q = a[i] // a[0]
+                a[i] -= q * a[0]
+                u[i] = [x - q * y for x, y in zip(u[i], u[0])]
+                if a[i]:
+                    a[0], a[i], u[0], u[i] = a[i], a[0], u[i], u[0]
+                    changed = True
+    if a[0] < 0:
+        u[0] = [-x for x in u[0]]
+    return u
+
+
+class TestHermiteForm:
     @given(int_matrices)
-    @settings(max_examples=120, deadline=None)
-    def test_factorization_and_divisibility(self, rows):
-        u, d = smith_normal_form(rows)
+    @settings(max_examples=200, deadline=None)
+    def test_transform_and_echelon_form(self, rows):
+        u, h = hermite_form(rows)
         assert abs(sympy.Matrix(u).det()) == 1
-        diag = [d[i][i] for i in range(min(len(d), len(d[0])))]
-        # A unimodular V with U A V = D exists iff U A = D W for a unimodular
-        # W = V^-1: rows r.. of U A vanish, and rows i < r are d_i times the
-        # rows of an integer matrix that extends to a unimodular one, which
-        # is one whose Smith diagonal is all 1.
-        r = sum(1 for x in diag if x)
-        ua = matmul(u, rows)
-        assert all(x == 0 for row in ua[r:] for x in row)
-        assert all(x % d_i == 0 for d_i, row in zip(diag[:r], ua) for x in row)
-        if r:
-            w = sympy.Matrix([[x // d_i for x in row] for d_i, row in zip(diag, ua[:r])])
-            snf = sympy_smith(w)
-            assert [abs(snf[i, i]) for i in range(r)] == [1] * r
-        for i in range(len(d)):
-            for j in range(len(d[0])):
-                if i != j:
-                    assert d[i][j] == 0
-        assert all(x >= 0 for x in diag)
-        for a, b in zip(diag, diag[1:]):
-            if a == 0:
-                assert b == 0
-            else:
-                assert b % a == 0
+        assert matmul(u, rows) == h
+        # Echelon form: each pivot is positive, right of the pivot above it,
+        # with zeros below it and the entries above it reduced modulo it.
+        last = -1
+        for r, row in enumerate(h):
+            if not any(row):
+                assert not any(x for later in h[r:] for x in later)
+                break
+            c = next(j for j, x in enumerate(row) if x)
+            assert c > last and row[c] > 0
+            assert all(h[i][c] == 0 for i in range(r + 1, len(h)))
+            assert all(0 <= h[i][c] < row[c] for i in range(r))
+            last = c
+
+    @given(st.lists(st.integers(-30, 30), min_size=1, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_one_column_keeps_the_euclid_sweep(self, column):
+        u, _ = hermite_form([[x] for x in column])
+        assert u == single_column_sweep(column)
 
     @given(int_matrices)
-    @settings(max_examples=120, deadline=None)
-    def test_diagonal_matches_sympy(self, rows):
-        _, d = smith_normal_form(rows)
-        mine = [d[i][i] for i in range(min(len(d), len(d[0])))]
-        oracle = sympy.Matrix(rows)
+    @settings(max_examples=200, deadline=None)
+    def test_invariant_factors_match_sympy(self, rows):
+        mine = invariant_factors(rows)
         try:
-            snf = sympy_smith(oracle)
+            snf = sympy_smith(sympy.Matrix(rows))
         except Exception:  # sympy rejects some degenerate shapes
             return
-        theirs = [abs(snf[i, i]) for i in range(min(snf.shape))]
-        assert [abs(x) for x in mine] == theirs
+        assert mine == [abs(snf[i, i]) for i in range(min(snf.shape))]
 
     def test_known_example(self):
-        _, d = smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
-        assert [d[0][0], d[1][1], d[2][2]] == [2, 2, 156]
+        assert invariant_factors([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]) == [2, 2, 156]
+
+    def test_entries_stay_small_over_many_columns(self):
+        # A pivot swapped in at once in every column chains the rows and
+        # multiplies the later columns: so run, this 14 x 8 matrix did not
+        # finish in 20 s.  Its kernel rows (U[8:]) have about 20 bits here.
+        rng = random.Random(2)
+        rows = [[rng.randint(-10, 10) for _ in range(8)] for _ in range(14)]
+        u, h = hermite_form(rows)
+        assert matmul(u, rows) == h
+        assert max(abs(x) for row in u[8:] for x in row) < 2**40
 
     def test_rejects_non_integer_entries(self):
-        # int() would truncate these to D = [[1, 0], [0, 2]].
-        with pytest.raises(DomainError):
-            smith_normal_form([[Fraction(3, 2), 0], [0, 2.7]])
+        # int() would truncate these to H = [[1, 0], [0, 2]].
+        for helper in (hermite_form, invariant_factors):
+            with pytest.raises(DomainError):
+                helper([[Fraction(3, 2), 0], [0, 2.7]])
 
 
 class TestDeterminant:

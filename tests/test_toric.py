@@ -4,17 +4,21 @@ Volume values are cross-checked against Qhull (scipy.spatial.ConvexHull)
 on the slice polytope, a fully independent computation path.
 """
 
+import hashlib
+import itertools
 import math
 import random
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
+from sympy.matrices.normalforms import smith_normal_form as sympy_smith
 
 from selink import (
     ConvergenceError,
@@ -697,7 +701,7 @@ class TestWeightMatrices:
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_zero_weight_matrix_gives_orthant(self, n):
-        # No rows: the Smith normal form of the n x 0 transpose is U = I, and
+        # No rows: the Hermite form of the n x 0 transpose is U = I, and
         # there is no torsion, so no warning (conftest fails on a stray one).
         omega = WeightMatrix(rows=(), n=n)
         orthant = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
@@ -738,6 +742,131 @@ class TestWeightMatrices:
             cone = cone_from_weights(omega)
             assert gorenstein_gamma(cone).gamma is not None
             found += 1
+
+
+# k >= 2 weight matrices with nonzero minors, and their recorded torsion,
+# ray count and exact volume at the sum of the normals.  None of these
+# depends on the basis chosen for the free quotient.
+RECORDED_QUOTIENTS = [
+    (((2, 1, -2, 0, -1), (-1, -2, -1, -2, 6)), (), 4, Fraction(171, 10472)),
+    (((1, -3, -2, 2, 0, 2), (-3, 0, -2, 3, 1, 1)), (), 8, Fraction(239, 16302)),
+    (((0, 3, 3, -3, -3), (3, 3, -2, 0, -4)), (3,), 5, Fraction(33, 1120)),
+    (
+        ((2, -3, -3, 1, 1, 2), (2, -1, -1, 3, 2, -5), (-3, -1, 3, 0, -1, 2)),
+        (),
+        5,
+        Fraction(32686, 17986169),
+    ),
+    (
+        ((-1, -1, 0, -3, -3, 8), (2, 1, 2, 0, -2, -3), (-1, 1, -2, 1, 1, 0)),
+        (2,),
+        5,
+        Fraction(69, 10400),
+    ),
+    (((2, 0, -2, 2, 2, -4), (-2, 3, 1, 1, 2, -5)), (2,), 8, Fraction(251, 13860)),
+    (((-3, -1, -3, -2, 9), (1, 2, -2, 1, -2)), (), 3, Fraction(1, 108)),
+    (((0, 3, 1, 3, -7), (-2, 1, 3, -1, -1)), (2,), 4, Fraction(11, 540)),
+    (((4, 2, -4, 0, -2), (-2, -4, -2, -4, 12)), (2, 2), 4, Fraction(171, 10472)),
+    (((0, 6, 2, 6, -14), (-4, 2, 6, -2, -2)), (2, 4), 4, Fraction(11, 540)),
+    (((0, 6, 6, -6, -6), (6, 6, -4, 0, -8)), (2, 6), 5, Fraction(33, 1120)),
+]
+
+
+@st.composite
+def full_rank_weights(draw):
+    """k x n integer matrices of rank k, 2 <= k < n <= 6."""
+    n = draw(st.integers(3, 6))
+    k = draw(st.integers(2, n - 1))
+    entries = st.lists(st.integers(-6, 6), min_size=n, max_size=n)
+    rows = draw(st.lists(entries, min_size=k, max_size=k))
+    assume(sympy.Matrix(rows).rank() == k)
+    return tuple(map(tuple, rows))
+
+
+class TestQuotientLattice:
+    def test_calabi_yau_rows_keep_their_normals(self):
+        # Every row (a, b, c, -a-b-c) with entries in [-6, 6] and no zero
+        # entry: the normals hash to a recorded value, so one-row quotients
+        # keep the coordinates that catalogs and goldens print.
+        cones = []
+        for a, b, c in itertools.product(range(-6, 7), repeat=3):
+            row = (a, b, c, -a - b - c)
+            if 0 in row:
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # the torsion warning
+                cones.append(cone_from_weights(WeightMatrix((row,), 4)).normals)
+        assert len(cones) == 1638
+        digest = hashlib.sha256(repr(cones).encode()).hexdigest()
+        assert digest == "982c2b114be335ca56a62af737f8830a5ef2f31ea616137c7ebe207ce682053d"
+
+    @pytest.mark.parametrize("rows, torsion, rays, exact", RECORDED_QUOTIENTS)
+    def test_recorded_quotients(self, rows, torsion, rays, exact):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cone = cone_from_weights(WeightMatrix(rows, len(rows[0])))
+        warned = f"quotient lattice has torsion {torsion}; using the free quotient"
+        warned += " (orbifold lattice)"
+        assert [str(w.message) for w in caught] == ([warned] if torsion else [])
+        assert len(cone.rays) == rays
+        assert volume(cone, [sum(column) for column in zip(*cone.normals)]) == exact
+
+    @given(full_rank_weights())
+    @settings(max_examples=150, deadline=None)
+    def test_free_quotient_rows_are_a_saturated_kernel_basis(self, rows):
+        # cone_from_weights reads the free quotient off the last n - k rows
+        # of U in U omega^T = H, and the torsion off the block H[:k].
+        k, n = len(rows), len(rows[0])
+        u, h = intlinalg.hermite_form(list(zip(*rows)))
+        torsion = tuple(d for d in intlinalg.invariant_factors(h[:k]) if d > 1)
+        basis = u[k:]
+        assert len(basis) == n - k
+        assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in rows for vec in basis)
+        minors = (
+            sympy.Matrix([[vec[c] for c in cols] for vec in basis]).det()
+            for cols in itertools.combinations(range(n), n - k)
+        )
+        assert math.gcd(*minors) == 1
+        snf = sympy_smith(sympy.Matrix(rows))
+        assert torsion == tuple(abs(snf[i, i]) for i in range(k) if abs(snf[i, i]) > 1)
+
+
+class TestSizeBounds:
+    def test_dimension_bound(self):
+        bound = toric._MAX_DIMENSION
+        assert bound == 64
+        assert cone_from_weights(WeightMatrix((), bound)).dim == bound
+        assert orthant(bound).dim == bound
+        with pytest.raises(DomainError, match="^n = 65 columns exceeds the safety bound of 64$"):
+            WeightMatrix((), bound + 1)
+        message = "^dimension 65 exceeds the safety bound of 64$"
+        with pytest.raises(DomainError, match=message):
+            orthant(bound + 1)
+
+    def test_dimension_is_checked_before_the_rows(self, monkeypatch):
+        monkeypatch.setattr(toric, "_int_rows", None)
+        monkeypatch.setattr(toric, "primitive_vector", None)
+        with pytest.raises(DomainError, match="safety bound"):
+            WeightMatrix(((1,) * 1000,), 1000)
+        with pytest.raises(DomainError, match="safety bound"):
+            MomentCone(((1,) * 1000,))
+
+    def test_minor_work_cap_boundary(self, monkeypatch):
+        # The conifold row has C(4, 1) = 4 minors of (1 + 1)^3 = 8 units.
+        omega = WeightMatrix(((1, 1, -1, -1),), 4)
+        monkeypatch.setattr(toric, "_MAX_MINOR_WORK", 32)
+        assert len(cone_from_weights(omega).normals) == 4
+        monkeypatch.setattr(toric, "_MAX_MINOR_WORK", 31)
+        with pytest.raises(DomainError, match="^the C\\(4, 1\\) = 4 minors"):
+            cone_from_weights(omega)
+
+    def test_minor_work_cap_before_any_determinant(self, monkeypatch):
+        # C(30, 10) = 3.0e7 minors would take over an hour.
+        monkeypatch.setattr(toric, "det_int", None)
+        rows = tuple(tuple(range(j, j + 30)) for j in range(10))
+        message = "^the C\\(30, 10\\) = 30045015 minors of the weight matrix cost more "
+        with pytest.raises(DomainError, match=message):
+            cone_from_weights(WeightMatrix(rows, 30))
 
 
 class TestFileFormats:
