@@ -26,18 +26,23 @@ volume is then a finite sum
     V(xi) = sum over simplices |det(r_1 ... r_m)| / prod <xi, r_j>.
 
 The determinants are read off the triangulation's own recursion: one
-fraction-free elimination is carried down it, so a simplex only finishes
-its last small block.  For rational xi the sum is exact, over one common
-denominator, with a single Fraction at the end; inside the optimizer it
-is taken in floats.  One pass over the simplices at a point gives its
-float volume and simplex terms, which is all a line-search candidate
-needs.  At a point the optimizer accepts, the per-ray quotients and
-weights are derived from those terms once, and the closed-form gradient
-and Hessian, whose single-ray parts are grouped by ray, are read off
-them.  The float path is plain Python: a Newton step needs one linear
-solve of size m+1, done by Gaussian elimination.  Every float sum is
-added left to right by hand, never by sum(), which is compensated from
-Python 3.12 on, so the results do not depend on the Python version.
+fraction-free elimination is carried down it.  By Sylvester's identity a
+3 x 3 block of its rows is the simplex's determinant times the square of
+the pivot above, so a triangle of a polygon face costs one 3 x 3
+determinant and one exact division, and any other simplex finishes its
+own small block.  A triangulation of more than ``_MAX_SIMPLEX_WORK``
+units, simplices times dimension, is refused.  For rational xi the sum
+is exact, over one common denominator, with a single Fraction at the
+end; inside the optimizer it is taken in floats.  One pass over the
+simplices at a point gives its float volume and simplex terms, which is
+all a line-search candidate needs.  At a point the optimizer accepts,
+the per-ray quotients and weights are derived from those terms once,
+and the closed-form gradient and Hessian, whose single-ray parts are
+grouped by ray, are read off them.  The float path is plain Python: a
+Newton step needs one linear solve of size m+1, done by Gaussian
+elimination.  Every float sum is added left to right by hand, never by
+sum(), which is compensated from Python 3.12 on, so the results do not
+depend on the Python version.
 """
 
 from __future__ import annotations
@@ -74,6 +79,12 @@ __all__ = list(_EXPORTS["toric"])
 # Most coordinates a cone or weight matrix may have, like links._MAX_WEIGHTS.
 # The orthant of dimension 1000 took more than a minute to build.
 _MAX_DIMENSION = 64
+
+# Most work MomentCone._simplices may take, counted as simplices times the
+# dimension.  A unit takes about 2 us (Python 3.11 on a Xeon core); the
+# slowest admitted cones, such as the product of simplices with weight row
+# (1 x 9, -1 x 10) at 437580 units, take about a second.
+_MAX_SIMPLEX_WORK = 5 * 10**5
 
 
 @dataclass(frozen=True)
@@ -176,9 +187,8 @@ class MomentCone:
         rays.sort()
         masks = [0] * len(normals)
         for j, (_, zeros) in enumerate(rays):
-            for i in range(len(normals)):
-                if zeros >> i & 1:
-                    masks[i] |= 1 << j
+            for i in _set_bits(zeros):
+                masks[i] |= 1 << j
         return tuple(vec for vec, _ in rays), tuple(masks)
 
     @cached_property
@@ -191,30 +201,55 @@ class MomentCone:
         proper intersections with those masks, so the face lattice is read
         off the exact incidences and needs no further arithmetic.  Each face
         is coned from its lowest ray (the anchor) over the facets that miss
-        it, taken in the order of the normals.
+        it, taken in the order of the normals; a simplex lists its own rays
+        in ascending order, then the anchors above it, deepest first.
 
         Every simplex below a face contains the anchors above it, so the
         determinants come out of one fraction-free (Bareiss 1968)
-        elimination carried down the recursion.  A face that is not a
-        simplex pivots once on its anchor's reduced row, at its first
-        nonzero column not yet used, and reduces only the rows of the rays
-        in the facets it recurses into; that pivot is the divisor one level
-        down.  A simplicial face finishes its own square block the same way,
-        row by row, and its last pivot is the determinant up to sign.
+        elimination carried down the recursion.  A face of dimension d > 3
+        pivots once on its anchor's reduced row, at its first nonzero
+        column not yet used, and reduces only the rows of the rays in the
+        facets below it; that pivot is the divisor one level down.  Each
+        entry of a reduced row is a minor of the rays, so by Sylvester's
+        identity a 3 x 3 block of reduced rows is the determinant times
+        prev**2, prev the last pivot, and the division is exact.  A
+        polygon (d = 3) needs no pivot: its edges are its two-ray
+        intersections with the masks, and each triangle with the anchor is
+        one 3 x 3 determinant over prev**2.  A simplicial facet is finished
+        in its parent, by Bareiss steps down to such a 3 x 3 block.
+
+        Every simplex is appended once to one list, with the anchors passed
+        down as a tuple.  Past ``_MAX_SIMPLEX_WORK`` units, simplices times
+        the dimension, the triangulation is refused.
         """
         rays, masks = self._incidences
+        dim = self.dim
+        most = _MAX_SIMPLEX_WORK // dim
+        out = []
+
+        def check():
+            if len(out) > most:
+                raise DomainError(
+                    f"the triangulation of the cone has more than {most} simplices of "
+                    f"dimension {dim}, past the limit of {_MAX_SIMPLEX_WORK} units"
+                )
 
         # rows[j] is ray j reduced by the anchors above the face, over the d
         # columns they left unused; prev is the last of their pivots.
-        def triangulate(face: int, d: int, rows, prev: int):
-            if face.bit_count() == d:  # a simplex, pulled from its lowest ray too
-                members = _set_bits(face)
-                block = [rows[j] for j in members]
-                while len(block) > 1:
-                    prev, block = _eliminate(block[0], block[1:], prev)
-                return [(members, abs(block[0][0]))]
+        def triangulate(face: int, d: int, rows, prev: int, tail: tuple[int, ...]):
             anchor = (face & -face).bit_length() - 1
+            tail = (anchor, *tail)
             subs = dict.fromkeys(face & mask for mask in masks)  # in normal order
+            if d == 3:  # a polygon: its edges are the two-ray faces
+                top = rows[anchor]
+                square = prev * prev
+                for edge in subs:
+                    if edge.bit_count() == 2 and not edge >> anchor & 1:
+                        low = edge & -edge
+                        a, b = low.bit_length() - 1, (edge ^ low).bit_length() - 1
+                        out.append(((a, b, *tail), abs(_det3(top, rows[a], rows[b])) // square))
+                check()
+                return
             subs.pop(face, None)
             facets = []  # by decreasing size: a facet is in no larger one
             for sub in sorted(subs, key=int.bit_count, reverse=True):
@@ -227,13 +262,19 @@ class MomentCone:
             used = _set_bits(union)
             pivot, reduced = _eliminate(rows[anchor], [rows[j] for j in used], prev)
             reduced = dict(zip(used, reduced))
-            simplices = []
             for sub in below:
-                for tau, det in triangulate(sub, d - 1, reduced, pivot):
-                    simplices.append((tau + (anchor,), det))
-            return simplices
+                if sub.bit_count() == d - 1:  # a simplex
+                    members = _set_bits(sub)
+                    det = _simplex_det([reduced[j] for j in members], pivot)
+                    out.append(((*members, *tail), det))
+                else:
+                    triangulate(sub, d - 1, reduced, pivot, tail)
+                check()
 
-        return tuple(triangulate((1 << len(rays)) - 1, self.dim, rays, 1))
+        if len(rays) == dim:
+            return ((tuple(range(dim)), _simplex_det(rays, 1)),)
+        triangulate((1 << len(rays)) - 1, dim, rays, 1, ())
+        return tuple(out)
 
 
 def _set_bits(mask: int) -> tuple[int, ...]:
@@ -244,6 +285,27 @@ def _set_bits(mask: int) -> tuple[int, ...]:
         bits.append(low.bit_length() - 1)
         mask ^= low
     return tuple(bits)
+
+
+def _simplex_det(block, prev: int) -> int:
+    """|det| of a simplex from its rows reduced by the anchors above it.
+
+    prev is the last of their pivots.  Bareiss steps take the block down
+    to three rows, whose determinant is det * prev^2 by Sylvester's
+    identity; a cone of dimension 2 is a single 2 x 2 block.
+    """
+    while len(block) > 3:
+        prev, block = _eliminate(block[0], block[1:], prev)
+    if len(block) == 2:
+        (a0, a1), (b0, b1) = block
+        return abs(a0 * b1 - a1 * b0) // prev
+    return abs(_det3(*block)) // (prev * prev)
+
+
+def _det3(u, v, w) -> int:
+    """The 3 x 3 determinant of the rows u, v, w."""
+    (x, y, z), (a0, a1, a2), (b0, b1, b2) = u, v, w
+    return x * (a1 * b2 - a2 * b1) - y * (a0 * b2 - a2 * b0) + z * (a0 * b1 - a1 * b0)
 
 
 def _eliminate(top, rows, prev: int):
@@ -653,16 +715,21 @@ class WeightMatrix:
 # Most work _check_minors may take: C(n, k) determinants of (k + 1)^3 units
 # each.  For two-digit entries a unit takes 0.1-0.3 us (Python 3.11 on a
 # Xeon core), and the slowest admitted check, 4 x 31, takes about a second.
+# The elimination's entries grow to about k times the bits of the longest
+# entry; past 1024 bits, 16 words, a unit costs the square of that length.
 _MAX_MINOR_WORK = 4 * 10**6
 
 
 def _check_minors(omega: WeightMatrix):
     k = omega.k
     count = math.comb(omega.n, k)
-    if count * (k + 1) ** 3 > _MAX_MINOR_WORK:
+    bits = max((abs(x).bit_length() for row in omega.rows for x in row), default=0)
+    growth = max(1, k * bits / 1024) ** 2
+    if count * (k + 1) ** 3 * growth > _MAX_MINOR_WORK:
+        size = f" at {bits}-bit entries" if growth > 1 else ""
         raise DomainError(
             f"the C({omega.n}, {k}) = {count} minors of the weight matrix cost more "
-            f"than the limit of {_MAX_MINOR_WORK} units"
+            f"than the limit of {_MAX_MINOR_WORK} units{size}"
         )
     for cols in combinations(range(omega.n), k):
         minor = [[row[c] for c in cols] for row in omega.rows]

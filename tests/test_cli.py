@@ -539,6 +539,20 @@ class TestToric:
             ),
             # 7 bytes asking for the orthant of dimension 1000.
             ("0 1000\n", (1, "", "error: n = 1000 columns exceeds the safety bound of 64\n")),
+            # 4 x 31 with 1000-digit entries: its minors took a minute.
+            (
+                "4 31\n"
+                + "".join(
+                    " ".join(str(10**999 + j ** (i + 1)) for j in range(31)) + "\n"
+                    for i in range(4)
+                ),
+                (
+                    1,
+                    "",
+                    "error: the C(31, 4) = 31465 minors of the weight matrix cost more "
+                    "than the limit of 4000000 units at 3319-bit entries\n",
+                ),
+            ),
             # C(30, 10) = 3.0e7 minors would take over an hour; these are
             # refused before the first, which would vanish.
             (
@@ -558,6 +572,19 @@ class TestToric:
         start = time.perf_counter()
         assert run(capsys, "toric", "gamma", str(path), "--weights") == expected
         assert time.perf_counter() - start < 2
+
+    def test_huge_triangulation_is_refused(self, capsys, tmp_path):
+        # The weight row (1 x 13, -1 x 13) cuts out a cone over a product of
+        # two simplices with C(24, 12) = 2704156 simplices of dimension 25;
+        # its triangulation ran for more than 100 s.
+        path = tmp_path / "w.txt"
+        path.write_text("1 26\n" + "1 " * 13 + "-1 " * 13 + "\n")
+        assert run(capsys, "toric", "minimize", str(path), "--weights") == (
+            1,
+            "",
+            "error: the triangulation of the cone has more than 20000 simplices of "
+            "dimension 25, past the limit of 500000 units\n",
+        )
 
     def test_missing_query(self, capsys, conifold):
         rc, _, err = run(capsys, "toric")

@@ -135,6 +135,18 @@ def ypq_normals(p: int, q: int):
     return cone_from_weights(WeightMatrix(((p - q, p + q, -p, -p),), 4)).normals
 
 
+def non_simple_product(base, k: int):
+    """base x (k-orthant), with the orthant normals' sum as one more normal.
+
+    That sum vanishes on the whole base face, and two opposite base rays
+    share k+1 zero normals without being adjacent.
+    """
+    dim = len(base[0]) + k
+    units = [tuple(int(i == j) for i in range(dim)) for j in range(len(base[0]), dim)]
+    redundant = tuple(map(sum, zip(*units)))
+    return (*units, redundant, *(n + (0,) * k for n in base))
+
+
 def positive_combination(normals, coeffs):
     """sum_i c_i n_i; inside the dual cone when every c_i > 0."""
     return tuple(sum(c * n[i] for c, n in zip(coeffs, normals)) for i in range(len(normals[0])))
@@ -213,13 +225,22 @@ class TestCombinatoricsAgainstOracles:
     @pytest.mark.parametrize("base", [CONIFOLD.normals, DP3_NORMALS])
     @pytest.mark.parametrize("k", [2, 3])
     def test_non_simple_products(self, base, k):
-        # base x (k-orthant): the orthant normals' sum vanishes on the
-        # whole base face, and two opposite base rays share k+1 >= dim-2
-        # zero normals without being adjacent.
-        dim = len(base[0]) + k
-        units = [tuple(int(i == j) for i in range(dim)) for j in range(len(base[0]), dim)]
-        redundant = tuple(map(sum, zip(*units)))
-        assert_matches_oracle((*units, redundant, *(n + (0,) * k for n in base)))
+        assert_matches_oracle(non_simple_product(base, k))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(3, 6),
+        st.lists(st.integers(-8, 8), min_size=6, max_size=12, unique=True),
+        st.integers(0, 2),
+    )
+    def test_cyclic_cones_at_random_t(self, m, ts, k):
+        # Dimension 3 is one polygon, closed by 3 x 3 minors alone; the
+        # polygons of the higher cones divide them by the pivot above.  A
+        # product of a polygon with an orthant is not simple.
+        normals = tuple(tuple(t**i for i in range(m)) for t in ts)
+        if m == 3 and k:
+            normals = non_simple_product(normals, k)
+        assert_matches_oracle(normals)
 
     @settings(max_examples=300, deadline=None)
     @given(small_normal_sets())
@@ -867,6 +888,42 @@ class TestSizeBounds:
         message = "^the C\\(30, 10\\) = 30045015 minors of the weight matrix cost more "
         with pytest.raises(DomainError, match=message):
             cone_from_weights(WeightMatrix(rows, 30))
+
+    def test_minor_work_cap_counts_entry_length(self, monkeypatch):
+        # The elimination's entries grow to about k * 2048 bits here, so
+        # each unit counts (k * 2048 / 1024)^2 = 4 times: 4 minors of 8
+        # units at 2048-bit entries are 128.
+        omega = WeightMatrix(((2**2047, 1, -1, -1),), 4)
+        monkeypatch.setattr(toric, "_MAX_MINOR_WORK", 128)
+        assert len(cone_from_weights(omega).normals) == 4
+        monkeypatch.setattr(toric, "_MAX_MINOR_WORK", 127)
+        message = "^the C\\(4, 1\\) = 4 minors .* units at 2048-bit entries$"
+        with pytest.raises(DomainError, match=message):
+            cone_from_weights(omega)
+
+    def test_long_entries_are_refused_before_any_determinant(self, monkeypatch):
+        # 4 x 31 passes with two-digit entries in about a second; with
+        # 300-digit entries its check took 10 s.
+        monkeypatch.setattr(toric, "det_int", None)
+        rows = tuple(tuple(10**299 + j ** (i + 1) for j in range(31)) for i in range(4))
+        message = "^the C\\(31, 4\\) = 31465 minors .* units at 994-bit entries$"
+        with pytest.raises(DomainError, match=message):
+            cone_from_weights(WeightMatrix(rows, 31))
+
+    def test_simplex_work_cap_boundary(self, monkeypatch):
+        # The conifold has 2 simplices of dimension 3, 6 units.
+        monkeypatch.setattr(toric, "_MAX_SIMPLEX_WORK", 6)
+        assert len(MomentCone(CONIFOLD.normals)._simplices) == 2
+        monkeypatch.setattr(toric, "_MAX_SIMPLEX_WORK", 5)
+        message = "^the triangulation of the cone has more than 1 simplices of dimension 3, "
+        with pytest.raises(DomainError, match=message):
+            MomentCone(CONIFOLD.normals)._simplices
+
+    def test_simplex_work_cap_is_far_above_the_cyclic_cones(self):
+        # Cyclic (6, 12) is the largest triangulation in the benchmark pools.
+        cone = MomentCone(cyclic_normals(6, 12))
+        assert len(cone._simplices) == 341
+        assert 341 * 6 * 200 < toric._MAX_SIMPLEX_WORK
 
 
 class TestFileFormats:
