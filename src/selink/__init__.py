@@ -63,6 +63,28 @@ _EXPORTS = {
 __all__ = ["__version__", *(name for names in _EXPORTS.values() for name in names)]
 
 
+class _Value:
+    """Base of the package's immutable value classes.
+
+    A subclass's ``__init__`` checks its arguments and stores each field
+    once, in the instance ``__dict__``; ``__repr__`` prints the fields
+    that ``__match_args__`` names, in order.  Each subclass writes its own
+    ``__eq__`` and ``__hash__`` over a tuple of its fields.  No method is
+    generated: the standard library's generator imports ``inspect`` and
+    execs code for each class, which every command would pay at start.
+    """
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 def __getattr__(name):
     if name in _EXPORTS:
         return import_module(f".{name}", __name__)

@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from collections.abc import Iterable, Iterator
 from datetime import datetime, timezone
 from itertools import combinations_with_replacement
-from typing import Iterable, Iterator
 
 from . import _EXPORTS
 from ._version import __version__
@@ -62,26 +61,66 @@ _STAGE_ERRORS = (
 _MODULI_DEGREE_LIMIT = 100_000
 
 
-@dataclass
 class CatalogRecord:
+    """One catalog line: the presentation and what each stage derived from it.
+
+    The annotations are the field list, in order, and name each field's
+    type for from_dict.  A record is mutable, as run_pipeline fills it in
+    stage by stage, and so unhashable; its fields are its instance
+    ``__dict__``, which ==, repr and to_dict read.
+    """
+
     presentation: str
-    weights: tuple[int, ...] | None = None
-    degree: int | None = None
-    n: int | None = None
-    index: int | None = None
-    link_type: str | None = None
-    betti: int | None = None
-    torsion: tuple[int, ...] | None = None
-    applicability: str | None = None
-    status: str | None = None
-    rule: str | None = None
-    margin: str | None = None
-    smale: str | None = None
-    se_status: str | None = None
-    se_condition: str | None = None
-    casson: int | None = None
-    moduli: int | None = None
-    error: str | None = None
+    weights: tuple[int, ...] | None
+    degree: int | None
+    n: int | None
+    index: int | None
+    link_type: str | None
+    betti: int | None
+    torsion: tuple[int, ...] | None
+    applicability: str | None
+    status: str | None
+    rule: str | None
+    margin: str | None
+    smale: str | None
+    se_status: str | None
+    se_condition: str | None
+    casson: int | None
+    moduli: int | None
+    error: str | None
+
+    def __init__(
+        self, presentation, weights=None, degree=None, n=None, index=None, link_type=None,
+        betti=None, torsion=None, applicability=None, status=None, rule=None, margin=None,
+        smale=None, se_status=None, se_condition=None, casson=None, moduli=None, error=None,
+    ):
+        self.presentation = presentation
+        self.weights = weights
+        self.degree = degree
+        self.n = n
+        self.index = index
+        self.link_type = link_type
+        self.betti = betti
+        self.torsion = torsion
+        self.applicability = applicability
+        self.status = status
+        self.rule = rule
+        self.margin = margin
+        self.smale = smale
+        self.se_status = se_status
+        self.se_condition = se_condition
+        self.casson = casson
+        self.moduli = moduli
+        self.error = error
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
 
     def to_dict(self) -> dict:
         d = dict(vars(self))
@@ -127,8 +166,8 @@ _TYPE_CHECKS = {
 
 # Per record field: its type's check and name, and whether it may be None.
 _FIELD_CHECKS = {
-    f.name: (*_TYPE_CHECKS[f.type.split(" | ")[0]], f.default is None)
-    for f in fields(CatalogRecord)
+    name: (*_TYPE_CHECKS[annotation.split(" | ")[0]], annotation.endswith(" | None"))
+    for name, annotation in CatalogRecord.__annotations__.items()
 }
 
 

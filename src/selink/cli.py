@@ -18,15 +18,14 @@ import os
 import sys
 import warnings
 from contextlib import ExitStack
-from fractions import Fraction
 from itertools import islice
 
 from ._version import __version__
 from .errors import DomainError, InternalConsistencyError
-from .existence import STATUSES, decide_existence
-from .homology import PROVEN_SOURCES, link_homology
 from .links import (
     LINK_TYPES,
+    PROVEN_SOURCES,
+    STATUSES,
     BPExponents,
     _short_numbers,
     _shown,
@@ -112,6 +111,8 @@ def _parse_xi(text: str, option: str) -> tuple[Fraction, ...]:
     refused before any Fraction is built: Fraction('1e100000000') alone
     runs for minutes.
     """
+    from fractions import Fraction
+
     limit = sys.get_int_max_str_digits()
     tokens = text.split(",")
     for tok in tokens:
@@ -154,6 +155,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_homology(args) -> int:
+    from .homology import link_homology
+
     group = link_homology(_parse_args_presentation(args.presentation), source=args.source)
     if args.format == "text":
         print(f"b={group.betti} torsion={_torsion_string(group.torsion)} {group.applicability}")
@@ -171,6 +174,8 @@ def _cmd_homology(args) -> int:
 
 
 def _cmd_verdict(args) -> int:
+    from .existence import decide_existence
+
     obj = _parse_args_presentation(args.presentation)
     bp = obj if isinstance(obj, BPExponents) else None
     verdict = decide_existence(as_link(obj), bp)
@@ -188,6 +193,7 @@ def _cmd_verdict(args) -> int:
 
 def _cmd_dim5_name(args) -> int:
     from .dimension import smale_name
+    from .homology import link_homology
 
     group = link_homology(_parse_args_presentation(args.presentation))
     manifold = smale_name(group)
@@ -197,6 +203,7 @@ def _cmd_dim5_name(args) -> int:
 
 def _cmd_se_table(args) -> int:
     from .dimension import SmaleManifold, smale_name, table_lookup
+    from .homology import link_homology
 
     if args.presentation:
         if args.betti is not None or args.m is not None:

@@ -38,11 +38,10 @@ degree-long table is used instead when its exact cost bound is lower.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 
-from . import _EXPORTS
+from . import _EXPORTS, _Value
 from .errors import DomainError, InternalConsistencyError, NotSmaleFormError
 from .homology import HomologyGroup
 from .links import WeightedLink, _index
@@ -50,24 +49,35 @@ from .links import WeightedLink, _index
 __all__ = list(_EXPORTS["dimension"])
 
 
-@dataclass(frozen=True)
-class SmaleManifold:
+class SmaleManifold(_Value):
     """Normal form kM_inf # M_{m_1} # ... # M_{m_s} with m_i | m_{i+1}."""
 
+    __match_args__ = ("betti", "torsion_chain")
     betti: int
     torsion_chain: tuple[int, ...]  # ascending, each >= 2, m_i | m_{i+1}
 
-    def __post_init__(self):
-        if self.betti < 0:
-            raise DomainError(f"negative rank {self.betti}")
-        for m in self.torsion_chain:
+    def __init__(self, betti, torsion_chain):
+        if betti < 0:
+            raise DomainError(f"negative rank {betti}")
+        for m in torsion_chain:
             if m < 2:
                 raise DomainError(f"torsion label {m} < 2")
-        for a, b in zip(self.torsion_chain, self.torsion_chain[1:]):
+        for a, b in zip(torsion_chain, torsion_chain[1:]):
             if b % a != 0:
                 raise DomainError(
-                    f"labels {self.torsion_chain} do not form a divisibility chain"
+                    f"labels {torsion_chain} do not form a divisibility chain"
                 )
+        fields = self.__dict__
+        fields["betti"] = betti
+        fields["torsion_chain"] = torsion_chain
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.betti, self.torsion_chain) == (other.betti, other.torsion_chain)
+
+    def __hash__(self):
+        return hash((self.betti, self.torsion_chain))
 
     def name(self) -> str:
         parts = []
@@ -102,8 +112,7 @@ def smale_name(group: HomologyGroup) -> SmaleManifold:
     return SmaleManifold(betti=group.betti, torsion_chain=half[::-1])
 
 
-@dataclass(frozen=True)
-class TableLookup:
+class TableLookup(_Value):
     """Outcome of the 5-manifold Sasaki-Einstein classification table.
 
     status is "yes" (listed, condition satisfied), "unresolved" (listed
@@ -111,9 +120,26 @@ class TableLookup:
     the table is complete, so absent manifolds admit no such metric).
     """
 
+    __match_args__ = ("status", "row", "condition")
     status: str
-    row: str | None = None
-    condition: str | None = None
+    row: str | None
+    condition: str | None
+
+    def __init__(self, status, row=None, condition=None):
+        fields = self.__dict__
+        fields["status"] = status
+        fields["row"] = row
+        fields["condition"] = condition
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.status, self.row, self.condition) == (
+            other.status, other.row, other.condition
+        )
+
+    def __hash__(self):
+        return hash((self.status, self.row, self.condition))
 
 
 # Sporadic table entries given outright as admitting Sasaki-Einstein metrics.

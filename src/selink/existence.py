@@ -28,33 +28,46 @@ boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from . import _EXPORTS
+from . import _EXPORTS, _Value
 from .errors import DomainError, InternalConsistencyError
-from .links import BPExponents, WeightedLink, classify_type
+from .links import STATUSES, BPExponents, WeightedLink, classify_type
 
 __all__ = list(_EXPORTS["existence"])
 
-STATUSES = ("se_exists", "obstructed", "unknown", "eta_einstein_exists")
 RULES = ("ghigi_kollar", "lichnerowicz", "bp_klt_window", "crude_klt")
 
 
-@dataclass(frozen=True)
-class ExistenceVerdict:
+class ExistenceVerdict(_Value):
+    __match_args__ = ("link_type", "status", "rule", "margin")
     link_type: str
     status: str
-    rule: str | None = None
-    margin: Fraction | None = None
+    rule: str | None
+    margin: Fraction | None
 
-    def __post_init__(self):
-        if self.status not in STATUSES or self.rule not in (None, *RULES):
-            raise InternalConsistencyError(f"bad verdict {self.status}/{self.rule}")
+    def __init__(self, link_type, status, rule=None, margin=None):
+        if status not in STATUSES or rule not in (None, *RULES):
+            raise InternalConsistencyError(f"bad verdict {status}/{rule}")
         # A Sasaki-Einstein claim either way needs a positive link.
-        if self.status in ("se_exists", "obstructed") and self.link_type != "positive":
-            raise InternalConsistencyError(f"{self.status} on a {self.link_type} link")
+        if status in ("se_exists", "obstructed") and link_type != "positive":
+            raise InternalConsistencyError(f"{status} on a {link_type} link")
+        fields = self.__dict__
+        fields["link_type"] = link_type
+        fields["status"] = status
+        fields["rule"] = rule
+        fields["margin"] = margin
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.link_type, self.status, self.rule, self.margin) == (
+            other.link_type, other.status, other.rule, other.margin
+        )
+
+    def __hash__(self):
+        return hash((self.link_type, self.status, self.rule, self.margin))
 
 
 # Each rule has one exact slack, positive iff the rule fires;

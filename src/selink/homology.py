@@ -72,13 +72,13 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 
-from . import _EXPORTS
+from . import _EXPORTS, _Value
 from .errors import DomainError, InternalConsistencyError
 from .links import (
+    PROVEN_SOURCES,
     BPExponents,
     WeightedLink,
     as_link,
@@ -86,9 +86,6 @@ from .links import (
 )
 
 __all__ = list(_EXPORTS["homology"])
-
-# Polynomial classes for which the torsion algorithm is an actual theorem.
-PROVEN_SOURCES = ("bp", "chain")
 
 # Invariant factors a torsion chain may hold.  Their number is the largest
 # multiplicity, which grows like the square of the exponents (bp=2,p,p,p
@@ -214,8 +211,7 @@ def betti_number(link: WeightedLink | BPExponents) -> int:
     return _betti(link, total, denominator)
 
 
-@dataclass(frozen=True)
-class OrlikTable:
+class OrlikTable(_Value):
     """The masks with c_S > 1, each with its c_S and rational multiplicity k_S.
 
     Bit i of a mask selects index i.  Every proper mask left out has
@@ -223,8 +219,22 @@ class OrlikTable:
     never an entry (its multiplicity vanishes identically).
     """
 
+    __match_args__ = ("size", "entries")
     size: int  # number of indices, n+1
     entries: tuple  # (mask, c, k) with c > 1 an int and k a Fraction, by mask
+
+    def __init__(self, size, entries):
+        fields = self.__dict__
+        fields["size"] = size
+        fields["entries"] = entries
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.size, self.entries) == (other.size, other.entries)
+
+    def __hash__(self):
+        return hash((self.size, self.entries))
 
 
 def _orlik_pass(link: WeightedLink) -> tuple[OrlikTable, int, int]:
@@ -300,28 +310,43 @@ def torsion_orders(table: OrlikTable) -> tuple[int, ...]:
     return tuple(orders)
 
 
-@dataclass(frozen=True)
-class HomologyGroup:
+class HomologyGroup(_Value):
     """H_{n-1}(L; Z) = Z^betti (+) sum of Z/d_j, with d_{j+1} | d_j."""
 
+    __match_args__ = ("betti", "torsion", "degree", "applicability")
     betti: int
     torsion: tuple[int, ...]
     degree: int  # homology degree n-1
     applicability: str  # "proven" | "conjectural"
 
-    def __post_init__(self):
-        if self.betti < 0:
-            raise InternalConsistencyError(f"negative Betti number {self.betti}")
+    def __init__(self, betti, torsion, degree, applicability):
+        if betti < 0:
+            raise InternalConsistencyError(f"negative Betti number {betti}")
         # Equal neighbours divide each other once they are >= 2, so the
         # pairs are checked on runs: a long chain has few distinct values.
-        runs = self.torsion[:1] + tuple(k for k, _ in groupby(self.torsion[1:]))
+        runs = torsion[:1] + tuple(k for k, _ in groupby(torsion[1:]))
         tail = runs[1:]
         if tail and (min(tail) < 2 or any(map(operator.mod, runs, tail))):
             raise InternalConsistencyError(
-                f"torsion {self.torsion} is not a pruned divisibility chain"
+                f"torsion {torsion} is not a pruned divisibility chain"
             )
-        if self.torsion and self.torsion[-1] < 2:
-            raise InternalConsistencyError(f"trivial torsion factor in {self.torsion}")
+        if torsion and torsion[-1] < 2:
+            raise InternalConsistencyError(f"trivial torsion factor in {torsion}")
+        fields = self.__dict__
+        fields["betti"] = betti
+        fields["torsion"] = torsion
+        fields["degree"] = degree
+        fields["applicability"] = applicability
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.betti, self.torsion, self.degree, self.applicability) == (
+            other.betti, other.torsion, other.degree, other.applicability
+        )
+
+    def __hash__(self):
+        return hash((self.betti, self.torsion, self.degree, self.applicability))
 
 
 def link_homology(

@@ -25,17 +25,20 @@ from __future__ import annotations
 
 import math
 import operator
-import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import _EXPORTS
+from . import _EXPORTS, _Value
 from .errors import DomainError, InternalConsistencyError
 
 __all__ = list(_EXPORTS["links"])
 
+# Choice lists the CLI parser offers, kept here so that building it loads
+# neither homology nor existence: link types, the polynomial classes for
+# which the torsion algorithm is proven, and the verdict statuses.
 LINK_TYPES = ("positive", "negative", "null")
+PROVEN_SOURCES = ("bp", "chain")
+STATUSES = ("se_exists", "obstructed", "unknown", "eta_einstein_exists")
 
 # Most weights (or exponents) a link may have.  Each link layer is linear in
 # their number or has a work cap of its own; at 64, it takes milliseconds.
@@ -53,6 +56,8 @@ def _short_numbers(text: str) -> str:
     Applied where a DomainError's text leaves the program, so that an
     input of thousands of digits does not fill the error line.
     """
+    import re
+
     return re.sub(r"[0-9]{41,}", lambda run: run[0][:37] + "...", text)
 
 
@@ -88,8 +93,7 @@ def _check_length(values, what: str) -> None:
         raise DomainError(f"need at {bound} {what}, got {len(values)}")
 
 
-@dataclass(frozen=True)
-class WeightedLink:
+class WeightedLink(_Value):
     """A link presented by positive integer weights and a degree.
 
     The sign of the index |w| - d splits links into positive / negative /
@@ -97,18 +101,29 @@ class WeightedLink:
     see classify_type.
     """
 
+    __match_args__ = ("weights", "degree")
     weights: tuple[int, ...]
     degree: int
 
-    def __post_init__(self):
-        weights = tuple(_index(w, "weight") for w in self.weights)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "degree", _index(self.degree, "degree"))
+    def __init__(self, weights, degree):
+        weights = tuple(_index(w, "weight") for w in weights)
+        degree = _index(degree, "degree")
         _check_length(weights, "weights")
         if any(w < 1 for w in weights):
             raise DomainError(f"weights must be positive integers: {weights}")
-        if self.degree < 1:
-            raise DomainError(f"degree must be a positive integer: {self.degree}")
+        if degree < 1:
+            raise DomainError(f"degree must be a positive integer: {degree}")
+        fields = self.__dict__
+        fields["weights"] = weights
+        fields["degree"] = degree
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.weights, self.degree) == (other.weights, other.degree)
+
+    def __hash__(self):
+        return hash((self.weights, self.degree))
 
     @property
     def n(self) -> int:
@@ -132,27 +147,37 @@ class WeightedLink:
         return "w={} d={}".format(",".join(map(str, self.weights)), self.degree)
 
 
-@dataclass(frozen=True)
-class BPExponents:
+class BPExponents(_Value):
     """Brieskorn-Pham exponents a_i >= 2 for z_0^{a_0} + ... + z_n^{a_n}.
 
     Their link is built with them: d = lcm(a), w_i = d / a_i, so a_i w_i = d.
+    The link is derived, so it is left out of the repr, ==, and the hash.
     """
 
+    __match_args__ = ("exponents",)
     exponents: tuple[int, ...]
-    link: WeightedLink = field(init=False, repr=False, compare=False)
+    link: WeightedLink
 
-    def __post_init__(self):
-        exps = tuple(_index(a, "exponent") for a in self.exponents)
+    def __init__(self, exponents):
+        exps = tuple(_index(a, "exponent") for a in exponents)
         _check_length(exps, "exponents")
-        object.__setattr__(self, "exponents", exps)
+        fields = self.__dict__
+        fields["exponents"] = exps
         if any(a < 2 for a in exps):
             raise DomainError(f"exponents must all be >= 2: {exps}")
         d = math.lcm(*exps)
         weights = tuple(d // a for a in exps)
         if any(a * w != d for a, w in zip(exps, weights)):
             raise InternalConsistencyError(f"a * w != {d} for {self.presentation()}")
-        object.__setattr__(self, "link", WeightedLink(weights, d))
+        fields["link"] = WeightedLink(weights, d)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.exponents,) == (other.exponents,)
+
+    def __hash__(self):
+        return hash((self.exponents,))
 
     @property
     def n(self) -> int:

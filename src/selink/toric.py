@@ -49,12 +49,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations
 
-from . import _EXPORTS
+from . import _EXPORTS, _Value
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -87,38 +86,47 @@ _MAX_DIMENSION = 64
 _MAX_SIMPLEX_WORK = 5 * 10**5
 
 
-@dataclass(frozen=True)
-class MomentCone:
+class MomentCone(_Value):
     """C = {y : <y, normal_i> >= 0}, full-dimensional and strongly convex.
 
     Normals are normalized to primitive integer vectors and deduplicated
     on construction; validity is checked immediately (rank for strong
     convexity, then the exact extreme rays, whose sum must pair strictly
-    positively with every normal).
+    positively with every normal).  The rays and the triangulation are
+    cached in the instance ``__dict__`` beside the normals.
     """
 
+    __match_args__ = ("normals",)
     normals: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        if not self.normals:
+    def __init__(self, normals):
+        if not normals:
             raise DomainError("a cone needs at least one facet normal")
-        dim = len(self.normals[0])
+        dim = len(normals[0])
         if dim < 2:
             raise DomainError("ambient dimension must be at least 2")
         if dim > _MAX_DIMENSION:
             raise DomainError(f"dimension {dim} exceeds the safety bound of {_MAX_DIMENSION}")
         cleaned = {}  # first-seen order
-        for row in self.normals:
+        for row in normals:
             if len(row) != dim:
                 raise DomainError("facet normals of mixed dimension")
             cleaned[primitive_vector(row)] = None
-        object.__setattr__(self, "normals", tuple(cleaned))
+        self.__dict__["normals"] = tuple(cleaned)
         # Computing the rays checks strong convexity first.  Their sum lies in
         # the relative interior of this pointed cone; a normal vanishing there
         # vanishes on every ray, so the interior is empty.
         centre = [sum(column) for column in zip(*self.rays)]
         if any(_fdot(n, centre) <= 0 for n in self.normals):
             raise DomainError("cone is not full-dimensional (empty interior)")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.normals,) == (other.normals,)
+
+    def __hash__(self):
+        return hash((self.normals,))
 
     @property
     def dim(self) -> int:
@@ -220,8 +228,12 @@ class MomentCone:
 
         Every simplex is appended once to one list, with the anchors passed
         down as a tuple.  Past ``_MAX_SIMPLEX_WORK`` units, simplices times
-        the dimension, the triangulation is refused.
+        the dimension, the triangulation is refused.  The cone keeps the
+        refusal's text, so a later call raises the same DomainError at once.
         """
+        refusal = self.__dict__.get("_refusal")
+        if refusal is not None:
+            raise DomainError(refusal)
         rays, masks = self._incidences
         dim = self.dim
         most = _MAX_SIMPLEX_WORK // dim
@@ -229,10 +241,12 @@ class MomentCone:
 
         def check():
             if len(out) > most:
-                raise DomainError(
+                refusal = (
                     f"the triangulation of the cone has more than {most} simplices of "
                     f"dimension {dim}, past the limit of {_MAX_SIMPLEX_WORK} units"
                 )
+                self.__dict__["_refusal"] = refusal
+                raise DomainError(refusal)
 
         # rows[j] is ray j reduced by the anchors above the face, over the d
         # columns they left unused; prev is the last of their pivots.
@@ -327,16 +341,25 @@ def _eliminate(top, rows, prev: int):
     return pivot, reduced
 
 
-@dataclass(frozen=True)
-class ReebVector:
+class ReebVector(_Value):
     """A covector in the interior of the dual cone; entries exact or float."""
 
+    __match_args__ = ("components",)
     components: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
-        if not self.components:
+    def __init__(self, components):
+        components = tuple(components)
+        if not components:
             raise DomainError("empty Reeb vector")
+        self.__dict__["components"] = components
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.components,) == (other.components,)
+
+    def __hash__(self):
+        return hash((self.components,))
 
 
 def _coerce_xi(cone: MomentCone, xi) -> tuple:
@@ -484,10 +507,23 @@ def volume_hessian(cone: MomentCone, xi) -> tuple[tuple[float, ...], ...]:
     return _hessian(cone, table, _ray_parts(cone, table))
 
 
-@dataclass(frozen=True)
-class GorensteinResult:
+class GorensteinResult(_Value):
+    __match_args__ = ("gamma", "reason")
     gamma: tuple[int, ...] | None
-    reason: str | None = None  # "inconsistent" | "underdetermined" | "non-integral"
+    reason: str | None  # "inconsistent" | "underdetermined" | "non-integral"
+
+    def __init__(self, gamma, reason=None):
+        fields = self.__dict__
+        fields["gamma"] = gamma
+        fields["reason"] = reason
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.gamma, self.reason) == (other.gamma, other.reason)
+
+    def __hash__(self):
+        return hash((self.gamma, self.reason))
 
 
 def gorenstein_gamma(cone: MomentCone) -> GorensteinResult:
@@ -525,12 +561,29 @@ def reeb_slice_project(cone: MomentCone, gamma, xi):
     return tuple(x * scale for x in xi)
 
 
-@dataclass(frozen=True)
-class VolumeMinimum:
+class VolumeMinimum(_Value):
+    __match_args__ = ("reeb", "value", "iterations", "grad_norm")
     reeb: ReebVector
     value: float
     iterations: int
     grad_norm: float
+
+    def __init__(self, reeb, value, iterations, grad_norm):
+        fields = self.__dict__
+        fields["reeb"] = reeb
+        fields["value"] = value
+        fields["iterations"] = iterations
+        fields["grad_norm"] = grad_norm
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.reeb, self.value, self.iterations, self.grad_norm) == (
+            other.reeb, other.value, other.iterations, other.grad_norm
+        )
+
+    def __hash__(self):
+        return hash((self.reeb, self.value, self.iterations, self.grad_norm))
 
 
 def _solve(matrix, rhs) -> list[float] | None:
@@ -685,27 +738,36 @@ def minimize_volume(
 # Symplectic quotient construction: cones from weight matrices.
 
 
-@dataclass(frozen=True)
-class WeightMatrix:
+class WeightMatrix(_Value):
     """Integer k x n matrix of torus weights for a symplectic quotient."""
 
+    __match_args__ = ("rows", "n")
     rows: tuple[tuple[int, ...], ...]
     n: int
 
-    def __post_init__(self):
-        n = _index(self.n, "n")
+    def __init__(self, rows, n):
+        n = _index(n, "n")
         if n > _MAX_DIMENSION:
             raise DomainError(f"n = {n} columns exceeds the safety bound of {_MAX_DIMENSION}")
-        rows = tuple(map(tuple, _int_rows(self.rows)))
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "n", n)
-        if self.n < 1:
+        rows = tuple(map(tuple, _int_rows(rows)))
+        if n < 1:
             raise DomainError("weight matrix needs n >= 1 columns")
         for row in rows:
-            if len(row) != self.n:
-                raise DomainError(f"row {row} does not have {self.n} entries")
-        if len(rows) >= self.n:
+            if len(row) != n:
+                raise DomainError(f"row {row} does not have {n} entries")
+        if len(rows) >= n:
             raise DomainError("need strictly fewer rows than columns (k < n)")
+        fields = self.__dict__
+        fields["rows"] = rows
+        fields["n"] = n
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rows, self.n) == (other.rows, other.n)
+
+    def __hash__(self):
+        return hash((self.rows, self.n))
 
     @property
     def k(self) -> int:

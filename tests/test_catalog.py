@@ -9,6 +9,7 @@ round trip.
 """
 
 import dataclasses
+import inspect
 import io
 import json
 import math
@@ -37,6 +38,18 @@ from selink import (
     smale_name,
     table_lookup,
     write_catalog,
+)
+
+# The record's fields as its dataclass declared them, and that dataclass
+# rebuilt as an oracle for to_dict.
+RECORD_FIELDS = (
+    "presentation", "weights", "degree", "n", "index", "link_type", "betti", "torsion",
+    "applicability", "status", "rule", "margin", "smale", "se_status", "se_condition",
+    "casson", "moduli", "error",
+)
+OracleRecord = dataclasses.make_dataclass(
+    "OracleRecord",
+    [RECORD_FIELDS[0], *((name, object, None) for name in RECORD_FIELDS[1:])],
 )
 
 
@@ -82,14 +95,22 @@ class TestCatalogRecord:
             CatalogRecord.from_dict({"betti": 1})
 
     def test_optional_fields_may_be_none(self):
-        names = [f.name for f in dataclasses.fields(CatalogRecord)]
-        d = {name: None for name in names if name != "presentation"}
+        d = {name: None for name in RECORD_FIELDS if name != "presentation"}
         assert CatalogRecord.from_dict({"presentation": "x", **d}) == CatalogRecord("x")
+
+    def test_field_list_is_the_signature(self):
+        # The fields in the order the record's dataclass declared them.
+        parameters = inspect.signature(CatalogRecord).parameters
+        assert tuple(parameters) == RECORD_FIELDS
+        defaults = [p.default for p in parameters.values()]
+        assert defaults == [inspect.Parameter.empty] + [None] * (len(RECORD_FIELDS) - 1)
+        assert tuple(catalog._FIELD_CHECKS) == RECORD_FIELDS
 
     @staticmethod
     def _asdict_to_dict(record: CatalogRecord) -> dict:
         """The former to_dict, a deep copy through dataclasses.asdict: the oracle."""
-        d = dataclasses.asdict(record)
+        fields = {name: getattr(record, name) for name in RECORD_FIELDS}
+        d = dataclasses.asdict(OracleRecord(**fields))
         for key in ("weights", "torsion"):
             if d[key] is not None:
                 d[key] = list(d[key])
@@ -130,7 +151,7 @@ class TestRunPipeline:
         # The link is built once, with the exponents, and the verdict only
         # compares it; the fractional weights and the divisor pass run once,
         # for both the Betti sum and the Orlik table.
-        calls = dict.fromkeys(("__post_init__", "fractional_weights", "_divisor_sums"), 0)
+        calls = dict.fromkeys(("__init__", "fractional_weights", "_divisor_sums"), 0)
 
         def count(owner, name):
             fn = getattr(owner, name)
@@ -141,12 +162,12 @@ class TestRunPipeline:
 
             monkeypatch.setattr(owner, name, counted)
 
-        count(WeightedLink, "__post_init__")
+        count(WeightedLink, "__init__")
         count(homology, "fractional_weights")
         count(homology, "_divisor_sums")
         record = run_pipeline(BPExponents((2, 3, 4, 5)))
         assert (record.betti, record.torsion, record.error) == (0, (), None)
-        assert calls == {"__post_init__": 1, "fractional_weights": 1, "_divisor_sums": 1}
+        assert calls == {"__init__": 1, "fractional_weights": 1, "_divisor_sums": 1}
 
     def test_obstructed_example(self):
         record = run_pipeline("w=1,2,5,5,5 d=10")

@@ -8,6 +8,7 @@ also read for statements that ``python -O`` would strip.
 import ast
 from pathlib import Path
 
+import pytest
 from conftest import run_python
 
 
@@ -39,9 +40,12 @@ print("loaded:", loaded)
     ]
 
 
-def loaded_after(code: str) -> list[str]:
-    """The selink modules loaded in a fresh interpreter after running code."""
-    report = "import sys\nprint(sorted(m for m in sys.modules if m.startswith('selink')))"
+def loaded_after(code: str, packages=("selink",)) -> list[str]:
+    """The modules of the packages loaded in a fresh interpreter after running code."""
+    report = (
+        "import sys\n"
+        f"print(sorted(m for m in sys.modules if m.split('.')[0] in {packages!r}))"
+    )
     result = run_python(f"{code}\n{report}")
     assert result.returncode == 0, result.stderr
     return ast.literal_eval(result.stdout.splitlines()[-1])
@@ -66,6 +70,35 @@ def test_homology_command_loads_neither_catalog_nor_dimension():
     loaded = loaded_after("import selink.cli\nselink.cli.main(['homology', 'bp=3,3,3,3,3'])")
     assert "selink.homology" in loaded
     assert "selink.catalog" not in loaded and "selink.dimension" not in loaded
+
+
+# None of these loads dataclasses or inspect, whose import alone costs a
+# one-query process more time than its arithmetic.
+COLD_STARTS = {
+    "import selink.cli": "import selink.cli",
+    "import selink.toric": "import selink.toric",
+    "run_pipeline": "from selink import run_pipeline\nrun_pipeline('bp=2,3,5')",
+    "verdict": "import selink.cli\nselink.cli.main(['verdict', 'bp=2,3,5'])",
+    "homology": "import selink.cli\nselink.cli.main(['homology', 'bp=3,3,3,3,3'])",
+    "toric minimize": "import selink.cli\nselink.cli.main(['toric', 'minimize', {cone!r}])",
+}
+
+
+@pytest.mark.parametrize("name", COLD_STARTS)
+def test_cold_start_loads_no_code_generator(name, tmp_path):
+    cone_file = tmp_path / "conifold.txt"
+    cone_file.write_text("1 0 0\n1 1 0\n1 1 1\n1 0 1\n")
+    code = COLD_STARTS[name].format(cone=str(cone_file))
+    assert loaded_after(code, ("dataclasses", "inspect")) == []
+
+
+def test_toric_command_loads_no_link_layer(tmp_path):
+    cone_file = tmp_path / "conifold.txt"
+    cone_file.write_text("1 0 0\n1 1 0\n1 1 1\n1 0 1\n")
+    code = COLD_STARTS["toric minimize"].format(cone=str(cone_file))
+    loaded = loaded_after(code)
+    assert "selink.toric" in loaded
+    assert "selink.existence" not in loaded and "selink.homology" not in loaded
 
 
 def test_names_resolve_on_demand():

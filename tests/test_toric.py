@@ -919,6 +919,34 @@ class TestSizeBounds:
         with pytest.raises(DomainError, match=message):
             MomentCone(CONIFOLD.normals)._simplices
 
+    def test_refused_triangulation_is_refused_again_at_once(self, monkeypatch):
+        # The cone keeps the refusal: the volume and the minimizer called
+        # after it raise the same error without triangulating again.
+        cone = MomentCone(cyclic_normals(5, 12))
+        calls = []
+        real = toric._eliminate
+
+        def counting(*args):
+            calls.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(toric, "_eliminate", counting)
+        monkeypatch.setattr(toric, "_MAX_SIMPLEX_WORK", 100)
+        message = "the triangulation of the cone has more than 20 simplices of dimension 5, "
+        xi = [sum(column) for column in zip(*cone.normals)]
+        with pytest.raises(DomainError, match="^" + message) as first:
+            volume(cone, xi)
+        assert calls
+        made = len(calls)
+        with pytest.raises(DomainError) as second:
+            minimize_volume(cone)
+        with pytest.raises(DomainError) as third:
+            volume(cone, xi)
+        assert str(second.value) == str(third.value) == str(first.value)
+        assert len(calls) == made
+        monkeypatch.setattr(toric, "_MAX_SIMPLEX_WORK", 5 * 10**5)
+        assert len(MomentCone(cone.normals)._simplices) > 20  # a new cone starts afresh
+
     def test_simplex_work_cap_is_far_above_the_cyclic_cones(self):
         # Cyclic (6, 12) is the largest triangulation in the benchmark pools.
         cone = MomentCone(cyclic_normals(6, 12))
