@@ -67,7 +67,8 @@ class CatalogRecord:
     The annotations are the field list, in order, and name each field's
     type for from_dict.  A record is mutable, as run_pipeline fills it in
     stage by stage, and so unhashable; its fields are its instance
-    ``__dict__``, which ==, repr and to_dict read.
+    ``__dict__``, which == and repr read; to_dict takes the annotated
+    fields from it.
     """
 
     presentation: str
@@ -123,7 +124,13 @@ class CatalogRecord:
         return f"{type(self).__qualname__}({fields})"
 
     def to_dict(self) -> dict:
-        d = dict(vars(self))
+        """The annotated fields, the ones a catalog line holds.
+
+        An attribute a caller adds to a record is left out, so read_catalog
+        takes back every record write_catalog writes.
+        """
+        fields = vars(self)
+        d = {name: fields[name] for name in _FIELD_CHECKS}
         for key in ("weights", "torsion"):
             if d[key] is not None:
                 d[key] = list(d[key])
@@ -310,10 +317,11 @@ def write_catalog(records: Iterable[CatalogRecord], stream) -> int:
         "tool_version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
-    stream.write(json.dumps(header, sort_keys=True) + "\n")
+    encode = json.JSONEncoder(sort_keys=True).encode  # what json.dumps builds per call
+    stream.write(encode(header) + "\n")
     count = 0
     for record in records:
-        stream.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
+        stream.write(encode(record.to_dict()) + "\n")
         count += 1
     return count
 

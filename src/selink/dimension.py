@@ -38,7 +38,6 @@ degree-long table is used instead when its exact cost bound is lower.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import groupby
 
 from . import _EXPORTS, _Value
@@ -197,12 +196,35 @@ def table_lookup(manifold: SmaleManifold) -> TableLookup:
     return TableLookup("no")
 
 
-def _dedekind_sum(h: int, k: int) -> Fraction:
-    """s(h, k) for coprime h, k >= 1 by s(h, k) + s(k, h) = (h^2+k^2+1)/(12hk) - 1/4."""
+def _dedekind_sum_12k(h: int, k: int) -> int:
+    """12 k s(h, k) for coprime h, k >= 1, an integer, from Euclid's quotients.
+
+    Barkan, Hickerson; Knuth, TAOCP vol. 2, 3.3.3.  Reciprocity
+    s(h, k) + s(k, h) = (h^2 + k^2 + 1) / (12hk) - 1/4, carried along the
+    Euclidean remainders r_0 = k, r_1 = h mod k, r_{i-1} = a_i r_i + r_{i+1},
+    down to r_n = 1, telescopes to
+
+        12 k s(h, k) = k (a_1 - a_2 + ... +- a_n - 3 [n odd]) + r_1 + h',
+
+    with h' the inverse of h mod k taken in (0, k) for odd n and in
+    (-k, 0) for even n: h'/k is the alternating sum of the 1/(r_{i-1} r_i).
+    Every number stays below k^2.
+    """
     h %= k
     if h == 0:
-        return Fraction(0)
-    return Fraction(h * h + k * k + 1 - 3 * h * k, 12 * h * k) - _dedekind_sum(k, h)
+        return 0
+    inverse = pow(h, -1, k)
+    alternating, sign, x, y = 0, 1, k, h
+    while y:
+        q, r = divmod(x, y)
+        alternating += sign * q
+        sign = -sign
+        x, y = y, r
+    if sign == 1:  # n even
+        inverse -= k
+    else:
+        alternating -= 3
+    return k * alternating + h + inverse
 
 
 def casson_invariant(exponents) -> int:
@@ -211,7 +233,9 @@ def casson_invariant(exponents) -> int:
     The signature count over the open exponent box divided by 8, in the
     Fintushel-Stern / Neumann-Wahl closed form with a = a_0 a_1 a_2:
     8 lambda = (a/3)(sum 1/a_i^2 - 1) + 1/(3a) - 1 - 4 sum s(a/a_i, a_i).
-    Exact, so lambda(Sigma(2, 3, 5)) = -1.
+    Exact, so lambda(Sigma(2, 3, 5)) = -1.  Over the common denominator 3a
+    every term is an integer, with 4 s(a/a_i, a_i) = (12 a_i s) (a/a_i) / (3a),
+    so no Fraction is built.
     """
     a = tuple(_index(x, "exponent") for x in exponents)
     if len(a) != 3:
@@ -221,13 +245,18 @@ def casson_invariant(exponents) -> int:
     prod = math.prod(a)
     if math.lcm(*a) != prod:
         raise DomainError(f"exponents {a} are not pairwise coprime")
-    tau = Fraction(prod, 3) * (sum(Fraction(1, x * x) for x in a) - 1) - 1
-    tau += Fraction(1, 3 * prod) - 4 * sum(_dedekind_sum(prod // x, x) for x in a)
-    if tau.denominator != 1 or tau.numerator % 8 != 0:
+    denominator = 3 * prod
+    tau = 1 - prod * prod - denominator  # 3a tau
+    for x in a:
+        rest = prod // x
+        tau += rest * (rest - _dedekind_sum_12k(rest, x))
+    if tau % (8 * denominator):
+        g = math.gcd(tau, denominator)
+        shown = f"{tau // g}" if g == denominator else f"{tau // g}/{denominator // g}"
         raise InternalConsistencyError(
-            f"signature count {tau} for exponents {a} is not an integer divisible by 8"
+            f"signature count {shown} for exponents {a} is not an integer divisible by 8"
         )
-    return tau.numerator // 8
+    return tau // (8 * denominator)
 
 
 # Terms a continued fraction may have.  q = p - 1 gives p - 1 terms, each

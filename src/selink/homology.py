@@ -61,6 +61,13 @@ c_S > 1 are ever formed, and k_S is summed for those with eps = 1 alone.
 The torsion chain then costs O(F log F + r) for the F masks with c_S > 1.
 The definitional 2^m and 3^m loops live on in the tests as oracles.
 
+link_homology works in integers throughout: the divisor pass gives
+-D * k_S, so floor(k_S) = (-D k_S) // D, and the chain is built from those
+counts.  Fractions appear only in the public ``orlik_table``, whose k_S
+are built from the same integer sums, and in the text of a Betti sum that
+is not an integer; on the rest of a catalog record's path only the
+existence margins are Fractions.
+
 This torsion formula is a theorem for n = 2 and n = 3, for Brieskorn-Pham
 polynomials, and for iterated chain polynomials
 z_0^{a_0} + z_0 z_1^{a_1} + ... + z_{n-1} z_n^{a_n}; in general it is
@@ -237,21 +244,19 @@ class OrlikTable(_Value):
         return hash((self.size, self.entries))
 
 
-def _orlik_pass(link: WeightedLink) -> tuple[OrlikTable, int, int]:
-    """The Orlik table with the Betti sum D * b and D, from one divisor pass.
+def _orlik_pass(link: WeightedLink) -> tuple[dict[int, int], dict[int, int], int, int]:
+    """c_S per mask with c_S > 1, -D k_S per odd mask, the Betti sum D b, and D.
 
-    k_S is summed only where eps(n - s + 1) = 1, i.e. m - s is odd; there
-    (-1)^{s-|J|} = -(-1)^{m-|J|}, so k_S = -sums / D.  Elsewhere k_S = 0.
+    All integers, from one divisor pass.  k_S is summed only where
+    eps(n - s + 1) = 1, i.e. m - s is odd; there (-1)^{s-|J|} =
+    -(-1)^{m-|J|}, so -D k_S is the pass's own sum.  Every other k_S is 0.
     """
     u, v = fractional_weights(link)
     m = len(u)
     c = _orlik_c(u)
-    masks = sorted(c)
-    odd = [mask for mask in masks if (m - mask.bit_count()) % 2]
+    odd = [mask for mask in sorted(c) if (m - mask.bit_count()) % 2]
     sums, denominator = _divisor_sums(u, v, odd)
-    k = dict(zip(odd, sums[1:]))
-    entries = tuple((mask, c[mask], Fraction(-k.get(mask, 0), denominator)) for mask in masks)
-    return OrlikTable(size=m, entries=entries), sums[0], denominator
+    return c, dict(zip(odd, sums[1:])), sums[0], denominator
 
 
 def orlik_table(link: WeightedLink | BPExponents) -> OrlikTable:
@@ -269,27 +274,30 @@ def orlik_table(link: WeightedLink | BPExponents) -> OrlikTable:
     T_t = S, a positive integer, and it is 1 on every mask no threshold
     hits.  ``_orlik_c`` builds exactly that; it checks that the base
     rebuilds every u_j, and raises InternalConsistencyError if not.
+
+    The k_S are Fractions here, built from the integer sums of
+    ``_orlik_pass``; link_homology reads the same sums without them.
     """
-    return _orlik_pass(as_link(link))[0]
+    link = as_link(link)
+    c, sums, _, denominator = _orlik_pass(link)
+    entries = tuple(
+        (mask, c[mask], Fraction(-sums.get(mask, 0), denominator)) for mask in sorted(c)
+    )
+    return OrlikTable(size=len(link.weights), entries=entries)
 
 
-def torsion_orders(table: OrlikTable) -> tuple[int, ...]:
-    """Divisibility chain d_1, d_2, ... (descending, trivial factors pruned).
+def _torsion_chain(factors: list[tuple[int, int]]) -> tuple[int, ...]:
+    """d_1, d_2, ... from the pairs (floor(k_S), c_S) with k_S >= 1.
 
-    These are the invariant factors of the torsion, its canonical form.  A
-    chain longer than ``_MAX_TORSION_FACTORS`` is refused as a DomainError
-    before it is built.
+    Each c (> 1) divides d_j exactly for the integers j = 1..floor(k), so
+    the chain stops at the largest count, and a chain longer than
+    ``_MAX_TORSION_FACTORS`` is refused as a DomainError before it is
+    built.  Sweeping j from the largest count down with a running product,
+    d_j is d_{j+1} times the c whose count is exactly j: d stays the same
+    between consecutive counts, and it is > 1 from the top count on.  Equal
+    neighbours divide each other, so divisibility is checked once per
+    distinct value.
     """
-    # Each c (> 1) divides d_j exactly for the integers j = 1..floor(k), so
-    # the chain stops at the largest such count.
-    factors = [
-        (int(k), c)
-        for _, c, k in table.entries
-        if k.numerator >= k.denominator  # k >= 1, without Fraction's slow compare
-    ]
-    # Sweep j from the largest count down with a running product: d_j is
-    # d_{j+1} times the factors whose count is exactly j, so d stays the same
-    # between consecutive counts, and it is > 1 from the top count on.
     factors.sort(reverse=True)
     j = factors[0][0] if factors else 0  # the length of the chain
     if j > _MAX_TORSION_FACTORS:
@@ -299,15 +307,32 @@ def torsion_orders(table: OrlikTable) -> tuple[int, ...]:
         )
     orders = []  # d_r, d_{r-1}, ..., reversed below
     d = 1
-    for count, c in factors:
-        orders += [d] * (j - count)
+    for count, c in factors + [(0, 1)]:  # the last pair adds the run of d_1
+        if count < j:
+            if orders and d % orders[-1]:
+                raise InternalConsistencyError(
+                    f"torsion chain factor {d} not divisible by {orders[-1]}"
+                )
+            orders += [d] * (j - count)
         d *= c
         j = count
-    orders += [d] * j
     orders.reverse()
-    if any(map(operator.mod, orders, orders[1:])):
-        raise InternalConsistencyError(f"torsion chain {orders} not divisible")
     return tuple(orders)
+
+
+def torsion_orders(table: OrlikTable) -> tuple[int, ...]:
+    """Divisibility chain d_1, d_2, ... (descending, trivial factors pruned).
+
+    These are the invariant factors of the torsion, its canonical form.  A
+    chain longer than ``_MAX_TORSION_FACTORS`` is refused as a DomainError
+    before it is built.  The table's Fractions k enter only as the integer
+    counts floor(k) of those with k >= 1.
+    """
+    return _torsion_chain([
+        (k.numerator // k.denominator, c)
+        for _, c, k in table.entries
+        if k.numerator >= k.denominator
+    ])
 
 
 class HomologyGroup(_Value):
@@ -366,9 +391,12 @@ def link_homology(
     link = as_link(presentation)
     if source is not None and source not in PROVEN_SOURCES:
         raise DomainError(f"unknown source class {source!r}")
-    table, total, denominator = _orlik_pass(link)
+    c, sums, total, denominator = _orlik_pass(link)
     betti = _betti(link, total, denominator)
-    torsion = torsion_orders(table)
+    # k_S = -sums[S] / D, so floor(k_S) = -sums[S] // D, kept where k_S >= 1.
+    torsion = _torsion_chain(
+        [(-s // denominator, c[mask]) for mask, s in sums.items() if -s >= denominator]
+    )
     proven = link.n in (2, 3) or source in PROVEN_SOURCES
     return HomologyGroup(
         betti=betti,

@@ -377,6 +377,21 @@ class TestCatalogIO:
         assert "tool_version" in header and "timestamp" in header
         assert back == records
 
+    def test_attribute_added_by_a_caller_is_not_written(self):
+        # The catalog holds the annotated fields only, so the reader takes
+        # the record back; the lines are those of the plain record.
+        plain, noted = io.StringIO(), io.StringIO()
+        write_catalog(self._records(), plain)
+        records = self._records()
+        records[0].note = "x"
+        write_catalog(records, noted)
+        assert noted.getvalue().splitlines()[1:] == plain.getvalue().splitlines()[1:]
+        noted.seek(0)
+        _, back = read_catalog(noted)
+        assert back == self._records()
+        for line, record in zip(plain.getvalue().splitlines()[1:], back):
+            assert line == json.dumps(record.to_dict(), sort_keys=True)
+
     def test_header_is_first_line_json(self):
         buf = io.StringIO()
         write_catalog(self._records(), buf)

@@ -1200,6 +1200,14 @@ class TestExitCodes:
         assert rc == 2
         assert err.startswith("internal error:")
 
+    def test_fractional_betti_sum_text(self, capsys):
+        rc, out, err = run(capsys, "homology", "w=2,3,5", "d=11")
+        assert (rc, out) == (2, "")
+        assert err == (
+            "internal error: Betti sum for w=2,3,5 d=11 is 2/5, "
+            "expected a nonnegative integer\n"
+        )
+
     def test_bad_jobs_value(self, capsys):
         rc, _, err = run(capsys, "batch", "--jobs", "0", "--length", "3", "--max-exponent", "3")
         assert rc == 1

@@ -1,11 +1,13 @@
 """Dimension-specific tools: Smale names, the SE table, Casson numbers,
 tight contact counts, and monomial/moduli counting."""
 
+import json
 import math
 import time
 import warnings
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from selink import (
     BPExponents,
     DomainError,
     HomologyGroup,
+    InternalConsistencyError,
     NotSmaleFormError,
     SmaleManifold,
     WeightedLink,
@@ -259,6 +262,23 @@ def casson_lattice_count(a0, a1, a2) -> int:
     return tau // 8
 
 
+def dedekind_sum_oracle(h: int, k: int) -> Fraction:
+    """s(h, k) for coprime h, k >= 1 by reciprocity, recursing in Fractions."""
+    h %= k
+    if h == 0:
+        return Fraction(0)
+    return Fraction(h * h + k * k + 1 - 3 * h * k, 12 * h * k) - dedekind_sum_oracle(k, h)
+
+
+def casson_oracle(a) -> int:
+    """The Fintushel-Stern / Neumann-Wahl closed form, term by term in Fractions."""
+    prod = math.prod(a)
+    tau = Fraction(prod, 3) * (sum(Fraction(1, x * x) for x in a) - 1) - 1
+    tau += Fraction(1, 3 * prod) - 4 * sum(dedekind_sum_oracle(prod // x, x) for x in a)
+    assert tau.denominator == 1 and tau.numerator % 8 == 0
+    return tau.numerator // 8
+
+
 def coprime_box(b0, b1, b2):
     """Pairwise coprime a0 < a1 < a2 with a0 < b0, a1 < b1, a2 < b2."""
     for a0 in range(2, b0):
@@ -310,6 +330,50 @@ class TestCasson:
     @settings(max_examples=40, deadline=None)
     def test_against_lattice_count_random(self, triple):
         assert casson_invariant(triple) == casson_lattice_count(*triple)
+
+    def test_integer_dedekind_sum_against_reciprocity_oracle(self):
+        for k in range(2, 301):
+            for h in range(1, k):
+                if math.gcd(h, k) == 1:
+                    twelve_k_s = dimension._dedekind_sum_12k(h, k)
+                    assert Fraction(twelve_k_s, 12 * k) == dedekind_sum_oracle(h, k), (h, k)
+
+    def test_against_fraction_formula(self):
+        pools = json.loads(
+            (Path(__file__).parents[1] / "bench/reference/pools.json").read_text()
+        )
+        triples = [
+            tuple(item["exponents"])
+            for name in ("casson_medium", "casson_large")
+            for item in pools[name]
+        ]
+        assert len(triples) == 18
+        triples += [(2, 3, 6 * k + e) for k in range(1, 301) for e in (-1, 1)]
+        for triple in triples:
+            assert casson_invariant(triple) == casson_oracle(triple), triple
+
+    def test_builds_no_fraction(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Fraction was built")
+
+        monkeypatch.setattr(Fraction, "__new__", refuse)
+        assert not hasattr(dimension, "Fraction")
+        assert casson_invariant((7, 1999, 2003)) == -1143999
+        assert casson_invariant((2, 3, 6 * 10**8 + 1)) == -(10**8)
+
+    @pytest.mark.parametrize("twelve_k_s, shown", [(0, "-314/45"), (32, "-18")])
+    def test_signature_count_not_divisible_by_8(self, monkeypatch, twelve_k_s, shown):
+        # With 12 k s(h, k) replaced by a constant N on (2, 3, 5), 3a tau is
+        # -628 - 31 N: a fraction for N = 0, the integer -18 for N = 32.
+        monkeypatch.setattr(dimension, "_dedekind_sum_12k", lambda h, k: twelve_k_s)
+        message = (
+            f"signature count {shown} for exponents (2, 3, 5) "
+            "is not an integer divisible by 8"
+        )
+        with pytest.raises(InternalConsistencyError) as info:
+            casson_invariant((2, 3, 5))
+        assert str(info.value) == message
+        assert shown == str(Fraction(-628 - 31 * twelve_k_s, 90))
 
     def test_rejects_non_coprime(self):
         with pytest.raises(DomainError):

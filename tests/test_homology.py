@@ -29,6 +29,7 @@ from selink import (
     DomainError,
     HomologyGroup,
     InternalConsistencyError,
+    OrlikTable,
     WeightedLink,
     betti_number,
     enumerate_bp,
@@ -212,6 +213,52 @@ class TestOrlikTable:
         for _, c, k in table.entries:
             assert type(c) is int and c > 1
             assert type(k) is Fraction
+
+
+def pool_homology_texts() -> list[str]:
+    pools = json.loads((Path(__file__).parents[1] / "bench/reference/pools.json").read_text())
+    names = sorted(name for name in pools if name.startswith("homology_"))
+    return [item["text"] for name in names for item in pools[name]]
+
+
+class TestIntegerPath:
+    """link_homology's integer counts against the chain of the public Fraction table.
+
+    TestMoebiusAgainstOracle holds both to the definitional chain on the
+    hypothesis links.
+    """
+
+    def test_census_links(self):
+        for enum in ((3, 30), (4, 12), (5, 7)):
+            for bp in enumerate_bp(*enum):
+                assert link_homology(bp).torsion == torsion_orders(orlik_table(bp)), bp
+
+    def test_pool_links(self):
+        texts = pool_homology_texts()
+        assert len(texts) == 91
+        for text in texts:
+            link = parse_presentation(text)
+            assert link_homology(link).torsion == torsion_orders(orlik_table(link)), text
+
+    def test_builds_no_fraction(self, monkeypatch):
+        links = [*map(parse_presentation, pool_homology_texts()[::9]), *enumerate_bp(4, 8)]
+        expected = [link_homology(link) for link in links]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Fraction was built")
+
+        monkeypatch.setattr(homology, "Fraction", refuse)
+        monkeypatch.setattr(Fraction, "__new__", refuse)
+        assert [link_homology(link) for link in links] == expected
+
+    def test_chain_checks_divisibility(self):
+        # A hand-built table whose c are not integers: d_2 = 3/2 does not
+        # divide d_1 = 9/4.
+        c = Fraction(3, 2)
+        table = OrlikTable(3, ((0, c, Fraction(2)), (1, c, Fraction(1))))
+        message = "^torsion chain factor 9/4 not divisible by 3/2$"
+        with pytest.raises(InternalConsistencyError, match=message):
+            torsion_orders(table)
 
 
 class TestProperties:
