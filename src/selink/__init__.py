@@ -23,6 +23,7 @@ selink`` loads none of them, and a name asked of the package loads the
 module that defines it and what that module imports, nothing more.
 """
 
+import operator
 from importlib import import_module
 
 from ._version import __version__
@@ -67,12 +68,28 @@ class _Value:
     """Base of the package's immutable value classes.
 
     A subclass's ``__init__`` checks its arguments and stores each field
-    once, in the instance ``__dict__``; ``__repr__`` prints the fields
-    that ``__match_args__`` names, in order.  Each subclass writes its own
-    ``__eq__`` and ``__hash__`` over a tuple of its fields.  No method is
-    generated: the standard library's generator imports ``inspect`` and
-    execs code for each class, which every command would pay at start.
+    once, in the instance ``__dict__``.  ``==``, the hash and the repr all
+    read the fields that ``__match_args__`` names, in order, and nothing
+    else, as a frozen dataclass's would.  No method is generated: the
+    standard library's generator imports ``inspect`` and execs code for
+    each class, which every command would pay at start.
     """
+
+    def __init_subclass__(cls):
+        # The key is the field tuple, also for a single field, of which an
+        # attrgetter returns the bare value; neither form binds to self.
+        key = operator.attrgetter(*cls.__match_args__)
+        if len(cls.__match_args__) == 1:
+            key = staticmethod(lambda value, field=key: (field(value),))
+        cls._key = key
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)

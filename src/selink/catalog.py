@@ -23,6 +23,7 @@ import math
 from collections.abc import Iterable, Iterator
 from datetime import datetime, timezone
 from itertools import combinations_with_replacement
+from operator import attrgetter
 
 from . import _EXPORTS
 from ._version import __version__
@@ -66,9 +67,9 @@ class CatalogRecord:
 
     The annotations are the field list, in order, and name each field's
     type for from_dict.  A record is mutable, as run_pipeline fills it in
-    stage by stage, and so unhashable; its fields are its instance
-    ``__dict__``, which == and repr read; to_dict takes the annotated
-    fields from it.
+    stage by stage, and so unhashable.  ==, repr and to_dict read the
+    annotated fields and nothing else: an attribute a caller adds to a
+    record counts in none of them, as it counts in no catalog line.
     """
 
     presentation: str
@@ -117,10 +118,10 @@ class CatalogRecord:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return vars(self) == vars(other)
+        return _field_values(self) == _field_values(other)
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in _FIELD_CHECKS)
         return f"{type(self).__qualname__}({fields})"
 
     def to_dict(self) -> dict:
@@ -129,8 +130,7 @@ class CatalogRecord:
         An attribute a caller adds to a record is left out, so read_catalog
         takes back every record write_catalog writes.
         """
-        fields = vars(self)
-        d = {name: fields[name] for name in _FIELD_CHECKS}
+        d = dict(zip(_FIELD_CHECKS, _field_values(self)))
         for key in ("weights", "torsion"):
             if d[key] is not None:
                 d[key] = list(d[key])
@@ -176,6 +176,9 @@ _FIELD_CHECKS = {
     name: (*_TYPE_CHECKS[annotation.split(" | ")[0]], annotation.endswith(" | None"))
     for name, annotation in CatalogRecord.__annotations__.items()
 }
+
+# A record's annotated fields, in order: what ==, repr and to_dict read.
+_field_values = attrgetter(*_FIELD_CHECKS)
 
 
 def _stage_error(stage: str, exc: BaseException) -> str:

@@ -70,14 +70,6 @@ class SmaleManifold(_Value):
         fields["betti"] = betti
         fields["torsion_chain"] = torsion_chain
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.betti, self.torsion_chain) == (other.betti, other.torsion_chain)
-
-    def __hash__(self):
-        return hash((self.betti, self.torsion_chain))
-
     def name(self) -> str:
         parts = []
         if self.betti == 1:
@@ -129,16 +121,6 @@ class TableLookup(_Value):
         fields["status"] = status
         fields["row"] = row
         fields["condition"] = condition
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.status, self.row, self.condition) == (
-            other.status, other.row, other.condition
-        )
-
-    def __hash__(self):
-        return hash((self.status, self.row, self.condition))
 
 
 # Sporadic table entries given outright as admitting Sasaki-Einstein metrics.

@@ -59,16 +59,6 @@ class ExistenceVerdict(_Value):
         fields["rule"] = rule
         fields["margin"] = margin
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.link_type, self.status, self.rule, self.margin) == (
-            other.link_type, other.status, other.rule, other.margin
-        )
-
-    def __hash__(self):
-        return hash((self.link_type, self.status, self.rule, self.margin))
-
 
 # Each rule has one exact slack, positive iff the rule fires;
 # decide_existence tests its sign and takes each margin from it.

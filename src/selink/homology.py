@@ -235,14 +235,6 @@ class OrlikTable(_Value):
         fields["size"] = size
         fields["entries"] = entries
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.size, self.entries) == (other.size, other.entries)
-
-    def __hash__(self):
-        return hash((self.size, self.entries))
-
 
 def _orlik_pass(link: WeightedLink) -> tuple[dict[int, int], dict[int, int], int, int]:
     """c_S per mask with c_S > 1, -D k_S per odd mask, the Betti sum D b, and D.
@@ -362,16 +354,6 @@ class HomologyGroup(_Value):
         fields["torsion"] = torsion
         fields["degree"] = degree
         fields["applicability"] = applicability
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.betti, self.torsion, self.degree, self.applicability) == (
-            other.betti, other.torsion, other.degree, other.applicability
-        )
-
-    def __hash__(self):
-        return hash((self.betti, self.torsion, self.degree, self.applicability))
 
 
 def link_homology(

@@ -117,14 +117,6 @@ class WeightedLink(_Value):
         fields["weights"] = weights
         fields["degree"] = degree
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.weights, self.degree) == (other.weights, other.degree)
-
-    def __hash__(self):
-        return hash((self.weights, self.degree))
-
     @property
     def n(self) -> int:
         """Complex dimension of the hypersurface; the link has dimension 2n-1."""
@@ -170,14 +162,6 @@ class BPExponents(_Value):
         if any(a * w != d for a, w in zip(exps, weights)):
             raise InternalConsistencyError(f"a * w != {d} for {self.presentation()}")
         fields["link"] = WeightedLink(weights, d)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.exponents,) == (other.exponents,)
-
-    def __hash__(self):
-        return hash((self.exponents,))
 
     @property
     def n(self) -> int:

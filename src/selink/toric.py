@@ -120,14 +120,6 @@ class MomentCone(_Value):
         if any(_fdot(n, centre) <= 0 for n in self.normals):
             raise DomainError("cone is not full-dimensional (empty interior)")
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.normals,) == (other.normals,)
-
-    def __hash__(self):
-        return hash((self.normals,))
-
     @property
     def dim(self) -> int:
         return len(self.normals[0])
@@ -353,14 +345,6 @@ class ReebVector(_Value):
             raise DomainError("empty Reeb vector")
         self.__dict__["components"] = components
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.components,) == (other.components,)
-
-    def __hash__(self):
-        return hash((self.components,))
-
 
 def _coerce_xi(cone: MomentCone, xi) -> tuple:
     if isinstance(xi, ReebVector):
@@ -517,14 +501,6 @@ class GorensteinResult(_Value):
         fields["gamma"] = gamma
         fields["reason"] = reason
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.gamma, self.reason) == (other.gamma, other.reason)
-
-    def __hash__(self):
-        return hash((self.gamma, self.reason))
-
 
 def gorenstein_gamma(cone: MomentCone) -> GorensteinResult:
     """The integral vector with <normal_j, gamma> = -1 for every facet, if any.
@@ -574,16 +550,6 @@ class VolumeMinimum(_Value):
         fields["value"] = value
         fields["iterations"] = iterations
         fields["grad_norm"] = grad_norm
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.reeb, self.value, self.iterations, self.grad_norm) == (
-            other.reeb, other.value, other.iterations, other.grad_norm
-        )
-
-    def __hash__(self):
-        return hash((self.reeb, self.value, self.iterations, self.grad_norm))
 
 
 def _solve(matrix, rhs) -> list[float] | None:
@@ -760,14 +726,6 @@ class WeightMatrix(_Value):
         fields = self.__dict__
         fields["rows"] = rows
         fields["n"] = n
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.rows, self.n) == (other.rows, other.n)
-
-    def __hash__(self):
-        return hash((self.rows, self.n))
 
     @property
     def k(self) -> int:

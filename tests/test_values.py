@@ -1,17 +1,20 @@
 """Value semantics of the package's record classes.
 
-Each class is written by hand; a frozen dataclass with the same fields,
-built here, is the oracle for its repr, == and hash.  CatalogRecord stays
-mutable and unhashable, and the classes that cross a process boundary in
-a parallel batch pickle.
+Each value class writes its own __init__ and inherits ==, the hash and
+the repr from selink._Value, which read the fields its __match_args__
+names; a frozen dataclass with the same fields, built here, is the oracle
+for all three.  CatalogRecord stays mutable and unhashable, and the
+classes that cross a process boundary in a parallel batch pickle.
 """
 
 import dataclasses
 import pickle
 from fractions import Fraction
+from importlib import import_module
 
 import pytest
 
+import selink
 from selink import (
     BPExponents,
     CatalogRecord,
@@ -146,6 +149,25 @@ class TestFrozenValues:
         copy = pickle.loads(pickle.dumps(value))
         assert copy == value and repr(copy) == repr(value) and hash(copy) == hash(value)
 
+    def test_each_field_counts(self, name):
+        make, _ = VALUES[name]
+        value = make()
+        cls = type(value)
+        for field in cls.__match_args__:
+            # The same value but for one field, built past the checks in __init__.
+            copy = object.__new__(cls)
+            copy.__dict__.update(vars(value))
+            copy.__dict__[field] = object()
+            assert copy != value and value != copy, field
+            assert hash(copy) == hash(oracle(copy)), field
+
+
+def test_every_value_class_has_an_oracle():
+    for module in selink._EXPORTS:
+        import_module(f"selink.{module}")
+    built = {type(make()) for make, _ in VALUES.values()}
+    assert set(selink._Value.__subclasses__()) == built
+
 
 def test_bp_link_is_outside_repr_eq_and_hash():
     bp = BPExponents((2, 3, 5))
@@ -201,3 +223,11 @@ class TestCatalogRecord:
         record = self.record()
         copy = pickle.loads(pickle.dumps(record))
         assert copy == record and repr(copy) == repr(record)
+
+    def test_added_attribute_counts_in_neither_eq_nor_repr(self):
+        # A catalog line holds the annotated fields only; so do == and repr.
+        record = self.record()
+        record.note = "x"
+        assert CatalogRecord.from_dict(record.to_dict()) == record
+        assert record == self.record() and self.record() == record
+        assert repr(record) == repr(self.record())
