@@ -1,8 +1,6 @@
 """Exact integer linear algebra for small matrices.
 
-Two routines do the elimination, both in plain Python ints on integer
-entries only (whatever ``operator.index`` accepts; anything else is a
-``DomainError``, so nothing is ever rounded or truncated):
+Two routines do the elimination, both in plain Python ints:
 
 - ``hermite_form`` runs Euclid's algorithm down each column and keeps its
   unimodular row transform, whose last rows are a basis of the integer
@@ -10,14 +8,20 @@ entries only (whatever ``operator.index`` accepts; anything else is a
   forms of alternate transposes (Cohen 1993, section 2.4);
 - ``_echelon`` is a fraction-free (Bareiss) row echelon form, whose
   entries are minors of the input and never need a Fraction.  It gives
-  ``det_int`` and ``solve_exact`` (see ``_cramer_numerators``).
+  ``det_int``, and ``_cramer_numerators`` reads an exact solution off it
+  as integers over one determinant.
+
+Entries are validated once, at the public boundary: ``hermite_form``,
+``det_int`` and ``primitive_vector`` take integer entries only (whatever
+``operator.index`` accepts; anything else is a ``DomainError``, so nothing
+is ever rounded or truncated).  ``_echelon`` trusts the rows it is given:
+its callers pass rows they have already checked, of ints and one length.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 from itertools import combinations
 
 from .errors import DomainError
@@ -26,7 +30,6 @@ __all__ = [
     "hermite_form",
     "invariant_factors",
     "det_int",
-    "solve_exact",
     "primitive_vector",
 ]
 
@@ -118,31 +121,33 @@ def _echelon(matrix) -> tuple[list[list[int]], list[int]]:
     which keeps every leading minor's sign; the last pivot of a square
     nonsingular matrix is therefore its determinant, and the pivot of
     echelon row r is the leading (r+1) x (r+1) minor of the pivot columns.
+    The rows must be int sequences of one length; they are not checked.
     """
-    rows = _int_rows(matrix)
+    rows = list(matrix)
+    nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
-    if any(len(row) != ncols for row in rows):
-        raise DomainError("ragged matrix")
     pivots = []
     prev = 1
     r = 0
     for col in range(ncols):
-        if r == len(rows):
-            break
-        found = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if found is None:
+        for found in range(r, nrows):
+            if rows[found][col]:
+                break
+        else:  # nothing at or below row r in this column
             continue
         if found != r:
             rows[r], rows[found] = rows[found], [-x for x in rows[r]]
         top = rows[r]
         pv = top[col]
-        for i in range(r + 1, len(rows)):
+        for i in range(r + 1, nrows):
             row = rows[i]
             f = row[col]
             rows[i] = [(pv * a - f * b) // prev for a, b in zip(row, top)]
         prev = pv
         pivots.append(col)
         r += 1
+        if r == nrows:
+            break
     return rows, pivots
 
 
@@ -154,7 +159,7 @@ def det_int(matrix) -> int:
         raise DomainError("determinant needs a square matrix")
     if n == 0:
         return 1
-    rows, pivots = _echelon(matrix)
+    rows, pivots = _echelon(_int_rows(matrix))
     return rows[-1][-1] if len(pivots) == n else 0
 
 
@@ -169,31 +174,9 @@ def _cramer_numerators(rows, ncols: int, rhs: int) -> tuple[int, list[int]]:
     y = [0] * ncols
     for r in reversed(range(ncols)):
         row = rows[r]
-        s = det * row[rhs] - sum(row[c] * y[c] for c in range(r + 1, ncols))
+        s = det * row[rhs] - sum(map(operator.mul, row[r + 1 : ncols], y[r + 1 :]))
         y[r] = s // row[r]
     return det, y
-
-
-def solve_exact(matrix, rhs):
-    """Solve A x = b exactly over the rationals, for integer A and b.
-
-    Returns ("unique", x) with x a tuple of Fractions, or
-    ("inconsistent", None), or ("underdetermined", None).  A unique
-    solution is back-substituted in integers scaled by the determinant D
-    of the pivot rows (Cramer's numerators), then divided by D.
-    """
-    mat = [list(row) for row in matrix]
-    b = list(rhs)
-    if len(mat) != len(b):
-        raise DomainError("matrix and right-hand side differ in length")
-    ncols = len(mat[0]) if mat else 0
-    rows, pivots = _echelon([row + [bv] for row, bv in zip(mat, b)])
-    if ncols in pivots:
-        return "inconsistent", None
-    if len(pivots) < ncols:
-        return "underdetermined", None
-    det, y = _cramer_numerators(rows, ncols, ncols)
-    return "unique", tuple(Fraction(v, det) for v in y)
 
 
 def primitive_vector(vec) -> tuple[int, ...]:

@@ -18,10 +18,12 @@ the affine slice <xi, gamma> = -m has a unique minimum, the volume
 minimizing Reeb vector field.
 
 Combinatorics is exact: extreme rays are computed in integer arithmetic by
-the double-description method, adding one facet normal at a time, and the
-cone is decomposed once into simplicial subcones, read off the ray-facet
-incidences, whose index structure does not depend on xi.  The
-volume is then a finite sum
+the double-description method.  One elimination picks dim independent
+normals, one more gives the rays of their simplicial cone, each made
+primitive by one gcd, and the other normals are added one at a time, with
+each slack <h, r> an exact integer sum.  The cone is decomposed once into
+simplicial subcones, read off the ray-facet incidences, whose index
+structure does not depend on xi.  The volume is then a finite sum
 
     V(xi) = sum over simplices |det(r_1 ... r_m)| / prod <xi, r_j>.
 
@@ -33,16 +35,17 @@ determinant and one exact division, and any other simplex finishes its
 own small block.  A triangulation of more than ``_MAX_SIMPLEX_WORK``
 units, simplices times dimension, is refused.  For rational xi the sum
 is exact, over one common denominator, with a single Fraction at the
-end; inside the optimizer it is taken in floats.  One pass over the
-simplices at a point gives its float volume and simplex terms, which is
-all a line-search candidate needs.  At a point the optimizer accepts,
-the per-ray quotients and weights are derived from those terms once,
-and the closed-form gradient and Hessian, whose single-ray parts are
-grouped by ray, are read off them.  The float path is plain Python: a
-Newton step needs one linear solve of size m+1, done by Gaussian
-elimination.  Every float sum is added left to right by hand, never by
-sum(), which is compensated from Python 3.12 on, so the results do not
-depend on the Python version.
+end; inside the optimizer it is taken in floats, from ray entries and
+determinants converted once per call.  One pass over the simplices at a
+point gives its float volume and simplex terms, which is all a
+line-search candidate needs.  At a point the optimizer accepts, the
+per-ray quotients and weights are derived from those terms once, and the
+closed-form gradient and Hessian, whose single-ray parts are grouped by
+ray, are read off them.  The float path is plain Python: a Newton step
+needs one linear solve of size m+1, done by Gaussian elimination.  Every
+float sum is added left to right by hand, in ``_fdot`` or a local loop,
+never by sum(), which is compensated from Python 3.12 on, so the results
+do not depend on the Python version; only integer sums use sum().
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ import warnings
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations
+from operator import mul
 
 from . import _EXPORTS, _Value
 from .errors import (
@@ -65,11 +69,9 @@ from .intlinalg import (
     _echelon,
     _identity,
     _int_rows,
-    det_int,
     hermite_form,
     invariant_factors,
     primitive_vector,
-    solve_exact,
 )
 from .links import _index, parse_int
 
@@ -117,7 +119,7 @@ class MomentCone(_Value):
         # the relative interior of this pointed cone; a normal vanishing there
         # vanishes on every ray, so the interior is empty.
         centre = [sum(column) for column in zip(*self.rays)]
-        if any(_fdot(n, centre) <= 0 for n in self.normals):
+        if any(sum(map(mul, n, centre)) <= 0 for n in self.normals):
             raise DomainError("cone is not full-dimensional (empty interior)")
 
     @property
@@ -137,8 +139,8 @@ class MomentCone(_Value):
         first dim independent normals, the pivot columns of one elimination
         of the transposed normals, are the rows of a basis B; fewer than dim
         pivots means the cone contains a line.  The simplicial cone of B has
-        one ray off each row k: column k of adj(B) = det(B) B^-1, times the
-        sign of det B and made primitive.  One elimination of [B | I] gives
+        one ray off each row k: column k of adj(B) = det(B) B^-1, divided by
+        its gcd times the sign of det B.  One elimination of [B | I] gives
         them all.  The other normals h are added one at a time in input
         order: rays with <h, r> >= 0 stay, and every adjacent pair with
         <h, p> > 0 > <h, q> adds the primitive vector <h, p> q - <h, q> p.
@@ -157,14 +159,14 @@ class MomentCone(_Value):
         rays = []  # (primitive vector, zero set)
         for k, i in enumerate(basis):
             det, column = _cramer_numerators(echelon, dim, dim + k)
-            vec = primitive_vector([x if det > 0 else -x for x in column])
-            rays.append((vec, added & ~(1 << i)))
+            g = math.gcd(*column) if det > 0 else -math.gcd(*column)
+            rays.append((tuple(x // g for x in column), added & ~(1 << i)))
         for i, h in enumerate(normals):
             if added >> i & 1:
                 continue
             kept, pos, neg = [], [], []
             for vec, zeros in rays:
-                s = _fdot(h, vec)
+                s = sum(map(mul, h, vec))
                 if s > 0:
                     pos.append((vec, zeros, s))
                     kept.append((vec, zeros))
@@ -178,17 +180,24 @@ class MomentCone(_Value):
                     common = zp & zq
                     if common.bit_count() < dim - 2:
                         continue
-                    if sum(common & z == common for z in all_zeros) > 2:
-                        continue
-                    vec = [sp * b - sq * a for a, b in zip(p, q)]
-                    g = math.gcd(*vec)
-                    kept.append((tuple(x // g for x in vec), common | 1 << i))
+                    containing = 0  # p and q, and any third ray breaks adjacency
+                    for z in all_zeros:
+                        if common & z == common:
+                            containing += 1
+                            if containing > 2:
+                                break
+                    else:
+                        vec = [sp * b - sq * a for a, b in zip(p, q)]
+                        g = math.gcd(*vec)
+                        kept.append((tuple(x // g for x in vec), common | 1 << i))
             rays = kept
         rays.sort()
         masks = [0] * len(normals)
         for j, (_, zeros) in enumerate(rays):
-            for i in _set_bits(zeros):
-                masks[i] |= 1 << j
+            while zeros:
+                low = zeros & -zeros
+                masks[low.bit_length() - 1] |= 1 << j
+                zeros ^= low
         return tuple(vec for vec, _ in rays), tuple(masks)
 
     @cached_property
@@ -346,12 +355,12 @@ class ReebVector(_Value):
         self.__dict__["components"] = components
 
 
-def _coerce_xi(cone: MomentCone, xi) -> tuple:
+def _coerce_xi(cone: MomentCone, xi, what: str = "Reeb vector") -> tuple:
     if isinstance(xi, ReebVector):
         xi = xi.components
     xi = tuple(xi)
     if len(xi) != cone.dim:
-        raise DomainError(f"Reeb vector has length {len(xi)}, cone needs {cone.dim}")
+        raise DomainError(f"{what} has length {len(xi)}, cone needs {cone.dim}")
     return xi
 
 
@@ -374,13 +383,18 @@ def _fdot(u, v):
     return total
 
 
-def _supports(cone: MomentCone, xi) -> list:
-    """<xi, r> for every extreme ray r; all must be positive."""
-    supports = [_fdot(xi, ray) for ray in cone.rays]
-    if any(s <= 0 for s in supports):
-        raise UnboundedPolytopeError(
-            "Reeb covector does not cut the cone to a bounded polytope"
-        )
+def _supports(rays, xi) -> list:
+    """<xi, r> for every ray r, added as _fdot adds; each must be > 0, so not NaN."""
+    supports = []
+    for ray in rays:
+        s = 0
+        for a, b in zip(xi, ray):
+            s += a * b
+        if not s > 0:
+            raise UnboundedPolytopeError(
+                "Reeb covector does not cut the cone to a bounded polytope"
+            )
+        supports.append(s)
     return supports
 
 
@@ -397,29 +411,29 @@ def volume(cone: MomentCone, xi):
     """
     xi = _coerce_xi(cone, xi)
     if not all(isinstance(x, (int, Fraction)) for x in xi):
-        return _checked_float_table(cone, xi)[0]
+        return _checked_float_table(cone, xi)[1][0]
     scale = math.lcm(*(x.denominator for x in xi))
-    supports = _supports(cone, [x.numerator * (scale // x.denominator) for x in xi])
-    denoms = [math.prod(supports[j] for j in simplex) for simplex, _ in cone._simplices]
+    supports = _supports(cone.rays, [x.numerator * (scale // x.denominator) for x in xi])
+    denoms = [math.prod(map(supports.__getitem__, simplex)) for simplex, _ in cone._simplices]
     common = math.lcm(*denoms)
-    total = sum(
-        det * (common // denom) for (_, det), denom in zip(cone._simplices, denoms)
-    )
+    total = sum(det * (common // denom) for (_, det), denom in zip(cone._simplices, denoms))
     return Fraction(total * scale**cone.dim, common)
 
 
-def _float_table(cone: MomentCone, xi):
+def _float_table(fcone, xi):
     """(volume, supports, terms): the float volume at xi and its summands.
 
-    The terms are det / prod_j <xi, r_j>, one per simplex, and the volume
-    adds them in simplex order by hand: sum() of floats is compensated from
-    Python 3.12 on and would round differently.
+    fcone is a _float_cone.  The terms are det / prod_j <xi, r_j>, one per
+    simplex, the product taken left to right, and the volume adds them in
+    simplex order by hand: sum() of floats is compensated from Python 3.12
+    on and would round differently.
     """
-    supports = _supports(cone, xi)
+    rays, simplices = fcone
+    supports = _supports(rays, xi)
     terms = []
     total = 0.0
-    for simplex, det in cone._simplices:
-        denom = 1
+    for simplex, det in simplices:
+        denom = 1  # math.prod takes longer on these few floats
         for j in simplex:
             denom *= supports[j]
         term = det / denom
@@ -428,7 +442,7 @@ def _float_table(cone: MomentCone, xi):
     return total, supports, terms
 
 
-def _ray_parts(cone: MomentCone, table):
+def _ray_parts(fcone, table):
     """(quotients, weights) of a _float_table, for the derivatives.
 
     A simplex's term has gradient -term * qs, with qs the sum over its rays
@@ -436,43 +450,49 @@ def _ray_parts(cone: MomentCone, table):
     The single-ray parts group by ray, with weight W_r the summed term of
     the simplices that contain r, added in simplex order.
     """
+    rays, simplices = fcone
     _, supports, terms = table
-    quotients = [[a / s for a in ray] for ray, s in zip(cone.rays, supports)]
+    quotients = [[a / s for a in ray] for ray, s in zip(rays, supports)]
     weights = [0.0] * len(supports)
-    for (simplex, _), term in zip(cone._simplices, terms):
+    for (simplex, _), term in zip(simplices, terms):
         for j in simplex:
             weights[j] += term
     return quotients, weights
 
 
 def _gradient(parts) -> tuple[float, ...]:
-    """-sum_r W_r q_r, from the _ray_parts of a point."""
+    """-sum_r W_r q_r, from the _ray_parts of a point, added ray by ray."""
     quotients, weights = parts
-    return tuple(-_fdot(weights, column) for column in zip(*quotients))
+    grad = []
+    for column in zip(*quotients):
+        total = 0
+        for w, x in zip(weights, column):
+            total += w * x
+        grad.append(-total)
+    return tuple(grad)
 
 
-def _hessian(cone: MomentCone, table, parts) -> tuple[tuple[float, ...], ...]:
-    """sum_r W_r q_r q_r^T, plus term * qs qs^T per simplex, at one point."""
-    dim = cone.dim
-    terms = table[2]
+def _hessian(fcone, table, parts) -> tuple[tuple[float, ...], ...]:
+    """sum_r W_r q_r q_r^T, plus term * qs qs^T per simplex, at one point.
+
+    The upper triangle adds (scale * v[a]) * v[b] by ray, then by simplex.
+    """
     quotients, weights = parts
-    hess = [[0.0] * dim for _ in range(dim)]
-
-    def add_outer(scale, v):  # hess += scale * v v^T, upper triangle
-        for a in range(dim):
-            sa = scale * v[a]
-            row = hess[a]
-            for b in range(a, dim):
-                row[b] += sa * v[b]
-
-    for w, q in zip(weights, quotients):
-        add_outer(w, q)
-    for (simplex, _), term in zip(cone._simplices, terms):
-        qs = [0.0] * dim  # column sums, ray by ray in simplex order
+    dim = len(quotients[0])
+    sums = []  # qs per simplex: column sums, ray by ray in simplex order
+    for simplex, _ in fcone[1]:
+        qs = [0.0] * dim
         for j in simplex:
             for a, x in enumerate(quotients[j]):
                 qs[a] += x
-        add_outer(term, qs)
+        sums.append(qs)
+    hess = [[0.0] * dim for _ in range(dim)]
+    upper = [(a, row, range(a, dim)) for a, row in enumerate(hess)]
+    for scale, v in chain(zip(weights, quotients), zip(table[2], sums)):
+        for a, row, columns in upper:
+            sa = scale * v[a]
+            for b in columns:
+                row[b] += sa * v[b]
     for a in range(dim):
         for b in range(a):
             hess[a][b] = hess[b][a]
@@ -481,14 +501,14 @@ def _hessian(cone: MomentCone, table, parts) -> tuple[tuple[float, ...], ...]:
 
 def volume_gradient(cone: MomentCone, xi) -> tuple[float, ...]:
     """Closed-form gradient of the normalized volume (float)."""
-    table = _checked_float_table(cone, xi)
-    return _gradient(_ray_parts(cone, table))
+    fcone, table = _checked_float_table(cone, xi)
+    return _gradient(_ray_parts(fcone, table))
 
 
 def volume_hessian(cone: MomentCone, xi) -> tuple[tuple[float, ...], ...]:
     """Closed-form Hessian of the normalized volume (float, symmetric)."""
-    table = _checked_float_table(cone, xi)
-    return _hessian(cone, table, _ray_parts(cone, table))
+    fcone, table = _checked_float_table(cone, xi)
+    return _hessian(fcone, table, _ray_parts(fcone, table))
 
 
 class GorensteinResult(_Value):
@@ -507,13 +527,19 @@ def gorenstein_gamma(cone: MomentCone) -> GorensteinResult:
 
     The solution of the linear system must be unique, integral and (then
     automatically) primitive; otherwise the failure reason is reported.
+    One elimination of [normals | -1] gives Cramer's numerators D gamma
+    over the determinant D, so gamma is integral iff D divides them all.
     """
-    status, sol = solve_exact(cone.normals, [-1] * len(cone.normals))
-    if status != "unique":
-        return GorensteinResult(None, status)
-    if any(f.denominator != 1 for f in sol):
+    dim = cone.dim
+    rows, pivots = _echelon([[*normal, -1] for normal in cone.normals])
+    if dim in pivots:
+        return GorensteinResult(None, "inconsistent")
+    if len(pivots) < dim:
+        return GorensteinResult(None, "underdetermined")
+    det, numerators = _cramer_numerators(rows, dim, dim)
+    if any(v % det for v in numerators):
         return GorensteinResult(None, "non-integral")
-    gamma = tuple(int(f) for f in sol)
+    gamma = tuple(v // det for v in numerators)
     if math.gcd(*gamma) != 1:
         raise InternalConsistencyError(f"Gorenstein vector {gamma} is not primitive")
     return GorensteinResult(gamma)
@@ -526,7 +552,7 @@ def reeb_slice_project(cone: MomentCone, gamma, xi):
     scaled onto the slice and is rejected.
     """
     xi = _coerce_xi(cone, xi)
-    gamma = tuple(gamma)
+    gamma = _coerce_xi(cone, gamma, "Gorenstein vector")
     pairing = _fdot(xi, gamma)
     if pairing >= 0:
         raise DomainError(
@@ -555,48 +581,65 @@ class VolumeMinimum(_Value):
 def _solve(matrix, rhs) -> list[float] | None:
     """Solve matrix @ x = rhs by Gaussian elimination with partial pivoting.
 
-    Returns None when a pivot is exactly zero (a singular matrix).
+    Returns None when a pivot is exactly zero (a singular matrix).  The
+    pivot is the first entry of largest absolute value; the rows below it
+    are reduced right of its column, since nothing reads that column again.
     """
     n = len(rhs)
     rows = [[*row, b] for row, b in zip(matrix, rhs)]
     for col in range(n):
-        pivot = max(range(col, n), key=lambda i: abs(rows[i][col]))
+        pivot, best = col, abs(rows[col][col])
+        for i in range(col + 1, n):
+            size = abs(rows[i][col])
+            if size > best:
+                pivot, best = i, size
         if rows[pivot][col] == 0.0:
             return None
         rows[col], rows[pivot] = rows[pivot], rows[col]
         head = rows[col]
+        lead = head[col]
         for row in rows[col + 1 :]:
-            factor = row[col] / head[col]
-            for k in range(col, n + 1):
+            factor = row[col] / lead
+            for k in range(col + 1, n + 1):
                 row[k] -= factor * head[k]
     x = [0.0] * n
     for i in reversed(range(n)):
-        x[i] = (rows[i][n] - _fdot(rows[i][i + 1 : n], x[i + 1 :])) / rows[i][i]
+        row = rows[i]
+        s = 0  # added as _fdot adds
+        for k in range(i + 1, n):
+            s += row[k] * x[k]
+        x[i] = (row[n] - s) / row[i]
     return x
 
 
 def _floats(values, what: str) -> tuple[float, ...]:
     """The values as floats; an integer beyond float range is a DomainError."""
     try:
-        return tuple(float(x) for x in values)
+        return tuple(map(float, values))
     except OverflowError:
         raise DomainError(f"{what} is outside float range") from None
 
 
-def _check_float_cone(cone: MomentCone) -> None:
-    """Refuse a cone whose ray entries or simplex determinants floats cannot hold.
+def _float_cone(cone: MomentCone):
+    """(rays, simplices) with float ray entries and simplex determinants.
 
-    Checked once per public float call, not in _float_table, which the
-    line search calls for every candidate.
+    Formed once per public float call, not in _float_table, which the line
+    search calls for every candidate.  An int times or over a float is
+    converted as float() converts it, so no product or quotient changes.
     """
-    determinants = (det for _, det in cone._simplices)
-    _floats(chain(*cone.rays, determinants), "a ray entry or simplex determinant of the cone")
+    try:
+        rays = [tuple(map(float, ray)) for ray in cone.rays]
+        return rays, [(simplex, float(det)) for simplex, det in cone._simplices]
+    except OverflowError:
+        raise DomainError(
+            "a ray entry or simplex determinant of the cone is outside float range"
+        ) from None
 
 
 def _checked_float_table(cone: MomentCone, xi):
-    """The _float_table at a caller's xi, once the cone and xi fit in floats."""
-    _check_float_cone(cone)
-    return _float_table(cone, _floats(_coerce_xi(cone, xi), "Reeb vector"))
+    """The _float_cone and its _float_table at a caller's xi, once both fit in floats."""
+    fcone = _float_cone(cone)
+    return fcone, _float_table(fcone, _floats(_coerce_xi(cone, xi), "Reeb vector"))
 
 
 # Newton iterations minimize_volume may take before it gives up.
@@ -633,7 +676,9 @@ def minimize_volume(
         if result.gamma is None:
             raise DomainError(f"cone has no Gorenstein vector ({result.reason})")
         gamma = result.gamma
-    _check_float_cone(cone)
+    else:
+        gamma = _coerce_xi(cone, gamma, "Gorenstein vector")
+    fcone = _float_cone(cone)
     g = _floats(gamma, "Gorenstein vector")
     if start is None:
         start = [sum(column) for column in zip(*cone.normals)]
@@ -642,34 +687,30 @@ def minimize_volume(
         raise DomainError("start point is not interior to the dual cone")
     xi = reeb_slice_project(cone, g, xi)
     g_norm2 = _fdot(g, g)
-    table = _float_table(cone, xi)
+    table = _float_table(fcone, xi)
     current = table[0]
     grad_norm = math.inf
     for iteration in range(1, _MAX_ITERATIONS + 1):
-        parts = _ray_parts(cone, table)
+        parts = _ray_parts(fcone, table)
         grad = _gradient(parts)
         along = _fdot(grad, g) / g_norm2
         tangent_grad = [a - along * b for a, b in zip(grad, g)]
         grad_norm = math.hypot(*tangent_grad)
         if grad_norm < grad_tol:
-            return VolumeMinimum(
-                reeb=ReebVector(xi),
-                value=current,
-                iterations=iteration - 1,
-                grad_norm=grad_norm,
-            )
-        hess = _hessian(cone, table, parts)
+            return VolumeMinimum(ReebVector(xi), current, iteration - 1, grad_norm)
+        hess = _hessian(fcone, table, parts)
         bordered = [[*row, b] for row, b in zip(hess, g)] + [[*g, 0.0]]
         solution = _solve(bordered, [-a for a in grad] + [0.0])
         step = None if solution is None else solution[:-1]
-        if step is None or _fdot(grad, step) > -1e-14 * grad_norm:
+        slope = None if step is None else _fdot(grad, step)
+        if slope is None or slope > -1e-14 * grad_norm:
             step = [-a for a in tangent_grad]
-        slope = _fdot(grad, step)
+            slope = _fdot(grad, step)
         alpha = 1.0
         while alpha > 1e-18:
-            candidate = tuple(x + alpha * s for x, s in zip(xi, step))
+            candidate = tuple([x + alpha * s for x, s in zip(xi, step)])
             try:
-                trial = _float_table(cone, candidate)
+                trial = _float_table(fcone, candidate)
             except UnboundedPolytopeError:
                 pass
             else:
@@ -751,9 +792,9 @@ def _check_minors(omega: WeightMatrix):
             f"the C({omega.n}, {k}) = {count} minors of the weight matrix cost more "
             f"than the limit of {_MAX_MINOR_WORK} units{size}"
         )
-    for cols in combinations(range(omega.n), k):
+    for cols in combinations(range(omega.n), k):  # WeightMatrix rows are ints
         minor = [[row[c] for c in cols] for row in omega.rows]
-        if det_int(minor) == 0:
+        if len(_echelon(minor)[1]) < k:
             raise DomainError(
                 f"weight matrix has a vanishing {k} x {k} minor at columns {cols}; "
                 "the quotient is not a good toric contact structure"

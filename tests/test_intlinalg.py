@@ -3,7 +3,9 @@
 The library computes ranks, determinants and solutions from one
 fraction-free (Bareiss) echelon form.  ``rref`` (in ``toric_oracles``) is
 the Fraction Gauss-Jordan it replaced, kept as an independent oracle
-together with the solve rule below that was built on it.
+together with the solve rule below that was built on it.  ``solve_exact``,
+the Fraction solve on that echelon form, is in ``toric_oracles`` too, as
+the oracle of ``gorenstein_gamma``; the tests below check it there.
 """
 
 import math
@@ -23,9 +25,8 @@ from selink.intlinalg import (
     hermite_form,
     invariant_factors,
     primitive_vector,
-    solve_exact,
 )
-from toric_oracles import rank_rational, rref, rref_kernel_vector
+from toric_oracles import rank_rational, rref, rref_kernel_vector, solve_exact
 
 
 def rref_solve(matrix, rhs):

@@ -11,6 +11,7 @@ import random
 import re
 import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -41,7 +42,13 @@ from selink import (
 
 from selink import intlinalg, toric
 from selink.toric import _solve
-from toric_oracles import oracle_cone, oracle_volume, simplex_gradient, simplex_hessian
+from toric_oracles import (
+    oracle_cone,
+    oracle_volume,
+    simplex_gradient,
+    simplex_hessian,
+    solve_exact,
+)
 from toric_potentials import guillemin_potential, potential_hessian
 
 ORTHANT3 = MomentCone(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
@@ -352,6 +359,15 @@ class TestVolume:
         with pytest.raises(DomainError, match="^Reeb vector is outside float range$"):
             function(y21, (10**400, 1, 1.0))
 
+    @pytest.mark.parametrize("function", [volume, volume_gradient, volume_hessian])
+    @pytest.mark.parametrize("xi", [(3, 1, math.nan), (math.nan, math.nan, math.nan)])
+    def test_nan_reeb_covector_is_unbounded(self, function, xi):
+        # A NaN support is not positive; it once passed a test for s <= 0
+        # and gave NaN values where reeb_is_interior says False.
+        assert not reeb_is_interior(CONIFOLD, xi)
+        with pytest.raises(UnboundedPolytopeError):
+            function(CONIFOLD, xi)
+
     def test_unbounded_outside_dual_cone(self):
         with pytest.raises(UnboundedPolytopeError):
             volume(orthant(3), (1, 1, 0))
@@ -517,6 +533,31 @@ class TestGorenstein:
         assert result.gamma is None
         assert result.reason == "inconsistent"
 
+    def test_underdetermined(self):
+        # The normals of a pointed cone have full rank, so only a stand-in
+        # with fewer normals than coordinates has this status.
+        stand_in = SimpleNamespace(normals=((1, 0, 0), (0, 1, 1)), dim=3)
+        assert_gamma_matches_oracle(stand_in)
+        assert gorenstein_gamma(stand_in).reason == "underdetermined"
+
+    def test_every_status_against_the_fraction_solve(self):
+        cones = [
+            *golden_cones(),
+            MomentCone(((1, 0), (2, 3))),
+            MomentCone(((1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 2))),
+        ]
+        reasons = {assert_gamma_matches_oracle(cone) for cone in cones}
+        assert reasons == {None, "non-integral", "inconsistent"}
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_normal_sets())
+    def test_random_cones_against_the_fraction_solve(self, normals):
+        try:
+            cone = MomentCone(normals)
+        except DomainError:
+            return
+        assert_gamma_matches_oracle(cone)
+
     def test_slice_projection_exact(self):
         gamma = (-1, 0, 0)
         xi = reeb_slice_project(CONIFOLD, gamma, (Fraction(2), Fraction(1), Fraction(1)))
@@ -526,6 +567,25 @@ class TestGorenstein:
     def test_slice_projection_rejects_wrong_side(self):
         with pytest.raises(DomainError):
             reeb_slice_project(CONIFOLD, (-1, 0, 0), (0, 1, 1))
+
+    def test_slice_projection_rejects_wrong_length_gamma(self):
+        # zip() would drop the third entry of xi and return a point.
+        message = "^Gorenstein vector has length 2, cone needs 3$"
+        with pytest.raises(DomainError, match=message):
+            reeb_slice_project(CONIFOLD, (-1, 0), (3, 1, 1))
+
+
+def assert_gamma_matches_oracle(cone):
+    """gorenstein_gamma as the Fraction solve of <normal, gamma> = -1 reads it."""
+    status, sol = solve_exact(cone.normals, [-1] * len(cone.normals))
+    if status == "unique" and any(f.denominator != 1 for f in sol):
+        status = "non-integral"
+    result = gorenstein_gamma(cone)
+    if status == "unique":
+        assert result.gamma == tuple(int(f) for f in sol) and result.reason is None
+    else:
+        assert result.gamma is None and result.reason == status
+    return result.reason
 
 
 class TestMinimize:
@@ -663,6 +723,14 @@ class TestMinimize:
         assert len(calls) == 11
         assert len({id(table) for table in calls}) == 11
 
+    def test_rejects_wrong_length_gamma_before_any_work(self, monkeypatch):
+        # zip() against xi once dropped the fourth entry, and the budget
+        # ran out into a ConvergenceError.
+        monkeypatch.setattr(toric, "_float_table", None)
+        message = "^Gorenstein vector has length 4, cone needs 3$"
+        with pytest.raises(DomainError, match=message):
+            minimize_volume(CONIFOLD, (-1, 0, 0, 5))
+
     @pytest.mark.parametrize("grad_tol", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_grad_tol_not_positive_and_finite(self, monkeypatch, grad_tol):
         # Refused before the first iteration; a zero or NaN tolerance
@@ -682,6 +750,31 @@ class TestMinimize:
         assert reeb_is_interior(cone, info.value.last_point)
         assert info.value.last_value == volume(cone, info.value.last_point)
         assert math.isfinite(info.value.grad_norm) and info.value.grad_norm > 0
+
+
+def golden_cones():
+    """The conifold, dP3, Y^{p,q} for p <= 6 and the bench pools' cyclic shapes."""
+    yield CONIFOLD
+    yield MomentCone(DP3_NORMALS)
+    for p in range(2, 7):
+        for q in range(1, p):
+            if math.gcd(p, q) == 1:
+                yield cone_from_weights(WeightMatrix(((p - q, p + q, -p, -p),), 4))
+    for m, count in ((4, 8), (4, 12), (5, 8), (5, 12), (6, 8), (6, 10), (6, 12)):
+        yield MomentCone(cyclic_normals(m, count))
+
+
+def test_toric_pipeline_is_bit_identical():
+    # Rays, incidences, simplices, the exact volume at the sum of the
+    # normals, gamma and every field of the minimum, float digits included.
+    digest = hashlib.sha256()
+    for cone in golden_cones():
+        xi0 = tuple(map(sum, zip(*cone.normals)))
+        gamma = gorenstein_gamma(cone)
+        minimum = None if gamma.gamma is None else minimize_volume(cone)
+        record = (*cone._incidences, cone._simplices, volume(cone, xi0), gamma, minimum)
+        digest.update(repr(record).encode())
+    assert digest.hexdigest() == "921ecc9c4597836a2afff0c1432bf562ec9f683afacddf4060dff59d29bb6786"
 
 
 class TestGuilleminPotential:
@@ -883,7 +976,7 @@ class TestSizeBounds:
 
     def test_minor_work_cap_before_any_determinant(self, monkeypatch):
         # C(30, 10) = 3.0e7 minors would take over an hour.
-        monkeypatch.setattr(toric, "det_int", None)
+        monkeypatch.setattr(toric, "_echelon", None)
         rows = tuple(tuple(range(j, j + 30)) for j in range(10))
         message = "^the C\\(30, 10\\) = 30045015 minors of the weight matrix cost more "
         with pytest.raises(DomainError, match=message):
@@ -904,7 +997,7 @@ class TestSizeBounds:
     def test_long_entries_are_refused_before_any_determinant(self, monkeypatch):
         # 4 x 31 passes with two-digit entries in about a second; with
         # 300-digit entries its check took 10 s.
-        monkeypatch.setattr(toric, "det_int", None)
+        monkeypatch.setattr(toric, "_echelon", None)
         rows = tuple(tuple(10**299 + j ** (i + 1) for j in range(31)) for i in range(4))
         message = "^the C\\(31, 4\\) = 31465 minors .* units at 994-bit entries$"
         with pytest.raises(DomainError, match=message):

@@ -11,6 +11,8 @@ one rank per candidate face) and serve as oracles only.  So do the
 per-simplex determinants, Fraction volume sum and float derivatives that
 the package now reads off one elimination down the triangulation and
 sums by ray, and the rank that it reads off the echelon form's pivots.
+``solve_exact`` is the Fraction solve that ``gorenstein_gamma`` made
+before it read Cramer's numerators off the echelon form in integers.
 """
 
 import math
@@ -18,12 +20,42 @@ from fractions import Fraction
 from itertools import combinations
 
 from selink import DomainError
-from selink.intlinalg import _echelon, det_int, primitive_vector
+from selink.intlinalg import _cramer_numerators, _echelon, _int_rows, det_int, primitive_vector
+
+
+def checked_rows(matrix) -> list[list[int]]:
+    """The matrix as int rows of one length, as the public helpers check theirs."""
+    rows = _int_rows(matrix)
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise DomainError("ragged matrix")
+    return rows
 
 
 def rank_rational(matrix) -> int:
     """Rank over the rationals of an integer matrix."""
-    return len(_echelon(matrix)[1])
+    return len(_echelon(checked_rows(matrix))[1])
+
+
+def solve_exact(matrix, rhs):
+    """Solve A x = b exactly over the rationals, for integer A and b.
+
+    Returns ("unique", x) with x a tuple of Fractions, or
+    ("inconsistent", None), or ("underdetermined", None).  A unique
+    solution is back-substituted in integers scaled by the determinant D
+    of the pivot rows (Cramer's numerators), then divided by D.
+    """
+    mat = [list(row) for row in matrix]
+    b = list(rhs)
+    if len(mat) != len(b):
+        raise DomainError("matrix and right-hand side differ in length")
+    ncols = len(mat[0]) if mat else 0
+    rows, pivots = _echelon(checked_rows([row + [bv] for row, bv in zip(mat, b)]))
+    if ncols in pivots:
+        return "inconsistent", None
+    if len(pivots) < ncols:
+        return "underdetermined", None
+    det, y = _cramer_numerators(rows, ncols, ncols)
+    return "unique", tuple(Fraction(v, det) for v in y)
 
 
 def rref(matrix):
