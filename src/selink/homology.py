@@ -44,24 +44,33 @@ torsion exactly when their chains are equal, and no prime factorization is
 needed to compare, halve or name a group.
 
 Read literally, both tables pair every S with every subset of S: 3^m
-pairs.  Neither is computed that way.  f(J) depends on J only through
+pairs.  Neither is computed that way; the Orlik pass (``_orlik_pass``) has
+two exact methods and picks one by the index count m.
+
+For m <= ``_SUBSET_MAX_INDICES`` it builds tables over all 2^m subsets
+(``_subset_tables``): the terms D * f(J) and the subset gcds by doubling
+over the indices, c as the multiplicative Moebius inverse of the
+complement gcds, and k_S as sums over the submasks of S.
+
+For larger m neither table is formed.  f(J) depends on J only through
 prod u_j/v_j and lcm(u_J): Milnor and Orlik ("Isolated singularities
 defined by weighted homogeneous polynomials", Topology 9, 1970) write the
 divisor of the characteristic polynomial as prod_i (Lambda_{u_i}/v_i - 1)
 with Lambda_a Lambda_b = gcd(a, b) Lambda_lcm(a, b).  So one pass over the
 indices, keeping per gcd class the signed sums over all J and over the J
 inside each needed S, gives the Betti sum and every k_S at once
-(``_divisor_sums``); link_homology makes that pass once per link.  The
-definition of c says that the product of c_J over all J in S is
-gcd(u_j : j not in S), and that Moebius inverse has a closed form (see
-``orlik_table``): over a pairwise coprime base of the u, found by gcd
-refinement without factoring, c_S collects one base element b per
-threshold t with S = {j : v_b(u_j) < t}.  So only the few masks with
+(``_divisor_sums``).  The definition of c says that the product of c_J
+over all J in S is gcd(u_j : j not in S), and that Moebius inverse has a
+closed form (see ``orlik_table``): over a pairwise coprime base of the u,
+found by gcd refinement without factoring, c_S collects one base element
+b per threshold t with S = {j : v_b(u_j) < t}.  So only the few masks with
 c_S > 1 are ever formed, and k_S is summed for those with eps = 1 alone.
-The torsion chain then costs O(F log F + r) for the F masks with c_S > 1.
-The definitional 2^m and 3^m loops live on in the tests as oracles.
 
-link_homology works in integers throughout: the divisor pass gives
+Either way link_homology makes one pass per link, and the torsion chain
+then costs O(F log F + r) for the F masks with c_S > 1.  The definitional
+3^m loops live on in the tests as oracles.
+
+link_homology works in integers throughout: the Orlik pass gives
 -D * k_S, so floor(k_S) = (-D k_S) // D, and the chain is built from those
 counts.  Fractions appear only in the public ``orlik_table``, whose k_S
 are built from the same integer sums, and in the text of a Betti sum that
@@ -102,6 +111,15 @@ _MAX_TORSION_FACTORS = 2 * 10**6
 # times their 1 + F sums.  Pool links need at most 170; numerators whose
 # gcd classes never merge double the states at every index and reach it.
 _MAX_DIVISOR_WORK = 5 * 10**5
+# Index counts up to which the Orlik pass builds its 2^m subset tables
+# instead of running the divisor pass.  Timed per Brieskorn-Pham link, the
+# two methods alternating (CPython 3.11, 2-core x86-64 VM): at m = 5 the
+# tables took 26 us against 43 us for the pass on random exponents 2..8,
+# and 25 against 30 us on Fermat links; at m = 6 the two were even on
+# exponents 2..8 (53 against 51 us) and the pass won on Fermat links (33
+# against 48 us); at m = 7, on exponents 2..12, the pass took 68 us
+# against 111 us.
+_SUBSET_MAX_INDICES = 5
 
 
 def _divisor_sums(u: tuple[int, ...], v: tuple[int, ...], masks=()) -> tuple[list[int], int]:
@@ -202,7 +220,7 @@ def _orlik_c(u: tuple[int, ...]) -> dict[int, int]:
 
 
 def _betti(link: WeightedLink, total: int, denominator: int) -> int:
-    """The alternating subset sum D * b of ``_divisor_sums``, checked and divided."""
+    """The alternating subset sum D * b of ``_orlik_pass``, checked and divided."""
     if total < 0 or total % denominator != 0:
         raise InternalConsistencyError(
             f"Betti sum for {link.presentation()} is {Fraction(total, denominator)}, "
@@ -214,7 +232,7 @@ def _betti(link: WeightedLink, total: int, denominator: int) -> int:
 def betti_number(link: WeightedLink | BPExponents) -> int:
     """Free rank of H_{n-1}(L; Z) via the alternating subset sum."""
     link = as_link(link)
-    (total,), denominator = _divisor_sums(*fractional_weights(link))
+    _, _, total, denominator = _orlik_pass(link, torsion=False)
     return _betti(link, total, denominator)
 
 
@@ -236,36 +254,100 @@ class OrlikTable(_Value):
         fields["entries"] = entries
 
 
-def _orlik_pass(link: WeightedLink) -> tuple[dict[int, int], dict[int, int], int, int]:
-    """c_S per mask with c_S > 1, -D k_S per odd mask, the Betti sum D b, and D.
+def _subset_tables(u: tuple[int, ...], v: tuple[int, ...], torsion: bool = True):
+    """``_orlik_pass`` from tables over all 2^m subsets, for small m.
 
-    All integers, from one divisor pass.  k_S is summed only where
-    eps(n - s + 1) = 1, i.e. m - s is odd; there (-1)^{s-|J|} =
-    -(-1)^{m-|J|}, so -D k_S is the pass's own sum.  Every other k_S is 0.
+    The table is doubled once per index i: each J gains J + {i}, whose lcm
+    is lcm(u_J) / g * u_i and whose signed term is -D f(J) * g / v_i with
+    g = gcd(lcm(u_J), u_i), an exact division.  The gcd of the u over J
+    comes along, so the gcd over the complement of S sits at the mask
+    full - S (0 at the empty complement, the full mask, which is never
+    needed).  One pass per bit divides each mask holding it by the mask
+    without it; after all m the product of c over the subsets of S is the
+    complement gcd, and a remainder is an InternalConsistencyError.
     """
-    u, v = fractional_weights(link)
     m = len(u)
-    c = _orlik_c(u)
+    denominator = math.prod(v) * math.lcm(*u)
+    table = [(1, -denominator if m % 2 else denominator, 0)]  # (lcm, term, gcd) per mask
+    for x, y in zip(u, v):
+        taken = []
+        for ell, term, h in table:
+            g = math.gcd(ell, x)
+            taken.append((ell // g * x, -term * g // y, math.gcd(h, x)))
+        table += taken
+    _, terms, gcds = zip(*table)
+    total = sum(terms)
+    if not torsion:
+        return {}, {}, total, denominator
+    c = list(reversed(gcds))
+    full = len(c) - 1
+    for i in range(m):
+        bit = 1 << i
+        for mask in range(bit, full):
+            if mask & bit:
+                c[mask], remainder = divmod(c[mask], c[mask ^ bit])
+                if remainder:
+                    raise InternalConsistencyError(
+                        f"complement gcds of {u} leave a remainder at mask {mask}"
+                    )
+    entries, sums = {}, {}
+    for mask in range(full):
+        if c[mask] > 1:
+            entries[mask] = c[mask]
+            if (m - mask.bit_count()) % 2:
+                part = 0
+                sub = mask
+                while True:  # every submask of mask, down to the empty one
+                    part += terms[sub]
+                    if not sub:
+                        break
+                    sub = (sub - 1) & mask
+                sums[mask] = part
+    return entries, sums, total, denominator
+
+
+def _gcd_class_pass(u: tuple[int, ...], v: tuple[int, ...], torsion: bool = True):
+    """``_orlik_pass`` from a coprime base and one divisor pass, for any m."""
+    m = len(u)
+    c = _orlik_c(u) if torsion else {}
     odd = [mask for mask in sorted(c) if (m - mask.bit_count()) % 2]
     sums, denominator = _divisor_sums(u, v, odd)
     return c, dict(zip(odd, sums[1:])), sums[0], denominator
 
 
-def orlik_table(link: WeightedLink | BPExponents) -> OrlikTable:
-    """The masks with c_S > 1 and their c and k, from a base and one divisor pass.
+def _orlik_pass(
+    link: WeightedLink, torsion: bool = True
+) -> tuple[dict[int, int], dict[int, int], int, int]:
+    """c_S per mask with c_S > 1, -D k_S per odd mask, the Betti sum D b, and D.
 
-    c_S has a closed form.  Let b be an element of a pairwise coprime base
-    of the u (``_coprime_base``) and e_j = v_b(u_j).  The complement gcd
-    has b-exponent g(S) = min(e_j : j not in S), which is the number of
-    thresholds t >= 1 whose set T_t = {j : e_j < t} lies inside S.  The
-    product of c_J over the subsets J of S is that gcd, so the b-exponent
-    of c_J, the Moebius inverse of g, counts the thresholds with T_t = J.
-    For t = 1..max e the set T_t misses an index of largest e, so it is a
-    proper mask; every larger t gives the full mask, which is never
+    All integers.  k_S is summed only where eps(n - s + 1) = 1, i.e. m - s
+    is odd; there (-1)^{s-|J|} = -(-1)^{m-|J|}, so -D k_S is the sum of the
+    signed terms D (-1)^{m-|J|} f(J) over the J inside S.  Every other k_S
+    is 0.  Up to ``_SUBSET_MAX_INDICES`` indices the subset tables are the
+    faster method, above it the divisor pass; both give the same integers.
+    Without ``torsion`` only the Betti sum and D are formed.
+    """
+    u, v = fractional_weights(link)
+    method = _subset_tables if len(u) <= _SUBSET_MAX_INDICES else _gcd_class_pass
+    return method(u, v, torsion)
+
+
+def orlik_table(link: WeightedLink | BPExponents) -> OrlikTable:
+    """The masks with c_S > 1 and their c and k, from one Orlik pass.
+
+    c_S has a closed form, which ``_gcd_class_pass`` uses past
+    ``_SUBSET_MAX_INDICES`` indices.  Let b be an element of a pairwise
+    coprime base of the u (``_coprime_base``) and e_j = v_b(u_j).  The
+    complement gcd has b-exponent g(S) = min(e_j : j not in S), which is the
+    number of thresholds t >= 1 whose set T_t = {j : e_j < t} lies inside S.
+    The product of c_J over the subsets J of S is that gcd, so the
+    b-exponent of c_J, the Moebius inverse of g, counts the thresholds with
+    T_t = J.  For t = 1..max e the set T_t misses an index of largest e, so
+    it is a proper mask; every larger t gives the full mask, which is never
     needed.  Hence c_S is the product of b over the pairs (b, t) with
-    T_t = S, a positive integer, and it is 1 on every mask no threshold
-    hits.  ``_orlik_c`` builds exactly that; it checks that the base
-    rebuilds every u_j, and raises InternalConsistencyError if not.
+    T_t = S, a positive integer, and it is 1 on every mask no threshold hits.
+    ``_orlik_c`` builds exactly that; it checks that the base rebuilds every
+    u_j, and raises InternalConsistencyError if not.
 
     The k_S are Fractions here, built from the integer sums of
     ``_orlik_pass``; link_homology reads the same sums without them.

@@ -172,7 +172,8 @@ class BPExponents(_Value):
         return self.link.degree == math.prod(self.exponents)
 
     def reciprocal_sum(self) -> Fraction:
-        return sum((Fraction(1, a) for a in self.exponents), Fraction(0))
+        """sum(1 / a_i), as |w| / d since every w_i = d / a_i."""
+        return Fraction(sum(self.link.weights), self.link.degree)
 
     def presentation(self) -> str:
         return "bp={}".format(",".join(map(str, self.exponents)))

@@ -548,13 +548,13 @@ def gorenstein_gamma(cone: MomentCone) -> GorensteinResult:
 def reeb_slice_project(cone: MomentCone, gamma, xi):
     """Rescale xi onto the affine slice <xi, gamma> = -dim.
 
-    Exact for exact input.  A nonnegative pairing means xi cannot be
-    scaled onto the slice and is rejected.
+    Exact for exact input.  A pairing that is not negative (NaN included)
+    means xi cannot be scaled onto the slice and is rejected.
     """
     xi = _coerce_xi(cone, xi)
     gamma = _coerce_xi(cone, gamma, "Gorenstein vector")
     pairing = _fdot(xi, gamma)
-    if pairing >= 0:
+    if not pairing < 0:
         raise DomainError(
             f"<xi, gamma> = {pairing} is not negative; cannot project to the slice"
         )

@@ -149,9 +149,10 @@ class TestRunPipeline:
 
     def test_one_subset_table_per_record(self, monkeypatch):
         # The link is built once, with the exponents, and the verdict only
-        # compares it; the fractional weights and the divisor pass run once,
-        # for both the Betti sum and the Orlik table.
-        calls = dict.fromkeys(("__init__", "fractional_weights", "_divisor_sums"), 0)
+        # compares it; the fractional weights and the Orlik pass run once,
+        # for both the Betti sum and the Orlik table, whichever method the
+        # pass picks.
+        calls = dict.fromkeys(("__init__", "fractional_weights", "_orlik_pass"), 0)
 
         def count(owner, name):
             fn = getattr(owner, name)
@@ -164,10 +165,15 @@ class TestRunPipeline:
 
         count(WeightedLink, "__init__")
         count(homology, "fractional_weights")
-        count(homology, "_divisor_sums")
+        count(homology, "_orlik_pass")
         record = run_pipeline(BPExponents((2, 3, 4, 5)))
         assert (record.betti, record.torsion, record.error) == (0, (), None)
-        assert calls == {"__init__": 1, "fractional_weights": 1, "_divisor_sums": 1}
+        assert calls == {"__init__": 1, "fractional_weights": 1, "_orlik_pass": 1}
+        # Seven exponents take the divisor pass instead of the subset tables.
+        calls.update(dict.fromkeys(calls, 0))
+        record = run_pipeline(BPExponents((2, 2, 2, 3, 5, 5, 6)))
+        assert record.error is None
+        assert calls == {"__init__": 1, "fractional_weights": 1, "_orlik_pass": 1}
 
     def test_obstructed_example(self):
         record = run_pipeline("w=1,2,5,5,5 d=10")

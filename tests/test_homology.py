@@ -5,9 +5,11 @@ the subset-sum conventions (empty product = 1, lcm of nothing = 1, and
 the multiplicity sum running over ALL subsets of the index set, not just
 proper ones).  test_proper_subset_variant_breaks_golden_data documents
 why the last convention is forced.  The definitional 2^m and 3^m tables
-live here as oracles, and TestMoebiusAgainstOracle holds the shipped
-sparse table (c by threshold counting over a coprime base, the Betti sum
-and k by one divisor pass over gcd classes) to them exactly.
+live here as oracles.  TestMoebiusAgainstOracle holds the shipped tables
+to them exactly, and with them the divisor method (c by threshold
+counting over a coprime base, the Betti sum and k by one pass over gcd
+classes); TestSubsetTables holds the 2^m subset method of small links to
+them and to the divisor method.
 TestMilnorDelta checks the torsion order against Milnor's Delta(1), a
 theorem for every link, so it also covers the conjectural torsion path.
 """
@@ -19,9 +21,10 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from selink import (
@@ -31,6 +34,7 @@ from selink import (
     InternalConsistencyError,
     OrlikTable,
     WeightedLink,
+    as_link,
     betti_number,
     enumerate_bp,
     fractional_weights,
@@ -385,7 +389,9 @@ class TestSizeRule:
 
     def test_pools_and_census_stay_far_below_the_cap(self, monkeypatch):
         # Every presentation of the benchmark pools passes with a cap of
-        # 170 state sums, and every census link with 60.
+        # 170 state sums, and every census link with 60.  Links of up to
+        # _SUBSET_MAX_INDICES indices take the subset tables in
+        # link_homology, so the pass is called directly.
         pools = json.loads((Path(__file__).parents[1] / "bench/reference/pools.json").read_text())
         texts = [
             item["text"]
@@ -397,11 +403,11 @@ class TestSizeRule:
         assert len(texts) == 235
         monkeypatch.setattr(homology, "_MAX_DIVISOR_WORK", 170)
         for text in texts:
-            link_homology(parse_presentation(text))
+            homology._gcd_class_pass(*fractional_weights(as_link(parse_presentation(text))))
         monkeypatch.setattr(homology, "_MAX_DIVISOR_WORK", 60)
         for enum in ((3, 30), (4, 12), (5, 7)):
             for bp in enumerate_bp(*enum):
-                link_homology(bp)
+                homology._gcd_class_pass(*fractional_weights(bp.link))
 
     def test_long_torsion_chain_answered(self):
         # bp=2,p,p,p has (p-1)(p-2) invariant factors, all 2.
@@ -696,6 +702,103 @@ class TestDivisorPass:
     def test_twelve_primes_then_their_product(self):
         primes = FIRST_PRIMES[:12]
         assert_matches_oracle(BPExponents(primes + (math.prod(primes),)).link)
+
+
+@st.composite
+def large_weighted_links(draw):
+    """Three to five weights of up to 1000 digits, sharing large factors.
+
+    Each weight and the degree are products of a few of three factors of
+    up to 333 digits, times a small cofactor, so the gcds and lcms of the
+    numerators are large and varied; at least one weight does not divide
+    the degree, so some v_i is not 1.
+    """
+    factors = draw(st.lists(st.integers(2, 10**333), min_size=3, max_size=3))
+
+    def product():
+        chosen = draw(st.lists(st.sampled_from(factors), max_size=3))
+        return math.prod(chosen) * draw(st.integers(1, 12))
+
+    m = draw(st.integers(3, homology._SUBSET_MAX_INDICES))
+    link = WeightedLink([product() for _ in range(m)], product())
+    assume(any(v != 1 for v in fractional_weights(link)[1]))
+    return link
+
+
+def both_methods(link):
+    """The subset tables and the divisor pass on one link, with and without torsion."""
+    u, v = fractional_weights(link)
+    tables = homology._subset_tables(u, v)
+    assert tables == homology._gcd_class_pass(u, v)
+    assert homology._subset_tables(u, v, False) == homology._gcd_class_pass(u, v, False)
+    assert homology._subset_tables(u, v, False) == ({}, {}, *tables[2:])
+    return tables
+
+
+class TestSubsetTables:
+    """The 2^m subset tables against the divisor pass and the definitional loops."""
+
+    @pytest.mark.parametrize("enum", [(3, 30), (4, 12), (5, 7)])
+    def test_methods_agree_on_census(self, enum):
+        for bp in enumerate_bp(*enum):
+            both_methods(bp.link)
+
+    @given(large_weighted_links())
+    @settings(max_examples=60, deadline=None)
+    def test_methods_agree_on_large_weights(self, link):
+        c, sums, total, denominator = both_methods(link)
+        assert all(type(x) is int for x in (*c.values(), *sums.values(), total, denominator))
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_against_oracle(self, data):
+        # Any positive u and v, up to one index past the cutoff: the
+        # tables hold for every m, the cutoff only picks the faster method.
+        m = data.draw(st.integers(1, homology._SUBSET_MAX_INDICES + 1))
+        numbers = st.one_of(st.integers(1, 720), st.integers(1, 2**64))
+        u = tuple(data.draw(st.lists(numbers, min_size=m, max_size=m)))
+        v = tuple(data.draw(st.lists(st.integers(1, 60), min_size=m, max_size=m)))
+        c, sums, total, denominator = homology._subset_tables(u, v)
+        oracle_c, oracle_k = orlik_oracle(u, v)
+        assert_sparse_c_matches(c, oracle_c)
+        assert denominator == math.prod(v) * math.lcm(*u)
+        assert Fraction(total, denominator) == betti_oracle(u, v)
+        assert sums == {
+            mask: -oracle_k[mask] * denominator for mask in c if (m - mask.bit_count()) % 2
+        }
+
+    def test_remainder_is_internal_error(self, monkeypatch):
+        # A gcd table that is no gcd table (gcd(6, 10) read as 4) leaves a
+        # remainder in the Moebius passes; the check is a raise, so it also
+        # holds under python -O.
+        gcd = math.gcd
+        fake = SimpleNamespace(
+            prod=math.prod,
+            lcm=math.lcm,
+            gcd=lambda a, b: 4 if {a, b} == {6, 10} else gcd(a, b),
+        )
+        monkeypatch.setattr(homology, "math", fake)
+        with pytest.raises(InternalConsistencyError, match="leave a remainder at mask"):
+            homology._subset_tables((6, 10, 15), (1, 1, 1))
+
+    def test_dispatch_boundary(self, monkeypatch):
+        # Five indices take the subset tables and six the divisor pass, in
+        # all three public entry points.
+        calls = []
+        for name in ("_subset_tables", "_gcd_class_pass"):
+            method = getattr(homology, name)
+
+            def counted(*args, _name=name, _method=method):
+                calls.append(_name)
+                return _method(*args)
+
+            monkeypatch.setattr(homology, name, counted)
+        for m, method in ((homology._SUBSET_MAX_INDICES, "_subset_tables"), (6, "_gcd_class_pass")):
+            bp = BPExponents((6,) * m)
+            for entry in (betti_number, orlik_table, link_homology):
+                calls.clear()
+                entry(bp)
+                assert calls == [method], (m, entry)
 
 
 def lcm_class_coefficients(u, v) -> dict[int, Fraction]:

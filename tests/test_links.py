@@ -15,6 +15,7 @@ from selink import (
     WeightedLink,
     as_link,
     classify_type,
+    enumerate_bp,
     fractional_weights,
     parse_presentation,
 )
@@ -96,6 +97,13 @@ class TestBPExponents:
 
     def test_reciprocal_sum_exact(self):
         assert BPExponents((2, 3, 5)).reciprocal_sum() == Fraction(31, 30)
+
+    def test_reciprocal_sum_is_the_sum_of_reciprocals_on_the_census(self):
+        # |w| / d against the definition, term by term.
+        for enum in ((3, 30), (4, 12), (5, 7)):
+            for bp in enumerate_bp(*enum):
+                expected = sum((Fraction(1, a) for a in bp.exponents), Fraction(0))
+                assert bp.reciprocal_sum() == expected, bp
 
     def test_rejects_small_exponents(self):
         with pytest.raises(DomainError):

@@ -568,6 +568,13 @@ class TestGorenstein:
         with pytest.raises(DomainError):
             reeb_slice_project(CONIFOLD, (-1, 0, 0), (0, 1, 1))
 
+    @pytest.mark.parametrize("xi", [(math.nan, 1, 1), (math.nan, math.nan, math.nan)])
+    def test_slice_projection_rejects_nan_pairing(self, xi):
+        # A NaN pairing fails every comparison, so a guard written as
+        # pairing >= 0 lets it through.
+        with pytest.raises(DomainError, match="^<xi, gamma> = nan is not negative"):
+            reeb_slice_project(CONIFOLD, (-1, 0, 0), xi)
+
     def test_slice_projection_rejects_wrong_length_gamma(self):
         # zip() would drop the third entry of xi and return a point.
         message = "^Gorenstein vector has length 2, cone needs 3$"
