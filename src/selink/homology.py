@@ -113,12 +113,12 @@ _MAX_TORSION_FACTORS = 2 * 10**6
 _MAX_DIVISOR_WORK = 5 * 10**5
 # Index counts up to which the Orlik pass builds its 2^m subset tables
 # instead of running the divisor pass.  Timed per Brieskorn-Pham link, the
-# two methods alternating (CPython 3.11, 2-core x86-64 VM): at m = 5 the
-# tables took 26 us against 43 us for the pass on random exponents 2..8,
-# and 25 against 30 us on Fermat links; at m = 6 the two were even on
-# exponents 2..8 (53 against 51 us) and the pass won on Fermat links (33
-# against 48 us); at m = 7, on exponents 2..12, the pass took 68 us
-# against 111 us.
+# two methods alternating, best of 11 rounds (CPython 3.11, 2-core x86-64
+# VM), on random exponents 2..8 and 2..30 and on Fermat links: the tables
+# took 7-10 us against 22-36 us for the pass at m = 3, 11-12 against 22-34
+# at m = 4 and 21-24 against 28-48 at m = 5.  At m = 6 they won on random
+# exponents (41-45 against 49-61 us) and lost on Fermat links (40 against
+# 31 us); at m = 7 the pass won (37-77 against 79-89 us).
 _SUBSET_MAX_INDICES = 5
 
 
@@ -265,6 +265,11 @@ def _subset_tables(u: tuple[int, ...], v: tuple[int, ...], torsion: bool = True)
     needed).  One pass per bit divides each mask holding it by the mask
     without it; after all m the product of c over the subsets of S is the
     complement gcd, and a remainder is an InternalConsistencyError.
+
+    These passes, not ``_orlik_c``, give c here because they are faster on
+    the census: per link, tables included, 7 against 12 us at m = 3 and 11
+    against 16 us at m = 4.  At m = 5 the two are even, except on Fermat
+    links, where ``_orlik_c`` has one base element (15 against 19 us).
     """
     m = len(u)
     denominator = math.prod(v) * math.lcm(*u)
@@ -284,7 +289,7 @@ def _subset_tables(u: tuple[int, ...], v: tuple[int, ...], torsion: bool = True)
     for i in range(m):
         bit = 1 << i
         for mask in range(bit, full):
-            if mask & bit:
+            if mask & bit and c[mask ^ bit] != 1:
                 c[mask], remainder = divmod(c[mask], c[mask ^ bit])
                 if remainder:
                     raise InternalConsistencyError(

@@ -391,7 +391,7 @@ class TestSizeRule:
         # Every presentation of the benchmark pools passes with a cap of
         # 170 state sums, and every census link with 60.  Links of up to
         # _SUBSET_MAX_INDICES indices take the subset tables in
-        # link_homology, so the pass is called directly.
+        # link_homology, so the divisor pass runs on them directly as well.
         pools = json.loads((Path(__file__).parents[1] / "bench/reference/pools.json").read_text())
         texts = [
             item["text"]
@@ -403,10 +403,12 @@ class TestSizeRule:
         assert len(texts) == 235
         monkeypatch.setattr(homology, "_MAX_DIVISOR_WORK", 170)
         for text in texts:
+            link_homology(parse_presentation(text))
             homology._gcd_class_pass(*fractional_weights(as_link(parse_presentation(text))))
         monkeypatch.setattr(homology, "_MAX_DIVISOR_WORK", 60)
         for enum in ((3, 30), (4, 12), (5, 7)):
             for bp in enumerate_bp(*enum):
+                link_homology(bp)
                 homology._gcd_class_pass(*fractional_weights(bp.link))
 
     def test_long_torsion_chain_answered(self):
