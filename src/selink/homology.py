@@ -44,31 +44,43 @@ torsion exactly when their chains are equal, and no prime factorization is
 needed to compare, halve or name a group.
 
 Read literally, both tables pair every S with every subset of S: 3^m
-pairs.  Neither is computed that way; the Orlik pass (``_orlik_pass``) has
-two exact methods and picks one by the index count m.
-
-For m <= ``_SUBSET_MAX_INDICES`` it builds tables over all 2^m subsets
-(``_subset_tables``): the terms D * f(J) and the subset gcds by doubling
-over the indices, c as the multiplicative Moebius inverse of the
-complement gcds, and k_S as sums over the submasks of S.
-
-For larger m neither table is formed.  f(J) depends on J only through
+pairs.  Neither is computed that way.  f(J) depends on J only through
 prod u_j/v_j and lcm(u_J): Milnor and Orlik ("Isolated singularities
 defined by weighted homogeneous polynomials", Topology 9, 1970) write the
 divisor of the characteristic polynomial as prod_i (Lambda_{u_i}/v_i - 1)
-with Lambda_a Lambda_b = gcd(a, b) Lambda_lcm(a, b).  So one pass over the
-indices, keeping per gcd class the signed sums over all J and over the J
-inside each needed S, gives the Betti sum and every k_S at once
-(``_divisor_sums``).  The definition of c says that the product of c_J
-over all J in S is gcd(u_j : j not in S), and that Moebius inverse has a
-closed form (see ``orlik_table``): over a pairwise coprime base of the u,
-found by gcd refinement without factoring, c_S collects one base element
-b per threshold t with S = {j : v_b(u_j) < t}.  So only the few masks with
+with Lambda_a Lambda_b = gcd(a, b) Lambda_lcm(a, b).  So
+Lambda_a^k = a^(k-1) Lambda_a, and the k indices of a group with equal
+fractions u_i/v_i = x/y enter as one factor
+
+    (Lambda_x/y - 1)^k = (-1)^k (1 + a Lambda_x / y^k),
+    a = ((y - x)^k - y^k) / x,
+
+with a = -1 at k = 1.  The Orlik pass (``_orlik_pass``) works over these
+G groups (``_fraction_groups``) and picks one of two exact methods by G.
+Every S with c_S > 1 is a union of groups (see ``orlik_table``), so the
+results over groups are spread back to index masks at the end.
+
+For G <= ``_SUBSET_MAX_GROUPS`` it builds tables over all 2^G sets of
+groups (``_subset_tables``): the terms D * f summed per set of groups
+taken and the gcds by doubling over the groups, c as the multiplicative
+Moebius inverse of the complement gcds, and k_S as sums over the submasks
+of S.  A link of at most ``_UNGROUPED_MAX_INDICES`` indices takes the
+tables without being grouped: each index is its own group.
+
+For larger G neither table is formed.  One pass over the groups, keeping
+per gcd class the signed sums over all J and over the J inside each
+needed S, gives the Betti sum and every k_S at once (``_divisor_sums``).
+The definition of c says that the product of c_J over all J in S is
+gcd(u_j : j not in S), and that Moebius inverse has a closed form (see
+``orlik_table``): over a pairwise coprime base of the u, found by gcd
+refinement without factoring, c_S collects one base element b per
+threshold t with S = {j : v_b(u_j) < t}.  So only the few masks with
 c_S > 1 are ever formed, and k_S is summed for those with eps = 1 alone.
 
 Either way link_homology makes one pass per link, and the torsion chain
 then costs O(F log F + r) for the F masks with c_S > 1.  The definitional
-3^m loops live on in the tests as oracles.
+3^m loops, and the divisor pass over single indices, live on in the tests
+as oracles.
 
 link_homology works in integers throughout: the Orlik pass gives
 -D * k_S, so floor(k_S) = (-D k_S) // D, and the chain is built from those
@@ -107,58 +119,113 @@ __all__ = list(_EXPORTS["homology"])
 # multiplicity, which grows like the square of the exponents (bp=2,p,p,p
 # has (p-1)(p-2) of them), so it is refused before any list is built.
 _MAX_TORSION_FACTORS = 2 * 10**6
-# Work of the divisor pass, in state sums: the states held at each index
-# times their 1 + F sums.  Pool links need at most 170; numerators whose
-# gcd classes never merge double the states at every index and reach it.
+# Work of the divisor pass, in state sums: the states held before each
+# group times their 1 + F sums.  Pool links need at most 108 (170 one
+# index at a time); numerators whose gcd classes never merge double the
+# states at every group and reach it.
 _MAX_DIVISOR_WORK = 5 * 10**5
-# Index counts up to which the Orlik pass builds its 2^m subset tables
-# instead of running the divisor pass.  Timed per Brieskorn-Pham link, the
-# two methods alternating, best of 11 rounds (CPython 3.11, 2-core x86-64
-# VM), on random exponents 2..8 and 2..30 and on Fermat links: the tables
-# took 7-10 us against 22-36 us for the pass at m = 3, 11-12 against 22-34
-# at m = 4 and 21-24 against 28-48 at m = 5.  At m = 6 they won on random
-# exponents (41-45 against 49-61 us) and lost on Fermat links (40 against
-# 31 us); at m = 7 the pass won (37-77 against 79-89 us).
-_SUBSET_MAX_INDICES = 5
+# Group counts up to which the Orlik pass builds its 2^G subset tables
+# instead of running the divisor pass.  Timed per Brieskorn-Pham link with
+# G distinct exponents, the two methods alternating, best of 11 rounds
+# (CPython 3.11, 2-core x86-64 VM), at m = G and at m = 9..12: the tables
+# took 12-14 us against 32-37 us for the pass at G = 4, 23-26 against
+# 46-53 at G = 5 and 44-51 against 56-70 at G = 6 (60 against 80 us on
+# average over the 34 benchmark pool links with G = 6, and even on chains
+# such as 2, 4, ..., 64); at G = 7 the pass won, 71-124 against 86-135 us.
+_SUBSET_MAX_GROUPS = 6
+# Index counts up to which the Orlik pass takes the subset tables without
+# grouping equal fractions first; no more groups than that can arise.  Per
+# census link, grouping first took 8.5 against 7.0 us at m = 3 and 12.2
+# against 11.5 us at m = 4.  At m = 6 it took 31 against 42 us on random
+# exponents 2..12, and 46 against 44 us when all six are distinct.
+_UNGROUPED_MAX_INDICES = 5
 
 
-def _divisor_sums(u: tuple[int, ...], v: tuple[int, ...], masks=()) -> tuple[list[int], int]:
-    """D times the signed sums of (-1)^{m-|J|} f(J), and D.
+def _fraction_groups(u: tuple[int, ...], v: tuple[int, ...]):
+    """The distinct fractions x/y among the u_i/v_i: x, d, a, odd, members.
 
-    Entry 0 sums over every subset J, entry e + 1 over the J inside
-    masks[e].  Taking index i into J multiplies f(J) by g / v_i with
-    g = gcd(lcm(u_J), u_i); later factors need lcm(u_J) only up to its gcd
-    with the numerators still to come, so the J merge into states keyed by
-    that gcd.  Taking i multiplies a state's sums by -g // v_i, exact term
-    by term, into entry 0 and the masks that hold i; leaving it out keeps
-    them, and (-1)^m comes at the end.  Indices go by descending u, which
-    keeps the keys few; at the end every key is 1.  Past
-    ``_MAX_DIVISOR_WORK`` state sums the pass stops with a DomainError.
+    Per group of k indices with u_i/v_i = x/y: its numerator x, the
+    divisor d = y^k and the coefficient a = ((y - x)^k - y^k) / x of its
+    factor (see ``_divisor_sums``), and the mask of its indices in
+    members; odd is the mask of the groups with odd k.  When no two
+    fractions are equal every index is its own group, in index order:
+    then d_i = v_i, a_i = -1 and members is None.
     """
-    denominator = math.prod(v) * math.lcm(*u)
-    order = sorted(range(len(u)), key=u.__getitem__, reverse=True)
-    ahead = [1]  # lcm of the numerators after each index in order, built backwards
-    for i in reversed(order[1:]):
-        ahead.append(math.lcm(ahead[-1], u[i]))
+    m = len(u)
+    members: dict[tuple[int, int], int] = {}
+    for i, pair in enumerate(zip(u, v)):
+        members[pair] = members.get(pair, 0) | 1 << i
+    if len(members) == m:
+        return u, v, (-1,) * m, (1 << m) - 1, None
+    x, d, a, odd = [], [], [], 0
+    for j, ((numerator, y), mask) in enumerate(members.items()):
+        k = mask.bit_count()
+        power = y**k
+        x.append(numerator)
+        d.append(power)
+        a.append(((y - numerator) ** k - power) // numerator)
+        odd |= (k & 1) << j
+    return x, d, a, odd, tuple(members.values())
+
+
+def _index_mask(mask: int, members: tuple[int, ...]) -> int:
+    """The indices of the groups in mask: the union of their member masks."""
+    index = 0
+    for j, part in enumerate(members):
+        if mask >> j & 1:
+            index |= part
+    return index
+
+
+def _divisor_sums(x, d, a, odd: int, masks=()) -> tuple[list[int], int]:
+    """D times the signed sums of (-1)^{m-|J|} f(J), and D, over groups.
+
+    The groups are those of ``_fraction_groups``.  Entry 0 sums over every
+    subset J of the indices, entry e + 1 over the J inside the union of
+    the groups in masks[e].  The divisor is prod_i (Lambda_{u_i}/v_i - 1)
+    with Lambda_a Lambda_b = gcd(a, b) Lambda_lcm(a, b), so
+    Lambda_a^k = a^(k-1) Lambda_a and a group of k equal fractions x/y is
+    one factor (Lambda_x/y - 1)^k = (-1)^k (1 + a Lambda_x / y^k) with
+    a = ((y - x)^k - y^k) / x.  Taking the group into J multiplies a
+    term by g a / y^k with g = gcd(lcm(u_J), x); later factors need
+    lcm(u_J) only up to its gcd with the numerators still to come, so the
+    J merge into states keyed by that gcd.  D still holds y^k when the
+    group comes, so each step's division is exact term by term.  Taking it
+    multiplies a state's sums into entry 0 and the masks that hold the
+    group; leaving it out keeps them, and (-1)^m comes at the end.  With
+    k = 1 the factor is -g / v_i, one index at a time.  Groups go by
+    descending x, which keeps the keys few; at the end every key is 1.
+    Past ``_MAX_DIVISOR_WORK`` state sums the pass stops with a
+    DomainError.
+    """
+    denominator = math.prod(d) * math.lcm(*x)
+    order = sorted(range(len(x)), key=x.__getitem__, reverse=True)
+    ahead = [1]  # lcm of the numerators after each group in order, built backwards
+    for j in reversed(order[1:]):
+        ahead.append(math.lcm(ahead[-1], x[j]))
     width = len(masks) + 1
     states = {1: [denominator] * width}
     work = 0
-    for i, rest in zip(order, reversed(ahead)):
+    for j, rest in zip(order, reversed(ahead)):
         work += len(states) * width
         if work > _MAX_DIVISOR_WORK:
             raise DomainError(f"the divisor pass needs more than {_MAX_DIVISOR_WORK} state sums")
-        x, y = u[i], v[i]
-        inside = [True] + [mask >> i & 1 for mask in masks]
+        numerator, divisor, coefficient = x[j], d[j], a[j]
+        inside = [True] + [mask >> j & 1 for mask in masks]
         after: dict[int, list[int]] = {}
         for key, sums in states.items():
-            g = math.gcd(key, x)
-            taken = [-s * g // y if b else 0 for s, b in zip(sums, inside)]
-            for into, part in ((math.gcd(key, rest), sums), (math.gcd(key // g * x, rest), taken)):
+            g = math.gcd(key, numerator)
+            factor = g * coefficient
+            taken = [s * factor // divisor if b else 0 for s, b in zip(sums, inside)]
+            for into, part in (
+                (math.gcd(key, rest), sums),
+                (math.gcd(key // g * numerator, rest), taken),
+            ):
                 held = after.get(into)
                 after[into] = part if held is None else list(map(operator.add, held, part))
         states = after
     sums = states[1]
-    return (sums if len(u) % 2 == 0 else [-s for s in sums]), denominator
+    return (sums if odd.bit_count() % 2 == 0 else [-s for s in sums]), denominator
 
 
 def _coprime_base(numbers) -> list[int]:
@@ -254,31 +321,37 @@ class OrlikTable(_Value):
         fields["entries"] = entries
 
 
-def _subset_tables(u: tuple[int, ...], v: tuple[int, ...], torsion: bool = True):
-    """``_orlik_pass`` from tables over all 2^m subsets, for small m.
+def _subset_tables(x, d, a, odd: int, torsion: bool = True):
+    """``_orlik_pass`` from tables over all 2^G sets of groups, for few groups.
 
-    The table is doubled once per index i: each J gains J + {i}, whose lcm
-    is lcm(u_J) / g * u_i and whose signed term is -D f(J) * g / v_i with
-    g = gcd(lcm(u_J), u_i), an exact division.  The gcd of the u over J
-    comes along, so the gcd over the complement of S sits at the mask
-    full - S (0 at the empty complement, the full mask, which is never
-    needed).  One pass per bit divides each mask holding it by the mask
-    without it; after all m the product of c over the subsets of S is the
-    complement gcd, and a remainder is an InternalConsistencyError.
+    The groups are those of ``_fraction_groups``; masks here select
+    groups.  The table is doubled once per group: each set T gains
+    T + {group}, whose lcm is lcm(x_T) / g * x and whose signed term is
+    the term of T times g a / d with g = gcd(lcm(x_T), x), an exact
+    division (see ``_divisor_sums``).  The gcd of the x over T comes
+    along, so the gcd over the complement of T sits at the mask full - T
+    (0 at the empty complement, the full mask, which is never needed).
+    One pass per bit divides each mask holding it by the mask without it;
+    after all G the product of c over the subsets of T is the complement
+    gcd, and a remainder is an InternalConsistencyError.  m - |S| is odd
+    for the indices S of T when an odd number of groups of odd size lie
+    outside T.
 
     These passes, not ``_orlik_c``, give c here because they are faster on
     the census: per link, tables included, 7 against 12 us at m = 3 and 11
     against 16 us at m = 4.  At m = 5 the two are even, except on Fermat
     links, where ``_orlik_c`` has one base element (15 against 19 us).
     """
-    m = len(u)
-    denominator = math.prod(v) * math.lcm(*u)
-    table = [(1, -denominator if m % 2 else denominator, 0)]  # (lcm, term, gcd) per mask
-    for x, y in zip(u, v):
+    denominator = math.prod(d) * math.lcm(*x)
+    # (lcm, term, gcd) per mask
+    table = [(1, -denominator if odd.bit_count() % 2 else denominator, 0)]
+    for numerator, divisor, coefficient in zip(x, d, a):
         taken = []
         for ell, term, h in table:
-            g = math.gcd(ell, x)
-            taken.append((ell // g * x, -term * g // y, math.gcd(h, x)))
+            g = math.gcd(ell, numerator)
+            taken.append(
+                (ell // g * numerator, term * (g * coefficient) // divisor, math.gcd(h, numerator))
+            )
         table += taken
     _, terms, gcds = zip(*table)
     total = sum(terms)
@@ -286,20 +359,20 @@ def _subset_tables(u: tuple[int, ...], v: tuple[int, ...], torsion: bool = True)
         return {}, {}, total, denominator
     c = list(reversed(gcds))
     full = len(c) - 1
-    for i in range(m):
+    for i in range(len(x)):
         bit = 1 << i
         for mask in range(bit, full):
             if mask & bit and c[mask ^ bit] != 1:
                 c[mask], remainder = divmod(c[mask], c[mask ^ bit])
                 if remainder:
                     raise InternalConsistencyError(
-                        f"complement gcds of {u} leave a remainder at mask {mask}"
+                        f"complement gcds of {x} leave a remainder at mask {mask}"
                     )
     entries, sums = {}, {}
     for mask in range(full):
         if c[mask] > 1:
             entries[mask] = c[mask]
-            if (m - mask.bit_count()) % 2:
+            if (odd & ~mask).bit_count() % 2:
                 part = 0
                 sub = mask
                 while True:  # every submask of mask, down to the empty one
@@ -311,13 +384,12 @@ def _subset_tables(u: tuple[int, ...], v: tuple[int, ...], torsion: bool = True)
     return entries, sums, total, denominator
 
 
-def _gcd_class_pass(u: tuple[int, ...], v: tuple[int, ...], torsion: bool = True):
-    """``_orlik_pass`` from a coprime base and one divisor pass, for any m."""
-    m = len(u)
-    c = _orlik_c(u) if torsion else {}
-    odd = [mask for mask in sorted(c) if (m - mask.bit_count()) % 2]
-    sums, denominator = _divisor_sums(u, v, odd)
-    return c, dict(zip(odd, sums[1:])), sums[0], denominator
+def _gcd_class_pass(x, d, a, odd: int, torsion: bool = True):
+    """``_orlik_pass`` from a coprime base and one divisor pass, for any G."""
+    c = _orlik_c(x) if torsion else {}
+    masks = [mask for mask in sorted(c) if (odd & ~mask).bit_count() % 2]
+    sums, denominator = _divisor_sums(x, d, a, odd, masks)
+    return c, dict(zip(masks, sums[1:])), sums[0], denominator
 
 
 def _orlik_pass(
@@ -325,23 +397,40 @@ def _orlik_pass(
 ) -> tuple[dict[int, int], dict[int, int], int, int]:
     """c_S per mask with c_S > 1, -D k_S per odd mask, the Betti sum D b, and D.
 
-    All integers.  k_S is summed only where eps(n - s + 1) = 1, i.e. m - s
-    is odd; there (-1)^{s-|J|} = -(-1)^{m-|J|}, so -D k_S is the sum of the
-    signed terms D (-1)^{m-|J|} f(J) over the J inside S.  Every other k_S
-    is 0.  Up to ``_SUBSET_MAX_INDICES`` indices the subset tables are the
-    faster method, above it the divisor pass; both give the same integers.
+    All integers, with masks over the indices.  k_S is summed only where
+    eps(n - s + 1) = 1, i.e. m - s is odd; there (-1)^{s-|J|} =
+    -(-1)^{m-|J|}, so -D k_S is the sum of the signed terms
+    D (-1)^{m-|J|} f(J) over the J inside S.  Every other k_S is 0.
+
+    Both methods run over the groups of equal fractions u_i/v_i
+    (``_fraction_groups``): up to ``_SUBSET_MAX_GROUPS`` groups the subset
+    tables are the faster method, above it the divisor pass; both give
+    the same integers.  Every mask with c_S > 1 is a union of groups (see
+    ``orlik_table``), so their results over groups are those over indices
+    once each group mask is spread to its indices.  A link of at most
+    ``_UNGROUPED_MAX_INDICES`` indices takes the tables with every index
+    its own group, without being grouped.
     Without ``torsion`` only the Betti sum and D are formed.
     """
     u, v = fractional_weights(link)
-    method = _subset_tables if len(u) <= _SUBSET_MAX_INDICES else _gcd_class_pass
-    return method(u, v, torsion)
+    m = len(u)
+    if m <= _UNGROUPED_MAX_INDICES:
+        return _subset_tables(u, v, (-1,) * m, (1 << m) - 1, torsion)
+    x, d, a, odd, members = _fraction_groups(u, v)
+    method = _subset_tables if len(x) <= _SUBSET_MAX_GROUPS else _gcd_class_pass
+    c, sums, total, denominator = method(x, d, a, odd, torsion)
+    if members is not None:
+        index = {mask: _index_mask(mask, members) for mask in c}
+        c = {index[mask]: value for mask, value in c.items()}
+        sums = {index[mask]: value for mask, value in sums.items()}
+    return c, sums, total, denominator
 
 
 def orlik_table(link: WeightedLink | BPExponents) -> OrlikTable:
     """The masks with c_S > 1 and their c and k, from one Orlik pass.
 
     c_S has a closed form, which ``_gcd_class_pass`` uses past
-    ``_SUBSET_MAX_INDICES`` indices.  Let b be an element of a pairwise
+    ``_SUBSET_MAX_GROUPS`` groups.  Let b be an element of a pairwise
     coprime base of the u (``_coprime_base``) and e_j = v_b(u_j).  The
     complement gcd has b-exponent g(S) = min(e_j : j not in S), which is the
     number of thresholds t >= 1 whose set T_t = {j : e_j < t} lies inside S.
@@ -352,7 +441,9 @@ def orlik_table(link: WeightedLink | BPExponents) -> OrlikTable:
     needed.  Hence c_S is the product of b over the pairs (b, t) with
     T_t = S, a positive integer, and it is 1 on every mask no threshold hits.
     ``_orlik_c`` builds exactly that; it checks that the base rebuilds every
-    u_j, and raises InternalConsistencyError if not.
+    u_j, and raises InternalConsistencyError if not.  Indices with equal
+    u_j have equal e_j, so every T_t is a union of them, and of the
+    groups of equal fractions a fortiori.
 
     The k_S are Fractions here, built from the integer sums of
     ``_orlik_pass``; link_homology reads the same sums without them.

@@ -169,9 +169,10 @@ class TestRunPipeline:
         record = run_pipeline(BPExponents((2, 3, 4, 5)))
         assert (record.betti, record.torsion, record.error) == (0, (), None)
         assert calls == {"__init__": 1, "fractional_weights": 1, "_orlik_pass": 1}
-        # Seven exponents take the divisor pass instead of the subset tables.
+        # Seven distinct exponents take the divisor pass instead of the
+        # subset tables.
         calls.update(dict.fromkeys(calls, 0))
-        record = run_pipeline(BPExponents((2, 2, 2, 3, 5, 5, 6)))
+        record = run_pipeline(BPExponents((2, 3, 4, 5, 6, 7, 8)))
         assert record.error is None
         assert calls == {"__init__": 1, "fractional_weights": 1, "_orlik_pass": 1}
 

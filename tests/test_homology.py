@@ -45,7 +45,7 @@ from selink import (
 )
 from selink import homology
 from selink.catalog import run_pipeline
-from selink.homology import _coprime_base, _divisor_sums, _orlik_c
+from selink.homology import _coprime_base, _divisor_sums, _fraction_groups, _orlik_c
 from conftest import (
     bp_exponents,
     coprime_triples,
@@ -387,10 +387,27 @@ class TestSizeRule:
         with pytest.raises(DomainError, match="divisor pass needs more than 510 state sums"):
             betti_number(bp)
 
+    def test_doubled_no_merge_family_takes_one_step_per_group(self, monkeypatch):
+        # Each exponent of the family at 8 taken twice: nine groups of two
+        # equal fractions, so the Betti pass holds the family's 1, 2, ...,
+        # 2^8 states before its nine groups, 2^9 - 1 state sums.  One index
+        # at a time the pass forms more of them and is refused.
+        bp = BPExponents(tuple(e for e in no_merge_family(8).exponents for _ in range(2)))
+        u, v = fractional_weights(bp.link)
+        expected = ungrouped_pass(u, v, torsion=False)
+        monkeypatch.setattr(homology, "_MAX_DIVISOR_WORK", 2**9 - 1)
+        assert homology._orlik_pass(bp.link, torsion=False) == expected
+        assert betti_number(bp) == expected[2] // expected[3]
+        with pytest.raises(DomainError, match="divisor pass needs more than 511 state sums"):
+            ungrouped_pass(u, v, torsion=False)
+        monkeypatch.setattr(homology, "_MAX_DIVISOR_WORK", 2**9 - 2)
+        with pytest.raises(DomainError, match="divisor pass needs more than 510 state sums"):
+            betti_number(bp)
+
     def test_pools_and_census_stay_far_below_the_cap(self, monkeypatch):
         # Every presentation of the benchmark pools passes with a cap of
         # 170 state sums, and every census link with 60.  Links of up to
-        # _SUBSET_MAX_INDICES indices take the subset tables in
+        # _SUBSET_MAX_GROUPS groups take the subset tables in
         # link_homology, so the divisor pass runs on them directly as well.
         pools = json.loads((Path(__file__).parents[1] / "bench/reference/pools.json").read_text())
         texts = [
@@ -404,12 +421,12 @@ class TestSizeRule:
         monkeypatch.setattr(homology, "_MAX_DIVISOR_WORK", 170)
         for text in texts:
             link_homology(parse_presentation(text))
-            homology._gcd_class_pass(*fractional_weights(as_link(parse_presentation(text))))
+            homology._gcd_class_pass(*groups_of(as_link(parse_presentation(text))))
         monkeypatch.setattr(homology, "_MAX_DIVISOR_WORK", 60)
         for enum in ((3, 30), (4, 12), (5, 7)):
             for bp in enumerate_bp(*enum):
                 link_homology(bp)
-                homology._gcd_class_pass(*fractional_weights(bp.link))
+                homology._gcd_class_pass(*groups_of(bp.link))
 
     def test_long_torsion_chain_answered(self):
         # bp=2,p,p,p has (p-1)(p-2) invariant factors, all 2.
@@ -672,6 +689,51 @@ def signed_sums_oracle(u, v, masks) -> list[Fraction]:
     return [sum(t for j, t in terms if j & s == j) for s in ((1 << m) - 1, *masks)]
 
 
+def ungrouped_divisor_sums(u, v, masks=()) -> tuple[list[int], int]:
+    """The divisor pass one index at a time, equal fractions or not.
+
+    The oracle for the pass over groups: taking index i multiplies a
+    state's sums by -g // v_i with g = gcd(key, u_i), into entry 0 and the
+    masks that hold i.  It counts its state sums the same way and stops
+    past ``homology._MAX_DIVISOR_WORK`` with the same DomainError.
+    """
+    denominator = math.prod(v) * math.lcm(*u)
+    order = sorted(range(len(u)), key=u.__getitem__, reverse=True)
+    ahead = [1]
+    for i in reversed(order[1:]):
+        ahead.append(math.lcm(ahead[-1], u[i]))
+    width = len(masks) + 1
+    states = {1: [denominator] * width}
+    work = 0
+    for i, rest in zip(order, reversed(ahead)):
+        work += len(states) * width
+        if work > homology._MAX_DIVISOR_WORK:
+            raise DomainError(
+                f"the divisor pass needs more than {homology._MAX_DIVISOR_WORK} state sums"
+            )
+        x, y = u[i], v[i]
+        inside = [True] + [mask >> i & 1 for mask in masks]
+        after: dict[int, list[int]] = {}
+        for key, sums in states.items():
+            g = math.gcd(key, x)
+            taken = [-s * g // y if b else 0 for s, b in zip(sums, inside)]
+            for into, part in ((math.gcd(key, rest), sums), (math.gcd(key // g * x, rest), taken)):
+                held = after.get(into)
+                after[into] = part if held is None else [p + q for p, q in zip(held, part)]
+        states = after
+    sums = states[1]
+    return (sums if len(u) % 2 == 0 else [-s for s in sums]), denominator
+
+
+def ungrouped_pass(u, v, torsion=True):
+    """_orlik_pass's integers from _orlik_c and the divisor pass over indices."""
+    m = len(u)
+    c = _orlik_c(u) if torsion else {}
+    odd = [mask for mask in sorted(c) if (m - mask.bit_count()) % 2]
+    sums, denominator = ungrouped_divisor_sums(u, v, odd)
+    return c, dict(zip(odd, sums[1:])), sums[0], denominator
+
+
 FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
 
 
@@ -680,16 +742,26 @@ class TestDivisorPass:
     @settings(max_examples=150, deadline=None)
     def test_sums_match_subset_loop(self, data):
         # Any positive u and v: every D * f(J) is an integer, so each step's
-        # division by v_i is exact whether or not the data present a link.
+        # division is exact whether or not the data present a link.  The
+        # fractions repeat, so the pass runs over groups of them; the masks
+        # select groups, and the oracle reads them as the groups' indices.
         m = data.draw(st.integers(1, 7))
         numbers = st.one_of(st.integers(1, 720), st.integers(1, 2**64))
-        u = tuple(data.draw(st.lists(numbers, min_size=m, max_size=m)))
-        v = tuple(data.draw(st.lists(st.integers(1, 60), min_size=m, max_size=m)))
-        masks = data.draw(st.lists(st.integers(0, (1 << m) - 1), max_size=6))
-        sums, denominator = _divisor_sums(u, v, masks)
+        u0 = data.draw(st.lists(numbers, min_size=1, max_size=3))
+        v0 = data.draw(st.lists(st.integers(1, 60), min_size=1, max_size=3))
+        u = tuple(data.draw(st.lists(st.sampled_from(u0), min_size=m, max_size=m)))
+        v = tuple(data.draw(st.lists(st.sampled_from(v0), min_size=m, max_size=m)))
+        x, d, a, odd, members = _fraction_groups(u, v)
+        masks = data.draw(st.lists(st.integers(0, (1 << len(x)) - 1), max_size=6))
+        index = masks if members is None else [homology._index_mask(s, members) for s in masks]
+        sums, denominator = _divisor_sums(x, d, a, odd, masks)
         assert denominator == math.prod(v) * math.lcm(*u)
         assert all(type(s) is int for s in sums)
-        assert [Fraction(s, denominator) for s in sums] == signed_sums_oracle(u, v, masks)
+        expected = signed_sums_oracle(u, v, index)
+        assert [Fraction(s, denominator) for s in sums] == expected
+        # Every index its own group, and the ungrouped oracle pass.
+        assert _divisor_sums(*singletons(u, v), index) == (sums, denominator)
+        assert ungrouped_divisor_sums(u, v, index) == (sums, denominator)
 
     def test_twenty_primes_then_their_product(self):
         # Taken in input order the primes keep 2^20 gcd classes apart until
@@ -721,19 +793,30 @@ def large_weighted_links(draw):
         chosen = draw(st.lists(st.sampled_from(factors), max_size=3))
         return math.prod(chosen) * draw(st.integers(1, 12))
 
-    m = draw(st.integers(3, homology._SUBSET_MAX_INDICES))
+    m = draw(st.integers(3, homology._SUBSET_MAX_GROUPS))
     link = WeightedLink([product() for _ in range(m)], product())
     assume(any(v != 1 for v in fractional_weights(link)[1]))
     return link
 
 
+def groups_of(link):
+    """The group data x, d, a, odd that both methods take, for one link."""
+    return _fraction_groups(*fractional_weights(link))[:4]
+
+
+def singletons(u, v):
+    """The group data of u and v with every index its own group."""
+    m = len(u)
+    return tuple(u), tuple(v), (-1,) * m, (1 << m) - 1
+
+
 def both_methods(link):
     """The subset tables and the divisor pass on one link, with and without torsion."""
-    u, v = fractional_weights(link)
-    tables = homology._subset_tables(u, v)
-    assert tables == homology._gcd_class_pass(u, v)
-    assert homology._subset_tables(u, v, False) == homology._gcd_class_pass(u, v, False)
-    assert homology._subset_tables(u, v, False) == ({}, {}, *tables[2:])
+    groups = groups_of(link)
+    tables = homology._subset_tables(*groups)
+    assert tables == homology._gcd_class_pass(*groups)
+    assert homology._subset_tables(*groups, False) == homology._gcd_class_pass(*groups, False)
+    assert homology._subset_tables(*groups, False) == ({}, {}, *tables[2:])
     return tables
 
 
@@ -756,11 +839,11 @@ class TestSubsetTables:
     def test_against_oracle(self, data):
         # Any positive u and v, up to one index past the cutoff: the
         # tables hold for every m, the cutoff only picks the faster method.
-        m = data.draw(st.integers(1, homology._SUBSET_MAX_INDICES + 1))
+        m = data.draw(st.integers(1, homology._SUBSET_MAX_GROUPS + 1))
         numbers = st.one_of(st.integers(1, 720), st.integers(1, 2**64))
         u = tuple(data.draw(st.lists(numbers, min_size=m, max_size=m)))
         v = tuple(data.draw(st.lists(st.integers(1, 60), min_size=m, max_size=m)))
-        c, sums, total, denominator = homology._subset_tables(u, v)
+        c, sums, total, denominator = homology._subset_tables(*singletons(u, v))
         oracle_c, oracle_k = orlik_oracle(u, v)
         assert_sparse_c_matches(c, oracle_c)
         assert denominator == math.prod(v) * math.lcm(*u)
@@ -781,11 +864,14 @@ class TestSubsetTables:
         )
         monkeypatch.setattr(homology, "math", fake)
         with pytest.raises(InternalConsistencyError, match="leave a remainder at mask"):
-            homology._subset_tables((6, 10, 15), (1, 1, 1))
+            homology._subset_tables(*singletons((6, 10, 15), (1, 1, 1)))
 
     def test_dispatch_boundary(self, monkeypatch):
-        # Five indices take the subset tables and six the divisor pass, in
-        # all three public entry points.
+        # The group count G picks the method, not the index count m: six
+        # equal exponents (G = 1) and six distinct ones take the subset
+        # tables, seven distinct ones the divisor pass, and ten exponents
+        # take the tables with five or six distinct values and the pass
+        # with seven, in all three public entry points.
         calls = []
         for name in ("_subset_tables", "_gcd_class_pass"):
             method = getattr(homology, name)
@@ -795,12 +881,131 @@ class TestSubsetTables:
                 return _method(*args)
 
             monkeypatch.setattr(homology, name, counted)
-        for m, method in ((homology._SUBSET_MAX_INDICES, "_subset_tables"), (6, "_gcd_class_pass")):
-            bp = BPExponents((6,) * m)
+        cases = (
+            ((6,) * 6, "_subset_tables"),
+            ((2, 3, 4, 5, 6, 7), "_subset_tables"),
+            ((2, 3, 4, 5, 6, 7, 8), "_gcd_class_pass"),
+            ((2, 2, 3, 3, 4, 4, 5, 5, 6, 6), "_subset_tables"),
+            ((2, 2, 3, 3, 4, 4, 5, 5, 6, 7), "_subset_tables"),
+            ((2, 2, 3, 3, 4, 4, 5, 6, 7, 8), "_gcd_class_pass"),
+        )
+        assert homology._SUBSET_MAX_GROUPS == 6
+        for exponents, method in cases:
+            bp = BPExponents(exponents)
             for entry in (betti_number, orlik_table, link_homology):
                 calls.clear()
                 entry(bp)
-                assert calls == [method], (m, entry)
+                assert calls == [method], (exponents, entry)
+
+
+@st.composite
+def repeated_fraction_links(draw, max_len=12):
+    """Links of 6 to max_len indices whose fractions u_i/v_i repeat.
+
+    Brieskorn-Pham exponents drawn from one to seven values in 2..12, or a
+    Thom-Sebastiani sum of blocks drawn from one to four kinds: Fermat
+    terms z^a and chain pairs z_0^a + z_0 z_1^b, whose second weight
+    d (a - 1) / (a b) leaves v != 1 for most a and b.  Each block has an
+    isolated singularity, so every (w, d) here presents a link.
+    """
+    m = draw(st.integers(6, max_len))
+    if draw(st.booleans()):
+        values = draw(st.lists(st.integers(2, 12), min_size=1, max_size=7, unique=True))
+        return BPExponents(tuple(draw(st.sampled_from(values)) for _ in range(m))).link
+    kinds = st.tuples(st.integers(2, 9), st.integers(0, 4))  # b = 0: the Fermat term
+    pool = draw(st.lists(kinds, min_size=1, max_size=4, unique=True))
+    blocks, size = [], 0
+    while size < m:
+        a, b = draw(st.sampled_from(pool))
+        if size + 2 > m:
+            b = 0  # no room for a pair: its first term alone
+        blocks.append((a, b))
+        size += 1 + (b > 0)
+    degree = math.lcm(*(a * max(b, 1) for a, b in blocks))
+    weights = []
+    for a, b in blocks:
+        weights.append(degree // a)
+        if b:
+            weights.append(degree * (a - 1) // (a * b))
+    link = WeightedLink(weights, degree)
+    assume(len(set(zip(*fractional_weights(link)))) < m)
+    return link
+
+
+def ungrouped_table(link) -> tuple[OrlikTable, int]:
+    """orlik_table and the Betti number from ``ungrouped_pass``."""
+    u, v = fractional_weights(link)
+    c, sums, total, denominator = ungrouped_pass(u, v)
+    entries = tuple(
+        (mask, c[mask], Fraction(-sums.get(mask, 0), denominator)) for mask in sorted(c)
+    )
+    return OrlikTable(len(u), entries), total // denominator
+
+
+def assert_matches_ungrouped(link):
+    """orlik_table, betti_number and link_homology against ``ungrouped_table``.
+
+    A torsion chain past the safety bound is refused by both.
+    """
+    table, betti = ungrouped_table(link)
+    assert orlik_table(link) == table
+    assert betti_number(link) == betti
+    try:
+        torsion = torsion_orders(table)
+    except DomainError as error:
+        with pytest.raises(DomainError) as info:
+            link_homology(link)
+        assert str(info.value) == str(error)
+    else:
+        group = link_homology(link)
+        assert (group.betti, group.torsion) == (betti, torsion)
+
+
+class TestGroupedLinks:
+    """The passes over groups of equal fractions against oracles over indices."""
+
+    @given(repeated_fraction_links())
+    @settings(max_examples=120, deadline=None)
+    def test_against_ungrouped_pass(self, link):
+        u, v = fractional_weights(link)
+        for torsion in (True, False):
+            assert homology._orlik_pass(link, torsion) == ungrouped_pass(u, v, torsion)
+        assert_matches_ungrouped(link)
+
+    @given(repeated_fraction_links(max_len=8))
+    @settings(max_examples=60, deadline=None)
+    def test_against_definitional_tables(self, link):
+        assert_matches_oracle(link)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_any_weights_against_ungrouped_pass(self, data):
+        # Weights drawn from a few values up to the degree need not present
+        # a link, but the integer sums are defined all the same.
+        degree = data.draw(st.integers(2, 10**6))
+        values = data.draw(st.lists(st.integers(1, degree), min_size=1, max_size=7))
+        m = data.draw(st.integers(6, 12))
+        link = WeightedLink([data.draw(st.sampled_from(values)) for _ in range(m)], degree)
+        u, v = fractional_weights(link)
+        for torsion in (True, False):
+            assert homology._orlik_pass(link, torsion) == ungrouped_pass(u, v, torsion)
+
+    @pytest.mark.parametrize(
+        "weights, degree",
+        [
+            # Three chain pairs z_0^4 + z_0 z_1^2 and three z^6: u/v = 4/1, 8/3, 6/1.
+            ((6, 9, 6, 9, 6, 9, 4, 4, 4), 24),
+            # bp=2,2,2,3,6,8,9,10: six groups, the most the tables take.
+            ((180, 180, 180, 120, 60, 45, 40, 36), 360),
+            # Chain pairs (a, b) = (4, 2), (5, 2), (5, 3), (6, 4): u/v = 4, 8/3,
+            # 5, 5/2, 5, 15/4, 6, 24/5, seven groups, so the divisor pass.
+            ((30, 45, 24, 48, 24, 32, 20, 25), 120),
+        ],
+    )
+    def test_examples(self, weights, degree):
+        link = WeightedLink(weights, degree)
+        assert_matches_oracle(link)
+        assert_matches_ungrouped(link)
 
 
 def lcm_class_coefficients(u, v) -> dict[int, Fraction]:
