@@ -64,7 +64,7 @@ For G <= ``_SUBSET_MAX_GROUPS`` it builds tables over all 2^G sets of
 groups (``_subset_tables``): the terms D * f summed per set of groups
 taken and the gcds by doubling over the groups, c as the multiplicative
 Moebius inverse of the complement gcds, and k_S as sums over the submasks
-of S.  A link of at most ``_UNGROUPED_MAX_INDICES`` indices takes the
+of S.  A link of at most ``_SUBSET_MAX_GROUPS`` indices takes the
 tables without being grouped: each index is its own group.
 
 For larger G neither table is formed.  One pass over the groups, keeping
@@ -133,12 +133,6 @@ _MAX_DIVISOR_WORK = 5 * 10**5
 # average over the 34 benchmark pool links with G = 6, and even on chains
 # such as 2, 4, ..., 64); at G = 7 the pass won, 71-124 against 86-135 us.
 _SUBSET_MAX_GROUPS = 6
-# Index counts up to which the Orlik pass takes the subset tables without
-# grouping equal fractions first; no more groups than that can arise.  Per
-# census link, grouping first took 8.5 against 7.0 us at m = 3 and 12.2
-# against 11.5 us at m = 4.  At m = 6 it took 31 against 42 us on random
-# exponents 2..12, and 46 against 44 us when all six are distinct.
-_UNGROUPED_MAX_INDICES = 5
 
 
 def _fraction_groups(u: tuple[int, ...], v: tuple[int, ...]):
@@ -147,16 +141,12 @@ def _fraction_groups(u: tuple[int, ...], v: tuple[int, ...]):
     Per group of k indices with u_i/v_i = x/y: its numerator x, the
     divisor d = y^k and the coefficient a = ((y - x)^k - y^k) / x of its
     factor (see ``_divisor_sums``), and the mask of its indices in
-    members; odd is the mask of the groups with odd k.  When no two
-    fractions are equal every index is its own group, in index order:
-    then d_i = v_i, a_i = -1 and members is None.
+    members; odd is the mask of the groups with odd k.  Groups come in the
+    order of their first index.
     """
-    m = len(u)
     members: dict[tuple[int, int], int] = {}
     for i, pair in enumerate(zip(u, v)):
         members[pair] = members.get(pair, 0) | 1 << i
-    if len(members) == m:
-        return u, v, (-1,) * m, (1 << m) - 1, None
     x, d, a, odd = [], [], [], 0
     for j, ((numerator, y), mask) in enumerate(members.items()):
         k = mask.bit_count()
@@ -408,21 +398,20 @@ def _orlik_pass(
     the same integers.  Every mask with c_S > 1 is a union of groups (see
     ``orlik_table``), so their results over groups are those over indices
     once each group mask is spread to its indices.  A link of at most
-    ``_UNGROUPED_MAX_INDICES`` indices takes the tables with every index
-    its own group, without being grouped.
-    Without ``torsion`` only the Betti sum and D are formed.
+    ``_SUBSET_MAX_GROUPS`` indices has no more groups than that, so it
+    takes the tables with every index its own group, without being
+    grouped.  Without ``torsion`` only the Betti sum and D are formed.
     """
     u, v = fractional_weights(link)
     m = len(u)
-    if m <= _UNGROUPED_MAX_INDICES:
+    if m <= _SUBSET_MAX_GROUPS:
         return _subset_tables(u, v, (-1,) * m, (1 << m) - 1, torsion)
     x, d, a, odd, members = _fraction_groups(u, v)
     method = _subset_tables if len(x) <= _SUBSET_MAX_GROUPS else _gcd_class_pass
     c, sums, total, denominator = method(x, d, a, odd, torsion)
-    if members is not None:
-        index = {mask: _index_mask(mask, members) for mask in c}
-        c = {index[mask]: value for mask, value in c.items()}
-        sums = {index[mask]: value for mask, value in sums.items()}
+    index = {mask: _index_mask(mask, members) for mask in c}
+    c = {index[mask]: value for mask, value in c.items()}
+    sums = {index[mask]: value for mask, value in sums.items()}
     return c, sums, total, denominator
 
 

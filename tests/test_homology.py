@@ -741,10 +741,26 @@ class TestDivisorPass:
     @given(st.data())
     @settings(max_examples=150, deadline=None)
     def test_sums_match_subset_loop(self, data):
-        # Any positive u and v: every D * f(J) is an integer, so each step's
-        # division is exact whether or not the data present a link.  The
-        # fractions repeat, so the pass runs over groups of them; the masks
-        # select groups, and the oracle reads them as the groups' indices.
+        # Any positive u and v, each index its own group, and any index
+        # masks: every D * f(J) is an integer, so each step's division by
+        # v_i is exact whether or not the data present a link.
+        m = data.draw(st.integers(1, 7))
+        numbers = st.one_of(st.integers(1, 720), st.integers(1, 2**64))
+        u = tuple(data.draw(st.lists(numbers, min_size=m, max_size=m)))
+        v = tuple(data.draw(st.lists(st.integers(1, 60), min_size=m, max_size=m)))
+        masks = data.draw(st.lists(st.integers(0, (1 << m) - 1), max_size=6))
+        sums, denominator = _divisor_sums(*singletons(u, v), masks)
+        assert denominator == math.prod(v) * math.lcm(*u)
+        assert all(type(s) is int for s in sums)
+        assert [Fraction(s, denominator) for s in sums] == signed_sums_oracle(u, v, masks)
+        assert ungrouped_divisor_sums(u, v, masks) == (sums, denominator)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_grouped_sums_match_subset_loop(self, data):
+        # Fractions drawn from a few values repeat, so the pass runs over
+        # groups of them; the masks select groups, and the oracle reads
+        # them as the groups' indices.
         m = data.draw(st.integers(1, 7))
         numbers = st.one_of(st.integers(1, 720), st.integers(1, 2**64))
         u0 = data.draw(st.lists(numbers, min_size=1, max_size=3))
@@ -753,7 +769,7 @@ class TestDivisorPass:
         v = tuple(data.draw(st.lists(st.sampled_from(v0), min_size=m, max_size=m)))
         x, d, a, odd, members = _fraction_groups(u, v)
         masks = data.draw(st.lists(st.integers(0, (1 << len(x)) - 1), max_size=6))
-        index = masks if members is None else [homology._index_mask(s, members) for s in masks]
+        index = [homology._index_mask(s, members) for s in masks]
         sums, denominator = _divisor_sums(x, d, a, odd, masks)
         assert denominator == math.prod(v) * math.lcm(*u)
         assert all(type(s) is int for s in sums)
