@@ -180,6 +180,10 @@ _FIELD_CHECKS = {
 # A record's annotated fields, in order: what ==, repr and to_dict read.
 _field_values = attrgetter(*_FIELD_CHECKS)
 
+# The same fields in the sorted order of a catalog line's keys.
+_LINE_FIELDS = tuple(sorted(_FIELD_CHECKS))
+_line_values = attrgetter(*_LINE_FIELDS)
+
 
 def _stage_error(stage: str, exc: BaseException) -> str:
     """The record's error text; foreign exceptions carry their type name.
@@ -194,14 +198,23 @@ def _stage_error(stage: str, exc: BaseException) -> str:
     return f"{stage}: {type(exc).__name__}: {exc}"
 
 
+def _guarded(errors: list[str], stage: str, fn, *args):
+    """fn(*args), or None once the stage's error text is added to errors."""
+    try:
+        return fn(*args)
+    except _STAGE_ERRORS as exc:
+        errors.append(_stage_error(stage, exc))
+        return None
+
+
 def run_pipeline(presentation: str | BPExponents | WeightedLink) -> CatalogRecord:
     """Derive everything we know about one presentation, capturing errors.
 
-    Stages are guarded independently: a failure is recorded in the error
-    field (joined with earlier failures) and later stages that do not
-    depend on it still run.  The package's own errors read
-    "<stage>: <message>"; arithmetic and resource failures (see
-    _STAGE_ERRORS) read "<stage>: <Type>: <message>".
+    Stages are guarded independently: each runs through ``_guarded``, so a
+    failure is recorded in the error field (joined with earlier failures)
+    and later stages that do not depend on it still run.  The package's
+    own errors read "<stage>: <message>"; arithmetic and resource failures
+    (see _STAGE_ERRORS) read "<stage>: <Type>: <message>".
     """
     if isinstance(presentation, str):
         text = " ".join(presentation.split())
@@ -209,16 +222,6 @@ def run_pipeline(presentation: str | BPExponents | WeightedLink) -> CatalogRecor
         text = presentation.presentation()
     record = CatalogRecord(presentation=text)
     errors: list[str] = []
-
-    def guard(stage: str):
-        def run(fn, *args, **kwargs):
-            try:
-                return fn(*args, **kwargs)
-            except _STAGE_ERRORS as exc:
-                errors.append(_stage_error(stage, exc))
-                return None
-
-        return run
 
     try:
         obj = parse_presentation(text) if isinstance(presentation, str) else presentation
@@ -234,20 +237,20 @@ def run_pipeline(presentation: str | BPExponents | WeightedLink) -> CatalogRecor
     record.index = link.index
     record.link_type = classify_type(link)
 
-    homology = guard("homology")(link_homology, link, None if bp is None else "bp")
+    homology = _guarded(errors, "homology", link_homology, link, None if bp is None else "bp")
     if homology is not None:
         record.betti = homology.betti
         record.torsion = homology.torsion
         record.applicability = homology.applicability
 
-    verdict = guard("existence")(decide_existence, link, bp)
+    verdict = _guarded(errors, "existence", decide_existence, link, bp)
     if verdict is not None:
         record.status = verdict.status
         record.rule = verdict.rule
         record.margin = None if verdict.margin is None else str(verdict.margin)
 
     if link.n == 3 and homology is not None:
-        manifold = guard("smale")(smale_name, homology)
+        manifold = _guarded(errors, "smale", smale_name, homology)
         if manifold is not None:
             record.smale = manifold.name()
             lookup = table_lookup(manifold)
@@ -255,10 +258,10 @@ def run_pipeline(presentation: str | BPExponents | WeightedLink) -> CatalogRecor
             record.se_condition = lookup.condition
 
     if link.n == 2 and bp is not None and bp.pairwise_coprime():
-        record.casson = guard("casson")(casson_invariant, bp.exponents)
+        record.casson = _guarded(errors, "casson", casson_invariant, bp.exponents)
 
     if link.degree <= _MODULI_DEGREE_LIMIT:
-        record.moduli = guard("moduli")(moduli_dimension, link)
+        record.moduli = _guarded(errors, "moduli", moduli_dimension, link)
 
     if errors:
         record.error = "; ".join(errors)
@@ -320,11 +323,13 @@ def write_catalog(records: Iterable[CatalogRecord], stream) -> int:
         "tool_version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
-    encode = json.JSONEncoder(sort_keys=True).encode  # what json.dumps builds per call
-    stream.write(encode(header) + "\n")
+    stream.write(json.dumps(header, sort_keys=True) + "\n")
+    # The line holds to_dict's keys in sorted order, sorted once here, not
+    # per record; a tuple encodes as the list to_dict would give.
+    encode = json.JSONEncoder().encode  # what json.dumps builds per call
     count = 0
     for record in records:
-        stream.write(encode(record.to_dict()) + "\n")
+        stream.write(encode(dict(zip(_LINE_FIELDS, _line_values(record)))) + "\n")
         count += 1
     return count
 

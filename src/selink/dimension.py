@@ -38,12 +38,13 @@ degree-long table is used instead when its exact cost bound is lower.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from itertools import groupby
 
 from . import _EXPORTS, _Value
 from .errors import DomainError, InternalConsistencyError, NotSmaleFormError
 from .homology import HomologyGroup
-from .links import WeightedLink, _index
+from .links import WeightedLink, _index, _indices
 
 __all__ = list(_EXPORTS["dimension"])
 
@@ -219,10 +220,10 @@ def casson_invariant(exponents) -> int:
     every term is an integer, with 4 s(a/a_i, a_i) = (12 a_i s) (a/a_i) / (3a),
     so no Fraction is built.
     """
-    a = tuple(_index(x, "exponent") for x in exponents)
+    a = _indices(exponents, "exponent")
     if len(a) != 3:
         raise DomainError(f"need exactly 3 exponents, got {len(a)}")
-    if any(x < 2 for x in a):
+    if min(a) < 2:
         raise DomainError(f"exponents must be >= 2: {a}")
     prod = math.prod(a)
     if math.lcm(*a) != prod:
@@ -324,7 +325,7 @@ def count_monomials(weights, degree: int) -> int:
     ``_MAX_COUNT_COST`` cells the count is a DomainError.
     """
     m = _index(degree, "degree")
-    ws = tuple(_index(w, "weight") for w in weights)
+    ws = _indices(weights, "weight")
     if m < 0:
         raise DomainError(f"degree must be >= 0, got {m}")
     if any(w < 1 for w in ws):
@@ -335,16 +336,20 @@ def count_monomials(weights, degree: int) -> int:
 def _counts(weights, degrees) -> list[int]:
     """``count_monomials`` at each degree, by one method and one cost check.
 
-    Enumeration costs its node bounds summed over the degrees; one table
-    up to the largest degree, which a refusal names, holds every count.
+    The weights are sorted once; the weights at most m, the only ones a
+    degree-m count uses, are the prefix of that list that bisect_right
+    finds.  Enumeration costs its node bounds summed over the degrees; one
+    table up to the largest degree, which a refusal names, holds every
+    count.
     """
     ws = sorted(weights)
     top = max(degrees)
-    cells = (sum(w <= top for w in ws) + 1) * (top + 1)
+    cells = (bisect_right(ws, top) + 1) * (top + 1)
+    usable = [ws[: bisect_right(ws, m)] for m in degrees]
     nodes = 0
-    for m in degrees:
+    for m, below in zip(degrees, usable):
         cost = _NODE_COST
-        for w in [w for w in ws if w <= m][2:]:  # once past cells, the comparison is decided
+        for w in below[2:]:  # once past cells, the comparison is decided
             cost *= m // w + 1
             if nodes + cost > cells:
                 break
@@ -355,7 +360,7 @@ def _counts(weights, degrees) -> list[int]:
             f"over the limit of {_MAX_COUNT_COST}"
         )
     if nodes <= cells:
-        return [_enumerate([w for w in ws if w <= m], m) for m in degrees]
+        return list(map(_enumerate, usable, degrees))
     counts = [0] * (top + 1)
     counts[0] = 1
     for w in ws:

@@ -110,7 +110,7 @@ def decide_existence(
     unknown.  Negative and null links short-circuit to the eta-Einstein
     statement.  When ``bp`` is given it must present ``link``.
     """
-    if bp is not None and bp.link != link:
+    if bp is not None and bp.link is not link and bp.link != link:
         raise DomainError(f"{bp.presentation()} does not present {link.presentation()}")
     link_type = classify_type(link)
     if link_type != "positive":

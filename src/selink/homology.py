@@ -508,12 +508,14 @@ class HomologyGroup(_Value):
             raise InternalConsistencyError(f"negative Betti number {betti}")
         # Equal neighbours divide each other once they are >= 2, so the
         # pairs are checked on runs: a long chain has few distinct values.
-        runs = torsion[:1] + tuple(k for k, _ in groupby(torsion[1:]))
-        tail = runs[1:]
-        if tail and (min(tail) < 2 or any(map(operator.mod, runs, tail))):
-            raise InternalConsistencyError(
-                f"torsion {torsion} is not a pruned divisibility chain"
-            )
+        # A chain of fewer than two factors has no pair.
+        if len(torsion) > 1:
+            runs = torsion[:1] + tuple(k for k, _ in groupby(torsion[1:]))
+            tail = runs[1:]
+            if min(tail) < 2 or any(map(operator.mod, runs, tail)):
+                raise InternalConsistencyError(
+                    f"torsion {torsion} is not a pruned divisibility chain"
+                )
         if torsion and torsion[-1] < 2:
             raise InternalConsistencyError(f"trivial torsion factor in {torsion}")
         fields = self.__dict__

@@ -17,8 +17,9 @@ z_0^{a_0} + ... + z_n^{a_n}, from which weights and degree are derived.
 This module also holds the package's two integer readers.  ``parse_int``
 reads text (presentation tokens here, and the CLI arguments and toric
 files elsewhere) as an optional '-' and decimal digits; ``_index`` takes a
-Python value that is an integer and rejects a float, Fraction or string.
-Both reject anything else as a DomainError.
+Python value that is an integer and rejects a float, Fraction or string,
+and ``_indices`` takes a sequence of them in one pass.  Both reject
+anything else as a DomainError.
 """
 
 from __future__ import annotations
@@ -68,14 +69,22 @@ def parse_int(text: str, context: str) -> int:
     str.isdigit passes), is a DomainError that names the context, and so
     is a number longer than int() reads (sys.get_int_max_str_digits).
     """
+    try:
+        return _read_int(text)
+    except DomainError as exc:
+        raise DomainError(f"{context}: {exc}") from None
+
+
+def _read_int(text: str) -> int:
+    """parse_int without the context, which a caller adds when it raises."""
     digits = text.removeprefix("-")
     if not digits.isdecimal():
-        raise DomainError(f"{context}: {_shown(text)} is not an integer")
+        raise DomainError(f"{_shown(text)} is not an integer")
     try:
         return int(text)
     except ValueError:
         limit = sys.get_int_max_str_digits()
-        raise DomainError(f"{context}: {len(digits)} digits, over the limit of {limit}") from None
+        raise DomainError(f"{len(digits)} digits, over the limit of {limit}") from None
 
 
 def _index(value, what: str) -> int:
@@ -84,6 +93,15 @@ def _index(value, what: str) -> int:
         return operator.index(value)
     except TypeError:
         raise DomainError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _indices(values, what: str) -> tuple[int, ...]:
+    """``_index`` of each value, in one pass; the first non-integer is named."""
+    values = tuple(values)
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        return tuple(_index(value, what) for value in values)
 
 
 def _check_length(values, what: str) -> None:
@@ -106,10 +124,10 @@ class WeightedLink(_Value):
     degree: int
 
     def __init__(self, weights, degree):
-        weights = tuple(_index(w, "weight") for w in weights)
+        weights = _indices(weights, "weight")
         degree = _index(degree, "degree")
         _check_length(weights, "weights")
-        if any(w < 1 for w in weights):
+        if min(weights) < 1:
             raise DomainError(f"weights must be positive integers: {weights}")
         if degree < 1:
             raise DomainError(f"degree must be a positive integer: {degree}")
@@ -151,17 +169,17 @@ class BPExponents(_Value):
     link: WeightedLink
 
     def __init__(self, exponents):
-        exps = tuple(_index(a, "exponent") for a in exponents)
+        exps = _indices(exponents, "exponent")
         _check_length(exps, "exponents")
         fields = self.__dict__
         fields["exponents"] = exps
-        if any(a < 2 for a in exps):
+        if min(exps) < 2:
             raise DomainError(f"exponents must all be >= 2: {exps}")
         d = math.lcm(*exps)
-        weights = tuple(d // a for a in exps)
-        if any(a * w != d for a, w in zip(exps, weights)):
+        # a * (d // a) == d exactly when a divides d.
+        if any(map(d.__mod__, exps)):
             raise InternalConsistencyError(f"a * w != {d} for {self.presentation()}")
-        fields["link"] = WeightedLink(weights, d)
+        fields["link"] = WeightedLink(tuple(map(d.__floordiv__, exps)), d)
 
     @property
     def n(self) -> int:
@@ -201,9 +219,10 @@ def fractional_weights(link: WeightedLink) -> tuple[tuple[int, ...], tuple[int, 
 
 def classify_type(link: WeightedLink) -> str:
     """'positive', 'negative' or 'null' by the sign of the index |w| - d."""
-    if link.index > 0:
+    index = link.index
+    if index > 0:
         return "positive"
-    if link.index < 0:
+    if index < 0:
         return "negative"
     return "null"
 
@@ -220,18 +239,20 @@ def parse_presentation(text: str) -> BPExponents | WeightedLink:
     if not tokens:
         raise DomainError("empty presentation")
     for position, token in enumerate(tokens):
-        context = f"token {_shown(token)} at position {position}"
         key, equals, value = token.partition("=")
-        if not equals:
-            raise DomainError(f"{context}: expected key=value")
-        if key in fields:
-            raise DomainError(f"{context}: duplicate key")
-        if key == "bp" or key == "w":
-            fields[key] = tuple(parse_int(part, context) for part in value.split(","))
-        elif key == "d":
-            fields[key] = parse_int(value, context)
-        else:
-            raise DomainError(f"{context}: unknown key {_shown(key)}")
+        try:
+            if not equals:
+                raise DomainError("expected key=value")
+            if key in fields:
+                raise DomainError("duplicate key")
+            if key == "bp" or key == "w":
+                fields[key] = tuple(map(_read_int, value.split(",")))
+            elif key == "d":
+                fields[key] = _read_int(value)
+            else:
+                raise DomainError(f"unknown key {_shown(key)}")
+        except DomainError as exc:
+            raise DomainError(f"token {_shown(token)} at position {position}: {exc}") from None
     if "bp" in fields:
         if len(fields) != 1:
             raise DomainError("bp=... cannot be combined with other keys")

@@ -7,8 +7,10 @@ invariant.
 """
 
 import concurrent.futures
+import hashlib
 import io
 import json
+import multiprocessing
 import os
 import sys
 import time
@@ -627,9 +629,32 @@ class TestBatch:
         )[0] == 0
         assert catalogs_equal(serial.read_text(), parallel.read_text())
 
-    def test_overflow_in_one_record_spares_the_batch(self, capsys, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "length, max_exponent, digest",
+        [
+            (3, 30, "cb10731d57b3d5752eafef5d8dfb0bada546ba9fdb79731784dd38173afbda4e"),
+            (4, 12, "3f1adac9cc6f3b9d9d2493916d5423c32ccd6b64bee6cb3ac68811f567cbdee3"),
+        ],
+    )
+    def test_record_bytes(self, capsys, tmp_path, length, max_exponent, digest):
+        # The sha256 of every record line; the header carries the time of
+        # writing and is left out.
+        out_path = tmp_path / "cat.jsonl"
+        assert run(
+            capsys,
+            "batch", "--length", str(length), "--max-exponent", str(max_exponent),
+            "-o", str(out_path),
+        )[0] == 0
+        records = out_path.read_bytes().split(b"\n", 1)[1]
+        assert hashlib.sha256(records).hexdigest() == digest
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_overflow_in_one_record_spares_the_batch(self, capsys, tmp_path, monkeypatch, jobs):
+        if jobs != "1" and multiprocessing.get_start_method() != "fork":
+            pytest.skip("the patched stage reaches worker processes only through fork")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         clean, poisoned = tmp_path / "clean.jsonl", tmp_path / "poisoned.jsonl"
-        args = ("batch", "--length", "3", "--max-exponent", "4")
+        args = ("batch", "--jobs", jobs, "--length", "3", "--max-exponent", "4")
         assert run(capsys, *args, "-o", str(clean))[0] == 0
         real_link_homology = catalog.link_homology
 

@@ -8,6 +8,7 @@ import warnings
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -477,6 +478,36 @@ def moduli_oracle(link) -> int:
     return 2 * (total - sum(monomial_dp(link.weights, w) for w in link.weights))
 
 
+def count_cost_oracle(weights, degrees) -> tuple[int, int]:
+    """The cost check of ``_counts`` as first written: (nodes, cells).
+
+    Each degree filters the weights again; enumeration is chosen when
+    nodes <= cells, and min(nodes, cells) is what the limit is held to.
+    """
+    ws = sorted(weights)
+    top = max(degrees)
+    cells = (sum(w <= top for w in ws) + 1) * (top + 1)
+    nodes = 0
+    for m in degrees:
+        cost = dimension._NODE_COST
+        for w in [w for w in ws if w <= m][2:]:
+            cost *= m // w + 1
+            if nodes + cost > cells:
+                break
+        nodes += cost
+    return nodes, cells
+
+
+@st.composite
+def count_cases(draw):
+    """Weights with repeats, and degrees some of them exceed: d, each weight, and a few more."""
+    base = draw(st.lists(st.integers(1, 60), min_size=1, max_size=4))
+    weights = [w for w in base for _ in range(draw(st.integers(1, 3)))]
+    degree = draw(st.integers(0, 240))
+    extra = draw(st.lists(st.integers(0, 240), max_size=2))
+    return draw(st.permutations(weights)), (degree, *weights, *extra)
+
+
 # At most 7 terms per weight, so count_monomials enumerates ...
 _ENUMERATED = st.integers(1000, 20000).flatmap(
     lambda degree: st.tuples(
@@ -592,8 +623,41 @@ class TestMonomialCounting:
 
     def test_refuses_work_over_the_limit(self):
         # The table needs 1.5 * 10^10 cells here, and enumeration far more.
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as excinfo:
             count_monomials((1, 1, 1, 1), 3 * 10**9)
+        assert str(excinfo.value) == (
+            "counting monomials of degree 3000000000 needs 15000000005 steps, "
+            "over the limit of 20000000"
+        )
+
+    @given(count_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_counts_against_dp_and_cost_oracles(self, case):
+        # Every count is the DP's; the method, the refusal and its text are
+        # those the cost oracle gives, answered at the limit and refused
+        # one step under it.
+        weights, degrees = case
+        nodes, cells = count_cost_oracle(weights, degrees)
+        cost = min(nodes, cells)
+        enumerated = []
+        enumerate_ = dimension._enumerate
+
+        def spy(ws, m):
+            enumerated.append(m)
+            return enumerate_(ws, m)
+
+        with mock.patch.object(dimension, "_enumerate", spy):
+            with mock.patch.object(dimension, "_MAX_COUNT_COST", cost):
+                counts = dimension._counts(weights, degrees)
+            with mock.patch.object(dimension, "_MAX_COUNT_COST", cost - 1):
+                with pytest.raises(DomainError) as excinfo:
+                    dimension._counts(weights, degrees)
+        assert counts == [monomial_dp(weights, m) for m in degrees]
+        assert bool(enumerated) == (nodes <= cells)
+        assert str(excinfo.value) == (
+            f"counting monomials of degree {max(degrees)} needs {cost} steps, "
+            f"over the limit of {cost - 1}"
+        )
 
 
 class TestModuli:

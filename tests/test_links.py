@@ -53,12 +53,26 @@ class TestWeightedLink:
             ((1.5, 2, 3), 6, "weight must be an integer, got 1.5"),
             ((1, 2, 3), Fraction(13, 2), "degree must be an integer, got Fraction(13, 2)"),
             ((1, 2, 3), "6", "degree must be an integer, got '6'"),
+            # The first value that is not an integer is the one named,
+            # and the weights are read before the degree.
+            ((1, 1.5, 2.5), 6, "weight must be an integer, got 1.5"),
+            ((1, "2", 1.5), 6, "weight must be an integer, got '2'"),
+            ((1.5, 2, 3), 6.5, "weight must be an integer, got 1.5"),
+            ([2, 3, None], 6, "weight must be an integer, got None"),
+            ((1, 2, 3), 6.0, "degree must be an integer, got 6.0"),
         ],
     )
     def test_rejects_non_integers(self, weights, degree, message):
         # Truncation would turn these into w=1,2,3 d=6.
-        with pytest.raises(DomainError, match=re.escape(message)):
+        with pytest.raises(DomainError) as excinfo:
             WeightedLink(weights, degree)
+        assert str(excinfo.value) == message
+
+    def test_weights_may_be_any_iterable(self):
+        assert WeightedLink(iter([1, 2, 3]), 6) == WeightedLink((1, 2, 3), 6)
+        with pytest.raises(DomainError) as excinfo:
+            WeightedLink((w for w in (1, 2.5, 3.5)), 6)
+        assert str(excinfo.value) == "weight must be an integer, got 2.5"
 
 
 class TestBPExponents:
@@ -111,10 +125,20 @@ class TestBPExponents:
         with pytest.raises(DomainError):
             BPExponents((2, 2))
 
-    def test_rejects_non_integer_exponents(self):
-        # Truncation would turn this into bp=2,3,5.
-        with pytest.raises(DomainError, match="exponent must be an integer, got 2.9"):
-            BPExponents((2.9, 3, 5))
+    @pytest.mark.parametrize(
+        "exponents, message",
+        [
+            # Truncation would turn the first into bp=2,3,5.
+            ((2.9, 3, 5), "exponent must be an integer, got 2.9"),
+            ((2.9, "x", 5), "exponent must be an integer, got 2.9"),
+            ((2, 3.0, 5.5), "exponent must be an integer, got 3.0"),
+            ((2, 3, Fraction(5, 2)), "exponent must be an integer, got Fraction(5, 2)"),
+        ],
+    )
+    def test_rejects_non_integer_exponents(self, exponents, message):
+        with pytest.raises(DomainError) as excinfo:
+            BPExponents(exponents)
+        assert str(excinfo.value) == message
 
 
 class TestWeightBound:
@@ -262,6 +286,44 @@ class TestParser:
             parse_presentation(text)
         assert str(excinfo.value).startswith(message)
         assert len(str(excinfo.value)) < 200
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("w=1,2,3 6", "token '6' at position 1: expected key=value"),
+            ("w=1,2,3 w=1,2,3 d=6", "token 'w=1,2,3' at position 1: duplicate key"),
+            ("bp=2,3,5 bp=2,3,5", "token 'bp=2,3,5' at position 1: duplicate key"),
+            ("w=1,2,3 d=6 x=1", "token 'x=1' at position 2: unknown key 'x'"),
+            ("w=1,2,3 =5", "token '=5' at position 1: unknown key ''"),
+            ("w=1,a,3 d=6", "token 'w=1,a,3' at position 0: 'a' is not an integer"),
+            ("w=1,2,3 d=6.0", "token 'd=6.0' at position 1: '6.0' is not an integer"),
+            ("w=1,,3 d=6", "token 'w=1,,3' at position 0: '' is not an integer"),
+            ("bp=2,3,-", "token 'bp=2,3,-' at position 0: '-' is not an integer"),
+            (
+                "w=1,2,3 d=" + "9" * 4301,
+                "token 'd=" + "9" * 35 + "...' at position 1: 4301 digits, over the limit of 4300",
+            ),
+            ("bp=2,3,5 d=30", "bp=... cannot be combined with other keys"),
+            ("d=30 bp=2,3,5", "bp=... cannot be combined with other keys"),
+            ("w=1,2,3", "incomplete presentation 'w=1,2,3': need bp=... or w=... d=..."),
+            ("d=6", "incomplete presentation 'd=6': need bp=... or w=... d=..."),
+            ("   ", "empty presentation"),
+            # A token of 40 characters is shown whole, one of 41 is cut.
+            ("x" * 40, "token '" + "x" * 40 + "' at position 0: expected key=value"),
+            ("x" * 41, "token '" + "x" * 37 + "...' at position 0: expected key=value"),
+            (
+                "bp=2,3,5 junk=" + "1" * 40,
+                "token 'junk=" + "1" * 32 + "...' at position 1: unknown key 'junk'",
+            ),
+            ("w=1,2 d=3", "need at least 3 weights, got 2"),
+            ("w=0,1,1 d=2", "weights must be positive integers: (0, 1, 1)"),
+            ("bp=1,2,3", "exponents must all be >= 2: (1, 2, 3)"),
+        ],
+    )
+    def test_error_texts(self, text, message):
+        with pytest.raises(DomainError) as excinfo:
+            parse_presentation(text)
+        assert str(excinfo.value) == message
 
     @given(bp_exponents())
     def test_presentation_round_trip_bp(self, bp):
