@@ -267,6 +267,11 @@ def _cmd_moduli(args) -> int:
     return 0
 
 
+def _cmd_toric(args) -> int:
+    """toric without a query; each query's own handler replaces this one."""
+    raise DomainError("toric needs a query: gamma, volume or minimize")
+
+
 def _cmd_toric_gamma(args) -> int:
     from .toric import gorenstein_gamma
 
@@ -389,7 +394,17 @@ def _cmd_export_table(args) -> int:
 # ----------------------------------------------------------------- parser
 
 
-def _add_presentation_argument(parser):
+def _add_format_option(parser):
+    parser.add_argument(
+        "--format",
+        choices=("text", "records", "table"),
+        default="text",
+        help="output format (default text)",
+    )
+
+
+def _presentation_query(parser):
+    _add_format_option(parser)
     parser.add_argument(
         "presentation",
         nargs="+",
@@ -397,7 +412,36 @@ def _add_presentation_argument(parser):
     )
 
 
-def _add_cone_arguments(parser):
+def _homology_arguments(parser):
+    _presentation_query(parser)
+    parser.add_argument(
+        "--source",
+        choices=PROVEN_SOURCES,
+        help="declare the defining polynomial class (affects the proven flag)",
+    )
+
+
+def _se_table_arguments(parser):
+    _add_format_option(parser)
+    parser.add_argument("presentation", nargs="*", help="link presentation (optional)")
+    parser.add_argument("--betti", type=_int, help="rank of H_2")
+    parser.add_argument("--m", help="comma-separated torsion chain m_1|m_2|...")
+
+
+def _casson_arguments(parser):
+    _add_format_option(parser)
+    for name in ("a0", "a1", "a2"):
+        parser.add_argument(name, type=_int)
+
+
+def _tight_count_arguments(parser):
+    _add_format_option(parser)
+    parser.add_argument("p", type=_int)
+    parser.add_argument("q", type=_int)
+
+
+def _cone_query(parser):
+    _add_format_option(parser)
     parser.add_argument("file", help="cone or weight-matrix file")
     parser.add_argument(
         "--weights",
@@ -406,80 +450,26 @@ def _add_cone_arguments(parser):
     )
 
 
-def _add_query(sub, name, func, help):
-    """A subcommand that prints one result in the format --format selects."""
-    parser = sub.add_parser(name, help=help)
-    parser.add_argument(
-        "--format",
-        choices=("text", "records", "table"),
-        default="text",
-        help="output format (default text)",
-    )
-    parser.set_defaults(func=func)
-    return parser
+def _volume_arguments(parser):
+    _cone_query(parser)
+    parser.add_argument("--xi", required=True, help="comma-separated rationals, e.g. 3,3/2,3/2")
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="selink", description=__doc__)
-    parser.add_argument("--version", action="version", version=f"selink {__version__}")
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
+def _minimize_arguments(parser):
+    _cone_query(parser)
+    parser.add_argument("--start", help="starting Reeb vector (comma-separated rationals)")
+    parser.add_argument("--grad-tol", type=float, default=1e-8)
 
-    p = _add_query(sub, "classify", _cmd_classify, "trichotomy type and index")
-    _add_presentation_argument(p)
 
-    p = _add_query(sub, "homology", _cmd_homology, "Betti number and torsion")
-    _add_presentation_argument(p)
-    p.add_argument(
-        "--source",
-        choices=PROVEN_SOURCES,
-        help="declare the defining polynomial class (affects the proven flag)",
-    )
+def _toric_arguments(parser):
+    _add_commands(parser.add_subparsers(metavar="QUERY"), _TORIC_QUERIES, _TORIC_QUERIES)
 
-    p = _add_query(sub, "verdict", _cmd_verdict, "existence/obstruction verdict")
-    _add_presentation_argument(p)
 
-    p = _add_query(sub, "dim5-name", _cmd_dim5_name, "Smale name of a 5-dim link")
-    _add_presentation_argument(p)
-
-    p = _add_query(
-        sub, "se-table", _cmd_se_table, "classification table lookup for 5-manifolds"
-    )
-    p.add_argument("presentation", nargs="*", help="link presentation (optional)")
-    p.add_argument("--betti", type=_int, help="rank of H_2")
-    p.add_argument("--m", help="comma-separated torsion chain m_1|m_2|...")
-
-    p = _add_query(sub, "casson", _cmd_casson, "Casson invariant of a Brieskorn sphere")
-    p.add_argument("a0", type=_int)
-    p.add_argument("a1", type=_int)
-    p.add_argument("a2", type=_int)
-
-    p = _add_query(sub, "tight-count", _cmd_tight_count, "tight contact structures on L(p,q)")
-    p.add_argument("p", type=_int)
-    p.add_argument("q", type=_int)
-
-    p = _add_query(sub, "moduli", _cmd_moduli, "naive moduli dimension")
-    _add_presentation_argument(p)
-
-    p = sub.add_parser("toric", help="moment-cone computations")
-    toric_sub = p.add_subparsers(dest="toric_command", metavar="QUERY")
-
-    q = _add_query(toric_sub, "gamma", _cmd_toric_gamma, "Gorenstein vector of the cone")
-    _add_cone_arguments(q)
-
-    q = _add_query(toric_sub, "volume", _cmd_toric_volume, "normalized volume at --xi")
-    _add_cone_arguments(q)
-    q.add_argument("--xi", required=True, help="comma-separated rationals, e.g. 3,3/2,3/2")
-
-    q = _add_query(toric_sub, "minimize", _cmd_toric_minimize, "volume-minimizing Reeb vector")
-    _add_cone_arguments(q)
-    q.add_argument("--start", help="starting Reeb vector (comma-separated rationals)")
-    q.add_argument("--grad-tol", type=float, default=1e-8)
-
-    p = sub.add_parser("batch", help="enumerate BP links into a catalog")
-    p.add_argument("--length", type=_int, required=True, help="number of exponents")
-    p.add_argument("--max-exponent", type=_int, required=True)
-    p.add_argument("--type", choices=LINK_TYPES, help="keep only this trichotomy type")
-    coprime = p.add_mutually_exclusive_group()
+def _batch_arguments(parser):
+    parser.add_argument("--length", type=_int, required=True, help="number of exponents")
+    parser.add_argument("--max-exponent", type=_int, required=True)
+    parser.add_argument("--type", choices=LINK_TYPES, help="keep only this trichotomy type")
+    coprime = parser.add_mutually_exclusive_group()
     coprime.add_argument(
         "--coprime",
         dest="coprime",
@@ -494,21 +484,66 @@ def build_parser() -> _Parser:
         const=False,
         help="keep only non-coprime tuples",
     )
-    p.add_argument("--status", choices=STATUSES, help="keep only this verdict status")
-    p.add_argument(
+    parser.add_argument("--status", choices=STATUSES, help="keep only this verdict status")
+    parser.add_argument(
         "--jobs",
         type=_int,
         default=1,
         help="worker processes (default 1, at most the CPU count)",
     )
-    p.add_argument("-o", "--output", help="catalog file (default stdout)")
-    p.set_defaults(func=_cmd_batch)
+    parser.add_argument("-o", "--output", help="catalog file (default stdout)")
 
-    p = sub.add_parser("export-table", help="catalog file to TSV")
-    p.add_argument("catalog", help="catalog file written by batch")
-    p.add_argument("-o", "--output", help="TSV file (default stdout)")
-    p.set_defaults(func=_cmd_export_table)
 
+def _export_table_arguments(parser):
+    parser.add_argument("catalog", help="catalog file written by batch")
+    parser.add_argument("-o", "--output", help="TSV file (default stdout)")
+
+
+# Each command, in the order the help lists them: its handler, its help
+# line and the function that adds its arguments.  A query's adder adds
+# --format first.
+_COMMANDS = {
+    "classify": (_cmd_classify, "trichotomy type and index", _presentation_query),
+    "homology": (_cmd_homology, "Betti number and torsion", _homology_arguments),
+    "verdict": (_cmd_verdict, "existence/obstruction verdict", _presentation_query),
+    "dim5-name": (_cmd_dim5_name, "Smale name of a 5-dim link", _presentation_query),
+    "se-table": (
+        _cmd_se_table,
+        "classification table lookup for 5-manifolds",
+        _se_table_arguments,
+    ),
+    "casson": (_cmd_casson, "Casson invariant of a Brieskorn sphere", _casson_arguments),
+    "tight-count": (
+        _cmd_tight_count,
+        "tight contact structures on L(p,q)",
+        _tight_count_arguments,
+    ),
+    "moduli": (_cmd_moduli, "naive moduli dimension", _presentation_query),
+    "toric": (_cmd_toric, "moment-cone computations", _toric_arguments),
+    "batch": (_cmd_batch, "enumerate BP links into a catalog", _batch_arguments),
+    "export-table": (_cmd_export_table, "catalog file to TSV", _export_table_arguments),
+}
+_TORIC_QUERIES = {
+    "gamma": (_cmd_toric_gamma, "Gorenstein vector of the cone", _cone_query),
+    "volume": (_cmd_toric_volume, "normalized volume at --xi", _volume_arguments),
+    "minimize": (_cmd_toric_minimize, "volume-minimizing Reeb vector", _minimize_arguments),
+}
+
+
+def _add_commands(sub, table, names):
+    """A subparser for each of the names, from its row of the table."""
+    for name in names:
+        handler, help, add_arguments = table[name]
+        parser = sub.add_parser(name, help=help)
+        add_arguments(parser)
+        parser.set_defaults(func=handler)
+
+
+def build_parser(names) -> _Parser:
+    """The selink parser with a subcommand for each of the names, in order."""
+    parser = _Parser(prog="selink", description=__doc__)
+    parser.add_argument("--version", action="version", version=f"selink {__version__}")
+    _add_commands(parser.add_subparsers(dest="command", metavar="COMMAND"), _COMMANDS, names)
     return parser
 
 
@@ -550,19 +585,21 @@ def _misplaced_option(parser, argv) -> str | None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # A command named first is parsed by its own subparser alone.  Any
+    # other start, such as --help, an option or an unknown command, may
+    # print text that lists every command, so all of them are built.
+    parser = build_parser(argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS)
     try:
         args = parser.parse_args(argv)
     except DomainError as exc:  # a usage error; name a misplaced option
-        misplaced = _misplaced_option(parser, sys.argv[1:] if argv is None else argv)
+        misplaced = _misplaced_option(parser, argv)
         print(f"error: {_short_numbers(misplaced or str(exc))}", file=sys.stderr)
         return 1
     try:
         if args.command is None:
             parser.print_help()
             return 0
-        if getattr(args, "command", None) == "toric" and args.toric_command is None:
-            raise DomainError("toric needs a query: gamma, volume or minimize")
         return args.func(args)
     except DomainError as exc:
         print(f"error: {_short_numbers(str(exc))}", file=sys.stderr)

@@ -87,7 +87,9 @@ link_homology works in integers throughout: the Orlik pass gives
 counts.  Fractions appear only in the public ``orlik_table``, whose k_S
 are built from the same integer sums, and in the text of a Betti sum that
 is not an integer; on the rest of a catalog record's path only the
-existence margins are Fractions.
+existence margins are Fractions.  ``orlik_table`` and ``_betti``'s error
+path import ``Fraction`` where they build one, so ``selink homology``
+loads neither ``fractions`` nor ``decimal``.
 
 This torsion formula is a theorem for n = 2 and n = 3, for Brieskorn-Pham
 polynomials, and for iterated chain polynomials
@@ -100,7 +102,6 @@ from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 from itertools import groupby
 
 from . import _EXPORTS, _Value
@@ -279,6 +280,8 @@ def _orlik_c(u: tuple[int, ...]) -> dict[int, int]:
 def _betti(link: WeightedLink, total: int, denominator: int) -> int:
     """The alternating subset sum D * b of ``_orlik_pass``, checked and divided."""
     if total < 0 or total % denominator != 0:
+        from fractions import Fraction
+
         raise InternalConsistencyError(
             f"Betti sum for {link.presentation()} is {Fraction(total, denominator)}, "
             "expected a nonnegative integer"
@@ -437,6 +440,8 @@ def orlik_table(link: WeightedLink | BPExponents) -> OrlikTable:
     The k_S are Fractions here, built from the integer sums of
     ``_orlik_pass``; link_homology reads the same sums without them.
     """
+    from fractions import Fraction
+
     link = as_link(link)
     c, sums, _, denominator = _orlik_pass(link)
     entries = tuple(

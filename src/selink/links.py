@@ -20,6 +20,11 @@ files elsewhere) as an optional '-' and decimal digits; ``_index`` takes a
 Python value that is an integer and rejects a float, Fraction or string,
 and ``_indices`` takes a sequence of them in one pass.  Both reject
 anything else as a DomainError.
+
+``Fraction`` is imported inside ``BPExponents.reciprocal_sum``, the one
+place here that builds one, so that loading this module, as every
+command does, loads neither ``fractions`` nor the ``decimal`` and
+``numbers`` modules it imports.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from fractions import Fraction
 
 from . import _EXPORTS, _Value
 from .errors import DomainError, InternalConsistencyError
@@ -122,6 +126,10 @@ class WeightedLink(_Value):
     __match_args__ = ("weights", "degree")
     weights: tuple[int, ...]
     degree: int
+    # Derived from the two fields above, so left out of ==, the hash and
+    # the repr; stored once, since every stage of a record reads them.
+    n: int  # complex dimension of the hypersurface; the link has dimension 2n-1
+    index: int  # |w| - d, positive for Fano-type (anti-canonical) links
 
     def __init__(self, weights, degree):
         weights = _indices(weights, "weight")
@@ -134,20 +142,12 @@ class WeightedLink(_Value):
         fields = self.__dict__
         fields["weights"] = weights
         fields["degree"] = degree
-
-    @property
-    def n(self) -> int:
-        """Complex dimension of the hypersurface; the link has dimension 2n-1."""
-        return len(self.weights) - 1
+        fields["n"] = len(weights) - 1
+        fields["index"] = sum(weights) - degree
 
     @property
     def link_dim(self) -> int:
         return 2 * self.n - 1
-
-    @property
-    def index(self) -> int:
-        """|w| - d.  Positive for Fano-type (anti-canonical) links."""
-        return sum(self.weights) - self.degree
 
     def canonical_key(self) -> tuple[tuple[int, ...], int]:
         """The weight multiset and the degree; keys MODULI_REFERENCE."""
@@ -191,6 +191,8 @@ class BPExponents(_Value):
 
     def reciprocal_sum(self) -> Fraction:
         """sum(1 / a_i), as |w| / d since every w_i = d / a_i."""
+        from fractions import Fraction
+
         return Fraction(sum(self.link.weights), self.link.degree)
 
     def presentation(self) -> str:
@@ -201,10 +203,12 @@ def fractional_weights(link: WeightedLink) -> tuple[tuple[int, ...], tuple[int, 
     """The reduced fractions u_i / v_i = d / w_i, as the pair (u, v).
 
     u_i = d/gcd(d, w_i) and v_i = w_i/gcd(d, w_i), so u_i w_i = d v_i, and
-    every u_i and v_i is positive.  These fractions determine the homology
-    of the link completely (free part always, torsion at least
-    conjecturally), so they are the interface between a presentation and
-    the homology machinery.
+    every u_i and v_i is positive.  That identity holds by construction,
+    since g = gcd(d, w_i) divides both d and w_i exactly, so it is not
+    checked here; the tests check it on the census and on random (w, d).
+    These fractions determine the homology of the link completely (free
+    part always, torsion at least conjecturally), so they are the
+    interface between a presentation and the homology machinery.
     """
     d = link.degree
     nums, dens = [], []
@@ -212,8 +216,6 @@ def fractional_weights(link: WeightedLink) -> tuple[tuple[int, ...], tuple[int, 
         g = math.gcd(d, w)
         nums.append(d // g)
         dens.append(w // g)
-    if any(u * w != d * v for u, v, w in zip(nums, dens, link.weights)):
-        raise InternalConsistencyError(f"u * w != d * v for {link.presentation()}")
     return tuple(nums), tuple(dens)
 
 

@@ -15,6 +15,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 from conftest import catalogs_equal, no_merge_family
@@ -1251,3 +1252,29 @@ class TestExitCodes:
             main(["--version"])
         assert excinfo.value.code == 0
         assert capsys.readouterr().out.startswith("selink ")
+
+
+# Help, --version and usage errors as they read when every call built
+# every command's subparser: each entry's argv, exit code, stdout and
+# stderr.  The texts were recorded on Python 3.11 with COLUMNS=80, and
+# argparse words some of them differently on other versions, where only
+# the exit codes are compared.
+TEXT_GOLDENS = json.loads(
+    Path(__file__).with_name("cli_text_goldens.json").read_text(encoding="utf-8")
+)
+
+
+class TestTextGoldens:
+    @pytest.mark.parametrize(
+        "golden", TEXT_GOLDENS, ids=[" ".join(g["argv"]) or "(none)" for g in TEXT_GOLDENS]
+    )
+    def test_text_and_exit_code(self, capsys, monkeypatch, golden):
+        monkeypatch.setenv("COLUMNS", "80")
+        try:
+            code = main(list(golden["argv"]))
+        except SystemExit as exc:  # --help and --version exit from argparse
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code == golden["code"]
+        if sys.version_info[:2] == (3, 11):
+            assert (out, err) == (golden["out"], golden["err"])

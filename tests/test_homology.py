@@ -251,7 +251,8 @@ class TestIntegerPath:
         def refuse(*args, **kwargs):
             raise AssertionError("a Fraction was built")
 
-        monkeypatch.setattr(homology, "Fraction", refuse)
+        # homology imports Fraction only inside the functions that build
+        # one, so patching the class catches every construction.
         monkeypatch.setattr(Fraction, "__new__", refuse)
         assert [link_homology(link) for link in links] == expected
 

@@ -92,6 +92,14 @@ def test_cold_start_loads_no_code_generator(name, tmp_path):
     assert loaded_after(code, ("dataclasses", "inspect")) == []
 
 
+# A link query needs no rational arithmetic: fractions, with the decimal
+# and numbers modules it imports, loads only where a Fraction is built.
+@pytest.mark.parametrize("name", ["import selink.cli", "homology"])
+def test_link_query_loads_no_fractions(name):
+    loaded = loaded_after(COLD_STARTS[name], ("fractions", "decimal", "numbers"))
+    assert loaded == []
+
+
 def test_toric_command_loads_no_link_layer(tmp_path):
     cone_file = tmp_path / "conifold.txt"
     cone_file.write_text("1 0 0\n1 1 0\n1 1 1\n1 0 1\n")

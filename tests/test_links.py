@@ -22,6 +22,20 @@ from selink import (
 from selink.links import parse_int
 from conftest import bp_exponents, fermat_type_links
 
+# The links of the Brieskorn-Pham enumerations (length, max exponent).
+CENSUS = ((3, 30), (4, 12), (5, 7))
+
+# Any (w, d) that WeightedLink accepts, whether or not it bounds a link.
+weight_degree_pairs = st.builds(
+    WeightedLink,
+    st.lists(st.integers(1, 10**4), min_size=3, max_size=12),
+    st.integers(1, 10**4),
+)
+
+
+def census_links():
+    return (bp.link for enum in CENSUS for bp in enumerate_bp(*enum))
+
 
 class TestWeightedLink:
     def test_basic_attributes(self):
@@ -29,6 +43,19 @@ class TestWeightedLink:
         assert link.n == 4
         assert link.link_dim == 7
         assert link.index == 1
+
+    @staticmethod
+    def check_derived_fields(link):
+        assert link.n == len(link.weights) - 1
+        assert link.index == sum(link.weights) - link.degree
+
+    def test_derived_fields_on_the_census(self):
+        for link in census_links():
+            self.check_derived_fields(link)
+
+    @given(weight_degree_pairs)
+    def test_derived_fields(self, link):
+        self.check_derived_fields(link)
 
     def test_weights_keep_input_order(self):
         link = WeightedLink((6, 4, 1, 1, 1), 12)
@@ -114,7 +141,7 @@ class TestBPExponents:
 
     def test_reciprocal_sum_is_the_sum_of_reciprocals_on_the_census(self):
         # |w| / d against the definition, term by term.
-        for enum in ((3, 30), (4, 12), (5, 7)):
+        for enum in CENSUS:
             for bp in enumerate_bp(*enum):
                 expected = sum((Fraction(1, a) for a in bp.exponents), Fraction(0))
                 assert bp.reciprocal_sum() == expected, bp
@@ -204,12 +231,22 @@ class TestFractionalWeights:
         assert u == (3, 2, 3)
         assert v == (2, 1, 1)
 
-    @given(fermat_type_links())
-    def test_reconstruction_identity(self, link):
-        # u_i * w_i = d * v_i for every i, and u_i/v_i is reduced.
-        for u, v, w in zip(*fractional_weights(link), link.weights):
+    @staticmethod
+    def check_reconstruction_identity(link):
+        # u_i * w_i = d * v_i for every i, and u_i/v_i is a reduced
+        # fraction of positive integers; fractional_weights relies on
+        # this without checking it.
+        for u, v, w in zip(*fractional_weights(link), link.weights, strict=True):
             assert u * w == link.degree * v
-            assert math.gcd(u, v) == 1
+            assert math.gcd(u, v) == 1 and u > 0 and v > 0
+
+    def test_reconstruction_identity_on_the_census(self):
+        for link in census_links():
+            self.check_reconstruction_identity(link)
+
+    @given(st.one_of(fermat_type_links(), weight_degree_pairs))
+    def test_reconstruction_identity(self, link):
+        self.check_reconstruction_identity(link)
 
     @given(fermat_type_links(max_scale=4))
     def test_scale_invariance(self, link):
