@@ -57,7 +57,7 @@ fractions u_i/v_i = x/y enter as one factor
 
 with a = -1 at k = 1.  The Orlik pass (``_orlik_pass``) works over these
 G groups (``_fraction_groups``) and picks one of two exact methods by G.
-Every S with c_S > 1 is a union of groups (see ``orlik_table``), so the
+Every S with c_S > 1 is a union of groups (see ``_orlik_c``), so the
 results over groups are spread back to index masks at the end.
 
 For G <= ``_SUBSET_MAX_GROUPS`` it builds tables over all 2^G sets of
@@ -72,7 +72,7 @@ per gcd class the signed sums over all J and over the J inside each
 needed S, gives the Betti sum and every k_S at once (``_divisor_sums``).
 The definition of c says that the product of c_J over all J in S is
 gcd(u_j : j not in S), and that Moebius inverse has a closed form (see
-``orlik_table``): over a pairwise coprime base of the u, found by gcd
+``_orlik_c``): over a pairwise coprime base of the u, found by gcd
 refinement without factoring, c_S collects one base element b per
 threshold t with S = {j : v_b(u_j) < t}.  So only the few masks with
 c_S > 1 are ever formed, and k_S is summed for those with eps = 1 alone.
@@ -168,7 +168,7 @@ def _index_mask(mask: int, members: tuple[int, ...]) -> int:
     return index
 
 
-def _divisor_sums(x, d, a, odd: int, masks=()) -> tuple[list[int], int]:
+def _divisor_sums(x, d, a, odd: int, masks) -> tuple[list[int], int]:
     """D times the signed sums of (-1)^{m-|J|} f(J), and D, over groups.
 
     The groups are those of ``_fraction_groups``.  Entry 0 sums over every
@@ -248,10 +248,23 @@ def _coprime_base(numbers) -> list[int]:
 def _orlik_c(u: tuple[int, ...]) -> dict[int, int]:
     """c_S per mask S with c_S > 1; every other proper mask has c_S = 1.
 
-    For each element b of a coprime base of u, with e_j = v_b(u_j), b is
-    multiplied into c_S once per threshold t = 1..max e, S = {j : e_j < t}
-    (see ``orlik_table``).  The thresholds between two consecutive values
-    of e share one S, so they enter as one power of b.
+    c_S has a closed form, which ``_gcd_class_pass`` uses past
+    ``_SUBSET_MAX_GROUPS`` groups.  Let b be an element of a pairwise
+    coprime base of the u (``_coprime_base``) and e_j = v_b(u_j).  The
+    complement gcd has b-exponent g(S) = min(e_j : j not in S), which is the
+    number of thresholds t >= 1 whose set T_t = {j : e_j < t} lies inside S.
+    The product of c_J over the subsets J of S is that gcd, so the
+    b-exponent of c_J, the Moebius inverse of g, counts the thresholds with
+    T_t = J.  For t = 1..max e the set T_t misses an index of largest e, so
+    it is a proper mask; every larger t gives the full mask, which is never
+    needed.  Hence c_S is the product of b over the pairs (b, t) with
+    T_t = S, a positive integer, and it is 1 on every mask no threshold hits.
+    Indices with equal u_j have equal e_j, so every T_t is a union of them,
+    and of the groups of equal fractions a fortiori.
+
+    The thresholds between two consecutive values of e share one S, so
+    they enter as one power of b.  A base that does not rebuild every u_j
+    is an InternalConsistencyError.
     """
     c: dict[int, int] = {}
     rest = list(u)
@@ -399,7 +412,7 @@ def _orlik_pass(
     (``_fraction_groups``): up to ``_SUBSET_MAX_GROUPS`` groups the subset
     tables are the faster method, above it the divisor pass; both give
     the same integers.  Every mask with c_S > 1 is a union of groups (see
-    ``orlik_table``), so their results over groups are those over indices
+    ``_orlik_c``), so their results over groups are those over indices
     once each group mask is spread to its indices.  A link of at most
     ``_SUBSET_MAX_GROUPS`` indices has no more groups than that, so it
     takes the tables with every index its own group, without being
@@ -421,24 +434,9 @@ def _orlik_pass(
 def orlik_table(link: WeightedLink | BPExponents) -> OrlikTable:
     """The masks with c_S > 1 and their c and k, from one Orlik pass.
 
-    c_S has a closed form, which ``_gcd_class_pass`` uses past
-    ``_SUBSET_MAX_GROUPS`` groups.  Let b be an element of a pairwise
-    coprime base of the u (``_coprime_base``) and e_j = v_b(u_j).  The
-    complement gcd has b-exponent g(S) = min(e_j : j not in S), which is the
-    number of thresholds t >= 1 whose set T_t = {j : e_j < t} lies inside S.
-    The product of c_J over the subsets J of S is that gcd, so the
-    b-exponent of c_J, the Moebius inverse of g, counts the thresholds with
-    T_t = J.  For t = 1..max e the set T_t misses an index of largest e, so
-    it is a proper mask; every larger t gives the full mask, which is never
-    needed.  Hence c_S is the product of b over the pairs (b, t) with
-    T_t = S, a positive integer, and it is 1 on every mask no threshold hits.
-    ``_orlik_c`` builds exactly that; it checks that the base rebuilds every
-    u_j, and raises InternalConsistencyError if not.  Indices with equal
-    u_j have equal e_j, so every T_t is a union of them, and of the
-    groups of equal fractions a fortiori.
-
-    The k_S are Fractions here, built from the integer sums of
-    ``_orlik_pass``; link_homology reads the same sums without them.
+    c_S has a closed form (see ``_orlik_c``).  The k_S are Fractions here,
+    built from the integer sums of ``_orlik_pass``; link_homology reads
+    the same sums without them.
     """
     from fractions import Fraction
 

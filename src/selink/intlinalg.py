@@ -7,12 +7,12 @@ Two routines do the elimination, both in plain Python ints:
   left kernel; ``invariant_factors`` reads the Smith diagonal off Hermite
   forms of alternate transposes (Cohen 1993, section 2.4);
 - ``_echelon`` is a fraction-free (Bareiss) row echelon form, whose
-  entries are minors of the input and never need a Fraction.  It gives
-  ``det_int``, and ``_cramer_numerators`` reads an exact solution off it
-  as integers over one determinant.
+  entries are minors of the input and never need a Fraction.
+  ``_cramer_numerators`` reads an exact solution off it as integers over
+  one determinant.
 
-Entries are validated once, at the public boundary: ``hermite_form``,
-``det_int`` and ``primitive_vector`` take integer entries only (whatever
+Entries are validated once, at the public boundary: ``hermite_form``
+and ``primitive_vector`` take integer entries only (whatever
 ``operator.index`` accepts; anything else is a ``DomainError``, so nothing
 is ever rounded or truncated).  ``_echelon`` trusts the rows it is given:
 its callers pass rows they have already checked, of ints and one length.
@@ -29,7 +29,6 @@ from .errors import DomainError
 __all__ = [
     "hermite_form",
     "invariant_factors",
-    "det_int",
     "primitive_vector",
 ]
 
@@ -149,18 +148,6 @@ def _echelon(matrix) -> tuple[list[list[int]], list[int]]:
         if r == nrows:
             break
     return rows, pivots
-
-
-def det_int(matrix) -> int:
-    """Exact determinant of an integer matrix: the last Bareiss pivot."""
-    matrix = list(matrix)
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise DomainError("determinant needs a square matrix")
-    if n == 0:
-        return 1
-    rows, pivots = _echelon(_int_rows(matrix))
-    return rows[-1][-1] if len(pivots) == n else 0
 
 
 def _cramer_numerators(rows, ncols: int, rhs: int) -> tuple[int, list[int]]:

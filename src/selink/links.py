@@ -34,7 +34,7 @@ import operator
 import sys
 
 from . import _EXPORTS, _Value
-from .errors import DomainError, InternalConsistencyError
+from .errors import DomainError
 
 __all__ = list(_EXPORTS["links"])
 
@@ -160,8 +160,10 @@ class WeightedLink(_Value):
 class BPExponents(_Value):
     """Brieskorn-Pham exponents a_i >= 2 for z_0^{a_0} + ... + z_n^{a_n}.
 
-    Their link is built with them: d = lcm(a), w_i = d / a_i, so a_i w_i = d.
-    The link is derived, so it is left out of the repr, ==, and the hash.
+    Their link is built with them: d = lcm(a) and w_i = d / a_i.  Each a_i
+    divides d, so a_i w_i = d by construction; the tests check it on the
+    census and on random exponents.  The link is derived, so it is left out
+    of the repr, ==, and the hash.
     """
 
     __match_args__ = ("exponents",)
@@ -171,14 +173,11 @@ class BPExponents(_Value):
     def __init__(self, exponents):
         exps = _indices(exponents, "exponent")
         _check_length(exps, "exponents")
-        fields = self.__dict__
-        fields["exponents"] = exps
         if min(exps) < 2:
             raise DomainError(f"exponents must all be >= 2: {exps}")
         d = math.lcm(*exps)
-        # a * (d // a) == d exactly when a divides d.
-        if any(map(d.__mod__, exps)):
-            raise InternalConsistencyError(f"a * w != {d} for {self.presentation()}")
+        fields = self.__dict__
+        fields["exponents"] = exps
         fields["link"] = WeightedLink(tuple(map(d.__floordiv__, exps)), d)
 
     @property

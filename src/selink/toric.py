@@ -194,10 +194,8 @@ class MomentCone(_Value):
         rays.sort()
         masks = [0] * len(normals)
         for j, (_, zeros) in enumerate(rays):
-            while zeros:
-                low = zeros & -zeros
-                masks[low.bit_length() - 1] |= 1 << j
-                zeros ^= low
+            for i in _set_bits(zeros):
+                masks[i] |= 1 << j
         return tuple(vec for vec, _ in rays), tuple(masks)
 
     @cached_property

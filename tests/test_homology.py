@@ -19,7 +19,7 @@ import math
 import time
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -128,11 +128,56 @@ class TestFermatLinks:
         assert primary_parts(group.torsion) == primary_parts([4 * m] + [m] * 20)
 
 
+def brieskorn_graph_sphere(exponents) -> bool:
+    """Brieskorn's graph criterion for the link of a to be a homology sphere.
+
+    The graph has a vertex per exponent and joins a_i and a_j when
+    gcd(a_i, a_j) > 1.  The link is an integral homology sphere iff the
+    graph has at least two isolated points, or exactly one and another
+    component with an odd number of vertices whose pairwise gcds are all 2
+    (Brieskorn, "Beispiele zur Differentialtopologie von Singularitäten",
+    Invent. Math. 2, 1966).  No subset sum or gcd table is involved.
+    """
+    unseen = set(range(len(exponents)))
+    components = []
+    while unseen:
+        stack, component = [unseen.pop()], []
+        while stack:
+            i = stack.pop()
+            component.append(i)
+            linked = {j for j in unseen if math.gcd(exponents[i], exponents[j]) > 1}
+            unseen -= linked
+            stack += linked
+        components.append(component)
+    isolated = sum(len(component) == 1 for component in components)
+    return isolated >= 2 or isolated == 1 and any(
+        len(component) > 1
+        and len(component) % 2
+        and all(math.gcd(exponents[i], exponents[j]) == 2 for i, j in combinations(component, 2))
+        for component in components
+    )
+
+
 class TestHomotopySpheres:
     @pytest.mark.parametrize("exponents", [(2, 3, 5), (2, 3, 11), (2, 3, 7)])
     def test_integral_homology_spheres(self, exponents):
         group = link_homology(BPExponents(exponents))
         assert (group.betti, group.torsion) == (0, ())
+
+    @pytest.mark.parametrize("length, max_exponent", [(3, 40), (4, 16), (5, 10), (6, 8)])
+    def test_spheres_match_brieskorn_graph(self, length, max_exponent):
+        # b = 0 and no torsion exactly where the graph criterion holds, for
+        # every nondecreasing tuple; (4, 16) and (6, 8) have spheres with one
+        # isolated point, and the four hold 3891 spheres in all.
+        spheres, mismatches = 0, []
+        for bp in enumerate_bp(length, max_exponent):
+            group = link_homology(bp)
+            sphere = group.betti == 0 and group.torsion == ()
+            spheres += sphere
+            if sphere != brieskorn_graph_sphere(bp.exponents):
+                mismatches.append(bp.exponents)
+        assert mismatches == []
+        assert spheres > 0
 
     def test_binary_dihedral_example(self):
         group = link_homology(BPExponents((2, 2, 2)))

@@ -5,7 +5,9 @@ fraction-free (Bareiss) echelon form.  ``rref`` (in ``toric_oracles``) is
 the Fraction Gauss-Jordan it replaced, kept as an independent oracle
 together with the solve rule below that was built on it.  ``solve_exact``,
 the Fraction solve on that echelon form, is in ``toric_oracles`` too, as
-the oracle of ``gorenstein_gamma``; the tests below check it there.
+the oracle of ``gorenstein_gamma``; the tests below check it there, and
+``rank_rational`` and ``det_int``, which read a rank and a determinant
+off that echelon form, beside it.
 """
 
 import math
@@ -20,13 +22,8 @@ from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_smith
 
 from selink import DomainError
-from selink.intlinalg import (
-    det_int,
-    hermite_form,
-    invariant_factors,
-    primitive_vector,
-)
-from toric_oracles import rank_rational, rref, rref_kernel_vector, solve_exact
+from selink.intlinalg import hermite_form, invariant_factors, primitive_vector
+from toric_oracles import det_int, rank_rational, rref, rref_kernel_vector, solve_exact
 
 
 def rref_solve(matrix, rhs):

@@ -126,11 +126,24 @@ class TestBPExponents:
         assert bp == BPExponents((2, 3, 4, 5))
         assert bp.link == WeightedLink((30, 20, 15, 12), 60)
 
-    def test_exponent_weight_product_is_degree(self):
-        bp = BPExponents((4, 4, 4, 6, 10))
+    @staticmethod
+    def check_exponent_weight_product(bp):
+        # d = lcm(a) and a_i w_i = d for every i; BPExponents builds
+        # w_i = d // a_i and relies on each a_i dividing d without checking.
         link = bp.link
-        for a, w in zip(bp.exponents, link.weights):
+        assert link.degree == math.lcm(*bp.exponents)
+        for a, w in zip(bp.exponents, link.weights, strict=True):
             assert a * w == link.degree
+
+    def test_exponent_weight_product_is_degree(self):
+        self.check_exponent_weight_product(BPExponents((4, 4, 4, 6, 10)))
+        for enum in CENSUS:
+            for bp in enumerate_bp(*enum):
+                self.check_exponent_weight_product(bp)
+
+    @given(st.one_of(bp_exponents(), bp_exponents(max_len=64, max_exponent=10**12)))
+    def test_exponent_weight_product_is_degree_random(self, bp):
+        self.check_exponent_weight_product(bp)
 
     def test_pairwise_coprime(self):
         assert BPExponents((2, 3, 5)).pairwise_coprime()

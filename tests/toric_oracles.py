@@ -10,9 +10,10 @@ have rank one less than the face.  They are slow (C(F, dim-1) kernels,
 one rank per candidate face) and serve as oracles only.  So do the
 per-simplex determinants, Fraction volume sum and float derivatives that
 the package now reads off one elimination down the triangulation and
-sums by ray, and the rank that it reads off the echelon form's pivots.
-``solve_exact`` is the Fraction solve that ``gorenstein_gamma`` made
-before it read Cramer's numerators off the echelon form in integers.
+sums by ray, and the rank and determinant that it reads off the echelon
+form's pivots.  ``solve_exact`` is the Fraction solve that
+``gorenstein_gamma`` made before it read Cramer's numerators off the
+echelon form in integers.
 """
 
 import math
@@ -20,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from selink import DomainError
-from selink.intlinalg import _cramer_numerators, _echelon, _int_rows, det_int, primitive_vector
+from selink.intlinalg import _cramer_numerators, _echelon, _int_rows, primitive_vector
 
 
 def checked_rows(matrix) -> list[list[int]]:
@@ -34,6 +35,18 @@ def checked_rows(matrix) -> list[list[int]]:
 def rank_rational(matrix) -> int:
     """Rank over the rationals of an integer matrix."""
     return len(_echelon(checked_rows(matrix))[1])
+
+
+def det_int(matrix) -> int:
+    """Exact determinant of an integer matrix: the last Bareiss pivot."""
+    matrix = list(matrix)
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise DomainError("determinant needs a square matrix")
+    if n == 0:
+        return 1
+    rows, pivots = _echelon(_int_rows(matrix))
+    return rows[-1][-1] if len(pivots) == n else 0
 
 
 def solve_exact(matrix, rhs):
