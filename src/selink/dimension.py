@@ -33,6 +33,9 @@ gcds, down to Popoviciu's (1953) closed form for two variables
 (Beck-Robins, Computing the Continuous Discretely, ch. 1), at a cost of
 about the product of the link's exponents rather than the degree; a
 degree-long table is used instead when its exact cost bound is lower.
+The enumeration expands one weight's level at a time, with one gcd and
+one modular inverse per level rather than per node, and hands every leaf
+degree to the two-variable form at once.
 """
 
 from __future__ import annotations
@@ -311,10 +314,12 @@ def count_monomials(weights, degree: int) -> int:
       (Beck-Robins, *Computing the Continuous Discretely*, ch. 1).  Only
       terms congruent to m modulo the gcd of the other weights can be
       completed, so just those are visited and the rest of the problem is
-      divided by that gcd.  It visits at most prod(m // w + 1) nodes over
-      every weight but the two smallest.  For a Brieskorn-Pham link at its
-      own degree that is prod(a_i + 1) over every exponent but the two
-      largest, whatever the degree.
+      divided by that gcd.  The levels are expanded one at a time: each
+      level finds its gcd and inverse once for all of its degrees,
+      and one closed-form pass takes every leaf degree.  It visits at most
+      prod(m // w + 1) nodes over every weight but the two smallest.  For
+      a Brieskorn-Pham link at its own degree that is prod(a_i + 1) over
+      every exponent but the two largest, whatever the degree.
     - The table of counts for every degree up to m, built one weight at a
       time: (n + 1) * (m + 1) cells, as each of the m + 1 entries is set
       once and then updated once per weight.  This wins for many small
@@ -322,7 +327,10 @@ def count_monomials(weights, degree: int) -> int:
 
     The two bounds are compared as integers, a node counted as
     ``_NODE_COST`` cells.  When even the cheaper one exceeds
-    ``_MAX_COUNT_COST`` cells the count is a DomainError.
+    ``_MAX_COUNT_COST`` cells the count is a DomainError.  The node bound
+    and ``_NODE_COST`` were set when every node paid its own gcd and
+    inverse; they are kept as they were, so the bound now overstates what
+    an enumeration costs, and tightening it is left to a change of the caps.
     """
     m = _index(degree, "degree")
     ws = _indices(weights, "weight")
@@ -370,7 +378,14 @@ def _counts(weights, degrees) -> list[int]:
 
 
 def _enumerate(ws: list[int], m: int) -> int:
-    """Solutions of sum w_i x_i = m, x >= 0, for ascending positive ws."""
+    """Solutions of sum w_i x_i = m, x >= 0, for ascending positive ws.
+
+    The largest weight is expanded first, one level at a time: each level
+    takes the degrees the level above left and, with one gcd and one
+    inverse for all of them, expands each into the degrees that the
+    remaining weights must reach.  The last two weights take every leaf
+    degree in one ``_pair_counts`` call.
+    """
     if len(ws) < 2:
         return int(m % ws[0] == 0) if ws else int(m == 0)
     if len(ws) == 2:
@@ -388,10 +403,24 @@ def _enumerate(ws: list[int], m: int) -> int:
     step = g // h
     x0 = m // h * pow(w // h, -1, step) % step
     degrees = range((m - w * x0) // g, -1, -(w // h))
-    rest = [v // g for v in rest]
-    if len(rest) == 2:
-        return _pair_counts(*rest, degrees)
-    return sum(_enumerate(rest, t) for t in degrees)
+    ws = [v // g for v in rest]
+    # Divided by g, the weights have gcd 1, and so do those of every level
+    # below: there h = 1, w is prime to g, and every degree t has its own
+    # residue class t / w (mod g).
+    while len(ws) > 2:
+        *rest, w = ws
+        g = math.gcd(*rest)
+        inverse = pow(w, -1, g)
+        if len(degrees) == 1:  # its range is passed on as it is
+            t = degrees[0]
+            degrees = range((t - w * (t * inverse % g)) // g, -1, -w)
+        else:
+            below = []
+            for t in degrees:
+                below += range((t - w * (t * inverse % g)) // g, -1, -w)
+            degrees = below
+        ws = [v // g for v in rest]
+    return _pair_counts(*ws, degrees)
 
 
 def _pair_counts(a: int, b: int, degrees) -> int:

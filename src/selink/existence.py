@@ -23,13 +23,23 @@ Each verdict records which rule decided it and the exact rational margin
 by which the deciding inequality held (the minimum slack for two-sided
 windows), so downstream consumers can see how close a case is to the
 boundary.
+
+Each slack is held as an integer pair, a numerator over a positive
+denominator, so a rule fires or not on the sign of one integer.  The
+Brieskorn-Pham windows need no sum of reciprocals: with w_i = d / a_i,
+
+    sum 1/a_i = |w| / d = 1 + I/d,
+
+so a window 1 < sum 1/a_i < 1 + n/T has the slack min(I T, n d - I T)
+over T d.  A verdict builds at most one ``Fraction``, for the margin it
+returns, and ``fractions`` is imported only there: a negative or null
+link's verdict loads neither it nor the ``decimal`` and ``numbers``
+modules it imports.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from itertools import accumulate
 
 from . import _EXPORTS, _Value
 from .errors import DomainError, InternalConsistencyError
@@ -60,43 +70,59 @@ class ExistenceVerdict(_Value):
         fields["margin"] = margin
 
 
-# Each rule has one exact slack, positive iff the rule fires;
-# decide_existence tests its sign and takes each margin from it.
+# Each rule has one exact slack, positive iff the rule fires, held as an
+# integer numerator over a positive denominator; decide_existence tests the
+# numerator's sign and builds a Fraction only for the margin it returns.
 
 
-def _lichnerowicz_slack(link: WeightedLink) -> Fraction:
-    """I - n * min w_i."""
-    return Fraction(link.index - link.n * min(link.weights))
+def _lichnerowicz_slack(link: WeightedLink) -> tuple[int, int]:
+    """I - n * min w_i, over 1."""
+    return link.index - link.n * min(link.weights), 1
 
 
-def _crude_klt_slack(link: WeightedLink) -> Fraction:
-    """(n/(n-1)) * min_{i<j} w_i w_j - I * d."""
+def _crude_klt_slack(link: WeightedLink) -> tuple[int, int]:
+    """(n/(n-1)) * min_{i<j} w_i w_j - I * d, as n w_0 w_1 - (n-1) I d over n - 1."""
     n = link.n
     w0, w1 = sorted(link.weights)[:2]  # the smallest product of two weights
-    return Fraction(n, n - 1) * w0 * w1 - link.index * link.degree
+    return n * w0 * w1 - (n - 1) * link.index * link.degree, n - 1
 
 
-def _window_slack(bp: BPExponents, upper: Fraction) -> Fraction:
-    """min(sum 1/a_i - 1, upper - sum 1/a_i), the slack of 1 < sum 1/a_i < upper."""
-    total = bp.reciprocal_sum()
-    return min(total - 1, upper - total)
+def _window_slack(bp: BPExponents, top: int) -> tuple[int, int]:
+    """The slack of 1 < sum 1/a_i < 1 + n / T over T d, for T = ``top``.
+
+    sum 1/a_i = 1 + I/d, so the two ends' slacks are I T / (T d) and
+    (n d - I T) / (T d).
+    """
+    link = bp.link
+    lower = link.index * top
+    return min(lower, bp.n * link.degree - lower), top * link.degree
 
 
-def _bp_klt_slack(bp: BPExponents) -> Fraction:
+def _bp_klt_slack(bp: BPExponents) -> tuple[int, int]:
     """The window with upper end 1 + (n/(n-1)) * min over 1/a_i and 1/(b_j b_k)."""
     a = bp.exponents
-    n = bp.n
-    # b_j from the lcms before j and after j; the smallest candidate is 1
-    # over the larger of max a and the product of the two largest b.
-    before = list(accumulate(a, math.lcm, initial=1))
-    after = list(accumulate(reversed(a), math.lcm, initial=1))[::-1]
-    b = sorted(math.gcd(x, math.lcm(before[j], after[j + 1])) for j, x in enumerate(a))
-    return _window_slack(bp, 1 + Fraction(n, (n - 1) * max(max(a), b[-1] * b[-2])))
+    w = bp.link.weights
+    # With L_j the lcm of the a_i other than a_j, the w_i = d / a_i other
+    # than w_j have gcd d / L_j, and d = lcm(a_j, L_j) = a_j L_j / b_j, so
+    # b_j = a_j / gcd(w_i : i != j).  The smallest candidate is 1 over the
+    # larger of max a and the product of the two largest b.
+    b = []
+    for j, x in enumerate(a):  # a loop: for a few exponents, cheaper than a comprehension
+        b.append(x // math.gcd(*w[:j], *w[j + 1 :]))
+    b.sort()
+    return _window_slack(bp, (bp.n - 1) * max(max(a), b[-1] * b[-2]))
 
 
-def _ghigi_kollar_slack(bp: BPExponents) -> Fraction:
+def _ghigi_kollar_slack(bp: BPExponents) -> tuple[int, int]:
     """The window with upper end 1 + n / max a_i."""
-    return _window_slack(bp, 1 + Fraction(bp.n, max(bp.exponents)))
+    return _window_slack(bp, max(bp.exponents))
+
+
+def _verdict(status: str, rule: str, slack: int, denominator: int) -> ExistenceVerdict:
+    """A positive link's verdict, with the margin slack / denominator."""
+    import fractions  # per call, a plain import costs a fifth of a from-import
+
+    return ExistenceVerdict("positive", status, rule, fractions.Fraction(slack, denominator))
 
 
 def decide_existence(
@@ -117,26 +143,25 @@ def decide_existence(
         return ExistenceVerdict(link_type=link_type, status="eta_einstein_exists")
 
     if bp is not None and bp.pairwise_coprime():
-        slack = _ghigi_kollar_slack(bp)
-        if slack > 0:
-            return ExistenceVerdict(link_type, "se_exists", "ghigi_kollar", slack)
-        # Positive link, so sum 1/a_i > 1 and the slack is the upper end's:
-        # the margin is sum 1/a_i - upper.  That end coincides with the
-        # Lichnerowicz bound, and sharpness turns the non-strict boundary
-        # case into an obstruction as well.
-        return ExistenceVerdict(link_type, "obstructed", "ghigi_kollar", -slack)
+        slack, denominator = _ghigi_kollar_slack(bp)
+        # Positive link, so sum 1/a_i > 1 and a slack <= 0 is the upper
+        # end's: the margin is sum 1/a_i - upper.  That end coincides with
+        # the Lichnerowicz bound, and sharpness turns the non-strict
+        # boundary case into an obstruction as well.
+        status = "se_exists" if slack > 0 else "obstructed"
+        return _verdict(status, "ghigi_kollar", abs(slack), denominator)
 
-    slack = _lichnerowicz_slack(link)
+    slack, denominator = _lichnerowicz_slack(link)
     if slack > 0:
-        return ExistenceVerdict(link_type, "obstructed", "lichnerowicz", slack)
+        return _verdict("obstructed", "lichnerowicz", slack, denominator)
 
     if bp is not None:
-        slack = _bp_klt_slack(bp)
+        slack, denominator = _bp_klt_slack(bp)
         if slack > 0:
-            return ExistenceVerdict(link_type, "se_exists", "bp_klt_window", slack)
+            return _verdict("se_exists", "bp_klt_window", slack, denominator)
 
-    slack = _crude_klt_slack(link)
+    slack, denominator = _crude_klt_slack(link)
     if slack > 0:
-        return ExistenceVerdict(link_type, "se_exists", "crude_klt", slack)
+        return _verdict("se_exists", "crude_klt", slack, denominator)
 
     return ExistenceVerdict(link_type, "unknown")

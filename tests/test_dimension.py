@@ -3,6 +3,7 @@ tight contact counts, and monomial/moduli counting."""
 
 import json
 import math
+import operator
 import time
 import warnings
 from fractions import Fraction
@@ -521,6 +522,20 @@ _TABULATED = st.tuples(
 )
 
 
+# Weights 2^a 3^b 5^c from 4 to 400, times 1 to 3, four to six at a time, at
+# up to four times the largest: most are enumerated, and their inner levels
+# share factors, so gcds and steps above 1 are common.
+_SMOOTH = [
+    k for k in (2**a * 3**b * 5**c for a in range(6) for b in range(4) for c in range(3))
+    if 4 <= k <= 400
+]
+_SHARED_FACTORS = st.lists(
+    st.builds(operator.mul, st.sampled_from(_SMOOTH), st.integers(1, 3)),
+    min_size=4,
+    max_size=6,
+).flatmap(lambda weights: st.tuples(st.just(weights), st.integers(0, 4 * max(weights))))
+
+
 class TestMonomialCounting:
     def test_reference_example_values(self):
         assert count_monomials((1, 1, 1, 4, 6), 12) == monomial_brute_force(
@@ -578,6 +593,12 @@ class TestMonomialCounting:
     @given(st.one_of(_ENUMERATED, _TABULATED))
     @settings(max_examples=150, deadline=None)
     def test_against_dp_oracle(self, case):
+        weights, degree = case
+        assert count_monomials(weights, degree) == monomial_dp(weights, degree)
+
+    @given(_SHARED_FACTORS)
+    @settings(max_examples=150, deadline=None)
+    def test_shared_factors_against_dp_oracle(self, case):
         weights, degree = case
         assert count_monomials(weights, degree) == monomial_dp(weights, degree)
 
@@ -714,6 +735,12 @@ class TestModuli:
         started = time.perf_counter()
         moduli_dimension(link)
         assert time.perf_counter() - started < 5.0
+
+    def test_every_level_shares_a_factor(self):
+        # 864 = 2^5 3^3, 800 = 2^5 5^2, 675 = 3^3 5^2 and 360 = 2^3 3^2 5: at
+        # d = 21600 both enumeration levels have a gcd and a step above 1.
+        link = WeightedLink((864, 800, 675, 360), 21600)
+        assert moduli_dimension(link) == moduli_oracle(link) == 48
 
     @pytest.mark.parametrize("length, max_exponent", [(3, 20), (4, 12), (5, 7)])
     def test_enumerations_against_dp_oracle(self, length, max_exponent):

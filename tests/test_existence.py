@@ -5,7 +5,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from selink import (
     BPExponents,
@@ -24,33 +25,37 @@ from selink.existence import (
 from conftest import bp_exponents, coprime_triples, run_python
 
 
+# Each slack is an integer numerator over a positive denominator: its
+# value is Fraction(*pair) and its sign is the numerator's.
+
+
 class TestLichnerowicz:
     def test_index_family_example(self):
         # I = 8 > 4 * 1.
-        assert _lichnerowicz_slack(WeightedLink((1, 2, 5, 5, 5), 10)) == 4
+        assert Fraction(*_lichnerowicz_slack(WeightedLink((1, 2, 5, 5, 5), 10))) == 4
 
     def test_table_family_example(self):
         # (1,l,l,l), d=2l at l=5: I = 6 > 3.
-        assert _lichnerowicz_slack(WeightedLink((1, 5, 5, 5), 10)) == 3
+        assert Fraction(*_lichnerowicz_slack(WeightedLink((1, 5, 5, 5), 10))) == 3
 
     def test_small_index_does_not_fire(self):
-        assert _lichnerowicz_slack(WeightedLink((1, 1, 1, 1), 3)) < 0
+        assert _lichnerowicz_slack(WeightedLink((1, 1, 1, 1), 3))[0] < 0
 
     def test_boundary_is_not_an_obstruction(self):
         # I = 3 = 3 * 1 exactly: strict inequality, must not fire.
         link = WeightedLink((1, 9, 7, 14), 28)
         assert link.index == 3 and link.n * min(link.weights) == 3
-        assert _lichnerowicz_slack(link) == 0
+        assert _lichnerowicz_slack(link)[0] == 0
 
 
 class TestCrudeKlt:
     def test_famously_weak_on_fermat_cubic(self):
         # I*d = 3 vs (3/2)*1.
-        assert _crude_klt_slack(WeightedLink((1, 1, 1, 1), 3)) < 0
+        assert _crude_klt_slack(WeightedLink((1, 1, 1, 1), 3))[0] < 0
 
     def test_fires_near_null(self):
         # I = 1, I*d = 29 < 2 * 90.
-        assert _crude_klt_slack(WeightedLink((9, 10, 11), 29)) > 0
+        assert _crude_klt_slack(WeightedLink((9, 10, 11), 29))[0] > 0
 
     def test_random_instance_against_inline_evaluation(self):
         link = WeightedLink((11, 13, 17, 41), 43)
@@ -58,8 +63,8 @@ class TestCrudeKlt:
         rhs = Fraction(link.n, link.n - 1) * min(
             a * b for a, b in combinations(link.weights, 2)
         )
-        assert _crude_klt_slack(link) == rhs - lhs
-        assert _crude_klt_slack(link) < 0  # 39 * 43 is far above (3/2) * 143
+        assert Fraction(*_crude_klt_slack(link)) == rhs - lhs
+        assert _crude_klt_slack(link)[0] < 0  # 39 * 43 is far above (3/2) * 143
 
 
 def window_upper_oracle(exponents) -> Fraction:
@@ -77,38 +82,38 @@ def window_upper_oracle(exponents) -> Fraction:
 class TestBPWindow:
     def test_all_twos_fails(self):
         # Sum 5/2 against upper bound 4/3.
-        assert _bp_klt_slack(BPExponents((2, 2, 2, 2, 2))) < 0
+        assert _bp_klt_slack(BPExponents((2, 2, 2, 2, 2)))[0] < 0
 
     def test_mixed_example_fires(self):
         # a=(2,3,7,35): sum = 211/210, b = (1,1,7,7), upper = 101/98.
         bp = BPExponents((2, 3, 7, 35))
         assert bp.reciprocal_sum() == Fraction(211, 210)
         assert window_upper_oracle(bp.exponents) == Fraction(101, 98)
-        assert _bp_klt_slack(bp) == Fraction(1, 210)
+        assert Fraction(*_bp_klt_slack(bp)) == Fraction(1, 210)
 
     def test_null_boundary_fails(self):
         # Sum 1: the lower end of the window holds with equality.
-        assert _bp_klt_slack(BPExponents((4, 4, 4, 4))) == 0
+        assert _bp_klt_slack(BPExponents((4, 4, 4, 4)))[0] == 0
 
     @given(bp_exponents(max_len=5, max_exponent=12))
     @settings(max_examples=100, deadline=None)
     def test_against_oracle(self, bp):
         total = sum(Fraction(1, a) for a in bp.exponents)
         expected = 1 < total < window_upper_oracle(bp.exponents)
-        assert (_bp_klt_slack(bp) > 0) == expected
+        assert (_bp_klt_slack(bp)[0] > 0) == expected
 
 
 class TestGhigiKollar:
     def test_five_primes_exists(self):
         bp = BPExponents((2, 3, 5, 7, 11))
         assert bp.reciprocal_sum() == Fraction(2927, 2310)
-        assert bp.pairwise_coprime() and _ghigi_kollar_slack(bp) > 0
+        assert bp.pairwise_coprime() and _ghigi_kollar_slack(bp)[0] > 0
 
     def test_sylvester_style_tuple(self):
         bp = BPExponents((2, 3, 7, 43, 139))
         total = bp.reciprocal_sum()
         assert 1 < total < 1 + Fraction(4, 139)
-        assert bp.pairwise_coprime() and _ghigi_kollar_slack(bp) > 0
+        assert bp.pairwise_coprime() and _ghigi_kollar_slack(bp)[0] > 0
 
     def test_not_applicable_without_coprimality(self):
         # A tuple that is not pairwise coprime is never decided by the sharp
@@ -117,14 +122,15 @@ class TestGhigiKollar:
             bp = BPExponents(exponents)
             assert not bp.pairwise_coprime()
             assert decide_existence(bp.link, bp).rule != "ghigi_kollar"
-        assert _ghigi_kollar_slack(BPExponents((2, 2, 2))) == Fraction(1, 2)
+        assert Fraction(*_ghigi_kollar_slack(BPExponents((2, 2, 2)))) == Fraction(1, 2)
 
     def test_poincare_sphere(self):
-        assert _ghigi_kollar_slack(BPExponents((2, 3, 5))) == Fraction(1, 30)
+        assert Fraction(*_ghigi_kollar_slack(BPExponents((2, 3, 5)))) == Fraction(1, 30)
 
     def test_upper_failure(self):
         # (2,3,5,61): sum = 1921/1830 exceeds 1 + 3/61 = 1920/1830.
-        assert _ghigi_kollar_slack(BPExponents((2, 3, 5, 61))) == Fraction(-1, 1830)
+        slack = _ghigi_kollar_slack(BPExponents((2, 3, 5, 61)))
+        assert Fraction(*slack) == Fraction(-1, 1830)
 
 
 class TestDecideExistence:
@@ -217,8 +223,8 @@ class TestInvariants:
         link = bp.link
         if link.index <= 0:
             return
-        fired_obstruction = _lichnerowicz_slack(link) > 0
-        fired_sufficiency = _crude_klt_slack(link) > 0 or _bp_klt_slack(bp) > 0
+        fired_obstruction = _lichnerowicz_slack(link)[0] > 0
+        fired_sufficiency = _crude_klt_slack(link)[0] > 0 or _bp_klt_slack(bp)[0] > 0
         assert not (fired_obstruction and fired_sufficiency)
 
     @given(coprime_triples())
@@ -227,8 +233,8 @@ class TestInvariants:
         # Whenever the klt window fires on coprime data, the sharp test
         # must agree that a metric exists.
         bp = BPExponents(triple)
-        if _bp_klt_slack(bp) > 0:
-            assert _ghigi_kollar_slack(bp) > 0
+        if _bp_klt_slack(bp)[0] > 0:
+            assert _ghigi_kollar_slack(bp)[0] > 0
 
     @given(bp_exponents(max_len=5, max_exponent=12))
     @settings(max_examples=150, deadline=None)
@@ -247,11 +253,17 @@ class TestInvariants:
             assert verdict.status == "eta_einstein_exists"
 
 
-# The pairwise definitions that the closed forms replaced, kept as oracles.
+# The definitions that the production forms replaced, kept as oracles: the
+# pairwise ones of the closed forms, and each rule's slack as a Fraction,
+# with sum 1/a_i summed term by term, as decide_existence once computed them.
 
 
 def pairwise_coprime_oracle(a) -> bool:
     return all(math.gcd(x, y) == 1 for x, y in combinations(a, 2))
+
+
+def lichnerowicz_slack_oracle(link) -> Fraction:
+    return Fraction(link.index - link.n * min(link.weights))
 
 
 def crude_klt_slack_oracle(link) -> Fraction:
@@ -260,28 +272,96 @@ def crude_klt_slack_oracle(link) -> Fraction:
     return Fraction(n, n - 1) * pair_min - link.index * link.degree
 
 
-def bp_klt_slack_oracle(bp) -> Fraction:
-    a = bp.exponents
-    n = bp.n
-    b = [
-        math.gcd(a[j], math.lcm(*(a[i] for i in range(len(a)) if i != j)))
-        for j in range(len(a))
-    ]
-    candidates = [Fraction(1, x) for x in a]
-    candidates += [Fraction(1, x * y) for x, y in combinations(b, 2)]
-    upper = 1 + Fraction(n, n - 1) * min(candidates)
-    total = bp.reciprocal_sum()
+def window_slack_oracle(bp, upper) -> Fraction:
+    total = sum(Fraction(1, a) for a in bp.exponents)
     return min(total - 1, upper - total)
+
+
+def bp_klt_slack_oracle(bp) -> Fraction:
+    return window_slack_oracle(bp, window_upper_oracle(bp.exponents))
+
+
+def ghigi_kollar_slack_oracle(bp) -> Fraction:
+    return window_slack_oracle(bp, 1 + Fraction(bp.n, max(bp.exponents)))
+
+
+def verdict_oracle(link, bp=None) -> tuple:
+    """(link_type, status, rule, margin) by the rules in their priority order."""
+    if link.index <= 0:
+        return ("negative" if link.index < 0 else "null", "eta_einstein_exists", None, None)
+    if bp is not None and pairwise_coprime_oracle(bp.exponents):
+        slack = ghigi_kollar_slack_oracle(bp)
+        if slack > 0:
+            return ("positive", "se_exists", "ghigi_kollar", slack)
+        return ("positive", "obstructed", "ghigi_kollar", -slack)
+    slack = lichnerowicz_slack_oracle(link)
+    if slack > 0:
+        return ("positive", "obstructed", "lichnerowicz", slack)
+    if bp is not None:
+        slack = bp_klt_slack_oracle(bp)
+        if slack > 0:
+            return ("positive", "se_exists", "bp_klt_window", slack)
+    slack = crude_klt_slack_oracle(link)
+    if slack > 0:
+        return ("positive", "se_exists", "crude_klt", slack)
+    return ("positive", "unknown", None, None)
+
+
+def check_verdict(link, bp=None):
+    verdict = decide_existence(link, bp)
+    expected = verdict_oracle(link, bp)
+    assert (verdict.link_type, verdict.status, verdict.rule, verdict.margin) == expected
+    # Same value, type and text: the catalog stores str(margin).
+    assert type(verdict.margin) is type(expected[3])
+    assert str(verdict.margin) == str(expected[3])
+    return verdict
+
+
+@st.composite
+def accepted_links(draw):
+    """Any (w, d) that WeightedLink accepts, many of them positive with a small index."""
+    weights = draw(st.lists(st.integers(1, 10**4), min_size=3, max_size=12))
+    total = sum(weights)
+    index = draw(st.integers(-10, min(30, total - 1)) | st.integers(1 - 2 * total, total - 1))
+    return WeightedLink(weights, total - index)
+
+
+class TestVerdictOracle:
+    @pytest.mark.parametrize("length, max_exponent", [(3, 30), (4, 12), (5, 7)])
+    def test_enumerations(self, length, max_exponent):
+        rules = set()
+        for bp in enumerate_bp(length, max_exponent):
+            rules.add(check_verdict(bp.link, bp).rule)
+            rules.add(check_verdict(bp.link).rule)
+        # Ghigi-Kollar and Lichnerowicz are each reached on two of the three.
+        assert {"bp_klt_window", "crude_klt", None} <= rules
+
+    @given(accepted_links())
+    @example(WeightedLink((9, 10, 11), 29))  # crude_klt
+    @example(WeightedLink((1, 2, 5, 5, 5), 10))  # lichnerowicz
+    @example(WeightedLink((1, 1, 1, 1), 3))  # unknown
+    @settings(max_examples=300, deadline=None)
+    def test_accepted_links(self, link):
+        check_verdict(link)
 
 
 class TestClosedFormsAgainstPairwiseOracles:
     @pytest.mark.parametrize("length, max_exponent", [(3, 30), (4, 12), (5, 7)])
     def test_enumerations(self, length, max_exponent):
+        slacks = (
+            (_lichnerowicz_slack, lichnerowicz_slack_oracle, False),
+            (_crude_klt_slack, crude_klt_slack_oracle, False),
+            (_bp_klt_slack, bp_klt_slack_oracle, True),
+            (_ghigi_kollar_slack, ghigi_kollar_slack_oracle, True),
+        )
         for bp in enumerate_bp(length, max_exponent):
             coprime = pairwise_coprime_oracle(bp.exponents)
             assert bp.pairwise_coprime() == coprime, bp
-            assert _crude_klt_slack(bp.link) == crude_klt_slack_oracle(bp.link), bp
-            assert _bp_klt_slack(bp) == bp_klt_slack_oracle(bp), bp
+            for slack, oracle, takes_bp in slacks:
+                given_ = bp if takes_bp else bp.link
+                numerator, denominator = slack(given_)
+                assert denominator > 0, bp
+                assert Fraction(numerator, denominator) == oracle(given_), bp
             if length == 3:
                 if coprime:
                     casson_invariant(bp.exponents)
@@ -292,6 +372,6 @@ class TestClosedFormsAgainstPairwiseOracles:
     def test_longest_link(self):
         bp = BPExponents((2,) * 64)
         assert not bp.pairwise_coprime()
-        assert _bp_klt_slack(bp) == bp_klt_slack_oracle(bp)
-        assert _crude_klt_slack(bp.link) == crude_klt_slack_oracle(bp.link)
-        assert decide_existence(bp.link, bp).status == "unknown"
+        assert Fraction(*_bp_klt_slack(bp)) == bp_klt_slack_oracle(bp)
+        assert Fraction(*_crude_klt_slack(bp.link)) == crude_klt_slack_oracle(bp.link)
+        assert check_verdict(bp.link, bp).status == "unknown"

@@ -79,6 +79,7 @@ COLD_STARTS = {
     "import selink.toric": "import selink.toric",
     "run_pipeline": "from selink import run_pipeline\nrun_pipeline('bp=2,3,5')",
     "verdict": "import selink.cli\nselink.cli.main(['verdict', 'bp=2,3,5'])",
+    "negative verdict": "import selink.cli\nselink.cli.main(['verdict', 'w=1,1,1', 'd=5'])",
     "homology": "import selink.cli\nselink.cli.main(['homology', 'bp=3,3,3,3,3'])",
     "toric minimize": "import selink.cli\nselink.cli.main(['toric', 'minimize', {cone!r}])",
 }
@@ -93,8 +94,9 @@ def test_cold_start_loads_no_code_generator(name, tmp_path):
 
 
 # A link query needs no rational arithmetic: fractions, with the decimal
-# and numbers modules it imports, loads only where a Fraction is built.
-@pytest.mark.parametrize("name", ["import selink.cli", "homology"])
+# and numbers modules it imports, loads only where a Fraction is built.  A
+# negative link's verdict has no margin, so it builds none.
+@pytest.mark.parametrize("name", ["import selink.cli", "homology", "negative verdict"])
 def test_link_query_loads_no_fractions(name):
     loaded = loaded_after(COLD_STARTS[name], ("fractions", "decimal", "numbers"))
     assert loaded == []
