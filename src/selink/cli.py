@@ -586,6 +586,8 @@ def _misplaced_option(parser, argv) -> str | None:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    if len(argv) > 1 and argv[0] == "--" and argv[1] in _COMMANDS:
+        argv = argv[1:]  # "--" ends the options, and selink itself takes none
     # A command named first is parsed by its own subparser alone.  Any
     # other start, such as --help, an option or an unknown command, may
     # print text that lists every command, so all of them are built.

@@ -35,7 +35,8 @@ about the product of the link's exponents rather than the degree; a
 degree-long table is used instead when its exact cost bound is lower.
 The enumeration expands one weight's level at a time, with one gcd and
 one modular inverse per level rather than per node, and hands every leaf
-degree to the two-variable form at once.
+degree to the two-variable form at once.  It takes a list of degrees, so
+a moduli count is two enumerations, at d and at the weights.
 """
 
 from __future__ import annotations
@@ -306,8 +307,7 @@ def count_monomials(weights, degree: int) -> int:
     """Number of monomials of weighted degree exactly ``degree``.
 
     That is the number of x >= 0 with sum w_i x_i = m, m = ``degree``,
-    counted exactly by whichever of two methods costs less.  Weights above
-    m only take x_i = 0 and are dropped first.
+    counted exactly by whichever of two methods costs less:
 
     - Enumeration over the largest weight, the one with the fewest terms,
       down to two variables, which have Popoviciu's (1953) closed form
@@ -317,9 +317,10 @@ def count_monomials(weights, degree: int) -> int:
       divided by that gcd.  The levels are expanded one at a time: each
       level finds its gcd and inverse once for all of its degrees,
       and one closed-form pass takes every leaf degree.  It visits at most
-      prod(m // w + 1) nodes over every weight but the two smallest.  For
-      a Brieskorn-Pham link at its own degree that is prod(a_i + 1) over
-      every exponent but the two largest, whatever the degree.
+      prod(m // w + 1) nodes over every weight but the two smallest; a
+      weight above m adds only its term x = 0.  For a Brieskorn-Pham link
+      at its own degree that is prod(a_i + 1) over every exponent but the
+      two largest, whatever the degree.
     - The table of counts for every degree up to m, built one weight at a
       time: (n + 1) * (m + 1) cells, as each of the m + 1 entries is set
       once and then updated once per weight.  This wins for many small
@@ -338,26 +339,26 @@ def count_monomials(weights, degree: int) -> int:
         raise DomainError(f"degree must be >= 0, got {m}")
     if any(w < 1 for w in ws):
         raise DomainError(f"weights must be positive: {ws}")
-    return _counts(ws, (m,))[0]
+    return _counts(ws, ((m,),))[0]
 
 
-def _counts(weights, degrees) -> list[int]:
-    """``count_monomials`` at each degree, by one method and one cost check.
+def _counts(weights, calls) -> list[int]:
+    """For each list of degrees in ``calls``, the sum of its counts.
 
-    The weights are sorted once; the weights at most m, the only ones a
-    degree-m count uses, are the prefix of that list that bisect_right
-    finds.  Enumeration costs its node bounds summed over the degrees; one
-    table up to the largest degree, which a refusal names, holds every
-    count.
+    One method and one cost check serve every call.  The node bound grows
+    with the degree, so a call costs at most its number of degrees times
+    the bound at its largest degree, and enumeration costs those bounds
+    added over the calls.  One table up to the largest degree, which a
+    refusal names, holds every count.
     """
     ws = sorted(weights)
-    top = max(degrees)
+    top = max(map(max, calls))
     cells = (bisect_right(ws, top) + 1) * (top + 1)
-    usable = [ws[: bisect_right(ws, m)] for m in degrees]
     nodes = 0
-    for m, below in zip(degrees, usable):
-        cost = _NODE_COST
-        for w in below[2:]:  # once past cells, the comparison is decided
+    for degrees in calls:
+        m = max(degrees)
+        cost = _NODE_COST * len(degrees)
+        for w in ws[2:]:  # once past cells, the comparison is decided
             cost *= m // w + 1
             if nodes + cost > cells:
                 break
@@ -368,59 +369,57 @@ def _counts(weights, degrees) -> list[int]:
             f"over the limit of {_MAX_COUNT_COST}"
         )
     if nodes <= cells:
-        return list(map(_enumerate, usable, degrees))
+        return [_enumerate(ws, degrees) for degrees in calls]
     counts = [0] * (top + 1)
     counts[0] = 1
     for w in ws:
         for k in range(w, top + 1):
             counts[k] += counts[k - w]
-    return [counts[m] for m in degrees]
+    return [sum(counts[m] for m in degrees) for degrees in calls]
 
 
-def _enumerate(ws: list[int], m: int) -> int:
-    """Solutions of sum w_i x_i = m, x >= 0, for ascending positive ws.
+def _enumerate(ws: list[int], degrees) -> int:
+    """Solutions of sum w_i x_i = m, x >= 0, summed over m in ``degrees``.
 
-    The largest weight is expanded first, one level at a time: each level
-    takes the degrees the level above left and, with one gcd and one
-    inverse for all of them, expands each into the degrees that the
-    remaining weights must reach.  The last two weights take every leaf
-    degree in one ``_pair_counts`` call.
+    The weights are ascending and positive.  The largest is expanded
+    first, one level at a time: each level takes the degrees the level
+    above left and, with one gcd and one inverse for all of them, expands
+    each into the degrees that the remaining weights must reach.  A weight
+    above a degree leaves it the one term x = 0.  The last two weights take
+    every leaf degree in one ``_pair_counts`` call.
     """
     if len(ws) < 2:
-        return int(m % ws[0] == 0) if ws else int(m == 0)
+        return sum(m % ws[0] == 0 if ws else m == 0 for m in degrees)
     if len(ws) == 2:
         a, b = ws
         g = math.gcd(a, b)
-        return 0 if m % g else _pair_counts(a // g, b // g, (m // g,))
+        return _pair_counts(a // g, b // g, [m // g for m in degrees if m % g == 0])
     *rest, w = ws
     # w x = m - (the rest) needs w x = m (mod g): one residue class of x
     # modulo g / h, or none.  Each term leaves the rest to reach
     # (m - w x) / g in the weights divided by g.
     g = math.gcd(*rest)
     h = math.gcd(w, g)
-    if m % h:
-        return 0
     step = g // h
-    x0 = m // h * pow(w // h, -1, step) % step
-    degrees = range((m - w * x0) // g, -1, -(w // h))
-    ws = [v // g for v in rest]
+    inverse = pow(w // h, -1, step)
+    below = []
+    for m in degrees:
+        if m % h == 0:
+            below += range((m - w * (m // h * inverse % step)) // g, -1, -(w // h))
+    degrees = below
     # Divided by g, the weights have gcd 1, and so do those of every level
     # below: there h = 1, w is prime to g, and every degree t has its own
-    # residue class t / w (mod g).
-    while len(ws) > 2:
-        *rest, w = ws
+    # residue class t / w (mod g).  Each level divides by the g above it.
+    while len(rest) > 2:
+        *rest, w = [v // g for v in rest]
         g = math.gcd(*rest)
         inverse = pow(w, -1, g)
-        if len(degrees) == 1:  # its range is passed on as it is
-            t = degrees[0]
-            degrees = range((t - w * (t * inverse % g)) // g, -1, -w)
-        else:
-            below = []
-            for t in degrees:
-                below += range((t - w * (t * inverse % g)) // g, -1, -w)
-            degrees = below
-        ws = [v // g for v in rest]
-    return _pair_counts(*ws, degrees)
+        below = []
+        for t in degrees:
+            below += range((t - w * (t * inverse % g)) // g, -1, -w)
+        degrees = below
+    a, b = rest
+    return _pair_counts(a // g, b // g, degrees)
 
 
 def _pair_counts(a: int, b: int, degrees) -> int:
@@ -455,8 +454,8 @@ def moduli_dimension(link: WeightedLink) -> int:
     A naive dimension count for the deformation space of the singularity.
     It can come out negative for extreme weight data, such as -6 for
     w=1,1,1 d=2; the count is returned as it is, not clamped, and the CLI
-    prints a warning line for it.  The n + 2 counts share one method and
-    one cost check (see ``_counts``).
+    prints a warning line for it.  The count at d and the n + 1 counts at
+    the weights share one method and one cost check (see ``_counts``).
     """
-    total, *lower = _counts(link.weights, (link.degree, *link.weights))
-    return 2 * (total - sum(lower))
+    total, lower = _counts(link.weights, ((link.degree,), link.weights))
+    return 2 * (total - lower)

@@ -20,11 +20,6 @@ files elsewhere) as an optional '-' and decimal digits; ``_index`` takes a
 Python value that is an integer and rejects a float, Fraction or string,
 and ``_indices`` takes a sequence of them in one pass.  Both reject
 anything else as a DomainError.
-
-``Fraction`` is imported inside ``BPExponents.reciprocal_sum``, the one
-place here that builds one, so that loading this module, as every
-command does, loads neither ``fractions`` nor the ``decimal`` and
-``numbers`` modules it imports.
 """
 
 from __future__ import annotations
@@ -187,12 +182,6 @@ class BPExponents(_Value):
     def pairwise_coprime(self) -> bool:
         """lcm = product exactly when no two exponents share a factor."""
         return self.link.degree == math.prod(self.exponents)
-
-    def reciprocal_sum(self) -> Fraction:
-        """sum(1 / a_i), as |w| / d since every w_i = d / a_i."""
-        from fractions import Fraction
-
-        return Fraction(sum(self.link.weights), self.link.degree)
 
     def presentation(self) -> str:
         return "bp={}".format(",".join(map(str, self.exponents)))

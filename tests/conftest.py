@@ -15,6 +15,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import sympy
@@ -24,6 +25,11 @@ import selink
 from selink import BPExponents, WeightedLink
 
 SRC = str(Path(selink.__file__).resolve().parent.parent)
+
+
+def reciprocal_sum(bp) -> Fraction:
+    """sum(1 / a_i) of a Brieskorn-Pham tuple, as |w| / d since every w_i = d / a_i."""
+    return Fraction(sum(bp.link.weights), bp.link.degree)
 
 
 @st.composite

@@ -479,34 +479,47 @@ def moduli_oracle(link) -> int:
     return 2 * (total - sum(monomial_dp(link.weights, w) for w in link.weights))
 
 
-def count_cost_oracle(weights, degrees) -> tuple[int, int]:
-    """The cost check of ``_counts`` as first written: (nodes, cells).
+def count_cost_oracle(weights, calls) -> tuple[int, int]:
+    """The cost check of ``_counts``, stated plainly: (nodes, cells).
 
-    Each degree filters the weights again; enumeration is chosen when
-    nodes <= cells, and min(nodes, cells) is what the limit is held to.
+    A list of degrees whose largest is m costs _NODE_COST * (its length) *
+    prod(m // w + 1) nodes, over every weight but the two smallest; nodes
+    adds that up over the lists.  The table up to the largest degree of
+    all has (weights at most that degree + 1) * (that degree + 1) cells.
+    Enumeration is chosen when nodes <= cells, and min(nodes, cells) is
+    what the limit is held to.
     """
     ws = sorted(weights)
-    top = max(degrees)
+    top = max(max(degrees) for degrees in calls)
     cells = (sum(w <= top for w in ws) + 1) * (top + 1)
-    nodes = 0
-    for m in degrees:
-        cost = dimension._NODE_COST
-        for w in [w for w in ws if w <= m][2:]:
-            cost *= m // w + 1
-            if nodes + cost > cells:
-                break
-        nodes += cost
+    nodes = sum(
+        dimension._NODE_COST * len(degrees) * math.prod(max(degrees) // w + 1 for w in ws[2:])
+        for degrees in calls
+    )
     return nodes, cells
 
 
 @st.composite
 def count_cases(draw):
-    """Weights with repeats, and degrees some of them exceed: d, each weight, and a few more."""
+    """Weights with repeats, and lists of degrees some weights exceed: d, the weights, more."""
     base = draw(st.lists(st.integers(1, 60), min_size=1, max_size=4))
     weights = [w for w in base for _ in range(draw(st.integers(1, 3)))]
     degree = draw(st.integers(0, 240))
-    extra = draw(st.lists(st.integers(0, 240), max_size=2))
-    return draw(st.permutations(weights)), (degree, *weights, *extra)
+    extra = draw(st.lists(st.lists(st.integers(0, 240), min_size=1, max_size=3), max_size=2))
+    return draw(st.permutations(weights)), ((degree,), tuple(weights), *extra)
+
+
+@st.composite
+def enumeration_cases(draw):
+    """3 to 6 ascending weights in 1..40, with a repeat and a shared factor,
+    and 1 to 5 degrees in 0..200, some of them below the smallest weight."""
+    factor = draw(st.integers(1, 8))
+    multiples = st.integers(1, 40 // factor).map(lambda k: k * factor)
+    weights = draw(st.lists(st.one_of(multiples, st.integers(1, 40)), min_size=2, max_size=5))
+    weights.append(draw(st.sampled_from(weights)))
+    below = st.integers(0, min(weights) - 1)
+    degrees = draw(st.lists(st.one_of(st.integers(0, 200), below), min_size=1, max_size=5))
+    return sorted(weights), degrees
 
 
 # At most 7 terms per weight, so count_monomials enumerates ...
@@ -615,9 +628,9 @@ class TestMonomialCounting:
         calls = []
         enumerate_ = dimension._enumerate
 
-        def spy(ws, m):
-            calls.append((ws, m))
-            return enumerate_(ws, m)
+        def spy(ws, degrees):
+            calls.append((ws, degrees))
+            return enumerate_(ws, degrees)
 
         monkeypatch.setattr(dimension, "_enumerate", spy)
         assert count_monomials(weights, degree) == monomial_dp(weights, degree)
@@ -654,31 +667,40 @@ class TestMonomialCounting:
     @given(count_cases())
     @settings(max_examples=200, deadline=None)
     def test_counts_against_dp_and_cost_oracles(self, case):
-        # Every count is the DP's; the method, the refusal and its text are
-        # those the cost oracle gives, answered at the limit and refused
-        # one step under it.
-        weights, degrees = case
-        nodes, cells = count_cost_oracle(weights, degrees)
+        # Every sum of counts is the DP's; the method, the refusal and its
+        # text are those the cost oracle gives, answered at the limit and
+        # refused one step under it.  Enumeration takes one call per list.
+        weights, calls = case
+        nodes, cells = count_cost_oracle(weights, calls)
         cost = min(nodes, cells)
         enumerated = []
         enumerate_ = dimension._enumerate
 
-        def spy(ws, m):
-            enumerated.append(m)
-            return enumerate_(ws, m)
+        def spy(ws, degrees):
+            enumerated.append(degrees)
+            return enumerate_(ws, degrees)
 
         with mock.patch.object(dimension, "_enumerate", spy):
             with mock.patch.object(dimension, "_MAX_COUNT_COST", cost):
-                counts = dimension._counts(weights, degrees)
+                counts = dimension._counts(weights, calls)
             with mock.patch.object(dimension, "_MAX_COUNT_COST", cost - 1):
                 with pytest.raises(DomainError) as excinfo:
-                    dimension._counts(weights, degrees)
-        assert counts == [monomial_dp(weights, m) for m in degrees]
-        assert bool(enumerated) == (nodes <= cells)
+                    dimension._counts(weights, calls)
+        assert counts == [sum(monomial_dp(weights, m) for m in degrees) for degrees in calls]
+        assert enumerated == (list(calls) if nodes <= cells else [])
+        top = max(max(degrees) for degrees in calls)
         assert str(excinfo.value) == (
-            f"counting monomials of degree {max(degrees)} needs {cost} steps, "
+            f"counting monomials of degree {top} needs {cost} steps, "
             f"over the limit of {cost - 1}"
         )
+
+    @given(enumeration_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_enumeration_of_many_degrees_against_dp_oracle(self, case):
+        ws, degrees = case
+        # Unit weights would take 10^7 and more nodes; about 1% are skipped.
+        assume(math.prod(max(degrees) // w + 1 for w in ws[2:]) <= 2 * 10**4)
+        assert dimension._enumerate(ws, degrees) == sum(monomial_dp(ws, m) for m in degrees)
 
 
 class TestModuli:
@@ -709,17 +731,35 @@ class TestModuli:
         assert caught == []
 
     def test_one_cost_check_for_every_degree(self, monkeypatch):
-        # Enumeration is cheapest at each degree: 8 * 3 * 2 = 48 nodes' cost
-        # at d = 10000, 8 and 8 at 1667 and 2001, 8 * 2 = 16 at 5000 and
-        # 8 * 2 * 2 = 32 at 9999, so 112 in all, against 5 * 10001 cells.
-        # No single count passes 48, but the budget is for all of them.
+        # Enumeration is cheaper: 8 * 3 * 2 = 48 nodes' cost for the call
+        # at d = 10000, and 8 * 4 * 2 * 2 = 128 for the call at the four
+        # weights, bounded at the largest, 9999; 176 in all, against
+        # 5 * 10001 cells.  No single count passes 48, but the budget is
+        # for all of them.
         link = WeightedLink((1667, 2001, 5000, 9999), 10000)
         expected = moduli_oracle(link)
-        monkeypatch.setattr(dimension, "_MAX_COUNT_COST", 112)
+        monkeypatch.setattr(dimension, "_MAX_COUNT_COST", 176)
         assert moduli_dimension(link) == expected
-        monkeypatch.setattr(dimension, "_MAX_COUNT_COST", 111)
-        with pytest.raises(DomainError, match=r"^counting monomials of degree 10000 needs 112 steps"):
+        monkeypatch.setattr(dimension, "_MAX_COUNT_COST", 175)
+        with pytest.raises(DomainError, match=r"^counting monomials of degree 10000 needs 176 steps"):
             moduli_dimension(link)
+
+    @pytest.mark.parametrize("length, max_exponent", [(3, 12), (4, 8)])
+    def test_at_most_two_enumerations_per_link(self, monkeypatch, length, max_exponent):
+        # One call at d and one at all the weights, or none for the table.
+        calls = []
+        enumerate_ = dimension._enumerate
+
+        def spy(ws, degrees):
+            calls.append(degrees)
+            return enumerate_(ws, degrees)
+
+        monkeypatch.setattr(dimension, "_enumerate", spy)
+        for bp in enumerate_bp(length, max_exponent):
+            link = as_link(bp)
+            calls.clear()
+            assert moduli_dimension(link) == moduli_oracle(link), bp
+            assert calls in ([], [(link.degree,), link.weights]), bp
 
     def test_one_table_for_every_degree(self, monkeypatch):
         # Ten unit weights make enumeration hopeless, so every count, at
