@@ -345,29 +345,27 @@ def count_monomials(weights, degree: int) -> int:
 def _counts(weights, calls) -> list[int]:
     """For each list of degrees in ``calls``, the sum of its counts.
 
-    One method and one cost check serve every call.  The node bound grows
+    One method and one cost check serve every call.  Weights above every
+    degree only take x = 0 and are dropped first.  The node bound grows
     with the degree, so a call costs at most its number of degrees times
     the bound at its largest degree, and enumeration costs those bounds
-    added over the calls.  One table up to the largest degree, which a
-    refusal names, holds every count.
+    added over the calls.  Only when that would pass the limit is each
+    degree bounded on its own, which is tighter, before a count is refused.
+    One table up to the largest degree, which a refusal names, holds every
+    count.
     """
     ws = sorted(weights)
     top = max(map(max, calls))
-    cells = (bisect_right(ws, top) + 1) * (top + 1)
-    nodes = 0
-    for degrees in calls:
-        m = max(degrees)
-        cost = _NODE_COST * len(degrees)
-        for w in ws[2:]:  # once past cells, the comparison is decided
-            cost *= m // w + 1
-            if nodes + cost > cells:
-                break
-        nodes += cost
+    del ws[bisect_right(ws, top) :]
+    cells = (len(ws) + 1) * (top + 1)
+    nodes = _node_bound(ws, calls, cells)
     if min(nodes, cells) > _MAX_COUNT_COST:
-        raise DomainError(
-            f"counting monomials of degree {top} needs {min(nodes, cells)} steps, "
-            f"over the limit of {_MAX_COUNT_COST}"
-        )
+        nodes = _node_bound(ws, [(m,) for degrees in calls for m in degrees], cells)
+        if min(nodes, cells) > _MAX_COUNT_COST:
+            raise DomainError(
+                f"counting monomials of degree {top} needs {min(nodes, cells)} steps, "
+                f"over the limit of {_MAX_COUNT_COST}"
+            )
     if nodes <= cells:
         return [_enumerate(ws, degrees) for degrees in calls]
     counts = [0] * (top + 1)
@@ -378,15 +376,36 @@ def _counts(weights, calls) -> list[int]:
     return [sum(counts[m] for m in degrees) for degrees in calls]
 
 
+def _node_bound(ws: list[int], calls, cells: int) -> int:
+    """Enumeration's cost bound, in cells, added over the calls.
+
+    A call whose largest degree is m costs ``_NODE_COST`` * (its number
+    of degrees) * prod(m // w + 1) over every weight but the two smallest;
+    a weight above m adds its factor 1.  Once the sum passes ``cells`` the
+    comparison is decided, and the rest of a product is not taken.
+    """
+    nodes = 0
+    for degrees in calls:
+        m = max(degrees)
+        cost = _NODE_COST * len(degrees)
+        for w in ws[2:]:
+            cost *= m // w + 1
+            if nodes + cost > cells:
+                break
+        nodes += cost
+    return nodes
+
+
 def _enumerate(ws: list[int], degrees) -> int:
     """Solutions of sum w_i x_i = m, x >= 0, summed over m in ``degrees``.
 
     The weights are ascending and positive.  The largest is expanded
     first, one level at a time: each level takes the degrees the level
     above left and, with one gcd and one inverse for all of them, expands
-    each into the degrees that the remaining weights must reach.  A weight
-    above a degree leaves it the one term x = 0.  The last two weights take
-    every leaf degree in one ``_pair_counts`` call.
+    each into the degrees that the remaining weights must reach; a level
+    holding one degree passes its range on as it is.  A weight above a
+    degree leaves it the one term x = 0.  The last two weights take every
+    leaf degree in one ``_pair_counts`` call.
     """
     if len(ws) < 2:
         return sum(m % ws[0] == 0 if ws else m == 0 for m in degrees)
@@ -402,11 +421,16 @@ def _enumerate(ws: list[int], degrees) -> int:
     h = math.gcd(w, g)
     step = g // h
     inverse = pow(w // h, -1, step)
-    below = []
-    for m in degrees:
-        if m % h == 0:
-            below += range((m - w * (m // h * inverse % step)) // g, -1, -(w // h))
-    degrees = below
+    if len(degrees) == 1:  # its range is passed on as it is
+        m = degrees[0]
+        x0 = m // h * inverse % step
+        degrees = range((m - w * x0) // g, -1, -(w // h)) if m % h == 0 else ()
+    else:
+        below = []
+        for m in degrees:
+            if m % h == 0:
+                below += range((m - w * (m // h * inverse % step)) // g, -1, -(w // h))
+        degrees = below
     # Divided by g, the weights have gcd 1, and so do those of every level
     # below: there h = 1, w is prime to g, and every degree t has its own
     # residue class t / w (mod g).  Each level divides by the g above it.
@@ -414,10 +438,14 @@ def _enumerate(ws: list[int], degrees) -> int:
         *rest, w = [v // g for v in rest]
         g = math.gcd(*rest)
         inverse = pow(w, -1, g)
-        below = []
-        for t in degrees:
-            below += range((t - w * (t * inverse % g)) // g, -1, -w)
-        degrees = below
+        if len(degrees) == 1:
+            t = degrees[0]
+            degrees = range((t - w * (t * inverse % g)) // g, -1, -w)
+        else:
+            below = []
+            for t in degrees:
+                below += range((t - w * (t * inverse % g)) // g, -1, -w)
+            degrees = below
     a, b = rest
     return _pair_counts(a // g, b // g, degrees)
 

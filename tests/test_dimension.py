@@ -5,6 +5,7 @@ import json
 import math
 import operator
 import time
+import tracemalloc
 import warnings
 from fractions import Fraction
 from itertools import product
@@ -479,24 +480,40 @@ def moduli_oracle(link) -> int:
     return 2 * (total - sum(monomial_dp(link.weights, w) for w in link.weights))
 
 
-def count_cost_oracle(weights, calls) -> tuple[int, int]:
-    """The cost check of ``_counts``, stated plainly: (nodes, cells).
+def count_cost_oracle(weights, calls) -> tuple[int, int, int]:
+    """The bounds of ``_counts``, stated plainly: (nodes, per_degree, cells).
 
     A list of degrees whose largest is m costs _NODE_COST * (its length) *
     prod(m // w + 1) nodes, over every weight but the two smallest; nodes
-    adds that up over the lists.  The table up to the largest degree of
-    all has (weights at most that degree + 1) * (that degree + 1) cells.
-    Enumeration is chosen when nodes <= cells, and min(nodes, cells) is
-    what the limit is held to.
+    adds that up over the lists, and per_degree over every degree as a
+    list of its own.  The table up to the largest degree of all has
+    (weights at most that degree + 1) * (that degree + 1) cells.
     """
     ws = sorted(weights)
     top = max(max(degrees) for degrees in calls)
     cells = (sum(w <= top for w in ws) + 1) * (top + 1)
-    nodes = sum(
-        dimension._NODE_COST * len(degrees) * math.prod(max(degrees) // w + 1 for w in ws[2:])
-        for degrees in calls
-    )
-    return nodes, cells
+
+    def bound(m):
+        return dimension._NODE_COST * math.prod(m // w + 1 for w in ws[2:])
+
+    nodes = sum(len(degrees) * bound(max(degrees)) for degrees in calls)
+    per_degree = sum(bound(m) for degrees in calls for m in degrees)
+    return nodes, per_degree, cells
+
+
+def count_method_oracle(weights, calls, limit) -> bool | None:
+    """Whether ``_counts`` enumerates under ``limit``; None for a refusal.
+
+    The per-list bound decides when it, or the table, is within the limit.
+    Otherwise the per-degree bound, never larger, decides, and a count
+    that neither it nor the table brings within the limit is refused.
+    """
+    nodes, per_degree, cells = count_cost_oracle(weights, calls)
+    if min(nodes, cells) <= limit:
+        return nodes <= cells
+    if min(per_degree, cells) <= limit:
+        return per_degree <= cells
+    return None
 
 
 @st.composite
@@ -668,31 +685,64 @@ class TestMonomialCounting:
     @settings(max_examples=200, deadline=None)
     def test_counts_against_dp_and_cost_oracles(self, case):
         # Every sum of counts is the DP's; the method, the refusal and its
-        # text are those the cost oracle gives, answered at the limit and
-        # refused one step under it.  Enumeration takes one call per list.
+        # text are those the cost oracles give, under today's limit and
+        # under the tightest one that still answers, refused one step
+        # under it.  Enumeration takes one call per list.
         weights, calls = case
-        nodes, cells = count_cost_oracle(weights, calls)
-        cost = min(nodes, cells)
-        enumerated = []
+        nodes, per_degree, cells = count_cost_oracle(weights, calls)
+        cost = min(per_degree, cells)
+        expected = [sum(monomial_dp(weights, m) for m in degrees) for degrees in calls]
         enumerate_ = dimension._enumerate
+        for limit in (dimension._MAX_COUNT_COST, cost):
+            enumerated = []
 
-        def spy(ws, degrees):
-            enumerated.append(degrees)
-            return enumerate_(ws, degrees)
+            def spy(ws, degrees):
+                enumerated.append(degrees)
+                return enumerate_(ws, degrees)
 
-        with mock.patch.object(dimension, "_enumerate", spy):
-            with mock.patch.object(dimension, "_MAX_COUNT_COST", cost):
-                counts = dimension._counts(weights, calls)
-            with mock.patch.object(dimension, "_MAX_COUNT_COST", cost - 1):
-                with pytest.raises(DomainError) as excinfo:
-                    dimension._counts(weights, calls)
-        assert counts == [sum(monomial_dp(weights, m) for m in degrees) for degrees in calls]
-        assert enumerated == (list(calls) if nodes <= cells else [])
+            with mock.patch.object(dimension, "_enumerate", spy):
+                with mock.patch.object(dimension, "_MAX_COUNT_COST", limit):
+                    assert dimension._counts(weights, calls) == expected
+            assert count_method_oracle(weights, calls, limit) is not None
+            method = count_method_oracle(weights, calls, limit)
+            assert enumerated == (list(calls) if method else [])
+        assert count_method_oracle(weights, calls, cost - 1) is None
+        with mock.patch.object(dimension, "_MAX_COUNT_COST", cost - 1):
+            with pytest.raises(DomainError) as excinfo:
+                dimension._counts(weights, calls)
         top = max(max(degrees) for degrees in calls)
         assert str(excinfo.value) == (
             f"counting monomials of degree {top} needs {cost} steps, "
             f"over the limit of {cost - 1}"
         )
+
+    def test_weights_above_the_degree_are_dropped(self, monkeypatch):
+        # 10^5 weights above the degree each take only x = 0; the
+        # enumeration never sees them, so it has three levels, not 10^5.
+        calls = []
+        enumerate_ = dimension._enumerate
+
+        def spy(ws, degrees):
+            calls.append(list(ws))
+            if len(ws) > 3:  # such an enumeration would run for minutes
+                pytest.fail(f"enumerated over {len(ws)} weights")
+            return enumerate_(ws, degrees)
+
+        monkeypatch.setattr(dimension, "_enumerate", spy)
+        assert count_monomials((2, 3, 5) + (10**6,) * 100_000, 10) == monomial_dp((2, 3, 5), 10)
+        assert calls == [[2, 3, 5]]
+
+    def test_one_degree_enumerates_in_little_memory(self):
+        # One degree's first level is a range, not a list of 10^5 degrees
+        # (several MB).
+        tracemalloc.start()
+        try:
+            count = count_monomials((1, 2, 3), 299_999)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == monomial_dp((1, 2, 3), 299_999)
+        assert peak < 10**5
 
     @given(enumeration_cases())
     @settings(max_examples=200, deadline=None)
@@ -731,18 +781,28 @@ class TestModuli:
         assert caught == []
 
     def test_one_cost_check_for_every_degree(self, monkeypatch):
-        # Enumeration is cheaper: 8 * 3 * 2 = 48 nodes' cost for the call
-        # at d = 10000, and 8 * 4 * 2 * 2 = 128 for the call at the four
-        # weights, bounded at the largest, 9999; 176 in all, against
-        # 5 * 10001 cells.  No single count passes 48, but the budget is
-        # for all of them.
+        # Enumeration is cheaper.  Each call is bounded at its largest
+        # degree: 8 * 3 * 2 = 48 nodes' cost for the call at d = 10000, and
+        # 8 * 4 * 2 * 2 = 128 for the call at the four weights, bounded at
+        # 9999; 176 in all, against 5 * 10001 cells.  Under a lower limit
+        # each degree is bounded on its own: 48 at d, and 8, 8, 16 and 32
+        # at the weights, 112 in all.  No single count passes 48, but the
+        # budget is for all of them.
         link = WeightedLink((1667, 2001, 5000, 9999), 10000)
         expected = moduli_oracle(link)
-        monkeypatch.setattr(dimension, "_MAX_COUNT_COST", 176)
-        assert moduli_dimension(link) == expected
-        monkeypatch.setattr(dimension, "_MAX_COUNT_COST", 175)
-        with pytest.raises(DomainError, match=r"^counting monomials of degree 10000 needs 176 steps"):
+        for limit in (176, 175, 112):
+            monkeypatch.setattr(dimension, "_MAX_COUNT_COST", limit)
+            assert moduli_dimension(link) == expected
+        monkeypatch.setattr(dimension, "_MAX_COUNT_COST", 111)
+        with pytest.raises(DomainError, match=r"^counting monomials of degree 10000 needs 112 steps"):
             moduli_dimension(link)
+
+    def test_bounded_per_degree_before_refusing(self):
+        # The per-call bound, 20715200, passes the limit; the per-degree
+        # bound, 18843984, does not, and the enumeration takes milliseconds.
+        link = BPExponents((193, 24, 118, 276, 3, 247)).link
+        assert link.degree == 1552549128
+        assert moduli_dimension(link) == 60
 
     @pytest.mark.parametrize("length, max_exponent", [(3, 12), (4, 8)])
     def test_at_most_two_enumerations_per_link(self, monkeypatch, length, max_exponent):
