@@ -732,16 +732,25 @@ class TestMonomialCounting:
         assert count_monomials((2, 3, 5) + (10**6,) * 100_000, 10) == monomial_dp((2, 3, 5), 10)
         assert calls == [[2, 3, 5]]
 
-    def test_one_degree_enumerates_in_little_memory(self):
-        # One degree's first level is a range, not a list of 10^5 degrees
-        # (several MB).
+    @pytest.mark.parametrize(
+        "weights, degree",
+        [
+            ((1, 2, 3), 299_999),
+            # Only x = 0 of 150001 has the degree's residue mod 2, so the
+            # second level, (1, 2, 3) at 149999, also holds one degree.
+            ((2, 4, 6, 150_001), 299_998),
+        ],
+    )
+    def test_one_degree_enumerates_in_little_memory(self, weights, degree):
+        # A level holding one degree passes on a range, not a list of
+        # 10^5 degrees (several MB).
         tracemalloc.start()
         try:
-            count = count_monomials((1, 2, 3), 299_999)
+            count = count_monomials(weights, degree)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert count == monomial_dp((1, 2, 3), 299_999)
+        assert count == monomial_dp(weights, degree)
         assert peak < 10**5
 
     @given(enumeration_cases())
