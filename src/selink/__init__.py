@@ -48,8 +48,8 @@ _EXPORTS = {
     "toric": (
         "MomentCone", "ReebVector", "WeightMatrix", "GorensteinResult", "VolumeMinimum",
         "cone_from_weights", "gorenstein_gamma", "reeb_slice_project", "volume",
-        "volume_gradient", "volume_hessian", "reeb_is_interior", "minimize_volume",
-        "read_cone_file", "read_weight_matrix_file",
+        "volume_gradient", "reeb_is_interior", "minimize_volume", "read_cone_file",
+        "read_weight_matrix_file",
     ),
     "catalog": (
         "CatalogRecord", "run_pipeline", "enumerate_bp", "write_catalog", "read_catalog",

@@ -28,15 +28,16 @@ Monomial counting in the weighted graded ring gives a naive moduli
 dimension for the singularity; see moduli_dimension for the convention
 and its known discrepancy on the standard degree-12 example.  The count
 can be negative on small links and is returned as it is.  A count
-enumerates the exponents of the weights with the fewest terms, reduced by
-gcds, down to Popoviciu's (1953) closed form for two variables
-(Beck-Robins, Computing the Continuous Discretely, ch. 1), at a cost of
-about the product of the link's exponents rather than the degree; a
-degree-long table is used instead when its exact cost bound is lower.
-The enumeration expands one weight's level at a time, with one gcd and
-one modular inverse per level rather than per node, and hands every leaf
-degree to the two-variable form at once.  It takes a list of degrees, so
-a moduli count is two enumerations, at d and at the weights.
+enumerates the exponents of the weights with the fewest terms down to
+Popoviciu's (1953) closed form for two variables (Beck-Robins, Computing
+the Continuous Discretely, ch. 1), at a cost of about the product of the
+link's exponents rather than the degree; a degree-long table is used
+instead when its exact cost bound is lower.  The enumeration divides the
+weights' gcd out once; after that every level runs the same loop, one
+weight at a time, with one gcd and one modular inverse per level rather
+than per node, and hands every leaf degree to the two-variable form at
+once.  It takes a list of degrees, so a moduli count is two enumerations,
+at d and at the weights.
 """
 
 from __future__ import annotations
@@ -311,12 +312,14 @@ def count_monomials(weights, degree: int) -> int:
 
     - Enumeration over the largest weight, the one with the fewest terms,
       down to two variables, which have Popoviciu's (1953) closed form
-      (Beck-Robins, *Computing the Continuous Discretely*, ch. 1).  Only
-      terms congruent to m modulo the gcd of the other weights can be
-      completed, so just those are visited and the rest of the problem is
-      divided by that gcd.  The levels are expanded one at a time: each
-      level finds its gcd and inverse once for all of its degrees,
-      and one closed-form pass takes every leaf degree.  It visits at most
+      (Beck-Robins, *Computing the Continuous Discretely*, ch. 1).  The
+      gcd of all the weights is divided out once, with the degrees it
+      divides.  Then at every level only terms congruent to m modulo the
+      gcd of the other weights can be completed, so just those are
+      visited and the rest of the problem is divided by that gcd.  The
+      levels are expanded one at a time, each by the same loop: a level
+      finds its gcd and inverse once for all of its degrees, and one
+      closed-form pass takes every leaf degree.  It visits at most
       prod(m // w + 1) nodes over every weight but the two smallest; a
       weight above m adds only its term x = 0.  For a Brieskorn-Pham link
       at its own degree that is prod(a_i + 1) over every exponent but the
@@ -329,9 +332,9 @@ def count_monomials(weights, degree: int) -> int:
     The two bounds are compared as integers, a node counted as
     ``_NODE_COST`` cells.  When even the cheaper one exceeds
     ``_MAX_COUNT_COST`` cells the count is a DomainError.  The node bound
-    and ``_NODE_COST`` were set when every node paid its own gcd and
-    inverse; they are kept as they were, so the bound now overstates what
-    an enumeration costs, and tightening it is left to a change of the caps.
+    overstates what an enumeration costs, since a level pays its gcd and
+    inverse once, not once per node; tightening it is left to a change of
+    the caps.
     """
     m = _index(degree, "degree")
     ws = _indices(weights, "weight")
@@ -399,46 +402,28 @@ def _node_bound(ws: list[int], calls, cells: int) -> int:
 def _enumerate(ws: list[int], degrees) -> int:
     """Solutions of sum w_i x_i = m, x >= 0, summed over m in ``degrees``.
 
-    The weights are ascending and positive.  The largest is expanded
-    first, one level at a time: each level takes the degrees the level
-    above left and, with one gcd and one inverse for all of them, expands
-    each into the degrees that the remaining weights must reach; a level
-    holding one degree passes its range on as it is.  A weight above a
-    degree leaves it the one term x = 0.  The last two weights take every
-    leaf degree in one ``_pair_counts`` call.
+    The weights are ascending and positive.  Their gcd comes out first:
+    only degrees it divides have solutions, and those are the quotient's.
+    Then the weights have gcd 1, and so do those of every level below.
+    The largest is expanded first, one level at a time: with g the gcd of
+    the others, prime to w, a degree t needs w x = t (mod g), one residue
+    class of x, and each such term leaves the others, divided by g, to
+    reach (t - w x) / g.  One gcd and one inverse serve all of a level's
+    degrees; a level holding one degree passes its range on as it is.  A
+    weight above a degree leaves it the one term x = 0.  The last two
+    weights take every leaf degree in one ``_pair_counts`` call.
     """
+    g = math.gcd(*ws)
+    if g > 1:
+        ws = [w // g for w in ws]
+        degrees = [m // g for m in degrees if m % g == 0]
     if len(ws) < 2:
-        return sum(m % ws[0] == 0 if ws else m == 0 for m in degrees)
-    if len(ws) == 2:
-        a, b = ws
-        g = math.gcd(a, b)
-        return _pair_counts(a // g, b // g, [m // g for m in degrees if m % g == 0])
-    *rest, w = ws
-    # w x = m - (the rest) needs w x = m (mod g): one residue class of x
-    # modulo g / h, or none.  Each term leaves the rest to reach
-    # (m - w x) / g in the weights divided by g.
-    g = math.gcd(*rest)
-    h = math.gcd(w, g)
-    step = g // h
-    inverse = pow(w // h, -1, step)
-    if len(degrees) == 1:  # its range is passed on as it is
-        m = degrees[0]
-        x0 = m // h * inverse % step
-        degrees = range((m - w * x0) // g, -1, -(w // h)) if m % h == 0 else ()
-    else:
-        below = []
-        for m in degrees:
-            if m % h == 0:
-                below += range((m - w * (m // h * inverse % step)) // g, -1, -(w // h))
-        degrees = below
-    # Divided by g, the weights have gcd 1, and so do those of every level
-    # below: there h = 1, w is prime to g, and every degree t has its own
-    # residue class t / w (mod g).  Each level divides by the g above it.
-    while len(rest) > 2:
-        *rest, w = [v // g for v in rest]
-        g = math.gcd(*rest)
+        return len(degrees) if ws else sum(m == 0 for m in degrees)
+    while len(ws) > 2:
+        *ws, w = ws
+        g = math.gcd(*ws)
         inverse = pow(w, -1, g)
-        if len(degrees) == 1:
+        if len(degrees) == 1:  # its range is passed on as it is
             t = degrees[0]
             degrees = range((t - w * (t * inverse % g)) // g, -1, -w)
         else:
@@ -446,8 +431,8 @@ def _enumerate(ws: list[int], degrees) -> int:
             for t in degrees:
                 below += range((t - w * (t * inverse % g)) // g, -1, -w)
             degrees = below
-    a, b = rest
-    return _pair_counts(a // g, b // g, degrees)
+        ws = [v // g for v in ws]
+    return _pair_counts(*ws, degrees)
 
 
 def _pair_counts(a: int, b: int, degrees) -> int:

@@ -503,12 +503,6 @@ def volume_gradient(cone: MomentCone, xi) -> tuple[float, ...]:
     return _gradient(_ray_parts(fcone, table))
 
 
-def volume_hessian(cone: MomentCone, xi) -> tuple[tuple[float, ...], ...]:
-    """Closed-form Hessian of the normalized volume (float, symmetric)."""
-    fcone, table = _checked_float_table(cone, xi)
-    return _hessian(fcone, table, _ray_parts(fcone, table))
-
-
 class GorensteinResult(_Value):
     __match_args__ = ("gamma", "reason")
     gamma: tuple[int, ...] | None

@@ -614,11 +614,45 @@ class TestMonomialCounting:
             ((5,), 16, 0),
             ((), 0, 1),
             ((), 3, 0),
+            # From degree 7 on these are enumerated, by its 0- and 1-weight
+            # branches.
+            ((), 10, 0),
+            ((5,), 100, 1),
+            ((5,), 101, 0),
         ],
     )
     def test_closed_form_cases(self, weights, degree, expected):
         assert count_monomials(weights, degree) == expected
         assert monomial_brute_force(weights, degree) == expected
+
+    @given(
+        st.integers(1000, 20000).flatmap(
+            lambda degree: st.tuples(
+                st.lists(st.integers(degree // 6, degree), min_size=1, max_size=5),
+                st.just(degree),
+            )
+        ),
+        st.integers(2, 12).flatmap(lambda k: st.tuples(st.just(k), st.integers(1, k - 1))),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_common_factor_of_the_weights_divides_out(self, case, scale):
+        # Weights times k reach k m in as many ways as the weights reach m,
+        # and k m + r, 0 < r < k, in none.  All three counts are enumerated.
+        weights, degree = case
+        k, r = scale
+        scaled = [k * w for w in weights]
+        enumerated = []
+        enumerate_ = dimension._enumerate
+
+        def spy(ws, degrees):
+            enumerated.append(list(ws))
+            return enumerate_(ws, degrees)
+
+        with mock.patch.object(dimension, "_enumerate", spy):
+            count = count_monomials(weights, degree)
+            assert count_monomials(scaled, k * degree) == count
+            assert count_monomials(scaled, k * degree + r) == 0
+        assert enumerated == [sorted(weights), sorted(scaled), sorted(scaled)]
 
     @given(st.one_of(_ENUMERATED, _TABULATED))
     @settings(max_examples=150, deadline=None)

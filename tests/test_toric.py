@@ -37,7 +37,6 @@ from selink import (
     reeb_slice_project,
     volume,
     volume_gradient,
-    volume_hessian,
 )
 
 from selink import intlinalg, toric
@@ -76,6 +75,12 @@ def random_interior_xi(cone: MomentCone, rng: random.Random):
         sum(c * n[i] for c, n in zip(coeffs, cone.normals))
         for i in range(cone.dim)
     )
+
+
+def volume_hessian(cone: MomentCone, xi) -> tuple[tuple[float, ...], ...]:
+    """The closed-form Hessian of the float volume, as minimize_volume forms it."""
+    fcone, table = toric._checked_float_table(cone, xi)
+    return toric._hessian(fcone, table, toric._ray_parts(fcone, table))
 
 
 class TestMomentCone:
