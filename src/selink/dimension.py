@@ -419,7 +419,9 @@ def _enumerate(ws: list[int], degrees) -> int:
         degrees = [m // g for m in degrees if m % g == 0]
     if len(ws) < 2:
         return len(degrees) if ws else sum(m == 0 for m in degrees)
-    while len(ws) > 2:
+    if len(ws) == 2:
+        return _pair_counts(*ws, degrees)
+    while True:
         *ws, w = ws
         g = math.gcd(*ws)
         inverse = pow(w, -1, g)
@@ -431,8 +433,10 @@ def _enumerate(ws: list[int], degrees) -> int:
             for t in degrees:
                 below += range((t - w * (t * inverse % g)) // g, -1, -w)
             degrees = below
+        if len(ws) == 2:
+            a, b = ws
+            return _pair_counts(a // g, b // g, degrees)
         ws = [v // g for v in ws]
-    return _pair_counts(*ws, degrees)
 
 
 def _pair_counts(a: int, b: int, degrees) -> int:
