@@ -34,8 +34,8 @@ the pivot above, so a triangle of a polygon face costs one 3 x 3
 determinant and one exact division, and any other simplex finishes its
 own small block.  A triangulation of more than ``_MAX_SIMPLEX_WORK``
 units, simplices times dimension, is refused.  For rational xi the sum
-is exact, over one common denominator, with a single Fraction at the
-end; inside the optimizer it is taken in floats, from ray entries and
+is exact, over the product of the supports <xi, r>, with one Fraction at
+the end; inside the optimizer it is taken in floats, from ray entries and
 determinants converted once per call.  One pass over the simplices at a
 point gives its float volume and simplex terms, which is all a
 line-search candidate needs.  At a point the optimizer accepts, the
@@ -189,7 +189,7 @@ class MomentCone(_Value):
                     else:
                         vec = [sp * b - sq * a for a, b in zip(p, q)]
                         g = math.gcd(*vec)
-                        kept.append((tuple(x // g for x in vec), common | 1 << i))
+                        kept.append((tuple([x // g for x in vec]), common | 1 << i))
             rays = kept
         rays.sort()
         masks = [0] * len(normals)
@@ -205,11 +205,13 @@ class MomentCone(_Value):
         Recursive pulling triangulation on the face lattice.  A face is the
         bitmask of its ray indices, and each normal has the bitmask of the
         rays it vanishes on.  The facets of a face are its inclusion-maximal
-        proper intersections with those masks, so the face lattice is read
-        off the exact incidences and needs no further arithmetic.  Each face
-        is coned from its lowest ray (the anchor) over the facets that miss
-        it, taken in the order of the normals; a simplex lists its own rays
-        in ascending order, then the anchors above it, deepest first.
+        proper cuts, its intersections with those masks, so the face lattice
+        is read off the exact incidences with no further arithmetic.  A face
+        G below F needs only F's distinct proper cuts, as G & mask = G & (F &
+        mask); taken in first-seen order, they keep the order of the normals.
+        Each face is coned from its lowest ray (the anchor) over the facets
+        that miss it, taken in the order of the normals; a simplex lists its
+        own rays in ascending order, then the anchors above it, deepest first.
 
         Every simplex below a face contains the anchors above it, so the
         determinants come out of one fraction-free (Bareiss 1968)
@@ -221,7 +223,7 @@ class MomentCone(_Value):
         identity a 3 x 3 block of reduced rows is the determinant times
         prev**2, prev the last pivot, and the division is exact.  A
         polygon (d = 3) needs no pivot: its edges are its two-ray
-        intersections with the masks, and each triangle with the anchor is
+        cuts that miss the anchor, and each triangle with the anchor is
         one 3 x 3 determinant over prev**2.  A simplicial facet is finished
         in its parent, by Bareiss steps down to such a 3 x 3 block.
 
@@ -249,11 +251,11 @@ class MomentCone(_Value):
 
         # rows[j] is ray j reduced by the anchors above the face, over the d
         # columns they left unused; prev is the last of their pivots.
-        def triangulate(face: int, d: int, rows, prev: int, tail: tuple[int, ...]):
+        def triangulate(face: int, d: int, rows, prev: int, tail: tuple[int, ...], cuts):
             anchor = (face & -face).bit_length() - 1
             tail = (anchor, *tail)
-            subs = dict.fromkeys(face & mask for mask in masks)  # in normal order
-            if d == 3:  # a polygon: its edges are the two-ray faces
+            subs = dict.fromkeys(map(face.__and__, cuts))  # in normal order
+            if d == 3:  # a polygon: its edges are the two-ray cuts
                 top = rows[anchor]
                 square = prev * prev
                 for edge in subs:
@@ -266,7 +268,10 @@ class MomentCone(_Value):
             subs.pop(face, None)
             facets = []  # by decreasing size: a facet is in no larger one
             for sub in sorted(subs, key=int.bit_count, reverse=True):
-                if all(sub & f != sub for f in facets):
+                for f in facets:
+                    if sub & f == sub:
+                        break
+                else:
                     facets.append(sub)
             below = [sub for sub in subs if sub in facets and not sub >> anchor & 1]
             union = 0
@@ -281,12 +286,12 @@ class MomentCone(_Value):
                     det = _simplex_det([reduced[j] for j in members], pivot)
                     out.append(((*members, *tail), det))
                 else:
-                    triangulate(sub, d - 1, reduced, pivot, tail)
+                    triangulate(sub, d - 1, reduced, pivot, tail, subs)
                 check()
 
         if len(rays) == dim:
             return ((tuple(range(dim)), _simplex_det(rays, 1)),)
-        triangulate((1 << len(rays)) - 1, dim, rays, 1, ())
+        triangulate((1 << len(rays)) - 1, dim, rays, 1, (), masks)
         return tuple(out)
 
 
@@ -403,18 +408,23 @@ def volume(cone: MomentCone, xi):
     UnboundedPolytopeError when xi is not strictly inside the dual cone;
     in floats, a ray entry, simplex determinant or xi beyond float range
     is a DomainError.
-    The exact sum is taken over one common denominator.  A Fraction xi is
-    first scaled to integers by the lcm D of its denominators; V is
-    homogeneous of degree -m, so V(xi) = D^m V(D xi).
+    The exact sum is over the product of all the supports <xi, r>, which
+    each simplex's product of supports divides, its rays being distinct.  A
+    Fraction xi is first scaled to integers by the lcm D of its
+    denominators; V is homogeneous of degree -m, so V(xi) = D^m V(D xi).
     """
     xi = _coerce_xi(cone, xi)
     if not all(isinstance(x, (int, Fraction)) for x in xi):
         return _checked_float_table(cone, xi)[1][0]
     scale = math.lcm(*(x.denominator for x in xi))
     supports = _supports(cone.rays, [x.numerator * (scale // x.denominator) for x in xi])
-    denoms = [math.prod(map(supports.__getitem__, simplex)) for simplex, _ in cone._simplices]
-    common = math.lcm(*denoms)
-    total = sum(det * (common // denom) for (_, det), denom in zip(cone._simplices, denoms))
+    common = math.prod(supports)
+    total = 0
+    for simplex, det in cone._simplices:
+        denom = 1  # math.prod takes longer on these few ints
+        for j in simplex:
+            denom *= supports[j]
+        total += det * (common // denom)
     return Fraction(total * scale**cone.dim, common)
 
 

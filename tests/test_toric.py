@@ -254,6 +254,17 @@ class TestCombinatoricsAgainstOracles:
             normals = non_simple_product(normals, k)
         assert_matches_oracle(normals)
 
+    def test_normal_through_a_ridge_keeps_the_simplex_order(self):
+        # The third normal vanishes on three rays only, a ridge of the
+        # cone.  A face is cut by every distinct cut of its parent; cut by
+        # the parent's facets alone, this ridge would come later among its
+        # faces, and two simplices would swap places.
+        assert_matches_oracle(
+            ((3, -3, 1, -3, -2), (2, -1, 2, 2, 1), (3, 3, 2, 0, -3), (4, -2, 1, -2, 1),
+             (2, -1, 2, 0, 3), (3, -3, 0, -1, 0), (2, 2, -1, 3, -1), (1, 1, 0, 1, 3),
+             (1, 1, 3, -3, -2))
+        )
+
     @settings(max_examples=300, deadline=None)
     @given(small_normal_sets())
     def test_random_small_cones(self, normals):
@@ -763,6 +774,18 @@ class TestMinimize:
         assert info.value.last_value == volume(cone, info.value.last_point)
         assert math.isfinite(info.value.grad_norm) and info.value.grad_norm > 0
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="grad_tol is absolute and V is homogeneous of degree -m: a cone of "
+        "volume about 1e-8 meets the default tolerance at its start point",
+    )
+    def test_default_tolerance_reaches_the_minimum_of_a_small_volume_cone(self):
+        # The start point of the cyclic (5, 12) cone gives 4.5776e-08; the
+        # minimum, reached in 5 steps at grad_tol=1e-16, is 3.1846e-08.
+        cone = MomentCone(cyclic_normals(5, 12))
+        tight = minimize_volume(cone, grad_tol=1e-16)
+        assert abs(minimize_volume(cone).value - tight.value) <= 1e-6 * tight.value
+
 
 def golden_cones():
     """The conifold, dP3, Y^{p,q} for p <= 6 and the bench pools' cyclic shapes."""
@@ -787,6 +810,32 @@ def test_toric_pipeline_is_bit_identical():
         record = (*cone._incidences, cone._simplices, volume(cone, xi0), gamma, minimum)
         digest.update(repr(record).encode())
     assert digest.hexdigest() == "921ecc9c4597836a2afff0c1432bf562ec9f683afacddf4060dff59d29bb6786"
+
+
+def large_cones():
+    """Cyclic cones of 368, 633 and 1430 simplices, with many cuts per face."""
+    for m, count in ((5, 16), (6, 14), (7, 12)):
+        yield MomentCone(cyclic_normals(m, count))
+
+
+def test_large_cone_triangulation_is_bit_identical():
+    # Rays, incidences, simplices and the exact volume at the sum of the normals.
+    digest = hashlib.sha256()
+    for cone in large_cones():
+        xi0 = tuple(map(sum, zip(*cone.normals)))
+        digest.update(repr((*cone._incidences, cone._simplices, volume(cone, xi0))).encode())
+    assert digest.hexdigest() == "1e7171ba6ee9cf564169cd0d2b95b02902a20773703713ecca8a71d98e8e17d4"
+
+
+def test_exact_volume_matches_the_oracle_sum():
+    # The sum over the production simplices, one Fraction per term, at the
+    # sum of the normals and at a Fraction combination of them.
+    for cone in (*golden_cones(), *large_cones()):
+        triangulation, dets = zip(*cone._simplices)
+        xi0 = tuple(map(sum, zip(*cone.normals)))
+        coeffs = [Fraction(i + 2, 2 * i + 3) for i in range(len(cone.normals))]
+        for xi in (xi0, positive_combination(cone.normals, coeffs)):
+            assert volume(cone, xi) == oracle_volume(cone.rays, triangulation, dets, xi)
 
 
 class TestGuilleminPotential:
